@@ -399,12 +399,22 @@ def _twist_checks(n, degree):
 
 def _quantum_checks(n, degree):
     alg = build_osp(n)
+    # the full chain and its R are built once per suite run, by the first
+    # check that needs them
+    state = {}
+
+    def f_full():
+        if "F" not in state:
+            state["F"] = tws.full_chain(alg, degree)
+        return state["F"]
 
     def r_jord():
         return qt.universal_R(tws.build_factor(alg, "jordanian", degree))
 
     def r_full():
-        return qt.universal_R(tws.full_chain(alg, degree))
+        if "R" not in state:
+            state["R"] = qt.universal_R(f_full())
+        return state["R"]
 
     def intertwining():
         r = r_full()
@@ -416,7 +426,7 @@ def _quantum_checks(n, degree):
         )
 
     def eta_classical_limit():
-        fam = qt.universal_R(tws.full_chain(alg, degree), eta="eta")
+        fam = qt.universal_R(f_full(), eta="eta")
         return qt.classical_limit(fam) == rm.r_full_borel(alg)
 
     def exp_r_qybe():
@@ -440,7 +450,7 @@ def _quantum_checks(n, degree):
             "quantum.augmentation",
             "both counits of the full-chain R give 1",
             degree,
-            lambda: qt.universal_R(tws.full_chain(alg, degree)).augmentation_ok(),
+            lambda: r_full().augmentation_ok(),
         ),
         (
             "quantum.qybe.jordanian",

@@ -23,11 +23,23 @@ particular every coefficient of degree <= D.
 An element with ``g2cap=None`` is untruncated; caps combine by taking the
 minimum.  All series operations require a finite cap (they do not
 terminate otherwise) and a grade-positive argument.
+
+Coefficients.  At the API every rational coefficient is a ``Fraction``
+(ints are converted on construction); Poly and LaurentSeries coefficients
+are kept as they are.  Inside a product of two rational operands, each
+operand is held as int numerators over one common denominator, the lcm of
+its denominators; products are summed as Python ints and turned back into
+``Fraction`` once per output term.  The normal-form memo likewise keeps
+int coefficients wherever they are integral.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
+from math import lcm
+from operator import itemgetter
 
 from .errors import (
     ConstantTermPresent,
@@ -93,15 +105,18 @@ def _first_violation(alg, word):
     return None
 
 
-def normal_form(alg, word) -> dict:
-    """Rewrite an arbitrary word of basis indices into normal-ordered
-    monomials: {monomial: Fraction}.  Exact; memoized on the algebra.
+def _rewrite(alg, word: tuple) -> tuple:
+    """Normal form of a word as a tuple of (monomial, coefficient) pairs,
+    with int coefficients where they are integral.  Memoized on the
+    algebra; the product kernel reads these tuples directly.
 
     Terminates because each rewriting step either shortens the word or
     removes one adjacent inversion without changing the length.
     """
-    word = tuple(word)
     cache = _nf_cache(alg)
+    hit = cache.get(word)
+    if hit is not None:
+        return hit
     stack = [word]
     while stack:
         w = stack[-1]
@@ -110,7 +125,7 @@ def normal_form(alg, word) -> dict:
             continue
         i = _first_violation(alg, w)
         if i is None:
-            cache[w] = {w: Fraction(1)}
+            cache[w] = ((w, 1),)
             stack.pop()
             continue
         x, y = w[i], w[i + 1]
@@ -120,7 +135,7 @@ def normal_form(alg, word) -> dict:
                 children.append((c / 2, w[:i] + (k,) + w[i + 2 :]))
         else:
             sign = -1 if (alg.parity(x) and alg.parity(y)) else 1
-            children.append((Fraction(sign), w[:i] + (y, x) + w[i + 2 :]))
+            children.append((sign, w[:i] + (y, x) + w[i + 2 :]))
             for k, c in alg.bracket(x, y).items():
                 children.append((c, w[:i] + (k,) + w[i + 2 :]))
         missing = [cw for _, cw in children if cw not in cache]
@@ -129,15 +144,25 @@ def normal_form(alg, word) -> dict:
             continue
         acc: dict = {}
         for c, cw in children:
-            for mono, cc in cache[cw].items():
+            for mono, cc in cache[cw]:
                 v = acc.get(mono, 0) + c * cc
                 if v:
                     acc[mono] = v
                 elif mono in acc:
                     del acc[mono]
-        cache[w] = acc
+        cache[w] = tuple(
+            (mono, v.numerator if v.denominator == 1 else v)
+            for mono, v in acc.items()
+        )
         stack.pop()
     return cache[word]
+
+
+def normal_form(alg, word) -> dict:
+    """Rewrite an arbitrary word of basis indices into normal-ordered
+    monomials: a fresh {monomial: Fraction} dict.  Exact; the rewriting is
+    memoized on the algebra."""
+    return {mono: Fraction(c) for mono, c in _rewrite(alg, tuple(word))}
 
 
 def monomial_g2(alg, mono) -> int:
@@ -189,6 +214,128 @@ def _min_cap(a, b):
     return min(a, b)
 
 
+def _over_common_denominator(items):
+    """(key, int numerator) pairs over the lcm of the denominators, and
+    that lcm, when every coefficient is rational; None otherwise."""
+    dens = set()
+    for _, c in items:
+        if not isinstance(c, (int, Fraction)):
+            return None
+        dens.add(c.denominator)
+    den = lcm(*dens)
+    return [(key, c.numerator * (den // c.denominator)) for key, c in items], den
+
+
+def _product(alg, left, right, legs: int, cap):
+    """Exact product of two combinations of ``legs``-leg terms.
+
+    ``left`` and ``right`` are collections of (key, coefficient) pairs, a
+    key being a tuple of one normal-ordered monomial per leg.  Returns the
+    product as {key: coefficient}, free of zeros and of terms above the
+    cap.
+
+    When both operands are rational, each becomes int numerators over its
+    own common denominator; products are summed as ints and divided out
+    once at the end.  Other scalars (Poly, LaurentSeries) run the same loop
+    with their own coefficients and no denominator.  Leg products are read
+    straight from the normal-form memo.
+    """
+    lq, rq = _over_common_denominator(left), _over_common_denominator(right)
+    if lq is None or rq is None:
+        den = None
+    else:
+        (left, ld), (right, rd) = lq, rq
+        den = ld * rd
+
+    def grade(key):
+        return sum(monomial_g2(alg, m) for m in key)
+
+    # The right operand is prepared once.  Its terms are grouped by grade
+    # and by every leg but the last (the head), and the groups are sorted
+    # by grade, so the cap cuts the inner loop at one index and each head
+    # product is formed once per group.  The Koszul sign of a pair only
+    # sees the right term's odd head legs, as no leg follows the last one.
+    last = legs - 1
+    groups: dict = {}
+    for u, c in right:
+        groups.setdefault((grade(u), u[:last]), []).append((u[last], c))
+    prepared = sorted(
+        [
+            (
+                g2,
+                head,
+                sum(monomial_parity(alg, m) << i for i, m in enumerate(head)),
+                members,
+            )
+            for (g2, head), members in groups.items()
+        ],
+        key=itemgetter(0),
+    )
+    grades = [q[0] for q in prepared]
+    get = _nf_cache(alg).get
+    acc: dict = {}
+    aget = acc.get
+    for t, c1 in left:
+        stop = len(grades) if cap is None else bisect_right(grades, cap - grade(t))
+        # bit i set when the legs after i hold an odd number of odd letters
+        odd_after = 0
+        odd = 0
+        for i in range(last, -1, -1):
+            if odd:
+                odd_after |= 1 << i
+            odd ^= monomial_parity(alg, t[i])
+        t_head, t_last = t[:last], t[last]
+        for _, head, odd_head, members in prepared[:stop]:
+            odd_pairs = (odd_head & odd_after).bit_count()
+            parts = [((), -c1 if odd_pairs & 1 else c1)]
+            for ti, ui in zip(t_head, head):
+                w = ti + ui
+                nf = get(w) or _rewrite(alg, w)
+                parts = [(p + (m,), pc * a) for p, pc in parts for m, a in nf]
+            for u_last, c2 in members:
+                w = t_last + u_last
+                nf = get(w) or _rewrite(alg, w)
+                for p, pc in parts:
+                    pc *= c2
+                    for m, a in nf:
+                        key = p + (m,)
+                        v = aget(key, 0) + pc * a
+                        if v:
+                            acc[key] = v
+                        else:
+                            acc.pop(key, None)
+    if den is None:
+        return acc
+    return {key: Fraction(v, den) for key, v in acc.items()}
+
+
+def _sum_terms(a, b, sign, cap, cap_a, cap_b, grade):
+    """a + sign * b for two clean term dicts and sign +1 or -1: zero-free
+    and cut at ``cap``; a side's terms are cut only when its own cap was
+    looser."""
+    if cap_a == cap:
+        out = dict(a)
+    else:
+        out = {k: c for k, c in a.items() if grade(k) <= cap}
+    cut_b = cap_b != cap
+    for k, c in b.items():
+        if cut_b and grade(k) > cap:
+            continue
+        v = out.get(k)
+        if v is None:
+            out[k] = c if sign > 0 else -c
+        elif sign < 0 and v == c:
+            # the terms of a vanishing residual cancel without arithmetic
+            del out[k]
+        else:
+            v = v + c if sign > 0 else v - c
+            if scalar_is_zero(v):
+                del out[k]
+            else:
+                out[k] = v
+    return out
+
+
 # --------------------------------------------------------------------------
 # Elements of the (grade-capped) enveloping algebra
 # --------------------------------------------------------------------------
@@ -215,6 +362,16 @@ class UEElement:
         self.algebra = algebra
         self.terms = cleaned
         self.g2cap = g2cap
+
+    @classmethod
+    def _trusted(cls, algebra, terms, g2cap):
+        """Wrap terms that are already clean: tuple monomials, nonzero
+        coefficients, none above the cap."""
+        out = cls.__new__(cls)
+        out.algebra = algebra
+        out.terms = terms
+        out.g2cap = g2cap
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -279,24 +436,29 @@ class UEElement:
         if not isinstance(other, UEElement):
             c = other
             return self + UEElement(self.algebra, {(): c}, self.g2cap)
+        return self._combine(other, 1)
+
+    def _combine(self, other, sign):
+        """self + sign * other for an element ``other``."""
         self._check(other)
         cap = _min_cap(self.g2cap, other.g2cap)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return UEElement(self.algebra, out, cap)
+        out = _sum_terms(
+            self.terms, other.terms, sign, cap, self.g2cap, other.g2cap,
+            partial(monomial_g2, self.algebra),
+        )
+        return UEElement._trusted(self.algebra, out, cap)
 
     def __radd__(self, other):
         return self + other
 
     def __neg__(self):
-        return UEElement(
+        return UEElement._trusted(
             self.algebra, {m: -c for m, c in self.terms.items()}, self.g2cap
         )
 
     def __sub__(self, other):
         if isinstance(other, UEElement):
-            return self + (-other)
+            return self._combine(other, -1)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -323,25 +485,16 @@ class UEElement:
             return self.scale(other)
         self._check(other)
         cap = _min_cap(self.g2cap, other.g2cap)
-        alg = self.algebra
-        odata = sorted(
-            ((monomial_g2(alg, m2), m2, c2) for m2, c2 in other.terms.items()),
-            key=lambda q: q[0],
+        out = _product(
+            self.algebra,
+            [((m,), c) for m, c in self.terms.items()],
+            [((m,), c) for m, c in other.terms.items()],
+            1,
+            cap,
         )
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            budget = None if cap is None else cap - monomial_g2(alg, m1)
-            for g2, m2, c2 in odata:
-                if budget is not None and g2 > budget:
-                    break
-                c12 = c1 * c2
-                for mono, cc in normal_form(alg, m1 + m2).items():
-                    v = out.get(mono, 0) + c12 * cc
-                    if scalar_is_zero(v):
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = v
-        return UEElement(alg, out, cap)
+        return UEElement._trusted(
+            self.algebra, {key[0]: c for key, c in out.items()}, cap
+        )
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -385,10 +538,9 @@ class UEElement:
     def to_matrix(self) -> GradedMatrix:
         """Image under the defining representation."""
         alg = self.algebra
-        acc = GradedMatrix.zero(alg.pv)
-        for mono, c in self.terms.items():
-            acc = acc + alg.monomial_matrix(mono).scale(c)
-        return acc
+        return _matrix_sum(
+            alg.pv, ((alg.monomial_matrix(m), c) for m, c in self.terms.items())
+        )
 
     def coproduct(self, legs: int = 2) -> "UETensor":
         """Undeformed coproduct (every basis generator primitive), as a
@@ -465,6 +617,17 @@ class UETensor:
         self.terms = cleaned
         self.legs = legs
         self.g2cap = g2cap
+
+    @classmethod
+    def _trusted(cls, algebra, terms, legs, g2cap):
+        """Wrap terms that are already clean: ``legs``-tuples of tuple
+        monomials, nonzero coefficients, none above the cap."""
+        out = cls.__new__(cls)
+        out.algebra = algebra
+        out.terms = terms
+        out.legs = legs
+        out.g2cap = g2cap
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -550,24 +713,31 @@ class UETensor:
             if isinstance(other, UEElement):
                 raise HeterogeneousOperand("cannot add an element to a tensor")
             return self + self.one_like().scale(other)
+        return self._combine(other, 1)
+
+    def _combine(self, other, sign):
+        """self + sign * other for a tensor ``other``."""
         self._check(other)
         cap = _min_cap(self.g2cap, other.g2cap)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return UETensor(self.algebra, out, self.legs, cap)
+        out = _sum_terms(
+            self.terms, other.terms, sign, cap, self.g2cap, other.g2cap,
+            self.term_g2,
+        )
+        return UETensor._trusted(self.algebra, out, self.legs, cap)
 
     def __radd__(self, other):
         return self + other
 
     def __neg__(self):
-        return UETensor(
+        return UETensor._trusted(
             self.algebra, {k: -c for k, c in self.terms.items()}, self.legs,
             self.g2cap,
         )
 
     def __sub__(self, other):
-        if isinstance(other, (UETensor, UEElement)):
+        if isinstance(other, UETensor):
+            return self._combine(other, -1)
+        if isinstance(other, UEElement):
             return self + (-other)
         return self + self.one_like().scale(-other)
 
@@ -614,54 +784,11 @@ class UETensor:
                 )
             return self.scale(other)
         self._check(other)
-        alg = self.algebra
         cap = _min_cap(self.g2cap, other.g2cap)
-        k = self.legs
-        # right-factor data precomputed once, grade-sorted so the cap cuts
-        # the whole tail of the inner loop at a single break
-        odata = sorted(
-            (
-                (other.term_g2(u), u, c2, tuple(monomial_parity(alg, m) for m in u))
-                for u, c2 in other.terms.items()
-            ),
-            key=lambda q: q[0],
+        out = _product(
+            self.algebra, self.terms.items(), other.terms.items(), self.legs, cap
         )
-        out: dict = {}
-        for t, c1 in self.terms.items():
-            g1 = self.term_g2(t)
-            suff = [0] * (k + 1)
-            for i in range(k - 1, -1, -1):
-                suff[i] = suff[i + 1] + monomial_parity(alg, t[i])
-            budget = None if cap is None else cap - g1
-            for g2u, u, c2, pu in odata:
-                if budget is not None and g2u > budget:
-                    break
-                sgn = 0
-                for i in range(k):
-                    if pu[i]:
-                        sgn += suff[i + 1]
-                c12 = -c1 * c2 if sgn % 2 else c1 * c2
-                parts = [((), c12)]
-                for i in range(k):
-                    ti, ui = t[i], u[i]
-                    if not ui:
-                        parts = [(pref + (ti,), pc) for pref, pc in parts]
-                    elif not ti:
-                        parts = [(pref + (ui,), pc) for pref, pc in parts]
-                    else:
-                        nf = normal_form(alg, ti + ui)
-                        parts = [
-                            (pref + (mono,), pc * mc)
-                            for pref, pc in parts
-                            for mono, mc in nf.items()
-                        ]
-                for key, v in parts:
-                    w = out.get(key, 0) + v
-                    if scalar_is_zero(w):
-                        out.pop(key, None)
-                    else:
-                        out[key] = w
-        return UETensor(alg, out, k, cap)
+        return UETensor._trusted(self.algebra, out, self.legs, cap)
 
     def __pow__(self, p: int):
         if not isinstance(p, int) or p < 0:
@@ -774,11 +901,13 @@ class UETensor:
             sum(alg.pv[i] for i in _digits(flat, d, self.legs)) % 2
             for flat in range(d**self.legs)
         )
-        acc = GradedMatrix.zero(pv)
-        for key, c in self.terms.items():
-            mats = [alg.monomial_matrix(m) for m in key]
-            acc = acc + kron_all(mats).scale(c)
-        return acc
+        return _matrix_sum(
+            pv,
+            (
+                (kron_all([alg.monomial_matrix(m) for m in key]), c)
+                for key, c in self.terms.items()
+            ),
+        )
 
     def __str__(self):
         if not self.terms:
@@ -799,6 +928,15 @@ class UETensor:
 
     def __repr__(self):
         return "UETensor(legs=%d, terms=%d)" % (self.legs, len(self.terms))
+
+
+def _matrix_sum(pv, scaled):
+    """sum c * M over (M, c) pairs, accumulated in one entries dict."""
+    out: dict = {}
+    for mat, c in scaled:
+        for ij, x in mat.entries.items():
+            out[ij] = out.get(ij, 0) + c * x
+    return GradedMatrix(pv, out)
 
 
 def _digits(flat: int, d: int, k: int):

@@ -694,6 +694,9 @@ class LaurentSeries:
     def __hash__(self):
         return hash((self.var, self.min_deg, self.coeffs, self.order))
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def __str__(self):
         if not self.coeffs:
             body = "0"

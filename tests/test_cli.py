@@ -176,3 +176,23 @@ def test_check_error_is_reported_not_raised(monkeypatch, capsys):
     rep = run_suite("cybe")
     assert not rep.overall
     assert rep.to_dict()["checks"][0]["status"] == "fail"
+
+
+def test_quantum_suite_builds_the_full_chain_R_once(monkeypatch):
+    """The quantum checks share one full-chain R per suite run; the only
+    other R builds are the jordanian one and the eta family."""
+    import osptwist.cli as cli
+
+    real = cli.qt.universal_R
+    calls = []
+
+    def counting(twist, eta=None):
+        calls.append((twist.factorization, eta))
+        return real(twist, eta=eta)
+
+    monkeypatch.setattr(cli.qt, "universal_R", counting)
+    rep = run_suite("quantum", n=2, degree=3)
+    assert rep.overall
+    full = [c for c in calls if len(c[0]) == 4]
+    assert len(calls) == 3
+    assert full == [(full[0][0], None), (full[0][0], "eta")]
