@@ -223,7 +223,8 @@ def _over_common_denominator(items):
             return None
         dens.add(c.denominator)
     den = lcm(*dens)
-    return [(key, c.numerator * (den // c.denominator)) for key, c in items], den
+    nums = [(key, c.numerator * (den // c.denominator)) for key, c in items]
+    return nums, den
 
 
 def _product(alg, left, right, legs: int, cap):
@@ -276,7 +277,10 @@ def _product(alg, left, right, legs: int, cap):
     acc: dict = {}
     aget = acc.get
     for t, c1 in left:
-        stop = len(grades) if cap is None else bisect_right(grades, cap - grade(t))
+        if cap is None:
+            stop = len(grades)
+        else:
+            stop = bisect_right(grades, cap - grade(t))
         # bit i set when the legs after i hold an odd number of odd letters
         odd_after = 0
         odd = 0

@@ -384,10 +384,11 @@ def _operand(draw, alg, legs):
     # odd letters are drawn often, so several legs carry odd monomials
     odd = [ix for ix in range(alg.size) if alg.parity(ix)]
     letter = st.one_of(st.sampled_from(odd), st.integers(0, alg.size - 1))
-    key = st.tuples(
-        *[st.lists(letter, max_size=3).map(lambda w: _normal_monomial(alg, w))] * legs
+    mono = st.lists(letter, max_size=3).map(lambda w: _normal_monomial(alg, w))
+    key = st.tuples(*[mono] * legs)
+    terms = draw(
+        st.dictionaries(key, _coefficient(kind), min_size=1, max_size=4)
     )
-    terms = draw(st.dictionaries(key, _coefficient(kind), min_size=1, max_size=4))
     cap = draw(st.one_of(st.none(), st.integers(0, 8)))
     return terms, cap
 
@@ -398,30 +399,51 @@ def products(draw):
     legs = draw(st.integers(1, 3))
     alg = ALGEBRAS[n]
     (lt, lcap), (rt, rcap) = draw(_operand(alg, legs)), draw(_operand(alg, legs))
-    return alg, legs, UETensor(alg, lt, legs, lcap), UETensor(alg, rt, legs, rcap)
+    return (
+        alg, legs, UETensor(alg, lt, legs, lcap), UETensor(alg, rt, legs, rcap)
+    )
+
+
+def _cap(a, b):
+    return min((c for c in (a.g2cap, b.g2cap) if c is not None), default=None)
 
 
 def _expected(case, koszul=True):
     alg, legs, a, b = case
-    cap = min((c for c in (a.g2cap, b.g2cap) if c is not None), default=None)
-    out = reference_product(alg, a.terms, b.terms, legs, cap, koszul)
-    return UETensor(alg, out, legs, cap)
+    out = reference_product(alg, a.terms, b.terms, legs, _cap(a, b), koszul)
+    return UETensor(alg, out, legs, _cap(a, b))
 
 
 @given(products())
 @settings(max_examples=150, deadline=None)
 def test_product_kernel_matches_reference(case):
     alg, legs, a, b = case
+    want = _expected(case)
     got = a * b
-    assert got == _expected(case)
-    assert got.g2cap == _expected(case).g2cap
+    assert got == want and got.g2cap == want.g2cap
     # the trusted result is as clean as the public constructor makes it
-    assert all(not isinstance(c, int) and not scalar_is_zero(c)
-               for c in got.terms.values())
+    assert UETensor(alg, got.terms, legs, got.g2cap).terms == got.terms
+    assert not any(isinstance(c, int) for c in got.terms.values())
     if legs == 1:
         ea = UEElement(alg, {k[0]: c for k, c in a.terms.items()}, a.g2cap)
         eb = UEElement(alg, {k[0]: c for k, c in b.terms.items()}, b.g2cap)
         assert {(m,): c for m, c in (ea * eb).terms.items()} == got.terms
+
+
+@given(products())
+@settings(max_examples=60, deadline=None)
+def test_sum_and_difference_match_public_constructor(case):
+    """+ and - skip the re-cleaning; they must still drop zeros and the
+    terms above the smaller cap."""
+    alg, legs, a, b = case
+    for x, y in ((a, b), (b, a)):
+        for sign, got in ((1, x + y), (-1, x - y)):
+            merged = dict(x.terms)
+            for k, c in y.terms.items():
+                merged[k] = merged.get(k, 0) + sign * c
+            want = UETensor(alg, merged, legs, _cap(x, y))
+            assert got == want and got.g2cap == want.g2cap
+    assert (a - a).is_zero
 
 
 def test_product_kernel_negative_control():
