@@ -313,17 +313,18 @@ def _product(alg, left, right, legs: int, cap):
     return {key: Fraction(v, den) for key, v in acc.items()}
 
 
-def _sum_terms(a, b, sign, cap, cap_a, cap_b, grade):
-    """a + sign * b for two clean term dicts and sign +1 or -1: zero-free
-    and cut at ``cap``; a side's terms are cut only when its own cap was
-    looser."""
-    if cap_a == cap:
-        out = dict(a)
+def _sum_terms(x, y, sign, grade):
+    """The terms of x + sign * y (sign +1 or -1) for two elements or two
+    tensors, and the smaller cap: zero-free and cut at that cap, a side's
+    terms being cut only when its own cap was looser."""
+    cap = _min_cap(x.g2cap, y.g2cap)
+    if x.g2cap == cap:
+        out = dict(x.terms)
     else:
-        out = {k: c for k, c in a.items() if grade(k) <= cap}
-    cut_b = cap_b != cap
-    for k, c in b.items():
-        if cut_b and grade(k) > cap:
+        out = {k: c for k, c in x.terms.items() if grade(k) <= cap}
+    cut_y = y.g2cap != cap
+    for k, c in y.terms.items():
+        if cut_y and grade(k) > cap:
             continue
         v = out.get(k)
         if v is None:
@@ -337,7 +338,7 @@ def _sum_terms(a, b, sign, cap, cap_a, cap_b, grade):
                 del out[k]
             else:
                 out[k] = v
-    return out
+    return out, cap
 
 
 # --------------------------------------------------------------------------
@@ -445,10 +446,8 @@ class UEElement:
     def _combine(self, other, sign):
         """self + sign * other for an element ``other``."""
         self._check(other)
-        cap = _min_cap(self.g2cap, other.g2cap)
-        out = _sum_terms(
-            self.terms, other.terms, sign, cap, self.g2cap, other.g2cap,
-            partial(monomial_g2, self.algebra),
+        out, cap = _sum_terms(
+            self, other, sign, partial(monomial_g2, self.algebra)
         )
         return UEElement._trusted(self.algebra, out, cap)
 
@@ -722,11 +721,7 @@ class UETensor:
     def _combine(self, other, sign):
         """self + sign * other for a tensor ``other``."""
         self._check(other)
-        cap = _min_cap(self.g2cap, other.g2cap)
-        out = _sum_terms(
-            self.terms, other.terms, sign, cap, self.g2cap, other.g2cap,
-            self.term_g2,
-        )
+        out, cap = _sum_terms(self, other, sign, self.term_g2)
         return UETensor._trusted(self.algebra, out, self.legs, cap)
 
     def __radd__(self, other):
