@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import MissingAlias
 from .repmat import GradedMatrix
-from .scalars import scalar_is_zero
+from .scalars import rref, scalar_is_zero
 
 
 class BasisElement:
@@ -377,21 +377,12 @@ def build_osp(n: int) -> OspAlgebra:
 
 
 def invert_fraction_matrix(rows):
-    """Exact inverse of a square Fraction matrix by Gauss-Jordan."""
+    """Exact inverse of a square Fraction matrix by Gauss-Jordan
+    elimination of [rows | 1]; raises ValueError when it is singular."""
     m = len(rows)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(m)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
+    reduced, pivots = rref(
+        [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    )
+    if pivots != list(range(m)):
+        raise ValueError("matrix is singular")
+    return [row[m:] for row in reduced]

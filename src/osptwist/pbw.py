@@ -48,29 +48,24 @@ from .errors import (
     IrrationalExpansionPoint,
     MixedAlgebra,
 )
-from .repmat import GradedMatrix, kron_all
+from .repmat import GradedMatrix, _decode, kron_all
 from .scalars import (
     LaurentSeries,
     Poly,
+    _fr,
     fraction_sqrt,
+    nilpotent_series,
     scalar_is_zero,
     taylor_binomial,
+    taylor_exp,
+    taylor_geometric,
+    taylor_log1p,
 )
-
-
-def _fr_or_none(x):
-    if isinstance(x, bool):
-        return None
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    return None
 
 
 def scalar_inverse(c):
     """Multiplicative inverse within the scalar tower."""
-    f = _fr_or_none(c)
+    f = _fr(c)
     if f is not None:
         if f == 0:
             raise DivisionByNonUnit("scalar 0 has no inverse")
@@ -879,15 +874,19 @@ class UETensor:
         """Multiply each term by factor**(grade).  Requires every term to
         have even g2 (true for parity-even tensors), so the power is an
         integer."""
+        powers: dict = {}
         out = {}
         for k, c in self.terms.items():
             g2 = self.term_g2(k)
-            if g2 % 2:
-                raise ValueError(
-                    "term of odd doubled grade %d cannot be scaled by an "
-                    "integer power" % g2
-                )
-            out[k] = c * factor ** (g2 // 2)
+            power = powers.get(g2)
+            if power is None:
+                if g2 % 2:
+                    raise ValueError(
+                        "term of odd doubled grade %d cannot be scaled by an "
+                        "integer power" % g2
+                    )
+                power = powers[g2] = factor ** (g2 // 2)
+            out[k] = c * power
         return UETensor(self.algebra, out, self.legs, self.g2cap)
 
     # -- representation ---------------------------------------------------------------
@@ -897,7 +896,7 @@ class UETensor:
         alg = self.algebra
         d = alg.dim_rep
         pv = tuple(
-            sum(alg.pv[i] for i in _digits(flat, d, self.legs)) % 2
+            sum(alg.pv[i] for i in _decode(flat, d, self.legs)) % 2
             for flat in range(d**self.legs)
         )
         return _matrix_sum(
@@ -938,15 +937,6 @@ def _matrix_sum(pv, scaled):
     return GradedMatrix(pv, out)
 
 
-def _digits(flat: int, d: int, k: int):
-    out = []
-    for _ in range(k):
-        out.append(flat % d)
-        flat //= d
-    out.reverse()
-    return out
-
-
 # undeformed coproduct of a single monomial, memoized exactly
 def _coproduct_monomial(alg, mono, legs: int) -> UETensor:
     cache = getattr(alg, "_pbw_cop_cache", None)
@@ -974,16 +964,19 @@ def _coproduct_monomial(alg, mono, legs: int) -> UETensor:
 # --------------------------------------------------------------------------
 # Terminating series calculus (shared by elements and tensors)
 # --------------------------------------------------------------------------
+#
+# Each entry checks its argument and sums one Taylor stream with
+# scalars.nilpotent_series.  A grade-positive y has doubled grade >= k in
+# y**k, so y**(g2cap + 1) vanishes: g2cap + 2 coefficients always reach a
+# vanishing power.
 
 
-def _require_cap(x):
+def _split_constant(x):
+    """(constant term, the rest) of a truncated series argument."""
     if x.g2cap is None:
         raise ValueError(
             "series operations need a truncated operand; call truncate()"
         )
-
-
-def _split_constant(x):
     c = x.constant_coefficient()
     rest = x - x.one_like().scale(c)
     return c, rest
@@ -1005,7 +998,6 @@ def ue_series(coeffs, x):
     as zero.  It may also be longer: powers beyond the cap vanish and the
     loop stops there.
     """
-    _require_cap(x)
     c0, rest = _split_constant(x)
     if not scalar_is_zero(c0):
         raise ConstantTermPresent(
@@ -1013,85 +1005,41 @@ def ue_series(coeffs, x):
             "constant into the coefficients instead"
         )
     _require_grade_positive(rest, "series evaluation")
-    acc = x.one_like().scale(coeffs[0]) if coeffs else x.zero_like()
-    power = x.one_like()
-    for k in range(1, len(coeffs)):
-        power = power * rest
-        if power.is_zero:
-            break
-        if not scalar_is_zero(coeffs[k]):
-            acc = acc + power.scale(coeffs[k])
-    return acc
+    return nilpotent_series(coeffs, rest, x.one_like())
 
 
 def ue_exp(x):
     """exp of a grade-positive truncated element/tensor."""
-    _require_cap(x)
     c0, rest = _split_constant(x)
     if not scalar_is_zero(c0):
         raise ConstantTermPresent("exp needs a zero constant term")
     _require_grade_positive(rest, "exp")
-    acc = x.one_like()
-    term = x.one_like()
-    k = 1
-    limit = x.g2cap + 2
-    while True:
-        term = (term * rest).scale(Fraction(1, k))
-        if term.is_zero:
-            return acc
-        acc = acc + term
-        k += 1
-        if k > limit:
-            raise RuntimeError("exp failed to terminate (internal error)")
+    return nilpotent_series(taylor_exp(x.g2cap + 2), rest, x.one_like())
 
 
 def ue_log(x):
     """log of 1 + (grade-positive part)."""
-    _require_cap(x)
     c0, rest = _split_constant(x)
     if c0 != 1:
         raise ConstantTermPresent("log needs constant term exactly 1")
     _require_grade_positive(rest, "log")
-    acc = x.zero_like()
-    power = x.one_like()
-    k = 1
-    limit = x.g2cap + 2
-    while True:
-        power = power * rest
-        if power.is_zero:
-            return acc
-        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-        k += 1
-        if k > limit:
-            raise RuntimeError("log failed to terminate (internal error)")
+    return nilpotent_series(taylor_log1p(x.g2cap + 2), rest, x.one_like())
 
 
 def ue_invert(x):
     """Inverse of (unit scalar) + (grade-positive part)."""
-    _require_cap(x)
     c0, rest = _split_constant(x)
     if scalar_is_zero(c0):
         raise DivisionByNonUnit("cannot invert: zero constant term")
     _require_grade_positive(rest, "inversion")
     c0_inv = scalar_inverse(c0)
     y = rest.scale(c0_inv)  # x = c0 (1 + y)
-    acc = x.one_like()
-    power = x.one_like()
-    k = 1
-    limit = x.g2cap + 2
-    while True:
-        power = power * y
-        if power.is_zero:
-            return acc.scale(c0_inv)
-        acc = acc + power.scale(Fraction((-1) ** k))
-        k += 1
-        if k > limit:
-            raise RuntimeError("invert failed to terminate (internal error)")
+    acc = nilpotent_series(taylor_geometric(x.g2cap + 2), y, x.one_like())
+    return acc.scale(c0_inv)
 
 
 def ue_sqrt(x):
     """Principal square root of (positive rational) + (grade-positive part)."""
-    _require_cap(x)
     c0, rest = _split_constant(x)
     if isinstance(c0, Poly):
         if not c0.is_constant:
@@ -1109,17 +1057,9 @@ def ue_sqrt(x):
             "constant term %s has no nonzero rational square root" % c0
         )
     _require_grade_positive(rest, "sqrt")
-    y = rest.scale(1 / c0)
-    # sqrt(c0) * sum binom(1/2, k) y^k; the power loop stops at the cap
+    y = rest.scale(1 / c0)  # x = c0 (1 + y)
     coeffs = taylor_binomial(Fraction(1, 2), x.g2cap + 2)
-    acc = x.one_like().scale(coeffs[0])
-    power = x.one_like()
-    for k in range(1, len(coeffs)):
-        power = power * y
-        if power.is_zero:
-            break
-        acc = acc + power.scale(coeffs[k])
-    return acc.scale(root)
+    return nilpotent_series(coeffs, y, x.one_like()).scale(root)
 
 
 def ad_exp(a, y):

@@ -23,7 +23,7 @@ from .errors import (
 from .pbw import UEElement, UETensor, monomial_g2, ue_invert
 from .repmat import GradedMatrix, embed_legs
 from .rmatrix import LieTensor, r_full_borel
-from .scalars import Poly
+from .scalars import Poly, nilpotent_series, taylor_exp
 from .twist import (
     FULL_CHAIN_KINDS,
     Twist,
@@ -208,14 +208,12 @@ def exp_r_matrix(
     if r is None:
         r = r_full_borel(algebra)
     r_rho = r.to_matrix()
-    sq = r_rho @ r_rho
-    if not (sq @ r_rho).is_zero:
+    if not (r_rho @ r_rho @ r_rho).is_zero:
         raise CubeNotZero(
             "r in the defining representation does not cube to zero"
         )
-    t = Poly.var(eta)
     eye = GradedMatrix.identity(r_rho.pv)
-    mat = eye + r_rho.scale(t) + sq.scale(t * t * Fraction(1, 2))
+    mat = nilpotent_series(taylor_exp(3), r_rho.scale(Poly.var(eta)), eye)
     return RMatrix(None, source="nilpotent-exponential", parameter=eta,
                    rep_matrix=mat)
 

@@ -15,7 +15,14 @@ remains correct for inhomogeneous factors.
 
 Also here: the graded swap matrix, embedding of an operator into chosen
 tensor legs (with the signs for sliding factors past untouched legs), and
-terminating exponential/logarithm for nilpotent/unipotent matrices.
+the exponential and logarithm of nilpotent/unipotent matrices.
+
+These matrices are one of the two rings the twist chain's single recipe
+is evaluated over (:mod:`twist`; the other is the truncated enveloping
+algebra of :mod:`pbw`), and every power series on them -- exp, log, the
+inverses and square roots of the chain's ingredients -- is a sum of the
+one loop :func:`~osptwist.scalars.nilpotent_series`, which stops at the
+first vanishing power.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import LegMismatch, NotNilpotent
-from .scalars import scalar_is_zero
+from .scalars import nilpotent_series, scalar_is_zero, taylor_exp, taylor_log1p
 
 
 class GradedMatrix:
@@ -192,35 +199,30 @@ class GradedMatrix:
     # -- nilpotent calculus ----------------------------------------------------
 
     def is_nilpotent(self) -> bool:
-        p = self
-        for _ in range(self.dim):
-            if p.is_zero:
-                return True
-            p = p @ self
-        return p.is_zero
+        """A**dim == 0, tested by repeated squaring."""
+        power, k = self, 1
+        while not power.is_zero:
+            if k >= self.dim:
+                return False
+            power, k = power @ power, 2 * k
+        return True
 
     def exp_nilpotent(self) -> "GradedMatrix":
         """exp(A) for nilpotent A (raises NotNilpotent otherwise)."""
-        acc = GradedMatrix.identity(self.pv)
-        term = acc
-        for k in range(1, self.dim + 1):
-            term = (term @ self).scale(Fraction(1, k))
-            if term.is_zero:
-                return acc
-            acc = acc + term
-        raise NotNilpotent("matrix power A^%d is still nonzero" % (self.dim + 1))
+        if not self.is_nilpotent():
+            raise NotNilpotent("matrix power A^%d is still nonzero" % self.dim)
+        eye = GradedMatrix.identity(self.pv)
+        return nilpotent_series(taylor_exp(self.dim), self, eye)
 
     def log_unipotent(self) -> "GradedMatrix":
         """log(A) for A = 1 + N with N nilpotent."""
-        n = self - GradedMatrix.identity(self.pv)
-        acc = GradedMatrix.zero(self.pv)
-        power = GradedMatrix.identity(self.pv)
-        for k in range(1, self.dim + 1):
-            power = power @ n
-            if power.is_zero:
-                return acc
-            acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-        raise NotNilpotent("matrix is not unipotent: (A-1)^%d != 0" % (self.dim + 1))
+        eye = GradedMatrix.identity(self.pv)
+        n = self - eye
+        if not n.is_nilpotent():
+            raise NotNilpotent(
+                "matrix is not unipotent: (A-1)^%d != 0" % self.dim
+            )
+        return nilpotent_series(taylor_log1p(self.dim), n, eye)
 
     # -- display -----------------------------------------------------------------
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .pbw import scalar_inverse
 from .repmat import GradedMatrix, kron_all
-from .scalars import LaurentSeries, Poly, scalar_is_zero
+from .scalars import LaurentSeries, Poly, rref, scalar_is_zero
 
 
 class LieTensor:
@@ -284,32 +284,6 @@ def cobracket(x_index: int, r: LieTensor) -> LieTensor:
     return adjoint_action(x_index, r)
 
 
-def _rref(rows):
-    """Reduced row echelon form over Fraction; returns (rows, pivot_cols)."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
 def cobracket_kernel(algebra, r: LieTensor):
     """Basis of {x in g : cobracket(x, r) = 0}, as a list of coefficient
     vectors over the algebra basis, in reduced echelon form."""
@@ -324,7 +298,7 @@ def cobracket_kernel(algebra, r: LieTensor):
             if not isinstance(c, Fraction):
                 raise TypeError("kernel computation needs rational tensors")
             mat[key_pos[k]][i] = c
-    rref_rows, pivots = _rref(mat)
+    rref_rows, pivots = rref(mat)
     pivot_set = set(pivots)
     free = [c for c in range(m) if c not in pivot_set]
     basis = []
@@ -340,8 +314,8 @@ def cobracket_kernel(algebra, r: LieTensor):
 def span_contains(span_vectors, vec) -> bool:
     """Exact membership of vec in the rational span of span_vectors."""
     rows = [list(v) for v in span_vectors]
-    before, _ = _rref(rows)
-    after, _ = _rref(rows + [list(vec)])
+    before, _ = rref(rows)
+    after, _ = rref(rows + [list(vec)])
     return len(after) == len(before)
 
 

@@ -608,22 +608,18 @@ class LaurentSeries:
                 "inverse of an exact multi-term series is an infinite "
                 "series; truncate() it first"
             )
-        new_order = self.order - 2 * m
-        # write self = lead * var^m * (1 + y),  val(y) >= 1
+        # write self = lead * var^m * (1 + y),  val(y) >= 1; the result is
+        # known below order - 2m, so 1/(1 + y) is needed below order - m,
+        # and y**k has valuation >= k
+        known = self.order - m
         y = LaurentSeries(
-            self.var,
-            1,
-            [lead_inv * c for c in self.coeffs[1:]],
-            self.order - m,
+            self.var, 1, [lead_inv * c for c in self.coeffs[1:]], known
         )
-        # geometric series sum (-y)^k, truncates because val(y) >= 1
-        acc = LaurentSeries.const(self.var, 1, new_order + m)
-        term = LaurentSeries.const(self.var, 1, new_order + m)
-        k = 0
-        while not term.is_zero and k < max(new_order + m, 0) + 1:
-            term = (term * (-y)).truncate(new_order + m)
-            acc = acc + term
-            k += 1
+        acc = nilpotent_series(
+            taylor_geometric(max(known, 0) + 1),
+            y,
+            LaurentSeries.const(self.var, 1, known),
+        )
         return acc.shift(-m) * LaurentSeries.const(self.var, lead_inv, None)
 
     def exp(self) -> "LaurentSeries":
@@ -637,16 +633,12 @@ class LaurentSeries:
             )
         if self.order is None:
             raise ValueError("exp of an exact series is infinite; truncate()")
-        acc = LaurentSeries.const(self.var, 1, self.order)
-        term = LaurentSeries.const(self.var, 1, self.order)
-        k = 1
-        while True:
-            term = (term * self).truncate(self.order) * Fraction(1, k)
-            if term.is_zero:
-                break
-            acc = acc + term
-            k += 1
-        return acc
+        # self**k has valuation >= k, so terms from k = order on are unknown
+        return nilpotent_series(
+            taylor_exp(self.order),
+            self,
+            LaurentSeries.const(self.var, 1, self.order),
+        )
 
     def log(self) -> "LaurentSeries":
         """log of 1 + (positive-valuation part); the constant term must be 1."""
@@ -665,16 +657,11 @@ class LaurentSeries:
             return LaurentSeries.zero(self.var, self.order)
         if self.order is None:
             raise ValueError("log of an exact series is infinite; truncate()")
-        acc = LaurentSeries.zero(self.var, self.order)
-        term = LaurentSeries.const(self.var, -1, self.order)
-        k = 1
-        while True:
-            term = (term * (-y)).truncate(self.order)
-            if term.is_zero:
-                break
-            acc = acc + term * Fraction(1, k)
-            k += 1
-        return acc
+        return nilpotent_series(
+            taylor_log1p(self.order),
+            y,
+            LaurentSeries.const(self.var, 1, self.order),
+        )
 
     # -- comparison / display ---------------------------------------------------
 
@@ -762,3 +749,58 @@ def taylor_binomial(alpha, num_terms: int):
         out.append(c)
         c = c * (a - k) / (k + 1)
     return out
+
+
+# --------------------------------------------------------------------------
+# The one power-series loop, and exact row reduction
+# --------------------------------------------------------------------------
+
+
+def nilpotent_series(coeffs, y, one):
+    """sum_k coeffs[k] * y**k, where ``one`` is the unit of y's ring.
+
+    The ring needs only ``*``, ``+``, ``is_zero`` and scalars multiplying
+    from the left.  The exp, log, inverse and square root of truncated
+    enveloping-algebra elements, of nilpotent matrices and of Laurent
+    series, and the power series of the twist chain, are all this loop fed
+    by one of the Taylor streams above.  Powers of y are formed one at a
+    time and the sum stops at the first power that vanishes, or when
+    ``coeffs`` runs out.  The caller picks enough coefficients: for a
+    nilpotent y, as many as its nilpotency bound; for a truncated series,
+    as many as its order."""
+    coeffs = iter(coeffs)
+    acc = next(coeffs, 0) * one
+    power = one
+    for c in coeffs:
+        power = power * y
+        if power.is_zero:
+            break
+        if not scalar_is_zero(c):
+            acc = acc + c * power
+    return acc
+
+
+def rref(rows):
+    """Reduced row echelon form over Fraction; returns (rows, pivot_cols)."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots

@@ -3,19 +3,41 @@ factors, the second super-jordanian link built on deformed (tilded)
 generators, their compositions, cocycle certificates, and twisted
 coproducts.
 
-Two parallel realizations are provided.
+The chain is written once, as one recipe, and evaluated over two rings.
 
-* The enveloping-algebra level: elements of U(g)^(x)k truncated by the
-  additive principal grade (:mod:`pbw`).  This certifies the identities
-  "mod degree > D" for the chosen bound.
-* The representation level: every factor is an explicit exact matrix in
-  rho^(x)k, built by re-running the factor's defining recipe with the
-  generators sent to chosen leg images.  Since the undeformed coproduct is
-  an algebra map, sending each generator to its total coproduct image
-  turns any function of generators into the coproduct of that function —
-  which is what makes the cocycle sides computable without touching the
-  enveloping algebra at all.  All representation-level series terminate
-  (nilpotency), so those certificates are exact.
+* Ingredients (:class:`_Link`, :class:`_Ingredients`).  A jordanian link
+  has a raising element x, and its scalars are power series in x:
+  sigma = 1/2 log(1+x), e^(+-sigma) = (1+x)^(+-1/2), f1 = (e^sigma + 1)^(-1)
+  and u^(+-1) = (1/2 (e^sigma + 1))^(+-1/2).  They are written once and
+  evaluated for the long raising element X+ and for its deformed partner
+  Y~.  The deformed generators Y~ and w~ are defined by conjugation with
+  exp of the inner element -(Z+ U+ / 2)(sigma/X+); their closed forms are
+  kept as an independent route.  A ring supplies ``gen``, ``one``, ``exp``
+  and ``series`` (a Taylor stream summed in a nilpotent element by
+  :func:`~osptwist.scalars.nilpotent_series`).
+* Factor recipe (:func:`_build`).  Every factor is written against a
+  two-slot context: ``slots`` holds the ingredients of the first and of
+  the second tensor slot, and the context supplies ``tensor``,
+  ``coproduct`` (of an ingredient), ``exp``, factor-by-factor
+  ``conjugate`` and the memoized ``factor``.
+
+The two rings:
+
+* The enveloping-algebra level (:class:`_Workshop`): elements of U(g)^(x)k
+  truncated by the additive principal grade (:mod:`pbw`).  This certifies
+  the identities "mod degree > D" for the chosen bound.  Both slots hold
+  the same ingredients, ``tensor`` is the elementary tensor and
+  ``coproduct`` the undeformed one.
+* The representation level (:class:`RepAssignment`, :class:`_RepPair`):
+  every generator is sent to an exact matrix in rho^(x)k, one assignment
+  per slot.  Since the undeformed coproduct is an algebra map, the
+  ingredients of the summed assignment (each generator sent to its total
+  coproduct image) are the coproducts of the ingredients -- which is what
+  makes the cocycle sides computable without touching the enveloping
+  algebra at all.  All matrix series terminate (nilpotency), so those
+  certificates are exact.
+
+The two arithmetic engines stay separate, so each is the other's oracle.
 
 A twist keeps the ordered factors of its chain.  Its inverse is the
 product of the factor inverses in reverse order, and its twisted coproduct
@@ -28,31 +50,32 @@ Naming: the factor kinds are "jordanian" (exp(h (x) half-log)),
 "extension" (the even-root exponential riding on it), "super" (the
 odd-root factor in its factorized form), "coboundary" (inner factor
 (u (x) u) coproduct(1/u)), and "sj2" (the second super-jordanian link
-built from the tilded generators, including its own jordanian part).
+built from the tilded generators, including its own jordanian part,
+"jordanian2").
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial, wraps
 
 from .algebra import OspAlgebra
 from .errors import LegMismatch, MissingAlias, MixedAlgebra
-from .pbw import (
-    UEElement,
-    UETensor,
-    ad_exp,
-    ue_exp,
-    ue_invert,
-    ue_log,
-    ue_series,
-    ue_sqrt,
-)
+from .pbw import UEElement, UETensor, ue_exp, ue_invert, ue_series
 from .repmat import GradedMatrix, embed_legs, kron
-from .scalars import LaurentSeries
+from .scalars import (
+    LaurentSeries,
+    nilpotent_series,
+    taylor_binomial,
+    taylor_geometric,
+    taylor_log1p,
+)
 
 FACTOR_KINDS = ("jordanian", "extension", "super", "coboundary", "sj2")
 ESJ_KINDS = ("super", "extension", "jordanian")
 FULL_CHAIN_KINDS = ("sj2",) + ESJ_KINDS
+
+HALF = Fraction(1, 2)
 
 
 class TwistFactor:
@@ -142,216 +165,229 @@ class Twist:
 
 
 # --------------------------------------------------------------------------
-# Ingredient workshop (PBW level, memoized per algebra and cap)
+# Ingredients, over any ring
 # --------------------------------------------------------------------------
 
 
-class _Workshop:
-    """Lazily builds and caches the chain ingredients at one truncation."""
+def _memoized(method):
+    """Keep each result of ``method`` in the instance's ``_made`` dict,
+    keyed by the method's name and arguments."""
+    name = method.__name__
 
-    def __init__(self, algebra: OspAlgebra, g2cap: int):
-        self.algebra = algebra
-        self.g2cap = g2cap
+    @wraps(method)
+    def get(self, *args):
+        key = (name,) + args
+        made = self._made
+        if key not in made:
+            made[key] = method(self, *args)
+        return made[key]
+
+    return get
+
+
+def _binomial(alpha):
+    """The Taylor stream of (1 + y)**alpha."""
+    return partial(taylor_binomial, Fraction(alpha))
+
+
+class _Link:
+    """The scalars of one jordanian link as functions of its raising
+    element x, in the ring ``ring``; ``raising`` returns x."""
+
+    def __init__(self, ring, raising):
+        self.ring = ring
+        self.raising = raising
         self._made: dict = {}
 
-    def gen(self, name: str) -> UEElement:
-        key = ("gen", name)
-        if key not in self._made:
-            self._made[key] = UEElement.generator(self.algebra, name, self.g2cap)
-        return self._made[key]
-
-    def _memo(self, key, fn):
-        if key not in self._made:
-            self._made[key] = fn()
-        return self._made[key]
-
-    # -- scalars of the chain ------------------------------------------------
-
-    def one(self):
-        return UEElement.one(self.algebra, self.g2cap)
-
+    @_memoized
     def sigma(self):
-        # half the logarithm of 1 + (long raising element)
-        return self._memo(
-            "sigma", lambda: ue_log(self.one() + self.gen("X+")).scale(Fraction(1, 2))
-        )
+        # half the logarithm of 1 + x
+        return self.ring.series(taylor_log1p, self.raising()).scale(HALF)
 
+    @_memoized
     def exp_sigma(self):
-        return self._memo("exp_sigma", lambda: ue_sqrt(self.one() + self.gen("X+")))
+        return self.ring.series(_binomial(HALF), self.raising())
 
+    @_memoized
     def exp_neg_sigma(self):
-        return self._memo("exp_neg_sigma", lambda: ue_invert(self.exp_sigma()))
+        return self.ring.series(_binomial(-HALF), self.raising())
 
-    def sigma_over_x(self):
-        """The element sigma/X+ := 1/2 sum_k (-X+)^k/(k+1); multiplying it
-        back by X+ recovers sigma, but it also has a constant term, which
-        is why it is defined by this series rather than as a quotient."""
+    @_memoized
+    def _half_sum_minus_one(self):
+        # y with 1 + y = 1/2 (e^sigma + 1)
+        return (self.exp_sigma() - self.ring.one()).scale(HALF)
 
-        def make():
-            coeffs = [
-                Fraction((-1) ** k, 2 * (k + 1))
-                for k in range(self.g2cap // 2 + 2)
-            ]
-            return ue_series(coeffs, self.gen("X+"))
-
-        return self._memo("sigma_over_x", make)
-
+    @_memoized
     def f1(self):
-        # (e^sigma + 1)^(-1)
-        return self._memo("f1", lambda: ue_invert(self.exp_sigma() + self.one()))
+        # (e^sigma + 1)^(-1) = 1/2 (1 + y)^(-1)
+        y = self._half_sum_minus_one()
+        return self.ring.series(taylor_geometric, y).scale(HALF)
 
+    @_memoized
     def u_elem(self):
         # (1/2 (e^sigma + 1))^(1/2)
-        return self._memo(
-            "u",
-            lambda: ue_sqrt((self.exp_sigma() + self.one()).scale(Fraction(1, 2))),
-        )
+        return self.ring.series(_binomial(HALF), self._half_sum_minus_one())
 
+    @_memoized
     def u_inv(self):
-        return self._memo("u_inv", lambda: ue_invert(self.u_elem()))
+        return self.ring.series(_binomial(-HALF), self._half_sum_minus_one())
 
-    # -- deformed generators ---------------------------------------------------
 
-    def conjugator(self):
-        # the inner element whose Ad produces the tilded generators
-        return self._memo(
-            "conjugator",
-            lambda: (self.gen("Z+") * self.gen("U+") * self.sigma_over_x()).scale(
-                Fraction(-1, 2)
-            ),
-        )
+class _Ingredients(_Link):
+    """Everything the factor recipe takes from one ring: the generators,
+    the link of X+ (this object), the deformed generators and the link of
+    Y~ (``tilde``).  Subclasses supply the ring: ``gen``, ``one``,
+    ``exp`` and ``series(stream, y)``."""
 
+    def __init__(self):
+        super().__init__(self, partial(self.gen, "X+"))
+
+    @_memoized
+    def tilde(self) -> _Link:
+        """The second link, built on Y~."""
+        return _Link(self, self.y_tilde)
+
+    @_memoized
+    def _conjugators(self):
+        # exp(+-c) for c = -(Z+ U+ / 2)(sigma/X+), where the element
+        # sigma/X+ := 1/2 sum_k (-X+)^k/(k+1) has a constant term, which is
+        # why it is defined by this series rather than as a quotient;
+        # over_x below is twice it
+        over_x = self.series(lambda n: taylor_log1p(n + 1)[1:], self.gen("X+"))
+        c = (self.gen("Z+") * self.gen("U+") * over_x).scale(Fraction(-1, 4))
+        return self.exp(c), self.exp(-c)
+
+    def _conjugate_gen(self, name):
+        e, e_inv = self._conjugators()
+        return e * self.gen(name) * e_inv
+
+    @_memoized
     def y_tilde(self):
-        return self._memo(
-            "y_tilde", lambda: ad_exp(self.conjugator(), self.gen("Y+"))
-        )
+        return self._conjugate_gen("Y+")
 
+    @_memoized
     def w_tilde(self):
-        return self._memo(
-            "w_tilde", lambda: ad_exp(self.conjugator(), self.gen("w+"))
-        )
+        return self._conjugate_gen("w+")
 
     def y_tilde_closed(self):
         # Y+ - 1/4 U+^2 e^(-2 sigma);  e^(-2 sigma) = (1+X+)^(-1)
-        exp_m2 = ue_invert(self.one() + self.gen("X+"))
-        return self.gen("Y+") - (self.gen("U+") ** 2 * exp_m2).scale(Fraction(1, 4))
+        exp_m2 = self.series(taylor_geometric, self.gen("X+"))
+        return self.gen("Y+") - (self.gen("U+") ** 2 * exp_m2).scale(
+            Fraction(1, 4)
+        )
 
     def w_tilde_closed(self):
         # w+ - 1/2 v+ U+ e^(-sigma) (e^sigma + 1)^(-1)
         return self.gen("w+") - (
             self.gen("v+") * self.gen("U+") * self.exp_neg_sigma() * self.f1()
-        ).scale(Fraction(1, 2))
+        ).scale(HALF)
 
-    # -- tilded scalars --------------------------------------------------------
 
-    def sigma_tilde(self):
-        return self._memo(
-            "sigma_tilde",
-            lambda: ue_log(self.one() + self.y_tilde()).scale(Fraction(1, 2)),
+# --------------------------------------------------------------------------
+# The factor recipe, over any two-slot context
+# --------------------------------------------------------------------------
+
+
+def _first(ingredients) -> _Link:
+    return ingredients
+
+
+def _second(ingredients) -> _Link:
+    return ingredients.tilde()
+
+
+def _odd_part(ctx, odd, link):
+    """1 - g (x) g with g = odd * f1 of the link."""
+    a, b = ctx.slots
+    return ctx.tensor(a.one(), b.one()) - ctx.tensor(
+        odd(a) * link(a).f1(), odd(b) * link(b).f1()
+    )
+
+
+def _coboundary(ctx, link, rides_on):
+    """(u (x) u) times the coproduct of 1/u taken in the algebra the
+    factor rides on: the undeformed coproduct conjugated by the factors
+    ``rides_on``.  (With the plain coproduct the super chain would fail
+    the cocycle identity at fourth order in the long raising element.)"""
+    a, b = ctx.slots
+    du = ctx.conjugate(rides_on, ctx.coproduct(lambda ing: link(ing).u_inv()))
+    return ctx.tensor(link(a).u_elem(), link(b).u_elem()) * du
+
+
+def _build(ctx, kind: str):
+    """The factor ``kind`` in the two-slot context ``ctx``."""
+    a, b = ctx.slots
+    if kind == "jordanian":
+        return ctx.exp(ctx.tensor(a.gen("H"), b.sigma()))
+    if kind == "extension":
+        return ctx.exp(
+            ctx.tensor(a.gen("Z+"), b.gen("U+") * b.exp_neg_sigma()).scale(HALF)
         )
+    if kind == "coboundary":
+        return _coboundary(ctx, _first, ("jordanian",))
+    if kind == "super":
+        odd = _odd_part(ctx, lambda ing: ing.gen("v+"), _first)
+        return odd * ctx.factor("coboundary")
+    if kind == "jordanian2":
+        return ctx.exp(ctx.tensor(a.gen("J"), b.tilde().sigma()))
+    if kind == "sj2":
+        # the second coboundary rides on the chain-twisted structure,
+        # further twisted by the second jordanian factor
+        odd = _odd_part(ctx, lambda ing: ing.w_tilde(), _second)
+        ctilde = _coboundary(ctx, _second, ("jordanian2",) + ESJ_KINDS)
+        return odd * ctilde * ctx.factor("jordanian2")
+    raise MissingAlias(
+        "unknown twist factor %r; expected one of %s"
+        % (kind, ", ".join(FACTOR_KINDS))
+    )
 
-    def exp_sigma_tilde(self):
-        return self._memo(
-            "exp_sigma_tilde", lambda: ue_sqrt(self.one() + self.y_tilde())
-        )
 
-    def f1_tilde(self):
-        return self._memo(
-            "f1_tilde", lambda: ue_invert(self.exp_sigma_tilde() + self.one())
-        )
+# --------------------------------------------------------------------------
+# Enveloping-algebra level (memoized per algebra and cap)
+# --------------------------------------------------------------------------
 
-    def u_tilde(self):
-        return self._memo(
-            "u_tilde",
-            lambda: ue_sqrt(
-                (self.exp_sigma_tilde() + self.one()).scale(Fraction(1, 2))
-            ),
-        )
 
-    def u_tilde_inv(self):
-        return self._memo("u_tilde_inv", lambda: ue_invert(self.u_tilde()))
+class _Workshop(_Ingredients):
+    """Lazily builds and caches the chain ingredients and factors at one
+    truncation; both slots of its factor context are itself."""
 
-    # -- factors -----------------------------------------------------------------
+    def __init__(self, algebra: OspAlgebra, g2cap: int):
+        self.algebra = algebra
+        self.g2cap = g2cap
+        super().__init__()
+        self.slots = (self, self)
 
-    def jordanian2(self) -> TwistFactor:
-        """The jordanian part of the second link, exp(J (x) sigma-tilde)."""
-        return self._memo(
-            "jordanian2",
-            lambda: TwistFactor(
-                ue_exp(
-                    UETensor.of(
-                        self.gen("J"), self.sigma_tilde(), g2cap=self.g2cap
-                    )
-                )
-            ),
-        )
+    @_memoized
+    def gen(self, name: str) -> UEElement:
+        return UEElement.generator(self.algebra, name, self.g2cap)
 
+    def one(self) -> UEElement:
+        return UEElement.one(self.algebra, self.g2cap)
+
+    def series(self, stream, y):
+        return ue_series(stream(self.g2cap + 2), y)
+
+    def exp(self, x):
+        return ue_exp(x)
+
+    def tensor(self, x: UEElement, y: UEElement) -> UETensor:
+        return UETensor.of(x, y, g2cap=self.g2cap)
+
+    def coproduct(self, ingredient) -> UETensor:
+        return ingredient(self).coproduct()
+
+    def conjugate(self, kinds, t: UETensor) -> UETensor:
+        return _conjugate([self.twist_factor(k) for k in kinds], t)
+
+    @_memoized
+    def factor(self, kind: str) -> UETensor:
+        return _build(self, kind)
+
+    @_memoized
     def twist_factor(self, kind: str) -> TwistFactor:
         """The named factor with its inverse, shared by every twist built
         at this truncation."""
-        return self._memo(
-            ("twist_factor", kind), lambda: TwistFactor(self.factor(kind))
-        )
-
-    def factor(self, kind: str) -> UETensor:
-        key = ("factor", kind)
-        if key in self._made:
-            return self._made[key]
-        if kind == "jordanian":
-            out = ue_exp(UETensor.of(self.gen("H"), self.sigma(), g2cap=self.g2cap))
-        elif kind == "extension":
-            out = ue_exp(
-                UETensor.of(
-                    self.gen("Z+"),
-                    self.gen("U+") * self.exp_neg_sigma(),
-                    g2cap=self.g2cap,
-                ).scale(Fraction(1, 2))
-            )
-        elif kind == "coboundary":
-            # (u (x) u) * coproduct-of-1/u taken in the jordanian-twisted
-            # algebra (the structure this factor rides on; with the plain
-            # coproduct the super chain would fail the cocycle identity at
-            # fourth order in the long raising element).
-            du = _conjugate(
-                (self.twist_factor("jordanian"),), self.u_inv().coproduct()
-            )
-            out = UETensor.of(self.u_elem(), self.u_elem(), g2cap=self.g2cap) * du
-        elif kind == "super":
-            vf = self.gen("v+") * self.f1()
-            out = (
-                UETensor.one(self.algebra, 2, self.g2cap)
-                - UETensor.of(vf, vf, g2cap=self.g2cap)
-            ) * self.factor("coboundary")
-        elif kind == "sj2":
-            wf = self.w_tilde() * self.f1_tilde()
-            spart = UETensor.one(self.algebra, 2, self.g2cap) - UETensor.of(
-                wf, wf, g2cap=self.g2cap
-            )
-            out = spart * self.ctilde() * self.jordanian2().element
-        else:
-            raise MissingAlias(
-                "unknown twist factor %r; expected one of %s"
-                % (kind, ", ".join(FACTOR_KINDS))
-            )
-        self._made[key] = out
-        return out
-
-    def ctilde(self) -> UETensor:
-        """The coboundary factor of the second link, mirroring the first:
-        (u~ (x) u~) times the coproduct of 1/u~ in the algebra the factor
-        rides on — the chain-twisted structure further twisted by the
-        second jordanian factor."""
-
-        def make():
-            rides_on = (self.jordanian2(),) + tuple(
-                self.twist_factor(k) for k in ESJ_KINDS
-            )
-            du = _conjugate(rides_on, self.u_tilde_inv().coproduct())
-            return (
-                UETensor.of(self.u_tilde(), self.u_tilde(), g2cap=self.g2cap) * du
-            )
-
-        return self._memo("ctilde", make)
+        return TwistFactor(self.factor(kind))
 
 
 _WORKSHOPS: dict = {}
@@ -458,53 +494,34 @@ def u_inverse_taylor(order: int):
 
 
 # --------------------------------------------------------------------------
-# Representation level: exact matrix recipes
+# Representation level: exact matrices
 # --------------------------------------------------------------------------
 
 
-def _uni_pow(m: GradedMatrix, alpha) -> GradedMatrix:
-    """m**alpha = exp(alpha * log m) for unipotent m; exact."""
-    return m.log_unipotent().scale(Fraction(alpha)).exp_nilpotent()
-
-
-def _unit_inverse(m: GradedMatrix, c0) -> GradedMatrix:
-    """(c0*1 + nilpotent)^(-1) by the alternating geometric series; exact."""
-    c0 = Fraction(c0)
-    eye = GradedMatrix.identity(m.pv)
-    n = (m - eye.scale(c0)).scale(1 / c0)
-    acc = eye
-    term = eye
-    for _ in range(m.dim + 1):
-        term = (term @ n).scale(Fraction(-1))
-        if term.is_zero:
-            return acc.scale(1 / c0)
-        acc = acc + term
-    raise ValueError("matrix is not unit-plus-nilpotent")
-
-
-class RepAssignment:
+class RepAssignment(_Ingredients):
     """Sends generator names to exact matrices in some tensor power of the
-    defining space; the recipes below only ever use these images, so the
-    same code builds the factor, its coproduct images, and their chains."""
+    defining space; the ingredients are built from these images alone, so
+    the same recipe builds the factor, its coproduct images, and their
+    chains."""
 
-    __slots__ = ("algebra", "images", "pv", "_pieces")
-
-    def __init__(self, algebra: OspAlgebra, images: dict, pv):
+    def __init__(self, algebra: OspAlgebra, images: dict):
         self.algebra = algebra
         self.images = images
-        self.pv = tuple(pv)
-        self._pieces = None
+        self.pv = images["H"].pv  # the parities of the whole tensor power
+        super().__init__()
 
-    def __call__(self, name: str) -> GradedMatrix:
+    def gen(self, name: str) -> GradedMatrix:
         return self.images[name]
 
-    def identity(self) -> GradedMatrix:
+    def one(self) -> GradedMatrix:
         return GradedMatrix.identity(self.pv)
 
-    def pieces(self) -> "_RepPieces":
-        if self._pieces is None:
-            self._pieces = _RepPieces(self)
-        return self._pieces
+    def series(self, stream, y: GradedMatrix) -> GradedMatrix:
+        # a nilpotent matrix has y**dim = 0
+        return nilpotent_series(stream(len(self.pv)), y, self.one())
+
+    def exp(self, x: GradedMatrix) -> GradedMatrix:
+        return x.exp_nilpotent()
 
     def __add__(self, other: "RepAssignment") -> "RepAssignment":
         """Pointwise sum: with one summand per leg set this is exactly the
@@ -512,7 +529,7 @@ class RepAssignment:
         images = {
             nm: self.images[nm] + other.images[nm] for nm in self.images
         }
-        return RepAssignment(self.algebra, images, self.pv)
+        return RepAssignment(self.algebra, images)
 
 
 _REP_NAMES = ("H", "J", "Z+", "U+", "X+", "Y+", "v+", "w+")
@@ -520,16 +537,11 @@ _REP_NAMES = ("H", "J", "Z+", "U+", "X+", "Y+", "v+", "w+")
 
 def rep_leg(algebra: OspAlgebra, leg: int, total: int) -> RepAssignment:
     """Generators acting on one leg of rho^(x)total."""
-    pv_tot = algebra.pv
-    for _ in range(total - 1):
-        pv_tot = tuple(
-            (a + b) % 2 for a in pv_tot for b in algebra.pv
-        )
     images = {
         nm: embed_legs(algebra.generator_matrix(nm), algebra.pv, (leg,), total)
         for nm in _REP_NAMES
     }
-    return RepAssignment(algebra, images, pv_tot)
+    return RepAssignment(algebra, images)
 
 
 def rep_coproduct_legs(algebra: OspAlgebra, legs, total: int) -> RepAssignment:
@@ -537,121 +549,48 @@ def rep_coproduct_legs(algebra: OspAlgebra, legs, total: int) -> RepAssignment:
     chosen pair of legs of rho^(x)total."""
     eye = GradedMatrix.identity(algebra.pv)
     images = {}
-    pv_tot = algebra.pv
-    for _ in range(total - 1):
-        pv_tot = tuple((a + b) % 2 for a in pv_tot for b in algebra.pv)
     for nm in _REP_NAMES:
         m = algebra.generator_matrix(nm)
         two_leg = kron(m, eye) + kron(eye, m)
         images[nm] = embed_legs(two_leg, algebra.pv, tuple(legs), total)
-    return RepAssignment(algebra, images, pv_tot)
+    return RepAssignment(algebra, images)
 
 
-class _RepPieces:
-    """Per-assignment ingredient matrices, memoized."""
+class _RepPair:
+    """The factor context at the matrix level: the first tensor slot sent
+    through assignment ``a``, the second through ``b``; coproducts are the
+    ingredients of ``total`` (default a+b, the summed assignment).  Factors
+    and their inverses are memoized, so a chain shares the factors it
+    repeats."""
 
-    __slots__ = ("a", "_made")
+    def __init__(self, a: RepAssignment, b: RepAssignment, total=None):
+        self.slots = (a, b)
+        self.total = a + b if total is None else total
+        self._made: dict = {}
 
-    def __init__(self, assign: RepAssignment):
-        self.a = assign
-        self._made = {}
+    def tensor(self, x: GradedMatrix, y: GradedMatrix) -> GradedMatrix:
+        return x @ y
 
-    def _memo(self, key, fn):
-        if key not in self._made:
-            self._made[key] = fn()
-        return self._made[key]
+    def coproduct(self, ingredient) -> GradedMatrix:
+        return ingredient(self.total)
 
-    def one_plus_x(self):
-        return self._memo("opx", lambda: self.a.identity() + self.a("X+"))
+    def exp(self, x: GradedMatrix) -> GradedMatrix:
+        return x.exp_nilpotent()
 
-    def sigma(self):
-        return self._memo(
-            "sigma", lambda: self.one_plus_x().log_unipotent().scale(Fraction(1, 2))
-        )
+    def conjugate(self, kinds, t: GradedMatrix) -> GradedMatrix:
+        for kind in reversed(kinds):
+            t = self.factor(kind) @ t @ self.inverse(kind)
+        return t
 
-    def exp_sigma(self):
-        return self._memo("es", lambda: _uni_pow(self.one_plus_x(), Fraction(1, 2)))
+    @_memoized
+    def factor(self, kind: str) -> GradedMatrix:
+        return _build(self, kind)
 
-    def exp_neg_sigma(self):
-        return self._memo("ens", lambda: _uni_pow(self.one_plus_x(), Fraction(-1, 2)))
-
-    def f1(self):
-        return self._memo(
-            "f1", lambda: _unit_inverse(self.exp_sigma() + self.a.identity(), 2)
-        )
-
-    def u_mat(self):
-        return self._memo(
-            "u",
-            lambda: _uni_pow(
-                (self.exp_sigma() + self.a.identity()).scale(Fraction(1, 2)),
-                Fraction(1, 2),
-            ),
-        )
-
-    def u_inv(self):
-        return self._memo(
-            "uinv",
-            lambda: _uni_pow(
-                (self.exp_sigma() + self.a.identity()).scale(Fraction(1, 2)),
-                Fraction(-1, 2),
-            ),
-        )
-
-    def y_tilde(self):
-        def make():
-            exp_m2 = _uni_pow(self.one_plus_x(), Fraction(-1))
-            return self.a("Y+") - (
-                self.a("U+") @ self.a("U+") @ exp_m2
-            ).scale(Fraction(1, 4))
-
-        return self._memo("yt", make)
-
-    def w_tilde(self):
-        def make():
-            return self.a("w+") - (
-                self.a("v+") @ self.a("U+") @ self.exp_neg_sigma() @ self.f1()
-            ).scale(Fraction(1, 2))
-
-        return self._memo("wt", make)
-
-    def one_plus_y_tilde(self):
-        return self._memo("opyt", lambda: self.a.identity() + self.y_tilde())
-
-    def sigma_tilde(self):
-        return self._memo(
-            "st",
-            lambda: self.one_plus_y_tilde().log_unipotent().scale(Fraction(1, 2)),
-        )
-
-    def exp_sigma_tilde(self):
-        return self._memo(
-            "est", lambda: _uni_pow(self.one_plus_y_tilde(), Fraction(1, 2))
-        )
-
-    def f1_tilde(self):
-        return self._memo(
-            "f1t",
-            lambda: _unit_inverse(self.exp_sigma_tilde() + self.a.identity(), 2),
-        )
-
-    def u_tilde(self):
-        return self._memo(
-            "ut",
-            lambda: _uni_pow(
-                (self.exp_sigma_tilde() + self.a.identity()).scale(Fraction(1, 2)),
-                Fraction(1, 2),
-            ),
-        )
-
-    def u_tilde_inv(self):
-        return self._memo(
-            "utinv",
-            lambda: _uni_pow(
-                (self.exp_sigma_tilde() + self.a.identity()).scale(Fraction(1, 2)),
-                Fraction(-1, 2),
-            ),
-        )
+    @_memoized
+    def inverse(self, kind: str) -> GradedMatrix:
+        # every factor is unipotent
+        total = self.total
+        return total.series(taylor_geometric, self.factor(kind) - total.one())
 
 
 def rep_factor(
@@ -660,48 +599,12 @@ def rep_factor(
     a: RepAssignment,
     b: RepAssignment,
     total: RepAssignment | None = None,
-    _memo: dict | None = None,
 ) -> GradedMatrix:
-    """The named factor (or a chain, see rep_chain) with the first tensor
-    slot of its defining expression sent through assignment ``a`` and the
-    second through ``b``.  ``total`` (default a+b) carries the coproduct
-    images used by the inner coboundary pieces."""
-    pa, pb = a.pieces(), b.pieces()
-    eye = a.identity()
-    if kind == "jordanian":
-        return (a("H") @ pb.sigma()).exp_nilpotent()
-    if kind == "extension":
-        return (
-            (a("Z+") @ (b("U+") @ pb.exp_neg_sigma())).scale(Fraction(1, 2))
-        ).exp_nilpotent()
-    if total is None:
-        total = a + b
-    if kind in ("coboundary", "super"):
-        fj = (a("H") @ pb.sigma()).exp_nilpotent()
-        du = fj @ total.pieces().u_inv() @ _uni_pow(fj, Fraction(-1))
-        cob = pa.u_mat() @ pb.u_mat() @ du
-        if kind == "coboundary":
-            return cob
-        va = a("v+") @ pa.f1()
-        vb = b("v+") @ pb.f1()
-        return (eye - va @ vb) @ cob
-    if kind == "sj2":
-        f_esj = rep_chain(
-            algebra, ("super", "extension", "jordanian"), a, b, total, _memo
-        )
-        jpart = (a("J") @ pb.sigma_tilde()).exp_nilpotent()
-        delta_esj_uinv = (
-            f_esj @ total.pieces().u_tilde_inv() @ _uni_pow(f_esj, Fraction(-1))
-        )
-        du = jpart @ delta_esj_uinv @ _uni_pow(jpart, Fraction(-1))
-        ctil = pa.u_tilde() @ pb.u_tilde() @ du
-        wa = pa.w_tilde() @ pa.f1_tilde()
-        wb = pb.w_tilde() @ pb.f1_tilde()
-        return (eye - wa @ wb) @ ctil @ jpart
-    raise MissingAlias(
-        "unknown twist factor %r; expected one of %s"
-        % (kind, ", ".join(FACTOR_KINDS))
-    )
+    """The named factor with the first tensor slot of its defining
+    expression sent through assignment ``a`` and the second through ``b``.
+    ``total`` (default a+b) carries the coproduct images used by the inner
+    coboundary pieces."""
+    return _RepPair(a, b, total).factor(kind)
 
 
 def rep_chain(
@@ -710,22 +613,11 @@ def rep_chain(
     a: RepAssignment,
     b: RepAssignment,
     total: RepAssignment | None = None,
-    _memo: dict | None = None,
 ) -> GradedMatrix:
     """Product of factor matrices in the listed order; repeated kinds in
-    one call (the second link contains the first chain) are shared."""
-    if total is None:
-        total = a + b
-    if _memo is None:
-        _memo = {}
-    acc = None
-    for kind in kinds:
-        m = _memo.get(kind)
-        if m is None:
-            m = rep_factor(algebra, kind, a, b, total, _memo)
-            _memo[kind] = m
-        acc = m if acc is None else acc @ m
-    return acc
+    one call (the second link conjugates by the first chain) are shared."""
+    pair = _RepPair(a, b, total)
+    return _product([pair.factor(k) for k in kinds])
 
 
 def rep_cocycle_residual(algebra: OspAlgebra, kinds) -> GradedMatrix:

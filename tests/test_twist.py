@@ -34,6 +34,7 @@ from osptwist.twist import (
     FULL_CHAIN_KINDS,
 )
 from osptwist.errors import MissingAlias
+from osptwist.scalars import taylor_log1p
 
 
 ALG = build_osp(2)
@@ -289,6 +290,38 @@ def test_rep_chain_matches_truncated_element():
     direct = rep_twist_matrix(ALG, kinds)
     element = full_chain(ALG, DEG).element.to_matrix()
     assert direct == element
+
+
+def test_rep_tilde_generators_match_closed_forms():
+    """At matrix level the tilded generators also come from conjugation,
+    and the closed forms are the independent route.  Checked on one leg
+    (5-dim), where the corrections vanish, and on the summed assignment of
+    two legs (25-dim), whose ingredients are the coproduct images and where
+    the corrections show."""
+    one_leg = tws.rep_leg(ALG, 1, 1)
+    summed = tws.rep_leg(ALG, 1, 2) + tws.rep_leg(ALG, 2, 2)
+    for a in (one_leg, summed):
+        assert a.y_tilde() == a.y_tilde_closed()
+        assert a.w_tilde() == a.w_tilde_closed()
+    assert summed.y_tilde() != summed.gen("Y+")
+    assert summed.w_tilde() != summed.gen("w+")
+
+
+def test_corrupted_ingredient_fails_at_both_levels(monkeypatch):
+    """Negative control for the shared recipe: with sigma = 1/3 log(1+X+)
+    instead of 1/2, the jordanian factor is no cocycle, and both the
+    enveloping-algebra and the matrix residual must say so."""
+
+    def third_log(link):
+        return link.ring.series(taylor_log1p, link.raising()).scale(
+            Fraction(1, 3)
+        )
+
+    monkeypatch.setattr(tws._Link, "sigma", third_log)
+    fresh = tws._Workshop(ALG, 2 * DEG)  # the memoized workshop stays clean
+    jordanian = Twist([fresh.twist_factor("jordanian")], ("jordanian",))
+    assert not cocycle_residual(jordanian).is_zero
+    assert not rep_cocycle_residual(ALG, ("jordanian",)).is_zero
 
 
 def test_workshop_is_memoized():
