@@ -311,18 +311,59 @@ def cobracket_kernel(algebra, r: LieTensor):
     return basis
 
 
+class _Span:
+    """The rational span of some vectors, reduced once to echelon form, so
+    that each membership test is one back-substitution."""
+
+    def __init__(self, vectors):
+        vectors = list(vectors)
+        widths = {len(v) for v in vectors}
+        if len(widths) > 1:
+            raise ValueError(
+                "span vectors differ in length: %s" % sorted(widths)
+            )
+        # an empty span has no column count; only the zero vector is in it
+        self.width = widths.pop() if widths else None
+        rows, pivots = rref(vectors)
+        # each pivot row as its pivot column and its nonzero entries
+        self.rows = [
+            (pc, [(j, x) for j, x in enumerate(row) if x])
+            for row, pc in zip(rows, pivots)
+        ]
+
+    def contains(self, vec) -> bool:
+        if self.width is not None and len(vec) != self.width:
+            raise ValueError(
+                "vector of length %d against a span of length-%d vectors"
+                % (len(vec), self.width)
+            )
+        rest = list(vec)
+        # a pivot row is zero in every other pivot column, so clearing one
+        # pivot entry leaves the others alone
+        for pc, entries in self.rows:
+            c = rest[pc]
+            if c:
+                for j, x in entries:
+                    rest[j] -= c * x
+        return not any(rest)
+
+
 def span_contains(span_vectors, vec) -> bool:
-    """Exact membership of vec in the rational span of span_vectors."""
-    rows = [list(v) for v in span_vectors]
-    before, _ = rref(rows)
-    after, _ = rref(rows + [list(vec)])
-    return len(after) == len(before)
+    """Exact membership of vec in the rational span of span_vectors.
+
+    The span is reduced once (``scalars.rref``) and vec is cleared against
+    its pivot rows; vec is in the span iff nothing is left.  Raises
+    ValueError when the span vectors differ in length, or vec's length
+    differs from theirs."""
+    return _Span(span_vectors).contains(vec)
 
 
 def kernel_closed_under_bracket(algebra, kernel_basis) -> bool:
     """Is the kernel a subalgebra?  Brackets of kernel vectors must stay
-    inside the kernel's span."""
+    inside the kernel's span.  The span is reduced once; each nonzero
+    bracket then costs one back-substitution against it."""
     m = algebra.size
+    span = _Span(kernel_basis)
     for va in kernel_basis:
         for vb in kernel_basis:
             out = [Fraction(0)] * m
@@ -334,7 +375,7 @@ def kernel_closed_under_bracket(algebra, kernel_basis) -> bool:
                         continue
                     for k, c in algebra.bracket(i, j).items():
                         out[k] += ca * cb * c
-            if any(out) and not span_contains(kernel_basis, out):
+            if any(out) and not span.contains(out):
                 return False
     return True
 

@@ -196,3 +196,26 @@ def test_quantum_suite_builds_the_full_chain_R_once(monkeypatch):
     full = [c for c in calls if len(c[0]) == 4]
     assert len(calls) == 3
     assert full == [(full[0][0], None), (full[0][0], "eta")]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cybe_kernel_checks_pass_and_share_one_kernel(monkeypatch, n):
+    """Beyond n=2 the kernel is still a subalgebra holding the expected
+    generators; the two kernel checks share one kernel per suite run."""
+    import osptwist.cli as cli
+
+    real = cli.rm.cobracket_kernel
+    calls = []
+
+    def counting(algebra, r):
+        calls.append(algebra.n)
+        return real(algebra, r)
+
+    monkeypatch.setattr(cli.rm, "cobracket_kernel", counting)
+    status = {
+        c["anchor"]: c["status"]
+        for c in run_suite("cybe", n=n, degree=6).to_dict()["checks"]
+    }
+    assert status["cybe.cobracket-kernel-closed"] == "pass"
+    assert status["cybe.cobracket-kernel-contains"] == "pass"
+    assert calls == [n]

@@ -4,9 +4,10 @@ the rational spectral solution and its contraction limit."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from osptwist.algebra import build_osp
-from osptwist.scalars import Poly, LaurentSeries
+from osptwist.scalars import Poly, LaurentSeries, rref
 from osptwist.rmatrix import (
     LieTensor,
     wedge,
@@ -29,6 +30,7 @@ from osptwist.rmatrix import (
     contraction_limit,
     contraction_expected_t_part,
     ContractionResult,
+    _Span,
 )
 from osptwist.errors import NegativePowerSurvives
 
@@ -175,6 +177,109 @@ def test_two_term_super_jordanian_kernel():
         assert span_contains(ker, unit_vector(ALG, name)), name
     assert not span_contains(ker, unit_vector(ALG, "w+"))
     assert kernel_closed_under_bracket(ALG, ker)
+
+
+def test_closure_fails_off_a_subalgebra():
+    """Two spans that are not closed under the bracket: the odd pair v+, v-
+    (their bracket leaves their span) and the extended-block kernel with v+
+    added."""
+    odd_pair = [unit_vector(ALG, "v+"), unit_vector(ALG, "v-")]
+    assert not kernel_closed_under_bracket(ALG, odd_pair)
+    ker = cobracket_kernel(ALG, r_extended_super_jordanian(ALG))
+    assert not kernel_closed_under_bracket(
+        ALG, ker + [unit_vector(ALG, "v+")]
+    )
+
+
+def test_span_contains_rejects_a_length_mismatch():
+    span = [[1, 0, 0], [0, 1, 0]]
+    with pytest.raises(ValueError):
+        span_contains(span, [1, 0, 0, 0])
+    with pytest.raises(ValueError):
+        span_contains(span, [1, 0])
+    with pytest.raises(ValueError):
+        span_contains([[1, 0, 0], [0, 1]], [1, 0, 0])
+
+
+# -- span membership against the two-rref route ------------------------------
+
+
+def reference_span_contains(span_vectors, vec) -> bool:
+    """The membership test the echelon back-substitution replaced: vec is in
+    the span iff appending it leaves the rank of the span unchanged."""
+    rows = [list(v) for v in span_vectors]
+    before, _ = rref(rows)
+    after, _ = rref(rows + [list(vec)])
+    return len(after) == len(before)
+
+
+ENTRY = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5))),
+)
+
+
+def _combination(draw, rows):
+    coeffs = draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
+    return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in
+            range(len(rows[0]))]
+
+
+@st.composite
+def memberships(draw):
+    """A span of up to five vectors of one width, with fresh, repeated and
+    dependent rows, and a vector that is zero, fresh or in the span."""
+    width = draw(st.integers(1, 5))
+    fresh = st.lists(ENTRY, min_size=width, max_size=width)
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("fresh", "repeat", "combine")))
+        if kind == "fresh" or not rows:
+            rows.append(draw(fresh))
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(_combination(draw, rows))
+    kind = draw(st.sampled_from(("zero", "fresh", "combine")))
+    if kind == "zero":
+        vec = [0] * width
+    elif kind == "fresh" or not rows:
+        vec = draw(fresh)
+    else:
+        vec = _combination(draw, rows)
+    return rows, vec
+
+
+@given(memberships())
+@example(([], [0, 0]))
+@example(([], [0, Fraction(1, 2)]))
+@example(([[1, 2], [2, 4]], [Fraction(1, 3), Fraction(2, 3)]))
+@example(([[0, 0, 0]], [0, 0, 0]))
+@settings(max_examples=200, deadline=None)
+def test_span_contains_matches_reference(case):
+    rows, vec = case
+    assert span_contains(rows, vec) == reference_span_contains(rows, vec)
+
+
+def test_span_membership_negative_control():
+    """Back-substitution that skips the first pivot row disagrees with the
+    reference on some drawn case, so the comparison above can fail."""
+
+    def skipping(rows, vec):
+        span = _Span(rows)
+        span.rows = span.rows[1:]
+        return span.contains(vec)
+
+    rows, vec = find(
+        memberships(),
+        lambda case: skipping(*case) != reference_span_contains(*case),
+        settings=settings(
+            max_examples=2000, deadline=None, database=None,
+            phases=(Phase.generate,),
+        ),
+    )
+    assert rows and any(vec)
+    assert span_contains(rows, vec) == reference_span_contains(rows, vec)
 
 
 # -- rational spectral solution and contraction -----------------------------------
