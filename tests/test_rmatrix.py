@@ -221,8 +221,7 @@ ENTRY = st.one_of(
 
 def _combination(draw, rows):
     coeffs = draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
-    return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in
-            range(len(rows[0]))]
+    return [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)]
 
 
 @st.composite
