@@ -232,9 +232,6 @@ class OspAlgebra:
     def positive_indices(self):
         return tuple(b.index for b in self.basis if b.sign > 0)
 
-    def negative_indices(self):
-        return tuple(b.index for b in self.basis if b.sign < 0)
-
     def compatible_with(self, other: "OspAlgebra") -> bool:
         return isinstance(other, OspAlgebra) and other.n == self.n
 

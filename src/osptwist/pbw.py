@@ -31,13 +31,19 @@ operand is held as int numerators over one common denominator, the lcm of
 its denominators; products are summed as Python ints and turned back into
 ``Fraction`` once per output term.  The normal-form memo likewise keeps
 int coefficients wherever they are integral.
+
+One term algebra.  :class:`UEElement`, :class:`UETensor` and the classical
+:class:`~osptwist.rmatrix.LieTensor` are all zero-free coefficient dicts
+over keys of one shape, and share one implementation of construction,
+sums, scaling, powers, truncation, equality, the graded flip and printing
+(``_Terms``); each class fixes only its key shape, the grade and parity
+of a key, and its constructors' arguments.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import partial
 from math import lcm
 from operator import itemgetter
 
@@ -337,41 +343,249 @@ def _sum_terms(x, y, sign, grade):
 
 
 # --------------------------------------------------------------------------
-# Elements of the (grade-capped) enveloping algebra
+# The term algebra shared by elements, tensors and classical tensors
 # --------------------------------------------------------------------------
 
 
-class UEElement:
-    """A finite combination of normal-ordered monomials with coefficients
-    in the exact scalar tower, living in the enveloping algebra modulo
-    total grade > g2cap/2 (no truncation when g2cap is None)."""
+class _Terms:
+    """A finite combination of keys with coefficients in the exact scalar
+    tower, kept as a zero-free {key: coefficient} dict, modulo total grade
+    > g2cap/2 (no truncation when g2cap is None).
 
-    __slots__ = ("algebra", "terms", "g2cap")
+    :class:`UEElement`, :class:`UETensor` and
+    :class:`~osptwist.rmatrix.LieTensor` share this term algebra.  A
+    subclass fixes only the shape of a key (``_key``: a monomial, a tuple
+    of monomials, or a tuple of basis letters), the grade and parity of a
+    key (``term_g2``, ``term_parity``, and ``_leg_parity`` of one leg of a
+    tensor key), how a key prints (``_body``, ``_sort_key``) and the
+    arguments of its constructors.  ``legs`` is the number of tensor legs,
+    None for an element of the enveloping algebra itself.  Powers need the
+    subclass's product and ``one_like``.
+    """
 
-    def __init__(self, algebra, terms, g2cap=None):
+    __slots__ = ("algebra", "terms", "legs", "g2cap")
+
+    def _fill(self, algebra, terms, legs, g2cap):
+        """The validated constructor: keys brought to shape, int
+        coefficients made Fractions, zeros and terms above the cap
+        dropped."""
+        self.algebra = algebra
+        self.legs = legs
+        self.g2cap = g2cap
         cleaned = {}
-        for mono, c in terms.items():
-            mono = tuple(mono)
+        for key, c in terms.items():
+            key = self._key(key)
             if isinstance(c, int):
                 c = Fraction(c)
             if scalar_is_zero(c):
                 continue
-            if g2cap is not None and monomial_g2(algebra, mono) > g2cap:
+            if g2cap is not None and self.term_g2(key) > g2cap:
                 continue
-            cleaned[mono] = c
-        self.algebra = algebra
+            cleaned[key] = c
         self.terms = cleaned
-        self.g2cap = g2cap
 
-    @classmethod
-    def _trusted(cls, algebra, terms, g2cap):
-        """Wrap terms that are already clean: tuple monomials, nonzero
-        coefficients, none above the cap."""
-        out = cls.__new__(cls)
-        out.algebra = algebra
+    def _rebuilt(self, terms, g2cap):
+        """An object of self's kind (type, algebra, legs) holding
+        ``terms``, validated."""
+        out = object.__new__(type(self))
+        out._fill(self.algebra, terms, self.legs, g2cap)
+        return out
+
+    def _trusted(self, terms, g2cap):
+        """An object of self's kind wrapping terms that are already clean:
+        keys in shape, nonzero coefficients, none above the cap."""
+        out = object.__new__(type(self))
+        out.algebra = self.algebra
         out.terms = terms
+        out.legs = self.legs
         out.g2cap = g2cap
         return out
+
+    def _check_legs(self, key):
+        if len(key) != self.legs:
+            raise HeterogeneousOperand(
+                "term %r has %d legs, expected %d" % (key, len(key), self.legs)
+            )
+        return key
+
+    def zero_like(self):
+        return self._trusted({}, self.g2cap)
+
+    # -- inspection -------------------------------------------------------
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def is_grade_positive(self):
+        """True when every term has total grade >= 1/2 (g2 >= 1)."""
+        return all(self.term_g2(k) >= 1 for k in self.terms)
+
+    def parity(self):
+        """The parity shared by every term (0 for zero), None if they mix."""
+        seen = {self.term_parity(k) for k in self.terms}
+        if not seen:
+            return 0
+        if len(seen) > 1:
+            return None
+        return seen.pop()
+
+    def is_even(self):
+        return self.parity() == 0
+
+    # -- linear structure ---------------------------------------------------
+
+    def _check(self, other):
+        if not self.algebra.compatible_with(other.algebra):
+            raise MixedAlgebra(
+                "operands live in osp(1|%d) and osp(1|%d)"
+                % (2 * self.algebra.n, 2 * other.algebra.n)
+            )
+        if self.legs != other.legs:
+            raise HeterogeneousOperand(
+                "tensors with %s and %s legs" % (self.legs, other.legs)
+            )
+
+    def _combine(self, other, sign):
+        """self + sign * other for ``other`` of self's kind."""
+        self._check(other)
+        out, cap = _sum_terms(self, other, sign, self.term_g2)
+        return self._trusted(out, cap)
+
+    def __radd__(self, other):
+        return self + other
+
+    def __neg__(self):
+        return self._trusted(
+            {k: -c for k, c in self.terms.items()}, self.g2cap
+        )
+
+    def __sub__(self, other):
+        if isinstance(other, type(self)):
+            return self._combine(other, -1)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, c):
+        if scalar_is_zero(c):
+            return self.zero_like()
+        return self._rebuilt(
+            {k: c * v for k, v in self.terms.items()}, self.g2cap
+        )
+
+    def __rmul__(self, c):
+        if isinstance(c, _Terms):
+            return NotImplemented
+        return self.scale(c)
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            return NotImplemented
+        out = self.one_like()
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def truncate(self, g2cap):
+        return self._rebuilt(self.terms, _min_cap(self.g2cap, g2cap))
+
+    def map_coefficients(self, fn):
+        return self._rebuilt(
+            {k: fn(c) for k, c in self.terms.items()}, self.g2cap
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self.algebra.compatible_with(other.algebra)
+            and self.legs == other.legs
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.algebra.n, self.legs, frozenset(self.terms.items())))
+
+    def flip(self):
+        """Graded swap of the two legs of a 2-leg tensor:
+        a (x) b -> (-1)**(p(a)p(b)) b (x) a."""
+        if self.legs != 2:
+            raise HeterogeneousOperand("flip is defined for 2-leg tensors")
+        par = self._leg_parity
+        return self._trusted(
+            {
+                (b, a): -c if par(a) and par(b) else c
+                for (a, b), c in self.terms.items()
+            },
+            self.g2cap,
+        )
+
+    # -- display ----------------------------------------------------------
+
+    @staticmethod
+    def _scaled(cs, body):
+        return "%s*[%s]" % (cs, body)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for key in sorted(self.terms, key=self._sort_key):
+            c = self.terms[key]
+            cs = str(c)
+            if isinstance(c, (Poly, LaurentSeries)) and len(getattr(c, "coeffs", ())) > 1:
+                cs = "(%s)" % cs
+            body = self._body(key)
+            if cs == "1":
+                parts.append(body)
+            elif cs == "-1":
+                parts.append("-" + body)
+            else:
+                parts.append(self._scaled(cs, body))
+        return " + ".join(parts).replace("+ -", "- ")
+
+
+# --------------------------------------------------------------------------
+# Elements of the (grade-capped) enveloping algebra
+# --------------------------------------------------------------------------
+
+
+class UEElement(_Terms):
+    """A finite combination of normal-ordered monomials with coefficients
+    in the exact scalar tower, living in the enveloping algebra modulo
+    total grade > g2cap/2 (no truncation when g2cap is None)."""
+
+    __slots__ = ()
+
+    def __init__(self, algebra, terms, g2cap=None):
+        self._fill(algebra, terms, None, g2cap)
+
+    @staticmethod
+    def _key(mono):
+        return tuple(mono)
+
+    def term_g2(self, mono):
+        return monomial_g2(self.algebra, mono)
+
+    def term_parity(self, mono):
+        return monomial_parity(self.algebra, mono)
+
+    @staticmethod
+    def _sort_key(mono):
+        return (len(mono), mono)
+
+    def _body(self, mono):
+        return format_monomial(self.algebra, mono)
+
+    @staticmethod
+    def _scaled(cs, body):
+        return cs if body == "1" else "%s*%s" % (cs, body)
 
     # -- constructors ---------------------------------------------------
 
@@ -391,14 +605,7 @@ class UEElement:
     def one_like(self):
         return UEElement.one(self.algebra, self.g2cap)
 
-    def zero_like(self):
-        return UEElement.zero(self.algebra, self.g2cap)
-
     # -- inspection -------------------------------------------------------
-
-    @property
-    def is_zero(self):
-        return not self.terms
 
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), Fraction(0))
@@ -406,29 +613,7 @@ class UEElement:
     def constant_coefficient(self):
         return self.terms.get((), Fraction(0))
 
-    def is_grade_positive(self):
-        """True when every monomial has total grade >= 1/2 (g2 >= 1)."""
-        return all(monomial_g2(self.algebra, m) >= 1 for m in self.terms)
-
-    def max_degree(self):
-        return max((len(m) for m in self.terms), default=0)
-
-    def parity(self):
-        seen = {monomial_parity(self.algebra, m) for m in self.terms}
-        if not seen:
-            return 0
-        if len(seen) > 1:
-            return None
-        return seen.pop()
-
     # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, other):
-        if not self.algebra.compatible_with(other.algebra):
-            raise MixedAlgebra(
-                "operands live in osp(1|%d) and osp(1|%d)"
-                % (2 * self.algebra.n, 2 * other.algebra.n)
-            )
 
     def __add__(self, other):
         if isinstance(other, UETensor):
@@ -437,42 +622,6 @@ class UEElement:
             c = other
             return self + UEElement(self.algebra, {(): c}, self.g2cap)
         return self._combine(other, 1)
-
-    def _combine(self, other, sign):
-        """self + sign * other for an element ``other``."""
-        self._check(other)
-        out, cap = _sum_terms(
-            self, other, sign, partial(monomial_g2, self.algebra)
-        )
-        return UEElement._trusted(self.algebra, out, cap)
-
-    def __radd__(self, other):
-        return self + other
-
-    def __neg__(self):
-        return UEElement._trusted(
-            self.algebra, {m: -c for m, c in self.terms.items()}, self.g2cap
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, UEElement):
-            return self._combine(other, -1)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c):
-        if scalar_is_zero(c):
-            return self.zero_like()
-        return UEElement(
-            self.algebra, {m: c * v for m, v in self.terms.items()}, self.g2cap
-        )
-
-    def __rmul__(self, c):
-        if isinstance(c, (UEElement, UETensor)):
-            return NotImplemented
-        return self.scale(c)
 
     def __mul__(self, other):
         if isinstance(other, UETensor):
@@ -490,37 +639,14 @@ class UEElement:
             1,
             cap,
         )
-        return UEElement._trusted(
-            self.algebra, {key[0]: c for key, c in out.items()}, cap
-        )
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = self.one_like()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def truncate(self, g2cap):
-        return UEElement(self.algebra, self.terms, _min_cap(self.g2cap, g2cap))
+        return self._trusted({key[0]: c for key, c in out.items()}, cap)
 
     def __eq__(self, other):
-        if isinstance(other, UEElement):
-            return (
-                self.algebra.compatible_with(other.algebra)
-                and self.terms == other.terms
-            )
         if isinstance(other, (int, Fraction)):
             return self.terms == ({(): Fraction(other)} if other else {})
-        return NotImplemented
+        return _Terms.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.algebra.n, frozenset(self.terms.items())))
+    __hash__ = _Terms.__hash__
 
     # -- structure maps ---------------------------------------------------------
 
@@ -554,27 +680,6 @@ class UEElement:
                     out[key] = v
         return UETensor(alg, out, legs, self.g2cap)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=lambda m: (len(m), m))
-        parts = []
-        for m in keys:
-            c = self.terms[m]
-            cs = str(c)
-            if isinstance(c, (Poly, LaurentSeries)) and len(getattr(c, "coeffs", ())) > 1:
-                cs = "(%s)" % cs
-            body = format_monomial(self.algebra, m)
-            if body == "1":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append("-" + body)
-            else:
-                parts.append("%s*%s" % (cs, body))
-        return " + ".join(parts).replace("+ -", "- ")
-
     def __repr__(self):
         return "UEElement(%s)" % self
 
@@ -584,7 +689,7 @@ class UEElement:
 # --------------------------------------------------------------------------
 
 
-class UETensor:
+class UETensor(_Terms):
     """A combination of leg-tuples of normal-ordered monomials, i.e. an
     element of U(osp(1|2n))^(x legs), modulo total grade > g2cap/2.
 
@@ -593,39 +698,29 @@ class UETensor:
     (-1)**sum_i p(y_i) * sum_{l>i} p(x_l).
     """
 
-    __slots__ = ("algebra", "terms", "legs", "g2cap")
+    __slots__ = ()
 
     def __init__(self, algebra, terms, legs, g2cap=None):
-        cleaned = {}
-        for key, c in terms.items():
-            key = tuple(tuple(m) for m in key)
-            if len(key) != legs:
-                raise HeterogeneousOperand(
-                    "term %r has %d legs, expected %d" % (key, len(key), legs)
-                )
-            if isinstance(c, int):
-                c = Fraction(c)
-            if scalar_is_zero(c):
-                continue
-            if g2cap is not None:
-                if sum(monomial_g2(algebra, m) for m in key) > g2cap:
-                    continue
-            cleaned[key] = c
-        self.algebra = algebra
-        self.terms = cleaned
-        self.legs = legs
-        self.g2cap = g2cap
+        self._fill(algebra, terms, legs, g2cap)
 
-    @classmethod
-    def _trusted(cls, algebra, terms, legs, g2cap):
-        """Wrap terms that are already clean: ``legs``-tuples of tuple
-        monomials, nonzero coefficients, none above the cap."""
-        out = cls.__new__(cls)
-        out.algebra = algebra
-        out.terms = terms
-        out.legs = legs
-        out.g2cap = g2cap
-        return out
+    def _key(self, key):
+        return self._check_legs(tuple(tuple(m) for m in key))
+
+    def term_g2(self, key):
+        return sum(monomial_g2(self.algebra, m) for m in key)
+
+    def term_parity(self, key):
+        return sum(monomial_parity(self.algebra, m) for m in key) % 2
+
+    def _leg_parity(self, mono):
+        return monomial_parity(self.algebra, mono)
+
+    @staticmethod
+    def _sort_key(key):
+        return (sum(len(m) for m in key), key)
+
+    def _body(self, key):
+        return " (x) ".join(format_monomial(self.algebra, m) for m in key)
 
     # -- constructors -----------------------------------------------------
 
@@ -661,14 +756,7 @@ class UETensor:
     def one_like(self):
         return UETensor.one(self.algebra, self.legs, self.g2cap)
 
-    def zero_like(self):
-        return UETensor.zero(self.algebra, self.legs, self.g2cap)
-
     # -- inspection ----------------------------------------------------------
-
-    @property
-    def is_zero(self):
-        return not self.terms
 
     def coefficient(self, key):
         return self.terms.get(tuple(tuple(m) for m in key), Fraction(0))
@@ -676,35 +764,7 @@ class UETensor:
     def constant_coefficient(self):
         return self.terms.get(((),) * self.legs, Fraction(0))
 
-    def term_g2(self, key):
-        return sum(monomial_g2(self.algebra, m) for m in key)
-
-    def is_grade_positive(self):
-        return all(self.term_g2(k) >= 1 for k in self.terms)
-
-    def parity(self):
-        seen = {
-            sum(monomial_parity(self.algebra, m) for m in key) % 2
-            for key in self.terms
-        }
-        if not seen:
-            return 0
-        if len(seen) > 1:
-            return None
-        return seen.pop()
-
-    # -- linear structure ---------------------------------------------------------
-
-    def _check(self, other):
-        if not self.algebra.compatible_with(other.algebra):
-            raise MixedAlgebra(
-                "operands live in osp(1|%d) and osp(1|%d)"
-                % (2 * self.algebra.n, 2 * other.algebra.n)
-            )
-        if self.legs != other.legs:
-            raise HeterogeneousOperand(
-                "tensors with %d and %d legs" % (self.legs, other.legs)
-            )
+    # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, UETensor):
@@ -712,63 +772,6 @@ class UETensor:
                 raise HeterogeneousOperand("cannot add an element to a tensor")
             return self + self.one_like().scale(other)
         return self._combine(other, 1)
-
-    def _combine(self, other, sign):
-        """self + sign * other for a tensor ``other``."""
-        self._check(other)
-        out, cap = _sum_terms(self, other, sign, self.term_g2)
-        return UETensor._trusted(self.algebra, out, self.legs, cap)
-
-    def __radd__(self, other):
-        return self + other
-
-    def __neg__(self):
-        return UETensor._trusted(
-            self.algebra, {k: -c for k, c in self.terms.items()}, self.legs,
-            self.g2cap,
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, UETensor):
-            return self._combine(other, -1)
-        if isinstance(other, UEElement):
-            return self + (-other)
-        return self + self.one_like().scale(-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c):
-        if scalar_is_zero(c):
-            return self.zero_like()
-        return UETensor(
-            self.algebra, {k: c * v for k, v in self.terms.items()}, self.legs,
-            self.g2cap,
-        )
-
-    def __rmul__(self, c):
-        if isinstance(c, (UEElement, UETensor)):
-            return NotImplemented
-        return self.scale(c)
-
-    def truncate(self, g2cap):
-        return UETensor(
-            self.algebra, self.terms, self.legs, _min_cap(self.g2cap, g2cap)
-        )
-
-    def __eq__(self, other):
-        if isinstance(other, UETensor):
-            return (
-                self.algebra.compatible_with(other.algebra)
-                and self.legs == other.legs
-                and self.terms == other.terms
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.algebra.n, self.legs, frozenset(self.terms.items())))
-
-    # -- multiplication ----------------------------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, UETensor):
@@ -782,19 +785,7 @@ class UETensor:
         out = _product(
             self.algebra, self.terms.items(), other.terms.items(), self.legs, cap
         )
-        return UETensor._trusted(self.algebra, out, self.legs, cap)
-
-    def __pow__(self, p: int):
-        if not isinstance(p, int) or p < 0:
-            return NotImplemented
-        out = self.one_like()
-        base = self
-        while p:
-            if p & 1:
-                out = out * base
-            base = base * base
-            p >>= 1
-        return out
+        return self._trusted(out, cap)
 
     # -- leg surgery ------------------------------------------------------------
 
@@ -819,17 +810,6 @@ class UETensor:
                 full[pos - 1] = mono
             out[tuple(full)] = c
         return UETensor(self.algebra, out, total, self.g2cap)
-
-    def flip(self) -> "UETensor":
-        """Graded swap of the two legs of a 2-leg tensor."""
-        if self.legs != 2:
-            raise HeterogeneousOperand("flip is defined for 2-leg tensors")
-        alg = self.algebra
-        out = {}
-        for (m1, m2), c in self.terms.items():
-            s = monomial_parity(alg, m1) and monomial_parity(alg, m2)
-            out[(m2, m1)] = -c if s else c
-        return UETensor(alg, out, 2, self.g2cap)
 
     def counit_leg(self, leg: int) -> "UETensor | UEElement":
         """Apply the counit (constant-term functional) to one 1-based leg."""
@@ -894,38 +874,25 @@ class UETensor:
     def to_matrix(self) -> GradedMatrix:
         """Image under the defining representation on every leg."""
         alg = self.algebra
-        d = alg.dim_rep
-        pv = tuple(
-            sum(alg.pv[i] for i in _decode(flat, d, self.legs)) % 2
-            for flat in range(d**self.legs)
-        )
         return _matrix_sum(
-            pv,
+            _tensor_pv(alg, self.legs),
             (
                 (kron_all([alg.monomial_matrix(m) for m in key]), c)
                 for key, c in self.terms.items()
             ),
         )
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        keys = sorted(
-            self.terms, key=lambda k: (sum(len(m) for m in k), k)
-        )
-        parts = []
-        for key in keys:
-            c = self.terms[key]
-            cs = str(c)
-            if isinstance(c, (Poly, LaurentSeries)) and len(getattr(c, "coeffs", ())) > 1:
-                cs = "(%s)" % cs
-            body = " (x) ".join(format_monomial(self.algebra, m) for m in key)
-            parts.append(body if cs == "1" else
-                         ("-" + body if cs == "-1" else "%s*[%s]" % (cs, body)))
-        return " + ".join(parts).replace("+ -", "- ")
-
     def __repr__(self):
         return "UETensor(legs=%d, terms=%d)" % (self.legs, len(self.terms))
+
+
+def _tensor_pv(alg, legs):
+    """Parity vector of the legs-th tensor power of the defining space."""
+    d = alg.dim_rep
+    return tuple(
+        sum(alg.pv[i] for i in _decode(flat, d, legs)) % 2
+        for flat in range(d**legs)
+    )
 
 
 def _matrix_sum(pv, scaled):

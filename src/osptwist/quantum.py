@@ -28,7 +28,6 @@ from .twist import (
     FULL_CHAIN_KINDS,
     Twist,
     TwistFactor,
-    full_chain,
     twisted_coproduct,
     workshop,
 )
@@ -364,9 +363,3 @@ def rtt_residual(r, l=None, algebra: OspAlgebra | None = None) -> GradedMatrix:
     l1 = embed_legs(l_mat, alg.pv, (1, 3), 3)
     l2 = embed_legs(l_mat, alg.pv, (2, 3), 3)
     return r12 @ l1 @ l2 - l2 @ l1 @ r12
-
-
-def full_chain_R(algebra: OspAlgebra, degree: int = 6,
-                 eta: str | None = None) -> RMatrix:
-    """Convenience: the R-matrix of the complete twist chain."""
-    return universal_R(full_chain(algebra, degree), eta=eta)

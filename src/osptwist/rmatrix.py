@@ -22,170 +22,68 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    HeterogeneousOperand,
-    MixedAlgebra,
-    NegativePowerSurvives,
+from .errors import HeterogeneousOperand, NegativePowerSurvives
+from .pbw import (
+    _matrix_sum,
+    _Terms,
+    _tensor_pv,
+    format_monomial,
+    scalar_inverse,
 )
-from .pbw import scalar_inverse
 from .repmat import GradedMatrix, kron_all
 from .scalars import LaurentSeries, Poly, rref, scalar_is_zero
 
 
-class LieTensor:
+class LieTensor(_Terms):
     """A combination of elementary tensors of *basis elements* (degree-one
-    legs) with coefficients in the exact scalar tower."""
+    legs) with coefficients in the exact scalar tower.  Keys are tuples
+    of basis indices; sums, scaling, equality, the graded flip and printing
+    are the term algebra it shares with the enveloping-algebra classes of
+    :mod:`~osptwist.pbw`."""
 
-    __slots__ = ("algebra", "legs", "terms")
+    __slots__ = ()
 
     def __init__(self, algebra, legs, terms):
-        cleaned = {}
-        for key, c in terms.items():
-            key = tuple(key)
-            if len(key) != legs:
-                raise HeterogeneousOperand(
-                    "term %r has %d legs, expected %d" % (key, len(key), legs)
-                )
-            if isinstance(c, int):
-                c = Fraction(c)
-            if scalar_is_zero(c):
-                continue
-            cleaned[key] = c
-        self.algebra = algebra
-        self.legs = legs
-        self.terms = cleaned
+        self._fill(algebra, terms, legs, None)
 
-    # -- constructors ------------------------------------------------------
+    def _key(self, key):
+        return self._check_legs(tuple(key))
+
+    def term_g2(self, key):
+        return sum(self.algebra.g2(i) for i in key)
+
+    def term_parity(self, key):
+        return sum(self.algebra.parity(i) for i in key) % 2
+
+    def _leg_parity(self, i):
+        return self.algebra.parity(i)
+
+    @staticmethod
+    def _sort_key(key):
+        return key
+
+    def _body(self, key):
+        return " (x) ".join(format_monomial(self.algebra, (i,)) for i in key)
 
     @classmethod
     def zero(cls, algebra, legs=2):
         return cls(algebra, legs, {})
 
-    @classmethod
-    def from_names(cls, algebra, entries, legs=2):
-        """entries: iterable of (coefficient, name1, name2, ...)."""
-        terms: dict = {}
-        for entry in entries:
-            c, names = entry[0], entry[1:]
-            key = tuple(algebra.generator_index(nm) for nm in names)
-            terms[key] = terms.get(key, 0) + c
-        return cls(algebra, legs, terms)
-
-    # -- basics ---------------------------------------------------------------
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if not self.algebra.compatible_with(other.algebra):
-            raise MixedAlgebra("tensors over different algebras")
-        if self.legs != other.legs:
-            raise HeterogeneousOperand(
-                "tensors with %d and %d legs" % (self.legs, other.legs)
-            )
-
     def __add__(self, other):
         if not isinstance(other, LieTensor):
             return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if scalar_is_zero(v):
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return LieTensor(self.algebra, self.legs, out)
-
-    def __neg__(self):
-        return LieTensor(
-            self.algebra, self.legs, {k: -c for k, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, LieTensor):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c):
-        if scalar_is_zero(c):
-            return LieTensor.zero(self.algebra, self.legs)
-        return LieTensor(
-            self.algebra, self.legs, {k: c * v for k, v in self.terms.items()}
-        )
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def __eq__(self, other):
-        if not isinstance(other, LieTensor):
-            return NotImplemented
-        return (
-            self.algebra.compatible_with(other.algebra)
-            and self.legs == other.legs
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.algebra.n, self.legs, frozenset(self.terms.items())))
-
-    def coefficient(self, *names):
-        key = tuple(self.algebra.generator_index(nm) for nm in names)
-        return self.terms.get(key, Fraction(0))
-
-    def is_even(self):
-        alg = self.algebra
-        return all(
-            sum(alg.parity(i) for i in key) % 2 == 0 for key in self.terms
-        )
-
-    def flip(self) -> "LieTensor":
-        """Graded swap of the two legs: a (x) b -> (-1)**(p(a)p(b)) b (x) a."""
-        if self.legs != 2:
-            raise HeterogeneousOperand("flip needs a 2-leg tensor")
-        alg = self.algebra
-        out = {}
-        for (i, j), c in self.terms.items():
-            s = alg.parity(i) and alg.parity(j)
-            out[(j, i)] = -c if s else c
-        return LieTensor(alg, 2, out)
-
-    def map_coefficients(self, fn) -> "LieTensor":
-        return LieTensor(
-            self.algebra, self.legs, {k: fn(c) for k, c in self.terms.items()}
-        )
+        return self._combine(other, 1)
 
     def to_matrix(self) -> GradedMatrix:
+        """Image under the defining representation on every leg."""
         alg = self.algebra
-        d = alg.dim_rep
-        pv1 = alg.pv
-        pv = pv1
-        for _ in range(self.legs - 1):
-            pv = tuple((a + b) % 2 for a in pv for b in pv1)
-        acc = GradedMatrix.zero(pv)
-        for key, c in self.terms.items():
-            acc = acc + kron_all([alg.basis[i].matrix for i in key]).scale(c)
-        return acc
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        alg = self.algebra
-        parts = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
-            cs = str(c)
-            if isinstance(c, (Poly, LaurentSeries)) and len(getattr(c, "coeffs", ())) > 1:
-                cs = "(%s)" % cs
-            names = []
-            for i in key:
-                nm = alg.name_of(i)
-                names.append("(%s)" % nm if not nm[0].isalnum() else nm)
-            body = " (x) ".join(names)
-            parts.append(body if cs == "1" else
-                         ("-" + body if cs == "-1" else "%s*[%s]" % (cs, body)))
-        return " + ".join(parts).replace("+ -", "- ")
+        return _matrix_sum(
+            _tensor_pv(alg, self.legs),
+            (
+                (kron_all([alg.basis[i].matrix for i in key]), c)
+                for key, c in self.terms.items()
+            ),
+        )
 
     def __repr__(self):
         return "LieTensor(legs=%d, terms=%d)" % (self.legs, len(self.terms))
@@ -545,49 +443,37 @@ def trig_r(algebra, q) -> LieTensor:
     return standard_r0(algebra) + casimir_tensor(algebra).scale(inv_qm1)
 
 
-def _ad_orbit(algebra, theta: int, ix: int):
-    """[theta, -] iterated on a basis element until it dies: a list of
-    {index: coeff} starting with the identity layer."""
-    layers = [{ix: Fraction(1)}]
-    while layers[-1]:
-        nxt: dict = {}
-        for j, c in layers[-1].items():
-            for k, sc in algebra.bracket(theta, j).items():
-                nxt[k] = nxt.get(k, Fraction(0)) + c * sc
-        nxt = {k: c for k, c in nxt.items() if c}
-        if not nxt:
-            break
-        layers.append(nxt)
-        if len(layers) > algebra.size:
-            raise RuntimeError("adjoint orbit failed to terminate")
-    return layers
-
-
 def adjoint_exp_tensor(algebra, theta: int, coeff, t: LieTensor) -> LieTensor:
     """Apply Ad(exp(coeff * ad theta)) on every leg (theta must be even, so
-    the legwise application carries no Koszul signs).  Terminates because
-    ad(theta) is nilpotent."""
+    the legwise application carries no Koszul signs).  The exponential is
+    that of the matrix coeff * ad(theta) on the adjoint space; raises
+    NotNilpotent when ad(theta) is not nilpotent (a Cartan theta)."""
     if algebra.parity(theta):
         raise HeterogeneousOperand("legwise Ad needs an even generator")
+    m = algebra.size
+    ad = GradedMatrix(
+        [algebra.parity(j) for j in range(m)],
+        {
+            (k, j): sc
+            for j in range(m)
+            for k, sc in algebra.bracket(theta, j).items()
+        },
+    )
+    # column j of the exponential is the image of basis element j
+    columns: dict = {}
+    for (k, j), x in ad.scale(coeff).exp_nilpotent().entries.items():
+        columns.setdefault(j, []).append((k, x))
     out = t
     for leg in range(t.legs):
         nxt: dict = {}
         for key, c in out.terms.items():
-            layers = _ad_orbit(algebra, theta, key[leg])
-            fact = Fraction(1)
-            power = 1
-            for depth, layer in enumerate(layers):
-                if depth:
-                    fact = fact / depth
-                    power = power * coeff
-                scale = c * fact * power if depth else c
-                for j, sc in layer.items():
-                    newkey = key[:leg] + (j,) + key[leg + 1 :]
-                    v = nxt.get(newkey, 0) + scale * sc
-                    if scalar_is_zero(v):
-                        nxt.pop(newkey, None)
-                    else:
-                        nxt[newkey] = v
+            for k, x in columns.get(key[leg], ()):
+                newkey = key[:leg] + (k,) + key[leg + 1 :]
+                v = nxt.get(newkey, 0) + c * x
+                if scalar_is_zero(v):
+                    nxt.pop(newkey, None)
+                else:
+                    nxt[newkey] = v
         out = LieTensor(algebra, t.legs, nxt)
     return out
 

@@ -179,8 +179,9 @@ def test_check_error_is_reported_not_raised(monkeypatch, capsys):
 
 
 def test_quantum_suite_builds_the_full_chain_R_once(monkeypatch):
-    """The quantum checks share one full-chain R per suite run; the only
-    other R builds are the jordanian one and the eta family."""
+    """The quantum checks share one full-chain R per suite run, the
+    classical-limit check included; the only other R build is the
+    jordanian one."""
     import osptwist.cli as cli
 
     real = cli.qt.universal_R
@@ -194,8 +195,9 @@ def test_quantum_suite_builds_the_full_chain_R_once(monkeypatch):
     rep = run_suite("quantum", n=2, degree=3)
     assert rep.overall
     full = [c for c in calls if len(c[0]) == 4]
-    assert len(calls) == 3
-    assert full == [(full[0][0], None), (full[0][0], "eta")]
+    assert len(calls) == 2
+    assert full == [(full[0][0], None)]
+    assert [c for c in calls if c not in full] == [(("jordanian",), None)]
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -23,6 +23,7 @@ from osptwist.errors import (
     HeterogeneousOperand,
     MixedAlgebra,
 )
+from osptwist.rmatrix import LieTensor
 from osptwist.scalars import Poly, scalar_is_zero
 
 
@@ -231,6 +232,19 @@ def test_tensor_leg_mismatch_rejected():
     t3 = UETensor.of(gen("H"), gen("H"), gen("H"), g2cap=CAP)
     with pytest.raises(HeterogeneousOperand):
         t2 + t3
+
+
+def test_term_algebra_keeps_kinds_and_leg_counts_apart():
+    """Equality needs the same kind and leg count, even at zero, and only
+    an element compares with a scalar; a flip needs exactly two legs."""
+    assert UETensor.zero(ALG, 2) != UETensor.zero(ALG, 3)
+    assert LieTensor.zero(ALG, 2) != LieTensor.zero(ALG, 3)
+    assert UEElement.zero(ALG) != UETensor.zero(ALG, 1)
+    assert UEElement.one(ALG) == 1 and UEElement.zero(ALG) == 0
+    assert UETensor.one(ALG, 2) != 1
+    for x in (gen("H"), UETensor.one(ALG, 3)):
+        with pytest.raises(HeterogeneousOperand):
+            x.flip()
 
 
 def test_tensor_grade_component_and_scaling():

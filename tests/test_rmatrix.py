@@ -26,13 +26,19 @@ from osptwist.rmatrix import (
     r_full_borel,
     r_long_root_wedge,
     trig_r,
+    adjoint_exp_tensor,
     spectral_residual_rational,
     contraction_limit,
     contraction_expected_t_part,
     ContractionResult,
     _Span,
 )
-from osptwist.errors import NegativePowerSurvives
+from osptwist.errors import (
+    HeterogeneousOperand,
+    NegativePowerSurvives,
+    NotNilpotent,
+    OspTwistError,
+)
 
 
 ALG = build_osp(2)
@@ -343,6 +349,86 @@ def test_contraction_negative_control():
     survives and the limit must refuse."""
     with pytest.raises(NegativePowerSurvives):
         contraction_limit(ALG, order=4, eps_power=0)
+
+
+# -- legwise adjoint exponential ---------------------------------------------------
+
+
+def reference_adjoint_exp_tensor(algebra, theta, coeff, t):
+    """The orbit route: iterate [theta, -] on each leg's basis element
+    until it dies and weight layer k by coeff**k / k!."""
+
+    def orbit(ix):
+        layers = [{ix: Fraction(1)}]
+        while True:
+            nxt = {}
+            for j, c in layers[-1].items():
+                for k, sc in algebra.bracket(theta, j).items():
+                    nxt[k] = nxt.get(k, Fraction(0)) + c * sc
+            nxt = {k: c for k, c in nxt.items() if c}
+            if not nxt:
+                return layers
+            layers.append(nxt)
+            assert len(layers) <= algebra.size, "orbit does not die"
+
+    out = t
+    for leg in range(t.legs):
+        nxt = {}
+        for key, c in out.terms.items():
+            fact, power = Fraction(1), 1
+            for depth, layer in enumerate(orbit(key[leg])):
+                if depth:
+                    fact, power = fact / depth, power * coeff
+                scale = c * fact * power if depth else c
+                for j, sc in layer.items():
+                    newkey = key[:leg] + (j,) + key[leg + 1 :]
+                    nxt[newkey] = nxt.get(newkey, 0) + scale * sc
+        out = LieTensor(algebra, t.legs, nxt)
+    return out
+
+
+def even_raising(alg):
+    return [i for i in alg.positive_indices() if not alg.parity(i)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_adjoint_exp_matches_the_orbit_route(n):
+    """The exponential of the ad-theta matrix, applied column by column to
+    each leg, equals the orbit sum for every even raising theta, on the
+    trigonometric solution with truncated Laurent coefficients."""
+    alg = build_osp(n)
+    eps = "eps"
+    q = LaurentSeries(eps, 1, [Poly.var("s")], 4).exp()
+    r = trig_r(alg, q).map_coefficients(
+        lambda c: c if isinstance(c, LaurentSeries)
+        else LaurentSeries.const(eps, c)
+    )
+    coeff = LaurentSeries(eps, -1, [Poly.var("t") * 2], None)
+    rational = r_full_borel(alg)
+    thetas = even_raising(alg)
+    assert len(thetas) == n * n
+    for theta in thetas:
+        got = adjoint_exp_tensor(alg, theta, coeff, r)
+        assert got == reference_adjoint_exp_tensor(alg, theta, coeff, r)
+        got = adjoint_exp_tensor(alg, theta, Fraction(3), rational)
+        assert got == reference_adjoint_exp_tensor(
+            alg, theta, Fraction(3), rational
+        )
+
+
+def test_adjoint_exp_of_a_cartan_theta_is_refused():
+    """ad(h) is not nilpotent, so its exponential does not terminate; the
+    refusal is a library error the CLI reports, not a crash."""
+    h = ALG.generator_index("h1")
+    with pytest.raises(NotNilpotent) as info:
+        adjoint_exp_tensor(ALG, h, Fraction(1), r_full_borel(ALG))
+    assert isinstance(info.value, OspTwistError)
+
+
+def test_adjoint_exp_of_an_odd_theta_is_refused():
+    v = ALG.generator_index("+e1")
+    with pytest.raises(HeterogeneousOperand):
+        adjoint_exp_tensor(ALG, v, Fraction(1), r_full_borel(ALG))
 
 
 # -- misc -------------------------------------------------------------------------
