@@ -54,13 +54,15 @@ from .errors import (
     IrrationalExpansionPoint,
     MixedAlgebra,
 )
-from .repmat import GradedMatrix, _decode, kron_all
+from .repmat import GradedMatrix, kron_all, tensor_pv
 from .scalars import (
     LaurentSeries,
     Poly,
     _fr,
+    _omin,
     fraction_sqrt,
     nilpotent_series,
+    power,
     scalar_is_zero,
     taylor_binomial,
     taylor_exp,
@@ -207,14 +209,6 @@ def format_monomial(alg, mono) -> str:
     return "*".join(parts)
 
 
-def _min_cap(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 def _over_common_denominator(items):
     """(key, int numerator) pairs over the lcm of the denominators, and
     that lcm, when every coefficient is rational; None otherwise."""
@@ -318,7 +312,7 @@ def _sum_terms(x, y, sign, grade):
     """The terms of x + sign * y (sign +1 or -1) for two elements or two
     tensors, and the smaller cap: zero-free and cut at that cap, a side's
     terms being cut only when its own cap was looser."""
-    cap = _min_cap(x.g2cap, y.g2cap)
+    cap = _omin(x.g2cap, y.g2cap)
     if x.g2cap == cap:
         out = dict(x.terms)
     else:
@@ -483,17 +477,10 @@ class _Terms:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = self.one_like()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.one_like())
 
     def truncate(self, g2cap):
-        return self._rebuilt(self.terms, _min_cap(self.g2cap, g2cap))
+        return self._rebuilt(self.terms, _omin(self.g2cap, g2cap))
 
     def map_coefficients(self, fn):
         return self._rebuilt(
@@ -631,7 +618,7 @@ class UEElement(_Terms):
         if not isinstance(other, UEElement):
             return self.scale(other)
         self._check(other)
-        cap = _min_cap(self.g2cap, other.g2cap)
+        cap = _omin(self.g2cap, other.g2cap)
         out = _product(
             self.algebra,
             [((m,), c) for m, c in self.terms.items()],
@@ -673,11 +660,7 @@ class UEElement(_Terms):
         out: dict = {}
         for mono, c in self.terms.items():
             for key, cc in _coproduct_monomial(alg, mono, legs).terms.items():
-                v = out.get(key, 0) + c * cc
-                if scalar_is_zero(v):
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+                out[key] = out.get(key, 0) + c * cc
         return UETensor(alg, out, legs, self.g2cap)
 
     def __repr__(self):
@@ -743,7 +726,7 @@ class UETensor(_Terms):
         for e in elements:
             if not alg.compatible_with(e.algebra):
                 raise MixedAlgebra("tensor factors from different algebras")
-            cap = _min_cap(cap, e.g2cap)
+            cap = _omin(cap, e.g2cap)
         combos = {(): Fraction(1)}
         for e in elements:
             nxt = {}
@@ -781,7 +764,7 @@ class UETensor(_Terms):
                 )
             return self.scale(other)
         self._check(other)
-        cap = _min_cap(self.g2cap, other.g2cap)
+        cap = _omin(self.g2cap, other.g2cap)
         out = _product(
             self.algebra, self.terms.items(), other.terms.items(), self.legs, cap
         )
@@ -837,11 +820,7 @@ class UETensor(_Terms):
             mono = key[leg - 1]
             for (a, b), cc in _coproduct_monomial(alg, mono, 2).terms.items():
                 full = key[: leg - 1] + (a, b) + key[leg:]
-                v = out.get(full, 0) + c * cc
-                if scalar_is_zero(v):
-                    out.pop(full, None)
-                else:
-                    out[full] = v
+                out[full] = out.get(full, 0) + c * cc
         return UETensor(alg, out, self.legs + 1, self.g2cap)
 
     # -- grading helpers -----------------------------------------------------------
@@ -858,15 +837,15 @@ class UETensor(_Terms):
         out = {}
         for k, c in self.terms.items():
             g2 = self.term_g2(k)
-            power = powers.get(g2)
-            if power is None:
+            weight = powers.get(g2)
+            if weight is None:
                 if g2 % 2:
                     raise ValueError(
                         "term of odd doubled grade %d cannot be scaled by an "
                         "integer power" % g2
                     )
-                power = powers[g2] = factor ** (g2 // 2)
-            out[k] = c * power
+                weight = powers[g2] = factor ** (g2 // 2)
+            out[k] = c * weight
         return UETensor(self.algebra, out, self.legs, self.g2cap)
 
     # -- representation ---------------------------------------------------------------
@@ -875,7 +854,7 @@ class UETensor(_Terms):
         """Image under the defining representation on every leg."""
         alg = self.algebra
         return _matrix_sum(
-            _tensor_pv(alg, self.legs),
+            tensor_pv(alg.pv, self.legs),
             (
                 (kron_all([alg.monomial_matrix(m) for m in key]), c)
                 for key, c in self.terms.items()
@@ -884,15 +863,6 @@ class UETensor(_Terms):
 
     def __repr__(self):
         return "UETensor(legs=%d, terms=%d)" % (self.legs, len(self.terms))
-
-
-def _tensor_pv(alg, legs):
-    """Parity vector of the legs-th tensor power of the defining space."""
-    d = alg.dim_rep
-    return tuple(
-        sum(alg.pv[i] for i in _decode(flat, d, legs)) % 2
-        for flat in range(d**legs)
-    )
 
 
 def _matrix_sum(pv, scaled):

@@ -20,8 +20,8 @@ from .errors import (
     LegMismatch,
     NotFirstOrderLie,
 )
-from .pbw import UEElement, UETensor, monomial_g2, ue_invert
-from .repmat import GradedMatrix, embed_legs
+from .pbw import UEElement, UETensor, ue_invert
+from .repmat import GradedMatrix, embed_legs, tensor_pv
 from .rmatrix import LieTensor, r_full_borel
 from .scalars import Poly, nilpotent_series, taylor_exp
 from .twist import (
@@ -152,7 +152,7 @@ def classical_limit(r: RMatrix) -> LieTensor:
     el = r.element
     alg = el.algebra
     grade2 = el.grade_component(2)
-    out = LieTensor.zero(alg, 2)
+    out = {}
     for (m1, m2), c in grade2.terms.items():
         if len(m1) != 1 or len(m2) != 1:
             raise NotFirstOrderLie(
@@ -162,10 +162,10 @@ def classical_limit(r: RMatrix) -> LieTensor:
             coeff = c.coefficient(r.parameter, 1) if isinstance(c, Poly) else 0
         else:
             coeff = c * Fraction(-2)
-        if coeff == 0:
-            continue
-        out = out + LieTensor(alg, 2, {(m1[0], m2[0]): coeff})
-    return out
+        # each grade-2 key has single letters on both legs, so keys are
+        # distinct and zeros are left to the constructor
+        out[(m1[0], m2[0])] = coeff
+    return LieTensor(alg, 2, out)
 
 
 def multi_parameter_twist(
@@ -263,9 +263,6 @@ class LOperator:
         the result must coincide with the rep form of the source R."""
         alg = self.algebra
         d = alg.dim_rep
-        pv2 = tuple(
-            (alg.pv[i // d] + alg.pv[i % d]) % 2 for i in range(d * d)
-        )
         out = {}
         for i in range(d):
             for j in range(d):
@@ -273,7 +270,7 @@ class LOperator:
                 for (k, l), c in block.entries.items():
                     s = (alg.pv[k] + alg.pv[l]) * alg.pv[j]
                     out[(i * d + k, j * d + l)] = -c if s % 2 else c
-        return GradedMatrix(pv2, out)
+        return GradedMatrix(tensor_pv(alg.pv, 2), out)
 
     def frt_residual(self, i: int, j: int, margin: int = 2) -> UETensor:
         """Twisted coproduct of one entry minus the matrix product of the
@@ -314,9 +311,7 @@ class LOperator:
         diff = lhs - rhs
         top = cap - margin
         kept = {
-            mono: c
-            for mono, c in diff.terms.items()
-            if sum(monomial_g2(alg, m) for m in mono) <= top
+            key: c for key, c in diff.terms.items() if diff.term_g2(key) <= top
         }
         return UETensor(alg, kept, 2, cap)
 

@@ -13,9 +13,11 @@ exactly the matrix of the operator ``a (x) b`` acting on ``v (x) w`` as
 ``(-1)**(p(b)p(v)) av (x) bw``, summed over homogeneous components, so it
 remains correct for inhomogeneous factors.
 
-Also here: the graded swap matrix, embedding of an operator into chosen
-tensor legs (with the signs for sliding factors past untouched legs), and
-the exponential and logarithm of nilpotent/unipotent matrices.
+Also here: the parity vector of a tensor power (the one every tensor
+image in the package is built on), the graded swap matrix, embedding of an
+operator into chosen tensor legs (with the signs for sliding factors past
+untouched legs), and the exponential and logarithm of nilpotent/unipotent
+matrices.
 
 These matrices are one of the two rings the twist chain's single recipe
 is evaluated over (:mod:`twist`; the other is the truncated enveloping
@@ -30,7 +32,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import LegMismatch, NotNilpotent
-from .scalars import nilpotent_series, scalar_is_zero, taylor_exp, taylor_log1p
+from .scalars import (
+    nilpotent_series,
+    power,
+    scalar_is_zero,
+    taylor_exp,
+    taylor_log1p,
+)
 
 
 class GradedMatrix:
@@ -148,14 +156,7 @@ class GradedMatrix:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = GradedMatrix.identity(self.pv)
-        base = self
-        while n:
-            if n & 1:
-                out = out @ base
-            base = base @ base
-            n >>= 1
-        return out
+        return power(self, n, GradedMatrix.identity(self.pv))
 
     def __eq__(self, other):
         if not isinstance(other, GradedMatrix):
@@ -269,16 +270,25 @@ def kron_all(mats) -> GradedMatrix:
     return acc
 
 
+def tensor_pv(pv, k: int):
+    """Parity vector of the k-th tensor power of the space with parity
+    vector ``pv``, in the index order of :func:`kron` (first leg most
+    significant)."""
+    out = (0,)
+    for _ in range(k):
+        out = tuple((pa + pb) % 2 for pa in out for pb in pv)
+    return out
+
+
 def graded_swap(pv) -> GradedMatrix:
     """P with P(v (x) w) = (-1)**(p(v)p(w)) w (x) v on the square of a space."""
     d = len(pv)
-    pv2 = tuple((pa + pb) % 2 for pa in pv for pb in pv)
     entries = {}
     for i in range(d):
         for j in range(d):
             c = Fraction(-1 if pv[i] and pv[j] else 1)
             entries[(j * d + i, i * d + j)] = c
-    return GradedMatrix(pv2, entries)
+    return GradedMatrix(tensor_pv(pv, 2), entries)
 
 
 def _decode(flat: int, d: int, k: int):
@@ -316,10 +326,6 @@ def embed_legs(m: GradedMatrix, pv, legs, total: int) -> GradedMatrix:
         )
     leg_set = set(l - 1 for l in legs)  # to 0-based positions
     free = [p for p in range(total) if p not in leg_set]
-    pv_tot = tuple(
-        sum(pv[ix] for ix in _decode(flat, d, total)) % 2
-        for flat in range(d**total)
-    )
     out = {}
     # enumerate diagonal assignments of the free positions
     free_assignments = [[]]
@@ -351,4 +357,4 @@ def embed_legs(m: GradedMatrix, pv, legs, total: int) -> GradedMatrix:
             val = -c if sgn % 2 else c
             cur = out.get((fi, fj))
             out[(fi, fj)] = val if cur is None else cur + val
-    return GradedMatrix(pv_tot, out)
+    return GradedMatrix(tensor_pv(pv, total), out)

@@ -8,7 +8,8 @@ Laurent series.
 Sign conventions.  All tensors here are parity-even overall (each stored
 term has legs of equal total parity).  For even two-leg tensors
 A = sum a (x) b and B = sum c (x) d, embedding into three legs and taking
-graded commutators gives the closed forms used below:
+graded commutators gives the closed forms below; the classical-YBE
+residuals evaluate all three at A = B = r in one pass over pairs of terms:
 
     [A12, B13] = sum (-1)**(p(b)p(c)) [a,c] (x) b (x) d
     [A12, B23] = sum             a (x) [b,c] (x) d
@@ -23,15 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import HeterogeneousOperand, NegativePowerSurvives
-from .pbw import (
-    _matrix_sum,
-    _Terms,
-    _tensor_pv,
-    format_monomial,
-    scalar_inverse,
-)
-from .repmat import GradedMatrix, kron_all
-from .scalars import LaurentSeries, Poly, rref, scalar_is_zero
+from .pbw import _matrix_sum, _Terms, format_monomial, scalar_inverse
+from .repmat import GradedMatrix, kron_all, tensor_pv
+from .scalars import LaurentSeries, Poly, rref
 
 
 class LieTensor(_Terms):
@@ -78,7 +73,7 @@ class LieTensor(_Terms):
         """Image under the defining representation on every leg."""
         alg = self.algebra
         return _matrix_sum(
-            _tensor_pv(alg, self.legs),
+            tensor_pv(alg.pv, self.legs),
             (
                 (kron_all([alg.basis[i].matrix for i in key]), c)
                 for key, c in self.terms.items()
@@ -168,11 +163,7 @@ def adjoint_action(x_index: int, t: LieTensor) -> LieTensor:
                 coeff = -coeff
             for res, sc in alg.bracket(x_index, key[leg]).items():
                 newkey = key[:leg] + (res,) + key[leg + 1 :]
-                v = out.get(newkey, 0) + coeff * sc
-                if scalar_is_zero(v):
-                    out.pop(newkey, None)
-                else:
-                    out[newkey] = v
+                out[newkey] = out.get(newkey, 0) + coeff * sc
             left_parity += alg.parity(key[leg])
     return LieTensor(alg, t.legs, out)
 
@@ -283,55 +274,28 @@ def kernel_closed_under_bracket(algebra, kernel_basis) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _bracket_12_13(a: LieTensor, b: LieTensor) -> dict:
-    alg = a.algebra
+def _cybe_brackets(r: LieTensor) -> dict:
+    """[r12, r13], [r12, r23] and [r13, r23] of an even 2-leg tensor, as
+    {3-leg key: [three coefficients]}, from one pass over pairs of terms
+    by the closed forms of the module docstring.  Coefficients that
+    cancel are left in; the LieTensor constructor drops them."""
+    if r.legs != 2:
+        raise HeterogeneousOperand("the residual needs a 2-leg tensor")
+    if not r.is_even():
+        raise HeterogeneousOperand("the residual formulas need an even tensor")
+    alg = r.algebra
     out: dict = {}
-    for (i, j), c1 in a.terms.items():
+    for (i, j), c1 in r.terms.items():
         pj = alg.parity(j)
-        for (k, l), c2 in b.terms.items():
-            sgn = -1 if pj and alg.parity(k) else 1
-            cc = sgn * c1 * c2
-            for res, sc in alg.bracket(i, k).items():
-                key = (res, j, l)
-                v = out.get(key, 0) + cc * sc
-                if scalar_is_zero(v):
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-    return out
-
-
-def _bracket_12_23(a: LieTensor, b: LieTensor) -> dict:
-    alg = a.algebra
-    out: dict = {}
-    for (i, j), c1 in a.terms.items():
-        for (k, l), c2 in b.terms.items():
+        for (k, l), c2 in r.terms.items():
             cc = c1 * c2
+            signed = -cc if pj and alg.parity(k) else cc
+            for res, sc in alg.bracket(i, k).items():
+                out.setdefault((res, j, l), [0, 0, 0])[0] += signed * sc
             for res, sc in alg.bracket(j, k).items():
-                key = (i, res, l)
-                v = out.get(key, 0) + cc * sc
-                if scalar_is_zero(v):
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-    return out
-
-
-def _bracket_13_23(a: LieTensor, b: LieTensor) -> dict:
-    alg = a.algebra
-    out: dict = {}
-    for (i, j), c1 in a.terms.items():
-        pj = alg.parity(j)
-        for (k, l), c2 in b.terms.items():
-            sgn = -1 if pj and alg.parity(k) else 1
-            cc = sgn * c1 * c2
+                out.setdefault((i, res, l), [0, 0, 0])[1] += cc * sc
             for res, sc in alg.bracket(j, l).items():
-                key = (i, k, res)
-                v = out.get(key, 0) + cc * sc
-                if scalar_is_zero(v):
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+                out.setdefault((i, k, res), [0, 0, 0])[2] += signed * sc
     return out
 
 
@@ -341,20 +305,11 @@ def cybe_residual(r: LieTensor) -> LieTensor:
     Zero iff r solves the graded classical Yang-Baxter equation.  The
     closed bracket formulas require a parity-even tensor (always true for
     the solutions considered here)."""
-    if r.legs != 2:
-        raise HeterogeneousOperand("the residual needs a 2-leg tensor")
-    if not r.is_even():
-        raise HeterogeneousOperand("the residual formulas need an even tensor")
-    alg = r.algebra
-    out: dict = {}
-    for part in (_bracket_12_13(r, r), _bracket_12_23(r, r), _bracket_13_23(r, r)):
-        for key, c in part.items():
-            v = out.get(key, 0) + c
-            if scalar_is_zero(v):
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return LieTensor(alg, 3, out)
+    return LieTensor(
+        r.algebra,
+        3,
+        {key: a + b + c for key, (a, b, c) in _cybe_brackets(r).items()},
+    )
 
 
 def spectral_residual_rational(c: LieTensor) -> LieTensor:
@@ -370,13 +325,16 @@ def spectral_residual_rational(c: LieTensor) -> LieTensor:
     which must vanish identically as a polynomial in u, w.  (The same c as
     a *constant* solution generally fails: the three brackets cancel only
     with these weights.)"""
-    if not c.is_even():
-        raise HeterogeneousOperand("the residual formulas need an even tensor")
     u, w = Poly.var("u"), Poly.var("w")
-    a1 = LieTensor(c.algebra, 3, _bracket_12_13(c, c))
-    a2 = LieTensor(c.algebra, 3, _bracket_12_23(c, c))
-    a3 = LieTensor(c.algebra, 3, _bracket_13_23(c, c))
-    return a1.scale(w) + a2.scale(u + w) + a3.scale(u)
+    # the weighted sum above, grouped by variable: two scalings, not three
+    return LieTensor(
+        c.algebra,
+        3,
+        {
+            key: u * (b + d) + w * (a + b)
+            for key, (a, b, d) in _cybe_brackets(c).items()
+        },
+    )
 
 
 # --------------------------------------------------------------------------
@@ -469,11 +427,7 @@ def adjoint_exp_tensor(algebra, theta: int, coeff, t: LieTensor) -> LieTensor:
         for key, c in out.terms.items():
             for k, x in columns.get(key[leg], ()):
                 newkey = key[:leg] + (k,) + key[leg + 1 :]
-                v = nxt.get(newkey, 0) + c * x
-                if scalar_is_zero(v):
-                    nxt.pop(newkey, None)
-                else:
-                    nxt[newkey] = v
+                nxt[newkey] = nxt.get(newkey, 0) + c * x
         out = LieTensor(algebra, t.legs, nxt)
     return out
 

@@ -300,14 +300,7 @@ class Poly:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, Poly.const(1))
 
     # -- comparison / display ------------------------------------------------
 
@@ -566,14 +559,7 @@ class LaurentSeries:
             return NotImplemented
         if n < 0:
             return self.invert() ** (-n)
-        out = LaurentSeries.const(self.var, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, LaurentSeries.const(self.var, 1))
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by var**k (exact; shifts the order too)."""
@@ -752,8 +738,23 @@ def taylor_binomial(alpha, num_terms: int):
 
 
 # --------------------------------------------------------------------------
-# The one power-series loop, and exact row reduction
+# The one power loop, the one power-series loop, and exact row reduction
 # --------------------------------------------------------------------------
+
+
+def power(x, k: int, one):
+    """x**k for an int k >= 0 by square-and-multiply, where ``one`` is the
+    unit of x's ring.  Every ``**`` the package defines (polynomials,
+    Laurent series, matrices, enveloping-algebra elements and tensors) is
+    this loop; a negative k is the caller's business (its inverse, if
+    any)."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
 
 
 def nilpotent_series(coeffs, y, one):
@@ -765,18 +766,19 @@ def nilpotent_series(coeffs, y, one):
     series, and the power series of the twist chain, are all this loop fed
     by one of the Taylor streams above.  Powers of y are formed one at a
     time and the sum stops at the first power that vanishes, or when
-    ``coeffs`` runs out.  The caller picks enough coefficients: for a
-    nilpotent y, as many as its nilpotency bound; for a truncated series,
-    as many as its order."""
+    ``coeffs`` runs out, so the powers are running products, not calls
+    of :func:`power`, which serves a single ``y**k``.  The caller picks
+    enough coefficients: for a nilpotent y, as many as its nilpotency
+    bound; for a truncated series, as many as its order."""
     coeffs = iter(coeffs)
     acc = next(coeffs, 0) * one
-    power = one
+    y_k = one
     for c in coeffs:
-        power = power * y
-        if power.is_zero:
+        y_k = y_k * y
+        if y_k.is_zero:
             break
         if not scalar_is_zero(c):
-            acc = acc + c * power
+            acc = acc + c * y_k
     return acc
 
 

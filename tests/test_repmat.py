@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osptwist.repmat import GradedMatrix, kron, kron_all, graded_swap, embed_legs
+from osptwist.algebra import build_osp
 from osptwist.errors import NotNilpotent
+from osptwist.pbw import UEElement, UETensor
+from osptwist.repmat import GradedMatrix, kron, kron_all, graded_swap, embed_legs
+from osptwist.scalars import LaurentSeries, Poly
 
 
 PV = (0, 0, 1, 0, 0)  # the five-dimensional graded space used throughout
@@ -158,8 +161,58 @@ def test_exp_rejects_non_nilpotent():
         GradedMatrix.identity(PV).exp_nilpotent()
 
 
-def test_pow():
-    N = GradedMatrix.unit(PV, 0, 1) + GradedMatrix.unit(PV, 1, 3)
-    assert N ** 2 == N @ N
-    assert N ** 0 == GradedMatrix.identity(PV)
-    assert N ** 3 == GradedMatrix.zero(PV)
+def _pow_cases():
+    """(x, the one of its ring, x's inverse or None) for each ring whose
+    ``**`` is the shared square-and-multiply loop."""
+    alg = build_osp(2)
+    cap = 6
+    x = UEElement.generator(alg, "X+", g2cap=cap)
+    v = UEElement.generator(alg, "v+", g2cap=cap)
+    h = UEElement.generator(alg, "H", g2cap=cap)
+    a, b = Poly.var("a"), Poly.var("b")
+    monomial = a * b.inverse() * 3
+    series = LaurentSeries("eps", -1, [Fraction(2), a, Fraction(-1, 3)], 3)
+    return {
+        "GradedMatrix": (
+            GradedMatrix.unit(PV, 0, 1)
+            + GradedMatrix.unit(PV, 1, 3)
+            + GradedMatrix.unit(PV, 2, 2, Fraction(1, 2)),
+            GradedMatrix.identity(PV),
+            None,
+        ),
+        "UEElement": (
+            h + x + v.scale(Fraction(-2, 3)),
+            UEElement.one(alg, cap),
+            None,
+        ),
+        "UETensor": (
+            UETensor.of(x, h, g2cap=cap) + UETensor.of(v, v, g2cap=cap),
+            UETensor.one(alg, 2, cap),
+            None,
+        ),
+        "Poly": (a * 3 + b - Fraction(1, 2), Poly.const(1), None),
+        "Poly-monomial": (monomial, Poly.const(1), monomial.inverse()),
+        "LaurentSeries": (
+            series,
+            LaurentSeries.const("eps", 1),
+            series.invert(),
+        ),
+    }
+
+
+POW_CASES = _pow_cases()
+
+
+@pytest.mark.parametrize("ring", POW_CASES)
+def test_pow(ring):
+    """x**k is the k-fold product, x**0 the ring's one, and where the
+    ring inverts x, x**-k the k-fold product of the inverse."""
+    x, one, inverse = POW_CASES[ring]
+    assert x ** 0 == one
+    for k in range(1, 5):
+        product = one
+        for _ in range(k):
+            product = product * x
+        assert x ** k == product
+    if inverse is not None:
+        assert x ** -2 == inverse * inverse

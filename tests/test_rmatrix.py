@@ -1,12 +1,14 @@
 """Classical r-matrices: Yang-Baxter residuals, cobracket kernels,
 the rational spectral solution and its contraction limit."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from osptwist.algebra import build_osp
+from osptwist.repmat import GradedMatrix, embed_legs
 from osptwist.scalars import Poly, LaurentSeries, rref
 from osptwist.rmatrix import (
     LieTensor,
@@ -102,6 +104,77 @@ def test_cybe_negative_controls():
         {(ALG.generator_index("H"), ALG.generator_index("X+")): Fraction(1)},
     )
     assert cybe_residual(bare).terms != {}
+
+
+@pytest.mark.parametrize("residual", [cybe_residual, spectral_residual_rational])
+@pytest.mark.parametrize("legs", [1, 3])
+def test_residuals_need_a_two_leg_tensor(residual, legs):
+    h = ALG.generator_index("H")
+    t = LieTensor(ALG, legs, {(h,) * legs: Fraction(1)})
+    with pytest.raises(HeterogeneousOperand):
+        residual(t)
+
+
+def reference_residual(r, weights):
+    """Weighted sum of [r12, r13], [r12, r23] and [r13, r23], each a
+    commutator of ``embed_legs`` images of r's defining-rep matrix in the
+    cube of the defining space (r is even, so no bracket signs).  The cube
+    of the defining representation is faithful on g (x) g (x) g, so this
+    checks every coefficient of a residual, not only whether it is zero."""
+    m, pv = r.to_matrix(), r.algebra.pv
+    r12, r13, r23 = (
+        embed_legs(m, pv, legs, 3) for legs in ((1, 2), (1, 3), (2, 3))
+    )
+    out = GradedMatrix.zero(r12.pv)
+    for (a, b), weight in zip(((r12, r13), (r12, r23), (r13, r23)), weights):
+        out = out + (a @ b - b @ a).scale(weight)
+    return out
+
+
+def random_even_tensor(alg, seed):
+    rng = random.Random(seed)
+    keys = [
+        (a, b)
+        for a in range(alg.size)
+        for b in range(alg.size)
+        if alg.parity(a) == alg.parity(b)
+    ]
+    return LieTensor(
+        alg,
+        2,
+        {
+            key: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            for key in rng.sample(keys, 5)
+        },
+    )
+
+
+ORACLE_CASES = {
+    "casimir": casimir_tensor,
+    "standard_r0": standard_r0,
+    "full_borel": r_full_borel,
+    "cascade": r_cascade,
+    **{
+        "random%d" % seed: (lambda alg, seed=seed: random_even_tensor(alg, seed))
+        for seed in range(5)
+    },
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+@pytest.mark.parametrize("n", [1, 2])
+def test_residuals_match_the_defining_rep_oracle(n, case):
+    alg = build_osp(n)
+    r = ORACLE_CASES[case](alg)
+    one = Fraction(1)
+    u, w = Poly.var("u"), Poly.var("w")
+    cybe = cybe_residual(r).to_matrix()
+    assert cybe == reference_residual(r, (one, one, one))
+    if case == "casimir":
+        assert not cybe.is_zero
+    assert spectral_residual_rational(r).to_matrix() == reference_residual(
+        r, (w, u + w, u)
+    )
 
 
 def test_wedge_conventions():
