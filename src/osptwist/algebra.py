@@ -329,15 +329,14 @@ class OspAlgebra:
         return self._gram_inv
 
 
-def check_jacobi(algebra: OspAlgebra, indices=None):
+def check_jacobi(algebra: OspAlgebra):
     """Graded Jacobi identity on basis triples:
 
         [x,[y,z]] - [[x,y],z] - (-1)**(p(x)p(y)) [y,[x,z]]  =  0.
 
     Returns the list of violating (i, j, k) triples; empty means every
-    triple checks out.  ``indices`` restricts the range (defaults to the
-    whole basis)."""
-    idx = tuple(range(algebra.size)) if indices is None else tuple(indices)
+    triple checks out."""
+    idx = range(algebra.size)
     bad = []
     for i in idx:
         pi = algebra.parity(i)

@@ -161,7 +161,7 @@ def _cybe_checks(n, degree):
 
     def casimir_invariant():
         return all(
-            not rm.adjoint_action(i, cas).terms for i in range(alg.size)
+            rm.adjoint_action(i, cas).is_zero for i in range(alg.size)
         )
 
     # the cobracket kernel of the extended block is computed once per suite
@@ -188,21 +188,21 @@ def _cybe_checks(n, degree):
             "cybe.jordanian",
             "rank-one jordanian block solves the classical YBE",
             "exact",
-            lambda: not rm.cybe_residual(rm.r_jordanian(alg)).terms,
+            lambda: rm.cybe_residual(rm.r_jordanian(alg)).is_zero,
         ),
         (
             "cybe.super-jordanian",
             "odd-extended jordanian block solves the classical YBE",
             "exact",
-            lambda: not rm.cybe_residual(rm.r_super_jordanian(alg)).terms,
+            lambda: rm.cybe_residual(rm.r_super_jordanian(alg)).is_zero,
         ),
         (
             "cybe.extended-super-jordanian",
             "fully extended first block solves the classical YBE",
             "exact",
-            lambda: not rm.cybe_residual(
+            lambda: rm.cybe_residual(
                 rm.r_extended_super_jordanian(alg)
-            ).terms,
+            ).is_zero,
         ),
     ]
     if n >= 2:
@@ -211,10 +211,10 @@ def _cybe_checks(n, degree):
                 "cybe.extended-plus-long-wedge",
                 "first block plus commuting long-root wedge still solves",
                 "exact",
-                lambda: not rm.cybe_residual(
+                lambda: rm.cybe_residual(
                     rm.r_extended_super_jordanian(alg)
                     + rm.r_long_root_wedge(alg, 1, 2)
-                ).terms,
+                ).is_zero,
             )
         )
     rows.extend(
@@ -223,13 +223,13 @@ def _cybe_checks(n, degree):
                 "cybe.cascade-symbolic",
                 "weighted cascade solves for symbolic weights",
                 "exact",
-                lambda: not rm.cybe_residual(rm.r_cascade(alg)).terms,
+                lambda: rm.cybe_residual(rm.r_cascade(alg)).is_zero,
             ),
             (
                 "cybe.full-borel",
                 "unit-weight cascade solves the classical YBE",
                 "exact",
-                lambda: not rm.cybe_residual(rm.r_full_borel(alg)).terms,
+                lambda: rm.cybe_residual(rm.r_full_borel(alg)).is_zero,
             ),
             (
                 "cybe.casimir-invariance",
@@ -241,7 +241,7 @@ def _cybe_checks(n, degree):
                 "cybe.spectral-certificate",
                 "invariant tensor passes the cleared-denominator residual",
                 "exact",
-                lambda: not rm.spectral_residual_rational(cas).terms,
+                lambda: rm.spectral_residual_rational(cas).is_zero,
             ),
             (
                 "cybe.cobracket-kernel-closed",
@@ -281,7 +281,7 @@ def _contraction_checks(n, degree):
         )
 
     def t_part_solves():
-        return not rm.cybe_residual(limit().t_part).terms
+        return rm.cybe_residual(limit().t_part).is_zero
 
     return [
         (
@@ -300,9 +300,9 @@ def _contraction_checks(n, degree):
             "contraction.spectral-part",
             "invariant summand solves the parameter-dependent YBE",
             "exact",
-            lambda: not rm.spectral_residual_rational(
+            lambda: rm.spectral_residual_rational(
                 rm.casimir_tensor(alg)
-            ).terms,
+            ).is_zero,
         ),
         (
             "contraction.t-part",
@@ -507,7 +507,9 @@ def _quantum_checks(n, degree):
             "quantum.rtt",
             "graded RTT relation holds exactly in the cubed rep",
             "exact",
-            lambda: qt.rtt_residual(r_full()).is_zero,
+            lambda: qt.rtt_residual(
+                r_full(), l=qt.l_operator(r_full())
+            ).is_zero,
         ),
         (
             "quantum.l.frt",
@@ -527,6 +529,15 @@ _SUITE_BUILDERS = {
 }
 
 
+def _require_positive(option: str, value) -> None:
+    """The one check of the numeric options: InvalidOption unless
+    ``value`` is a positive integer."""
+    if not isinstance(value, int) or value < 1:
+        raise InvalidOption(
+            "%s must be a positive integer, got %r" % (option, value)
+        )
+
+
 def run_suite(name: str, n: int = 2, degree: int = 6) -> SuiteReport:
     """Execute one named suite (or "all") and return its report.
 
@@ -534,12 +545,8 @@ def run_suite(name: str, n: int = 2, degree: int = 6) -> SuiteReport:
     for out-of-range options.  Check order is fixed, so reports for
     identical inputs are identical apart from wall-clock times.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidOption("--n must be a positive integer, got %r" % (n,))
-    if not isinstance(degree, int) or degree < 1:
-        raise InvalidOption(
-            "--degree must be a positive integer, got %r" % (degree,)
-        )
+    _require_positive("--n", n)
+    _require_positive("--degree", degree)
     if name == "all":
         checks = []
         for suite in SUITE_NAMES:
@@ -567,7 +574,9 @@ def _matrix_payload(m) -> dict:
 
 def dump_payload(kind: str, n: int = 2) -> dict:
     """Deterministic description of the basic objects, for inspection and
-    for diffing against other implementations."""
+    for diffing against other implementations.  Raises InvalidOption for
+    an unknown kind or a rank that is not a positive integer."""
+    _require_positive("--n", n)
     alg = build_osp(n)
     if kind == "algebra":
         return {

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from operator import itemgetter
 
@@ -810,6 +811,12 @@ class UETensor(_Terms):
             )
         return UETensor(self.algebra, out, self.legs - 1, self.g2cap)
 
+    def counits_are_one(self) -> bool:
+        """(eps (x) id)t = 1 = (id (x) eps)t for a 2-leg tensor t, where eps
+        kills generators."""
+        one = UEElement.one(self.algebra, self.g2cap)
+        return self.counit_leg(1) == one and self.counit_leg(2) == one
+
     def coproduct_leg(self, leg: int) -> "UETensor":
         """Apply the undeformed coproduct to one 1-based leg (k -> k+1 legs)."""
         if not 1 <= leg <= self.legs:
@@ -902,10 +909,11 @@ def _coproduct_monomial(alg, mono, legs: int) -> UETensor:
 # Terminating series calculus (shared by elements and tensors)
 # --------------------------------------------------------------------------
 #
-# Each entry checks its argument and sums one Taylor stream with
-# scalars.nilpotent_series.  A grade-positive y has doubled grade >= k in
-# y**k, so y**(g2cap + 1) vanishes: g2cap + 2 coefficients always reach a
-# vanishing power.
+# ue_series is the one entry that checks a series argument and sums a
+# Taylor stream with scalars.nilpotent_series.  A grade-positive y has
+# doubled grade >= k in y**k, so y**(g2cap + 1) vanishes: g2cap + 2
+# coefficients always reach a vanishing power.  The other entries check
+# only the constant term c0 and pass the rest, scaled, to ue_series.
 
 
 def _split_constant(x):
@@ -919,39 +927,29 @@ def _split_constant(x):
     return c, rest
 
 
-def _require_grade_positive(rest, what: str):
-    if not rest.is_grade_positive():
-        raise ConstantTermPresent(
-            "%s requires all non-constant terms to have strictly positive "
-            "grade (grade-0 letters such as Cartan or grade-0 root vectors "
-            "would make the series non-terminating)" % what
-        )
-
-
-def ue_series(coeffs, x):
-    """sum_k coeffs[k] * x**k for a grade-positive truncated x.
-
-    The list may be shorter than needed; missing coefficients are treated
-    as zero.  It may also be longer: powers beyond the cap vanish and the
-    loop stops there.
-    """
+def ue_series(stream, x):
+    """sum_k a_k * x**k for a grade-positive truncated x with zero constant
+    term, where ``stream(count)`` lists the Taylor coefficients a_0, ...,
+    a_(count-1) (``scalars.taylor_exp`` and its siblings).  The cap of x
+    fixes the count: powers beyond it vanish."""
     c0, rest = _split_constant(x)
     if not scalar_is_zero(c0):
         raise ConstantTermPresent(
             "series argument must have zero constant term; fold the "
             "constant into the coefficients instead"
         )
-    _require_grade_positive(rest, "series evaluation")
-    return nilpotent_series(coeffs, rest, x.one_like())
+    if not rest.is_grade_positive():
+        raise ConstantTermPresent(
+            "series evaluation requires all non-constant terms to have "
+            "strictly positive grade (grade-0 letters such as Cartan or "
+            "grade-0 root vectors would make the series non-terminating)"
+        )
+    return nilpotent_series(stream(x.g2cap + 2), rest, x.one_like())
 
 
 def ue_exp(x):
     """exp of a grade-positive truncated element/tensor."""
-    c0, rest = _split_constant(x)
-    if not scalar_is_zero(c0):
-        raise ConstantTermPresent("exp needs a zero constant term")
-    _require_grade_positive(rest, "exp")
-    return nilpotent_series(taylor_exp(x.g2cap + 2), rest, x.one_like())
+    return ue_series(taylor_exp, x)
 
 
 def ue_log(x):
@@ -959,8 +957,7 @@ def ue_log(x):
     c0, rest = _split_constant(x)
     if c0 != 1:
         raise ConstantTermPresent("log needs constant term exactly 1")
-    _require_grade_positive(rest, "log")
-    return nilpotent_series(taylor_log1p(x.g2cap + 2), rest, x.one_like())
+    return ue_series(taylor_log1p, rest)
 
 
 def ue_invert(x):
@@ -968,11 +965,9 @@ def ue_invert(x):
     c0, rest = _split_constant(x)
     if scalar_is_zero(c0):
         raise DivisionByNonUnit("cannot invert: zero constant term")
-    _require_grade_positive(rest, "inversion")
     c0_inv = scalar_inverse(c0)
     y = rest.scale(c0_inv)  # x = c0 (1 + y)
-    acc = nilpotent_series(taylor_geometric(x.g2cap + 2), y, x.one_like())
-    return acc.scale(c0_inv)
+    return ue_series(taylor_geometric, y).scale(c0_inv)
 
 
 def ue_sqrt(x):
@@ -993,10 +988,8 @@ def ue_sqrt(x):
         raise IrrationalExpansionPoint(
             "constant term %s has no nonzero rational square root" % c0
         )
-    _require_grade_positive(rest, "sqrt")
     y = rest.scale(1 / c0)  # x = c0 (1 + y)
-    coeffs = taylor_binomial(Fraction(1, 2), x.g2cap + 2)
-    return nilpotent_series(coeffs, y, x.one_like()).scale(root)
+    return ue_series(partial(taylor_binomial, Fraction(1, 2)), y).scale(root)
 
 
 def ad_exp(a, y):

@@ -20,7 +20,7 @@ from .errors import (
     LegMismatch,
     NotFirstOrderLie,
 )
-from .pbw import UEElement, UETensor, ue_invert
+from .pbw import UEElement, UETensor
 from .repmat import GradedMatrix, embed_legs, tensor_pv
 from .rmatrix import LieTensor, r_full_borel
 from .scalars import Poly, nilpotent_series, taylor_exp
@@ -68,11 +68,7 @@ class RMatrix:
 
     def augmentation_ok(self) -> bool:
         """Counit on either leg must give 1 (universal form)."""
-        one = UEElement.one(self.element.algebra, self.element.g2cap)
-        return (
-            self.element.counit_leg(1) == one
-            and self.element.counit_leg(2) == one
-        )
+        return self.element.counits_are_one()
 
     def __repr__(self):
         tag = "rep-only" if self.element is None else "%d terms" % len(
@@ -331,29 +327,17 @@ def l_operator(r: RMatrix) -> LOperator:
     return LOperator(alg, grid, source=r)
 
 
-def rtt_residual(r, l=None, algebra: OspAlgebra | None = None) -> GradedMatrix:
+def rtt_residual(r: RMatrix, l: LOperator | None = None) -> GradedMatrix:
     """R12 L1 L2 - L2 L1 R12 evaluated exactly in the cube of the
     defining space, with the L legs at (1,3) and (2,3).
 
-    ``r`` may be an RMatrix or a plain GradedMatrix on two defining legs;
-    ``l`` defaults to the rep form of ``r`` itself (the L-operator with
-    its universal leg evaluated), or may be an LOperator or matrix."""
-    if isinstance(r, RMatrix):
-        alg = algebra if algebra is not None else r.element.algebra
-        r_mat = r.rep_matrix
-    else:
-        if algebra is None:
-            raise HeterogeneousOperand(
-                "plain-matrix rtt_residual needs the algebra"
-            )
-        alg = algebra
-        r_mat = r
-    if l is None:
-        l_mat = r_mat
-    elif isinstance(l, LOperator):
-        l_mat = l.to_matrix()
-    else:
-        l_mat = l
+    ``l`` is an LOperator, whose legs come from its own ``to_matrix``
+    sign rule.  Without it the L legs are the rep form of ``r`` itself,
+    and the residual is the braid relation of :func:`qybe_residual_rep`
+    read on the same three matrices."""
+    alg = r.element.algebra
+    r_mat = r.rep_matrix
+    l_mat = r_mat if l is None else l.to_matrix()
     r12 = embed_legs(r_mat, alg.pv, (1, 2), 3)
     l1 = embed_legs(l_mat, alg.pv, (1, 3), 3)
     l2 = embed_legs(l_mat, alg.pv, (2, 3), 3)

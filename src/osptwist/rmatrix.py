@@ -85,17 +85,13 @@ class LieTensor(_Terms):
 
 
 def wedge(algebra, name_a, name_b, coeff=1) -> LieTensor:
-    """a ^ b = a (x) b - (-1)**(p(a)p(b)) b (x) a (so v ^ v = 2 v (x) v for
-    odd v)."""
-    ia = algebra.generator_index(name_a)
-    ib = algebra.generator_index(name_b)
-    s = algebra.parity(ia) and algebra.parity(ib)
+    """a ^ b = a (x) b - (-1)**(p(a)p(b)) b (x) a, the elementary tensor
+    minus its graded flip (so v ^ v = 2 v (x) v for odd v)."""
     if not isinstance(coeff, (Poly, LaurentSeries)):
         coeff = Fraction(coeff)
-    terms = {(ia, ib): coeff}
-    back = coeff if s else -coeff
-    terms[(ib, ia)] = terms.get((ib, ia), 0) + back
-    return LieTensor(algebra, 2, terms)
+    key = (algebra.generator_index(name_a), algebra.generator_index(name_b))
+    half = LieTensor(algebra, 2, {key: coeff})
+    return half - half.flip()
 
 
 # --------------------------------------------------------------------------
@@ -508,22 +504,11 @@ def contraction_expected_t_part(algebra) -> LieTensor:
     (for the basis used here the duals differ from the opposite-root basis
     elements by simple rational factors)."""
     theta = algebra.generator_index("+2e1")
-    t = Poly.var("t")
-    out = LieTensor.zero(algebra, 2)
+    # the elementary half: sum over a of e_a (x) [theta-raising, dual]
+    terms: dict = {}
     for a in algebra.positive_indices():
-        dual = dual_of_opposite(algebra, a)
-        bracket_part: dict = {}
-        for b, cb in dual.items():
+        for b, cb in dual_of_opposite(algebra, a).items():
             for k, sc in algebra.bracket(theta, b).items():
-                bracket_part[k] = bracket_part.get(k, Fraction(0)) + cb * sc
-        pa = algebra.parity(a)
-        terms: dict = {}
-        for k, c in bracket_part.items():
-            if not c:
-                continue
-            # e_a ^ y = e_a (x) y - (-1)^(p(a)p(y)) y (x) e_a
-            terms[(a, k)] = terms.get((a, k), 0) + c
-            s = pa and algebra.parity(k)
-            terms[(k, a)] = terms.get((k, a), 0) + (c if s else -c)
-        out = out + LieTensor(algebra, 2, terms)
-    return out.scale(t)
+                terms[(a, k)] = terms.get((a, k), Fraction(0)) + cb * sc
+    half = LieTensor(algebra, 2, terms)
+    return (half - half.flip()).scale(Poly.var("t"))

@@ -3,7 +3,7 @@ and truncated Laurent series with explicit validity bookkeeping.
 
 Everything here is exact.  There are no floats anywhere in the tower:
 
-* ``Rational``     -- alias of :class:`fractions.Fraction`.
+* ``Fraction``     -- rationals, from :mod:`fractions`.
 * ``Poly``         -- polynomials in finitely many named variables with
                       *integer* exponents (negative powers are allowed, so
                       these are really Laurent polynomials).  Coefficients
@@ -30,8 +30,6 @@ from .errors import (
     IrrationalExpansionPoint,
     NonInvertibleLeadingCoefficient,
 )
-
-Rational = Fraction
 
 
 def _fr(x):

@@ -62,7 +62,7 @@ from functools import partial, wraps
 from .algebra import OspAlgebra
 from .errors import LegMismatch, MissingAlias, MixedAlgebra
 from .pbw import UEElement, UETensor, ue_exp, ue_invert, ue_series
-from .repmat import GradedMatrix, embed_legs, kron
+from .repmat import GradedMatrix, embed_legs
 from .scalars import (
     LaurentSeries,
     nilpotent_series,
@@ -118,12 +118,11 @@ class Twist:
     ``factors`` are the TwistFactor objects whose product, in the listed
     order, is ``element``; a twist made from a bare element is its own
     single factor.  ``factorization`` names the factors the element was
-    built from; ``parameter`` records an optional formal deformation
-    symbol when a parameterized family is built."""
+    built from."""
 
-    __slots__ = ("factors", "element", "factorization", "parameter", "_inverse")
+    __slots__ = ("factors", "element", "factorization", "_inverse")
 
-    def __init__(self, factors, factorization, parameter=None):
+    def __init__(self, factors, factorization):
         if isinstance(factors, UETensor):
             factors = (TwistFactor(factors),)
         factors = tuple(factors)
@@ -134,7 +133,6 @@ class Twist:
         self.factors = factors
         self.element = _product([f.element for f in factors])
         self.factorization = tuple(factorization)
-        self.parameter = parameter
         self._inverse = None
 
     @property
@@ -154,11 +152,7 @@ class Twist:
 
     def counit_ok(self) -> bool:
         """(eps (x) id)F = 1 = (id (x) eps)F, where eps kills generators."""
-        one = UEElement.one(self.algebra, self.element.g2cap)
-        return (
-            self.element.counit_leg(1) == one
-            and self.element.counit_leg(2) == one
-        )
+        return self.element.counits_are_one()
 
     def __repr__(self):
         return "Twist(%s)" % " * ".join(self.factorization)
@@ -365,7 +359,7 @@ class _Workshop(_Ingredients):
         return UEElement.one(self.algebra, self.g2cap)
 
     def series(self, stream, y):
-        return ue_series(stream(self.g2cap + 2), y)
+        return ue_series(stream, y)
 
     def exp(self, x):
         return ue_exp(x)
@@ -544,28 +538,16 @@ def rep_leg(algebra: OspAlgebra, leg: int, total: int) -> RepAssignment:
     return RepAssignment(algebra, images)
 
 
-def rep_coproduct_legs(algebra: OspAlgebra, legs, total: int) -> RepAssignment:
-    """Generators acting as their two-leg undeformed-coproduct image on the
-    chosen pair of legs of rho^(x)total."""
-    eye = GradedMatrix.identity(algebra.pv)
-    images = {}
-    for nm in _REP_NAMES:
-        m = algebra.generator_matrix(nm)
-        two_leg = kron(m, eye) + kron(eye, m)
-        images[nm] = embed_legs(two_leg, algebra.pv, tuple(legs), total)
-    return RepAssignment(algebra, images)
-
-
 class _RepPair:
     """The factor context at the matrix level: the first tensor slot sent
     through assignment ``a``, the second through ``b``; coproducts are the
-    ingredients of ``total`` (default a+b, the summed assignment).  Factors
-    and their inverses are memoized, so a chain shares the factors it
-    repeats."""
+    ingredients of the summed assignment a+b, which sends each generator
+    to its undeformed-coproduct image.  Factors and their inverses are
+    memoized, so a chain shares the factors it repeats."""
 
-    def __init__(self, a: RepAssignment, b: RepAssignment, total=None):
+    def __init__(self, a: RepAssignment, b: RepAssignment):
         self.slots = (a, b)
-        self.total = a + b if total is None else total
+        self.total = a + b
         self._made: dict = {}
 
     def tensor(self, x: GradedMatrix, y: GradedMatrix) -> GradedMatrix:
@@ -594,44 +576,32 @@ class _RepPair:
 
 
 def rep_factor(
-    algebra: OspAlgebra,
-    kind: str,
-    a: RepAssignment,
-    b: RepAssignment,
-    total: RepAssignment | None = None,
+    algebra: OspAlgebra, kind: str, a: RepAssignment, b: RepAssignment
 ) -> GradedMatrix:
     """The named factor with the first tensor slot of its defining
-    expression sent through assignment ``a`` and the second through ``b``.
-    ``total`` (default a+b) carries the coproduct images used by the inner
-    coboundary pieces."""
-    return _RepPair(a, b, total).factor(kind)
+    expression sent through assignment ``a`` and the second through ``b``;
+    the inner coboundary pieces take their coproduct images from a+b."""
+    return _RepPair(a, b).factor(kind)
 
 
-def rep_chain(
-    algebra,
-    kinds,
-    a: RepAssignment,
-    b: RepAssignment,
-    total: RepAssignment | None = None,
-) -> GradedMatrix:
+def rep_chain(algebra, kinds, a: RepAssignment, b: RepAssignment) -> GradedMatrix:
     """Product of factor matrices in the listed order; repeated kinds in
     one call (the second link conjugates by the first chain) are shared."""
-    pair = _RepPair(a, b, total)
+    pair = _RepPair(a, b)
     return _product([pair.factor(k) for k in kinds])
 
 
 def rep_cocycle_residual(algebra: OspAlgebra, kinds) -> GradedMatrix:
     """Exact matrix form of the cocycle residual in rho^(x)3 for the chain
-    with the given factor kinds (product in listed order)."""
+    with the given factor kinds (product in listed order).  The summed
+    assignment of two legs is the undeformed-coproduct image on them."""
     l1 = rep_leg(algebra, 1, 3)
     l2 = rep_leg(algebra, 2, 3)
     l3 = rep_leg(algebra, 3, 3)
-    c12 = rep_coproduct_legs(algebra, (1, 2), 3)
-    c23 = rep_coproduct_legs(algebra, (2, 3), 3)
     f12 = rep_chain(algebra, kinds, l1, l2)
     f23 = rep_chain(algebra, kinds, l2, l3)
-    cop_left = rep_chain(algebra, kinds, c12, l3)
-    cop_right = rep_chain(algebra, kinds, l1, c23)
+    cop_left = rep_chain(algebra, kinds, l1 + l2, l3)
+    cop_right = rep_chain(algebra, kinds, l1, l2 + l3)
     return f12 @ cop_left - f23 @ cop_right
 
 

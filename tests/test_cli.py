@@ -12,6 +12,7 @@ from osptwist.cli import (
     main,
 )
 from osptwist.errors import UnknownSuite, InvalidOption
+from osptwist.repmat import GradedMatrix
 
 
 def test_suite_names_are_stable():
@@ -117,6 +118,11 @@ def test_dump_rejects_unknown_kind():
         dump_payload("spectra", 2)
 
 
+def test_dump_rejects_a_bad_rank():
+    with pytest.raises(InvalidOption):
+        dump_payload("rep", -1)
+
+
 # -- entry point ----------------------------------------------------------------
 
 
@@ -139,6 +145,9 @@ def test_main_usage_errors(capsys):
     assert "unknown suite" in capsys.readouterr().err.lower()
     assert main(["algebra", "--n", "0"]) == 2
     assert main(["algebra", "--suite", "cybe"]) == 2  # conflicting selectors
+    capsys.readouterr()
+    assert main(["--dump", "algebra", "--n", "0"]) == 2
+    assert "--n must be a positive integer" in capsys.readouterr().err
 
 
 def test_main_dump(capsys):
@@ -221,3 +230,27 @@ def test_cybe_kernel_checks_pass_and_share_one_kernel(monkeypatch, n):
     assert status["cybe.cobracket-kernel-closed"] == "pass"
     assert status["cybe.cobracket-kernel-contains"] == "pass"
     assert calls == [n]
+
+
+def test_rtt_check_reads_the_l_operator(monkeypatch):
+    """quantum.rtt takes its L legs from LOperator.to_matrix, so one wrong
+    sign there fails it; with L read off the rep form of R it would only
+    repeat quantum.qybe.rep, which still passes."""
+    import osptwist.cli as cli
+
+    real = cli.qt.LOperator.to_matrix
+
+    def one_sign_flipped(self):
+        m = real(self)
+        key = min(k for k in m.entries if k[0] != k[1])
+        entries = dict(m.entries)
+        entries[key] = -entries[key]
+        return GradedMatrix(m.pv, entries)
+
+    monkeypatch.setattr(cli.qt.LOperator, "to_matrix", one_sign_flipped)
+    status = {
+        c["anchor"]: c["status"]
+        for c in run_suite("quantum", n=2, degree=2).to_dict()["checks"]
+    }
+    assert status["quantum.rtt"] == "fail"
+    assert status["quantum.qybe.rep"] == "pass"

@@ -20,7 +20,9 @@ from osptwist.pbw import (
 )
 from osptwist.errors import (
     ConstantTermPresent,
+    DivisionByNonUnit,
     HeterogeneousOperand,
+    IrrationalExpansionPoint,
     MixedAlgebra,
 )
 from osptwist.rmatrix import LieTensor
@@ -295,6 +297,51 @@ def test_series_require_unit_constant_term():
     x_plus_two = UEElement.one(ALG, g2cap=CAP).scale(2) + gen("X+")
     with pytest.raises(ConstantTermPresent):
         ue_exp(x_plus_two)
+
+
+# (series function, a constant term it accepts, one it refuses, the refusal)
+SERIES_FRONT_ENDS = [
+    (ue_exp, 0, 2, ConstantTermPresent),
+    (ue_log, 1, 0, ConstantTermPresent),
+    (ue_invert, 1, 0, DivisionByNonUnit),
+    (ue_sqrt, 1, 2, IrrationalExpansionPoint),
+]
+
+
+def series_operand(legs, constant, letter="X+", cap=CAP):
+    """constant + letter as an element (legs None), or constant +
+    letter (x) letter as a 2-leg tensor."""
+    if legs is None:
+        return UEElement.one(ALG, g2cap=cap).scale(constant) + gen(letter, cap)
+    x = gen(letter, cap)
+    return UETensor.one(ALG, 2, g2cap=cap).scale(constant) + UETensor.of(
+        x, x, g2cap=cap
+    )
+
+
+@pytest.mark.parametrize("legs", [None, 2])
+@pytest.mark.parametrize("fn, good, bad, refusal", SERIES_FRONT_ENDS)
+def test_series_front_ends_refuse(fn, good, bad, refusal, legs):
+    """An untruncated operand, a grade-0 letter (H) and a constant term
+    outside the function's domain are each refused."""
+    fn(series_operand(legs, good))
+    with pytest.raises(ValueError):
+        fn(series_operand(legs, good, cap=None))
+    with pytest.raises(ConstantTermPresent):
+        fn(series_operand(legs, good, letter="H"))
+    with pytest.raises(refusal):
+        fn(series_operand(legs, bad))
+
+
+def test_invert_and_sqrt_of_a_tensor_around_a_non_unit_constant():
+    t = UETensor.of(gen("X+"), gen("v+"), g2cap=CAP) + UETensor.of(
+        gen("Z+"), gen("w+"), g2cap=CAP
+    )
+    one = UETensor.one(ALG, 2, g2cap=CAP)
+    x = one.scale(3) + t
+    assert ue_invert(x) * x == one
+    y = one.scale(4) + t
+    assert ue_sqrt(y) ** 2 == y
 
 
 def test_ad_exp_matches_explicit_conjugation():

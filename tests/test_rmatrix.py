@@ -32,6 +32,7 @@ from osptwist.rmatrix import (
     spectral_residual_rational,
     contraction_limit,
     contraction_expected_t_part,
+    dual_of_opposite,
     ContractionResult,
     _Span,
 )
@@ -185,6 +186,21 @@ def test_wedge_conventions():
     iv = ALG.generator_index("v+")
     vv = wedge(ALG, "v+", "v+")
     assert vv.terms == {(iv, iv): Fraction(2)}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_wedge_is_graded_skew_on_every_basis_pair(n):
+    """a ^ b is minus its graded flip, and v ^ v is 2 v (x) v for odd v and
+    0 for even v."""
+    alg = build_osp(n)
+    names = [b.name for b in alg.basis]
+    for a in names:
+        for b in names:
+            t = wedge(alg, a, b)
+            assert t.flip() == -t, (a, b)
+        i = alg.generator_index(a)
+        want = {(i, i): Fraction(2)} if alg.parity(i) else {}
+        assert wedge(alg, a, a).terms == want, a
 
 
 def test_wedge_accepts_polynomial_coefficients():
@@ -397,6 +413,34 @@ def test_contraction_constant_term_splits():
     res = contraction_limit(ALG, order=4)
     assert res.constant == res.spectral_part + res.t_part
     assert res.t_part == contraction_expected_t_part(ALG)
+
+
+def reference_expected_t_part(algebra):
+    """contraction_expected_t_part written out with the Koszul sign of each
+    wedge e_a ^ y derived by hand."""
+    theta = algebra.generator_index("+2e1")
+    out = LieTensor.zero(algebra, 2)
+    for a in algebra.positive_indices():
+        bracket_part: dict = {}
+        for b, cb in dual_of_opposite(algebra, a).items():
+            for k, sc in algebra.bracket(theta, b).items():
+                bracket_part[k] = bracket_part.get(k, Fraction(0)) + cb * sc
+        terms: dict = {}
+        for k, c in bracket_part.items():
+            if not c:
+                continue
+            # e_a ^ y = e_a (x) y - (-1)^(p(a)p(y)) y (x) e_a
+            terms[(a, k)] = terms.get((a, k), 0) + c
+            s = algebra.parity(a) and algebra.parity(k)
+            terms[(k, a)] = terms.get((k, a), 0) + (c if s else -c)
+        out = out + LieTensor(algebra, 2, terms)
+    return out.scale(Poly.var("t"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expected_t_part_matches_the_hand_signed_formula(n):
+    alg = build_osp(n)
+    assert contraction_expected_t_part(alg) == reference_expected_t_part(alg)
 
 
 def test_contraction_t_part_is_a_solution():

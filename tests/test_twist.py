@@ -13,6 +13,7 @@ import pytest
 
 from osptwist.algebra import build_osp
 from osptwist.pbw import UEElement, UETensor, ue_exp, ue_invert
+from osptwist.repmat import GradedMatrix, embed_legs, kron
 import osptwist.quantum as qt
 import osptwist.twist as tws
 from osptwist.twist import (
@@ -279,6 +280,18 @@ def test_rep_cocycle_exact():
     assert rep_cocycle_residual(
         ALG, ("sj2", "super", "extension", "jordanian")
     ).is_zero
+
+
+@pytest.mark.parametrize("legs", [(1, 2), (2, 3), (1, 3)])
+def test_summed_legs_are_the_kron_coproduct_image(legs):
+    """The summed assignment of two legs of rho^(x)3 sends each generator m
+    to the two-leg coproduct image m (x) 1 + 1 (x) m placed on those legs."""
+    eye = GradedMatrix.identity(ALG.pv)
+    summed = tws.rep_leg(ALG, legs[0], 3) + tws.rep_leg(ALG, legs[1], 3)
+    for nm in tws._REP_NAMES:
+        m = ALG.generator_matrix(nm)
+        want = embed_legs(kron(m, eye) + kron(eye, m), ALG.pv, legs, 3)
+        assert summed.gen(nm) == want, nm
 
 
 def test_rep_chain_matches_truncated_element():
