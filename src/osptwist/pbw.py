@@ -4,10 +4,18 @@ algebra of osp(1|2n), and for its tensor powers.
 Monomials are tuples of basis indices, kept weakly increasing in the
 basis order fixed by :class:`~osptwist.algebra.OspAlgebra` (strictly
 increasing at odd letters, whose square rewrites to half a bracket).
-The rewriting engine turns an arbitrary word into a combination of such
-monomials using the structure constants; results are memoized per word
-on the algebra instance, and rewriting is iterative, so long words are
-fine.
+Normal ordering inserts one letter at a time into a normal-ordered
+monomial, using the structure constants; each (monomial, letter)
+insertion is memoized, and the insertion loop is iterative, so long words
+are fine.  A word, or the product of two monomials, is its letters folded
+in one at a time.
+
+One multiplication table per algebra.  :class:`PBWTable` holds every memo
+of this module for one algebra: the interned monomials (small int ids,
+with their grades and parities), the insertion memo, the product table
+(a pair of ids -> the normal form of their product) that the product
+kernel reads, and the coproducts of monomials.  ``pbw_table(alg)`` finds
+it, ``clear()`` empties it and ``sizes()`` reports it.
 
 Truncation.  Infinite objects (exponentials of raising elements, inverses,
 square roots) are handled by working in the quotient of the enveloping
@@ -28,9 +36,11 @@ Coefficients.  At the API every rational coefficient is a ``Fraction``
 (ints are converted on construction); Poly and LaurentSeries coefficients
 are kept as they are.  Inside a product of two rational operands, each
 operand is held as int numerators over one common denominator, the lcm of
-its denominators; products are summed as Python ints and turned back into
-``Fraction`` once per output term.  The normal-form memo likewise keeps
-int coefficients wherever they are integral.
+its denominators; products are summed as Python ints, under one packed
+int key per term (the ids of its legs), and turned back into ``Fraction``
+and tuple keys once per output term.  The coproducts sum int numerators
+the same way, and the table keeps int coefficients wherever they are
+integral.
 
 One term algebra.  :class:`UEElement`, :class:`UETensor` and the classical
 :class:`~osptwist.rmatrix.LieTensor` are all zero-free coefficient dicts
@@ -87,110 +97,195 @@ def scalar_inverse(c):
 
 
 # --------------------------------------------------------------------------
-# Word rewriting
+# The multiplication table of one algebra
 # --------------------------------------------------------------------------
 
-
-def _nf_cache(alg):
-    cache = getattr(alg, "_pbw_nf_cache", None)
-    if cache is None:
-        cache = {}
-        alg._pbw_nf_cache = cache
-    return cache
+# Bits of one monomial id in a packed key.  A k-leg key packs k ids into
+# one int, and a pair of ids keys the product table; an id that does not
+# fit raises, so two keys never alias.
+_ID_BITS = 20
 
 
-def _first_violation(alg, word):
-    for i in range(len(word) - 1):
-        a, b = word[i], word[i + 1]
-        if a > b:
-            return i
-        if a == b and alg.parity(a):
-            return i
-    return None
+def _exact(c):
+    """An integral coefficient as an int, any other one unchanged."""
+    return c.numerator if c.denominator == 1 else c
 
 
-def _rewrite(alg, word: tuple) -> tuple:
-    """Normal form of a word as a tuple of (monomial, coefficient) pairs,
-    with int coefficients where they are integral.  Memoized on the
-    algebra; the product kernel reads these tuples directly.
+class _Ids(dict):
+    """monomial -> id; looking up a new monomial interns it."""
 
-    Terminates because each rewriting step either shortens the word or
-    removes one adjacent inversion without changing the length.
+    __slots__ = ("table",)
+
+    def __missing__(self, mono):
+        return self.table._new_id(mono)
+
+
+class PBWTable:
+    """Every normal-ordering memo of one algebra, in one clearable object.
+
+    Each monomial the kernel meets is interned: ``ids[mono]`` is its id
+    (made on first lookup), ``monos[i]`` is the monomial of id i, and
+    ``g2[i]`` and ``par[i]`` are its doubled grade and its parity; the
+    empty monomial is id 0.  Ids fit in ``bits`` bits (``_ID_BITS`` when
+    the table is made or cleared), so a tensor key of k legs packs into
+    one int of k * ``bits`` bits.  ``units[i]`` is the normal form
+    ((i, 1),), shared by every memo entry that is monomial i alone.
+
+    A normal form is a tuple of (id, coefficient) pairs, with int
+    coefficients where they are integral.  ``insertions`` maps
+    id * size + letter to the normal form of a normal-ordered monomial
+    times one letter; ``products`` maps the packed pair of two ids to the
+    normal form of their product, read by the product kernel; and
+    ``coproducts`` maps (monomial, legs) to its undeformed coproduct as
+    (key, coefficient) pairs.
     """
-    cache = _nf_cache(alg)
-    hit = cache.get(word)
-    if hit is not None:
-        return hit
-    stack = [word]
-    while stack:
-        w = stack[-1]
-        if w in cache:
-            stack.pop()
-            continue
-        i = _first_violation(alg, w)
-        if i is None:
-            cache[w] = ((w, 1),)
-            stack.pop()
-            continue
-        x, y = w[i], w[i + 1]
-        children = []
-        if x == y:  # odd square: x*x = [x,x]/2
-            for k, c in alg.bracket(x, x).items():
-                children.append((c / 2, w[:i] + (k,) + w[i + 2 :]))
-        else:
-            sign = -1 if (alg.parity(x) and alg.parity(y)) else 1
-            children.append((sign, w[:i] + (y, x) + w[i + 2 :]))
-            for k, c in alg.bracket(x, y).items():
-                children.append((c, w[:i] + (k,) + w[i + 2 :]))
-        missing = [cw for _, cw in children if cw not in cache]
-        if missing:
-            stack.extend(missing)
-            continue
-        acc: dict = {}
-        for c, cw in children:
-            for mono, cc in cache[cw]:
-                v = acc.get(mono, 0) + c * cc
-                if v:
-                    acc[mono] = v
-                elif mono in acc:
-                    del acc[mono]
-        cache[w] = tuple(
-            (mono, v.numerator if v.denominator == 1 else v)
-            for mono, v in acc.items()
+
+    __slots__ = ("algebra", "bits", "size", "odd", "monos", "ids", "g2",
+                 "par", "units", "insertions", "products", "coproducts")
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+        self.size = algebra.size
+        self.odd = [algebra.parity(x) for x in range(algebra.size)]
+        self.clear()
+
+    def clear(self):
+        """Forget every memo; the next products are computed cold."""
+        self.bits = _ID_BITS
+        self.monos, self.ids, self.g2, self.par = [], _Ids(), [], []
+        self.units = []
+        self.ids.table = self
+        self.insertions, self.products, self.coproducts = {}, {}, {}
+        self.ids[()]  # interned first: id 0
+
+    def sizes(self) -> dict:
+        return {
+            "monomials": len(self.monos),
+            "insertions": len(self.insertions),
+            "products": len(self.products),
+            "coproducts": len(self.coproducts),
+        }
+
+    def _new_id(self, mono) -> int:
+        i = len(self.monos)
+        if i >> self.bits:
+            raise OverflowError(
+                "more than %d distinct monomials do not fit the %d-bit "
+                "packed keys" % (1 << self.bits, self.bits)
+            )
+        self.ids[mono] = i
+        self.monos.append(mono)
+        self.g2.append(sum(self.algebra.g2(x) for x in mono))
+        self.par.append(sum(self.odd[x] for x in mono) & 1)
+        self.units.append(((i, 1),))
+        return i
+
+    def _insert(self, mid, x):
+        """Normal form of monos[mid] * x for a normal-ordered monomial and
+        one letter, memoized per (monomial, letter).
+
+        Writing the monomial as u*y with y its last letter: x is appended
+        when y < x, or y == x and x is even; an odd square is
+        u*x*x = 1/2 u*[x,x]; otherwise u*y*x = +-(u*x)*y + u*[y,x], with
+        the minus sign when both letters are odd.  Every product this asks
+        for has a shorter left monomial, or is the append of y to the
+        leading term of u*x, so the explicit stack below empties.
+        """
+        memo, size, monos, odd, ids = (
+            self.insertions, self.size, self.monos, self.odd, self.ids
         )
-        stack.pop()
-    return cache[word]
+        hit = memo.get(mid * size + x)
+        if hit is not None:
+            return hit
+        bracket = self.algebra.bracket
+        stack = [(mid, x)]
+        while stack:
+            mid, x = stack[-1]
+            key = mid * size + x
+            if key in memo:
+                stack.pop()
+                continue
+            mono = monos[mid]
+            y = mono[-1] if mono else -1
+            if y < x or (y == x and not odd[x]):
+                memo[key] = self.units[ids[mono + (x,)]]
+                stack.pop()
+                continue
+            u = ids[mono[:-1]]
+            if y == x:
+                terms = [(c / 2, u, k) for k, c in bracket(x, x).items()]
+            else:
+                ux = memo.get(u * size + x)
+                if ux is None:
+                    stack.append((u, x))
+                    continue
+                sign = -1 if odd[x] and odd[y] else 1
+                terms = [(sign * a, m, y) for m, a in ux]
+                terms += [(c, u, k) for k, c in bracket(y, x).items()]
+            missing = [(m, z) for _, m, z in terms if m * size + z not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            acc: dict = {}
+            for c, m, z in terms:
+                for mm, a in memo[m * size + z]:
+                    acc[mm] = acc.get(mm, 0) + c * a
+            memo[key] = tuple((mm, _exact(v)) for mm, v in acc.items() if v)
+            stack.pop()
+        return memo[mid * size + x]
+
+    def fold(self, word, start=((0, 1),)) -> tuple:
+        """Normal form of ``start`` (a normal form, by default the empty
+        monomial) times a word of letters, inserted one at a time."""
+        memo, size, insert = self.insertions, self.size, self._insert
+        acc = dict(start)
+        for x in word:
+            nxt: dict = {}
+            for m, c in acc.items():
+                for mm, a in memo.get(m * size + x) or insert(m, x):
+                    nxt[mm] = nxt.get(mm, 0) + c * a
+            acc = nxt
+        nf = tuple((m, _exact(c)) for m, c in acc.items() if c)
+        if len(nf) == 1 and nf[0][1] == 1:
+            return self.units[nf[0][0]]
+        return nf
+
+    def product(self, a: int, b: int) -> tuple:
+        """Normal form of monos[a] * monos[b], from the product table: the
+        letters of b inserted into the normal form of a, which is the
+        entry (0, a)."""
+        key = a << self.bits | b
+        hit = self.products.get(key)
+        if hit is None:
+            start = self.product(0, a) if a else ((0, 1),)
+            hit = self.products[key] = self.fold(self.monos[b], start)
+        return hit
+
+
+def pbw_table(algebra) -> PBWTable:
+    """The multiplication table of an algebra, made on first use."""
+    table = getattr(algebra, "_pbw_table", None)
+    if table is None:
+        table = algebra._pbw_table = PBWTable(algebra)
+    return table
 
 
 def normal_form(alg, word) -> dict:
     """Rewrite an arbitrary word of basis indices into normal-ordered
-    monomials: a fresh {monomial: Fraction} dict.  Exact; the rewriting is
-    memoized on the algebra."""
-    return {mono: Fraction(c) for mono, c in _rewrite(alg, tuple(word))}
+    monomials: a fresh {monomial: Fraction} dict.  Exact; the letter
+    insertions behind it are memoized on the algebra's table."""
+    table = pbw_table(alg)
+    return {table.monos[m]: Fraction(c) for m, c in table.fold(tuple(word))}
 
 
 def monomial_g2(alg, mono) -> int:
-    cache = getattr(alg, "_pbw_g2_cache", None)
-    if cache is None:
-        cache = {}
-        alg._pbw_g2_cache = cache
-    v = cache.get(mono)
-    if v is None:
-        v = sum(alg.g2(ix) for ix in mono)
-        cache[mono] = v
-    return v
+    table = pbw_table(alg)
+    return table.g2[table.ids[mono]]
 
 
 def monomial_parity(alg, mono) -> int:
-    cache = getattr(alg, "_pbw_par_cache", None)
-    if cache is None:
-        cache = {}
-        alg._pbw_par_cache = cache
-    v = cache.get(mono)
-    if v is None:
-        v = sum(alg.parity(ix) for ix in mono) % 2
-        cache[mono] = v
-    return v
+    table = pbw_table(alg)
+    return table.par[table.ids[mono]]
 
 
 def format_monomial(alg, mono) -> str:
@@ -223,19 +318,53 @@ def _over_common_denominator(items):
     return nums, den
 
 
-def _product(alg, left, right, legs: int, cap):
+def _linear_image(items, image):
+    """sum of c * image(key) over (key, c) pairs, where image(key) lists
+    (key, coefficient) pairs, as a zero-free dict.  Rational coefficients
+    are summed as int numerators over one common denominator, divided out
+    once per output key."""
+    q = _over_common_denominator(items)
+    den = None
+    if q is not None:
+        items, den = q
+    acc: dict = {}
+    for key, c in items:
+        for k, a in image(key):
+            acc[k] = acc.get(k, 0) + c * a
+    return _drain(acc, den)
+
+
+def _drain(acc, den, decode=None):
+    """The nonzero terms of an accumulator as a fresh dict, each value
+    divided by ``den`` (kept as it is when ``den`` is None) and each key
+    mapped by ``decode`` when given.  The accumulator is emptied entry by
+    entry, so the two dicts are never both full."""
+    out = {}
+    pop = acc.popitem
+    for _ in range(len(acc)):
+        key, v = pop()
+        if v:
+            if decode is not None:
+                key = decode(key)
+            out[key] = v if den is None else Fraction(v, den)
+    return out
+
+
+def _product(alg, left, right, legs, cap):
     """Exact product of two combinations of ``legs``-leg terms.
 
     ``left`` and ``right`` are collections of (key, coefficient) pairs, a
-    key being a tuple of one normal-ordered monomial per leg.  Returns the
-    product as {key: coefficient}, free of zeros and of terms above the
-    cap.
+    key being a tuple of one normal-ordered monomial per leg, or a single
+    monomial when ``legs`` is None (elements).  Returns the product as
+    {key: coefficient}, free of zeros and of terms above the cap.
 
-    When both operands are rational, each becomes int numerators over its
-    own common denominator; products are summed as ints and divided out
-    once at the end.  Other scalars (Poly, LaurentSeries) run the same loop
-    with their own coefficients and no denominator.  Leg products are read
-    straight from the normal-form memo.
+    Every leg monomial is interned in the algebra's table, a term is
+    accumulated under its packed int key, and leg products are read from
+    the table's product memo.  When both operands are rational, each
+    becomes int numerators over its own common denominator; products are
+    summed as ints and divided out once at the end, as the accumulator is
+    drained into {key: Fraction}.  Other scalars (Poly, LaurentSeries) run
+    the same loop with their own coefficients and no denominator.
     """
     lq, rq = _over_common_denominator(left), _over_common_denominator(right)
     if lq is None or rq is None:
@@ -243,70 +372,86 @@ def _product(alg, left, right, legs: int, cap):
     else:
         (left, ld), (right, rd) = lq, rq
         den = ld * rd
-
-    def grade(key):
-        return sum(monomial_g2(alg, m) for m in key)
+    table = pbw_table(alg)
+    id_of, g2, par, bits = table.ids, table.g2, table.par, table.bits
+    if legs is None:
+        def leg_ids(key):
+            return (id_of[key],)
+        last = 0
+    else:
+        def leg_ids(key):
+            return [id_of[m] for m in key]
+        last = legs - 1
 
     # The right operand is prepared once.  Its terms are grouped by grade
     # and by every leg but the last (the head), and the groups are sorted
     # by grade, so the cap cuts the inner loop at one index and each head
     # product is formed once per group.  The Koszul sign of a pair only
     # sees the right term's odd head legs, as no leg follows the last one.
-    last = legs - 1
     groups: dict = {}
     for u, c in right:
-        groups.setdefault((grade(u), u[:last]), []).append((u[last], c))
+        ids = leg_ids(u)
+        grade = sum(g2[i] for i in ids)
+        groups.setdefault((grade, tuple(ids[:last])), []).append((ids[last], c))
     prepared = sorted(
         [
-            (
-                g2,
-                head,
-                sum(monomial_parity(alg, m) << i for i, m in enumerate(head)),
-                members,
-            )
-            for (g2, head), members in groups.items()
+            (grade, head, sum(par[m] << i for i, m in enumerate(head)), members)
+            for (grade, head), members in groups.items()
         ],
         key=itemgetter(0),
     )
     grades = [q[0] for q in prepared]
-    get = _nf_cache(alg).get
+    get, product = table.products.get, table.product
     acc: dict = {}
     aget = acc.get
     for t, c1 in left:
+        ids = leg_ids(t)
         if cap is None:
             stop = len(grades)
         else:
-            stop = bisect_right(grades, cap - grade(t))
+            stop = bisect_right(grades, cap - sum(g2[i] for i in ids))
         # bit i set when the legs after i hold an odd number of odd letters
         odd_after = 0
         odd = 0
         for i in range(last, -1, -1):
             if odd:
                 odd_after |= 1 << i
-            odd ^= monomial_parity(alg, t[i])
-        t_head, t_last = t[:last], t[last]
+            odd ^= par[ids[i]]
+        t_head, t_last = ids[:last], ids[last]
+        t_last_key = t_last << bits
         for _, head, odd_head, members in prepared[:stop]:
             odd_pairs = (odd_head & odd_after).bit_count()
-            parts = [((), -c1 if odd_pairs & 1 else c1)]
+            # (packed ids of the legs so far, shifted for the next leg,
+            # coefficient)
+            parts = [(0, -c1 if odd_pairs & 1 else c1)]
             for ti, ui in zip(t_head, head):
-                w = ti + ui
-                nf = get(w) or _rewrite(alg, w)
-                parts = [(p + (m,), pc * a) for p, pc in parts for m, a in nf]
+                nf = get(ti << bits | ui) or product(ti, ui)
+                parts = [
+                    ((p | m) << bits, pc * a) for p, pc in parts for m, a in nf
+                ]
             for u_last, c2 in members:
-                w = t_last + u_last
-                nf = get(w) or _rewrite(alg, w)
+                nf = get(t_last_key | u_last) or product(t_last, u_last)
                 for p, pc in parts:
                     pc *= c2
                     for m, a in nf:
-                        key = p + (m,)
+                        key = p | m
                         v = aget(key, 0) + pc * a
                         if v:
                             acc[key] = v
                         else:
                             acc.pop(key, None)
-    if den is None:
-        return acc
-    return {key: Fraction(v, den) for key, v in acc.items()}
+    return _drain(acc, den, _decoder(table.monos, legs, bits))
+
+
+def _decoder(monos, legs, bits):
+    """Packed key -> its monomial (legs None) or its tuple of monomials."""
+    mask = (1 << bits) - 1
+    if legs is None:
+        return monos.__getitem__
+    if legs == 2:
+        return lambda k: (monos[k >> bits], monos[k & mask])
+    shifts = range(bits * (legs - 1), -1, -bits)
+    return lambda k: tuple([monos[k >> s & mask] for s in shifts])
 
 
 def _sum_terms(x, y, sign, grade):
@@ -386,15 +531,21 @@ class _Terms:
         out._fill(self.algebra, terms, self.legs, g2cap)
         return out
 
-    def _trusted(self, terms, g2cap):
-        """An object of self's kind wrapping terms that are already clean:
+    @classmethod
+    def _wrap(cls, algebra, terms, legs, g2cap):
+        """An object of kind ``cls`` wrapping terms that are already clean:
         keys in shape, nonzero coefficients, none above the cap."""
-        out = object.__new__(type(self))
-        out.algebra = self.algebra
+        out = object.__new__(cls)
+        out.algebra = algebra
         out.terms = terms
-        out.legs = self.legs
+        out.legs = legs
         out.g2cap = g2cap
         return out
+
+    def _trusted(self, terms, g2cap):
+        """An object of self's kind (type, algebra, legs) wrapping clean
+        terms."""
+        return self._wrap(self.algebra, terms, self.legs, g2cap)
 
     def _check_legs(self, key):
         if len(key) != self.legs:
@@ -621,13 +772,9 @@ class UEElement(_Terms):
         self._check(other)
         cap = _omin(self.g2cap, other.g2cap)
         out = _product(
-            self.algebra,
-            [((m,), c) for m, c in self.terms.items()],
-            [((m,), c) for m, c in other.terms.items()],
-            1,
-            cap,
+            self.algebra, self.terms.items(), other.terms.items(), None, cap
         )
-        return self._trusted({key[0]: c for key, c in out.items()}, cap)
+        return self._trusted(out, cap)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -656,13 +803,12 @@ class UEElement(_Terms):
 
     def coproduct(self, legs: int = 2) -> "UETensor":
         """Undeformed coproduct (every basis generator primitive), as a
-        tensor with the same total-grade cap."""
+        tensor with the same total-grade cap (the coproduct keeps grades)."""
         alg = self.algebra
-        out: dict = {}
-        for mono, c in self.terms.items():
-            for key, cc in _coproduct_monomial(alg, mono, legs).terms.items():
-                out[key] = out.get(key, 0) + c * cc
-        return UETensor(alg, out, legs, self.g2cap)
+        out = _linear_image(
+            self.terms.items(), lambda mono: _coproduct_monomial(alg, mono, legs)
+        )
+        return UETensor._wrap(alg, out, legs, self.g2cap)
 
     def __repr__(self):
         return "UEElement(%s)" % self
@@ -822,13 +968,17 @@ class UETensor(_Terms):
         if not 1 <= leg <= self.legs:
             raise HeterogeneousOperand("no leg %d in a %d-leg tensor" % (leg, self.legs))
         alg = self.algebra
-        out: dict = {}
-        for key, c in self.terms.items():
-            mono = key[leg - 1]
-            for (a, b), cc in _coproduct_monomial(alg, mono, 2).terms.items():
-                full = key[: leg - 1] + (a, b) + key[leg:]
-                out[full] = out.get(full, 0) + c * cc
-        return UETensor(alg, out, self.legs + 1, self.g2cap)
+        i = leg - 1
+
+        def image(key):
+            head, tail = key[:i], key[leg:]
+            return [
+                (head + split + tail, c)
+                for split, c in _coproduct_monomial(alg, key[i], 2)
+            ]
+
+        out = _linear_image(self.terms.items(), image)
+        return UETensor._wrap(alg, out, self.legs + 1, self.g2cap)
 
     # -- grading helpers -----------------------------------------------------------
 
@@ -881,12 +1031,10 @@ def _matrix_sum(pv, scaled):
     return GradedMatrix(pv, out)
 
 
-# undeformed coproduct of a single monomial, memoized exactly
-def _coproduct_monomial(alg, mono, legs: int) -> UETensor:
-    cache = getattr(alg, "_pbw_cop_cache", None)
-    if cache is None:
-        cache = {}
-        alg._pbw_cop_cache = cache
+def _coproduct_monomial(alg, mono, legs: int) -> tuple:
+    """The undeformed coproduct of one monomial as (key, coefficient)
+    pairs, int where integral; memoized on the algebra's table."""
+    cache = pbw_table(alg).coproducts
     key = (mono, legs)
     hit = cache.get(key)
     if hit is not None:
@@ -901,8 +1049,8 @@ def _coproduct_monomial(alg, mono, legs: int) -> UETensor:
                 alg, {tuple(term): Fraction(1)}, legs
             )
         out = out * primitive
-    cache[key] = out
-    return out
+    hit = cache[key] = tuple((k, _exact(c)) for k, c in out.terms.items())
+    return hit
 
 
 # --------------------------------------------------------------------------

@@ -77,6 +77,23 @@ class RMatrix:
         return "RMatrix(%s)" % tag
 
 
+def rep_exact_degree(algebra: OspAlgebra) -> int:
+    """The least truncation degree at which the image of a 2-leg tensor
+    (an R-matrix) in the square of the defining representation is exact.
+
+    The Cartan generators give each vector of the defining space its
+    doubled principal grade; let s be their spread.  A leg monomial of
+    doubled grade g moves a vector's doubled grade by g, so it acts as 0
+    once g > s, and no term of total doubled grade above 2s has a nonzero
+    image.  Cutting at doubled grade 2 * degree >= 2s, that is at degree
+    s, therefore keeps every term that the image sees."""
+    cartan = [algebra.basis[h].matrix for h in algebra.cartan_indices()]
+    grades = [
+        sum(m[(i, i)] for m in cartan) for i in range(algebra.dim_rep)
+    ]
+    return int(max(grades) - min(grades))
+
+
 def universal_R(twist: Twist, eta: str | None = None) -> RMatrix:
     """(graded flip of F) * F^(-1).
 

@@ -63,6 +63,25 @@ def test_run_suite_rejects_bad_options():
         run_suite("algebra", degree=-1)
 
 
+def test_quantum_suite_passes_at_degree_one(monkeypatch):
+    """At degree 1 the exact rep checks read an R truncated at the degree
+    where its rep image is exact, so none fails from truncation; the
+    other checks keep the requested degree."""
+    import osptwist.cli as cli
+
+    real = cli.tws.full_chain
+    degrees = []
+
+    def recording(alg, degree=6):
+        degrees.append(degree)
+        return real(alg, degree)
+
+    monkeypatch.setattr(cli.tws, "full_chain", recording)
+    rep = run_suite("quantum", 2, 1)
+    assert rep.overall, [c["anchor"] for c in rep.checks if c["status"] != "pass"]
+    assert sorted(set(degrees)) == [1, 2]
+
+
 def test_report_deterministic_modulo_timing():
     """Identical inputs give identical reports once the wall-time field is
     stripped (time is the one intentionally non-reproducible field)."""

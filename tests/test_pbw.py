@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
-from osptwist.algebra import build_osp
+from osptwist import pbw
+from osptwist.algebra import OspAlgebra, build_osp
 from osptwist.pbw import (
     UEElement,
     UETensor,
     normal_form,
+    pbw_table,
     monomial_g2,
     monomial_parity,
     ue_exp,
@@ -30,6 +32,7 @@ from osptwist.scalars import Poly, scalar_is_zero
 
 
 ALG = build_osp(2)
+ALGEBRAS = {1: build_osp(1), 2: ALG}
 CAP = 8
 
 IDX = {name: ALG.generator_index(name) for name in
@@ -115,14 +118,22 @@ word_strategy = st.lists(
 @given(word_strategy, word_strategy, word_strategy)
 @settings(max_examples=40, deadline=None)
 def test_product_associative(wa, wb, wc):
-    def elem(w):
-        out = UEElement.one(ALG, g2cap=CAP)
+    """Untruncated products associate for any letters.  Truncated ones
+    associate when no letter has negative grade: only then is the span of
+    the monomials above the cap an ideal (X- (Y+^2 Y+^3) is cut at cap 8,
+    where (X- Y+^2) Y+^3 is not)."""
+    def elem(w, cap):
+        out = UEElement.one(ALG, g2cap=cap)
         for i in w:
-            out = out * UEElement.generator(ALG, ALG.name_of(i), g2cap=CAP)
+            out = out * UEElement.generator(ALG, ALG.name_of(i), g2cap=cap)
         return out
 
-    a, b, c = elem(wa), elem(wb), elem(wc)
-    assert (a * b) * c == a * (b * c)
+    caps = [None]
+    if all(ALG.g2(i) >= 0 for i in wa + wb + wc):
+        caps.append(CAP)
+    for cap in caps:
+        a, b, c = elem(wa, cap), elem(wb, cap), elem(wc, cap)
+        assert (a * b) * c == a * (b * c)
 
 
 @given(word_strategy, word_strategy)
@@ -361,12 +372,98 @@ def test_exp_on_tensor_legs():
     assert e.counit_leg(2) == UEElement.one(ALG, g2cap=CAP)
 
 
+# -- normal ordering against the reference word rewriting --------------------
+
+# reference_rewrite's memo, one per rank
+_REWRITTEN: dict = {}
+
+
+def reference_rewrite(alg, word):
+    """Normal form of a word by rewriting its first out-of-order adjacent
+    pair, a route independent of the letter insertion behind normal_form:
+    a fresh {monomial: Fraction} dict.  x y = sign y x + [x,y] for x > y,
+    and x x = [x,x]/2 for odd x."""
+    cache = _REWRITTEN.setdefault(alg.n, {})
+    stack = [tuple(word)]
+    while stack:
+        w = stack[-1]
+        if w in cache:
+            stack.pop()
+            continue
+        i = next(
+            (
+                i
+                for i in range(len(w) - 1)
+                if w[i] > w[i + 1] or (w[i] == w[i + 1] and alg.parity(w[i]))
+            ),
+            None,
+        )
+        if i is None:
+            cache[w] = {w: Fraction(1)}
+            stack.pop()
+            continue
+        x, y = w[i], w[i + 1]
+        if x == y:
+            children = [
+                (c / 2, w[:i] + (k,) + w[i + 2:])
+                for k, c in alg.bracket(x, x).items()
+            ]
+        else:
+            sign = -1 if alg.parity(x) and alg.parity(y) else 1
+            children = [(sign, w[:i] + (y, x) + w[i + 2:])] + [
+                (c, w[:i] + (k,) + w[i + 2:]) for k, c in alg.bracket(x, y).items()
+            ]
+        missing = [cw for _, cw in children if cw not in cache]
+        if missing:
+            stack.extend(missing)
+            continue
+        acc: dict = {}
+        for c, cw in children:
+            for mono, cc in cache[cw].items():
+                acc[mono] = acc.get(mono, 0) + c * cc
+        cache[w] = {mono: Fraction(v) for mono, v in acc.items() if v}
+        stack.pop()
+    return dict(cache[tuple(word)])
+
+
+@st.composite
+def words(draw):
+    """A word of up to 12 letters at n = 1 or 2, rich in odd letters,
+    repeated odd letters and odd squares."""
+    alg = ALGEBRAS[draw(st.sampled_from((1, 2)))]
+    odd = st.sampled_from([ix for ix in range(alg.size) if alg.parity(ix)])
+    chunk = st.one_of(
+        odd.map(lambda x: (x, x)),
+        odd.map(lambda x: (x,)),
+        st.integers(0, alg.size - 1).map(lambda x: (x,)),
+    )
+    return alg, sum(draw(st.lists(chunk, max_size=12)), ())[:12]
+
+
+@given(words())
+@settings(max_examples=200, deadline=None)
+def test_normal_form_matches_reference_rewriting(case):
+    alg, word = case
+    assert normal_form(alg, word) == reference_rewrite(alg, word)
+
+
+def test_normal_form_of_a_long_reversed_word():
+    """Every raising letter of n=3 twice, in decreasing basis order: 20
+    letters whose ordering takes a deep stack of insertions and meets
+    odd squares; the result is the rewriting's."""
+    alg = build_osp(3)
+    word = tuple(sorted(alg.positive_indices() * 2, reverse=True))[:20]
+    assert len(word) == 20
+    assert normal_form(alg, word) == reference_rewrite(alg, word)
+
+
 # -- the product kernel against the reference loop ----------------------------
 
 
 def reference_product(alg, left, right, legs, cap, koszul=True):
     """The tensor product loop the kernel replaced: Fraction (or Poly)
-    arithmetic throughout and one normal_form call per leg product.
+    arithmetic throughout and one reference_rewrite call per leg product,
+    so no part of it goes through the multiplication table.
     ``koszul=False`` drops the Koszul sign, for the negative control."""
     def term_g2(key):
         return sum(monomial_g2(alg, m) for m in key)
@@ -397,7 +494,7 @@ def reference_product(alg, left, right, legs, cap, koszul=True):
                 elif not ti:
                     parts = [(pref + (ui,), pc) for pref, pc in parts]
                 else:
-                    nf = normal_form(alg, ti + ui)
+                    nf = reference_rewrite(alg, ti + ui)
                     parts = [
                         (pref + (mono,), pc * mc)
                         for pref, pc in parts
@@ -412,7 +509,6 @@ def reference_product(alg, left, right, legs, cap, koszul=True):
     return out
 
 
-ALGEBRAS = {1: build_osp(1), 2: ALG}
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 16, 45)
 
 
@@ -520,3 +616,54 @@ def test_product_kernel_negative_control():
     )
     assert legs >= 2
     assert a * b == _expected((alg, legs, a, b))
+
+
+# -- the multiplication table ------------------------------------------------
+
+
+def _odd_tensor(alg, cap=CAP):
+    def g(name):
+        return UEElement.generator(alg, name, g2cap=cap)
+
+    return UETensor.of(g("v+") + g("X-"), g("w+") * g("v-") + g("H"), g2cap=cap)
+
+
+def test_table_cleared_then_cold_product_equals_warm():
+    alg = OspAlgebra(2)
+    t = _odd_tensor(alg)
+    u = t.flip() + t * t
+    warm = t * u
+    assert t * u == warm
+    table = pbw_table(alg)
+    sizes = table.sizes()
+    assert sizes["products"] > 0 and sizes["insertions"] > 0
+    assert table is pbw_table(alg)
+    table.clear()
+    assert table.sizes() == {
+        "monomials": 1, "insertions": 0, "products": 0, "coproducts": 0
+    }
+    assert t * u == warm
+    assert 0 < table.sizes()["products"] <= sizes["products"]
+
+
+def test_product_of_operands_from_two_compatible_instances():
+    """Each instance keeps its own table; the product is read from the
+    left operand's and still matches the reference loop."""
+    a, b = _odd_tensor(OspAlgebra(2)), _odd_tensor(OspAlgebra(2)).flip()
+    assert a.algebra is not b.algebra
+    got = a * b
+    want = reference_product(ALG, a.terms, b.terms, 2, CAP)
+    assert got.terms == want
+    assert got == _odd_tensor(ALG) * _odd_tensor(ALG).flip()
+
+
+def test_packing_width_overflow_raises(monkeypatch):
+    """With 3-bit ids a table holds 8 monomials; the ninth raises
+    instead of wrapping onto a key already in use."""
+    monkeypatch.setattr(pbw, "_ID_BITS", 3)
+    alg = OspAlgebra(2)
+    h = UEElement.generator(alg, "H")
+    assert h * h == UEElement(alg, {(IDX["H"], IDX["H"]): 1})
+    x = sum((UEElement.generator(alg, i) for i in range(6)), h)
+    with pytest.raises(OverflowError):
+        x * x

@@ -34,6 +34,18 @@ def chain_R():
 # -- universal R --------------------------------------------------------------------
 
 
+def test_rep_exact_degree_is_the_least_exact_truncation():
+    """The rep image of R is the same at the derived degree and one above
+    it, and differs one below it."""
+    d = qt.rep_exact_degree(ALG)
+    assert d == 2 and [qt.rep_exact_degree(build_osp(n)) for n in (1, 3)] == [2, 2]
+
+    def image(degree):
+        return qt.universal_R(tws.full_chain(ALG, degree)).rep_matrix
+
+    assert image(d) == image(d + 1) != image(d - 1)
+
+
 def test_r_is_flipped_inverse():
     """R = flip(F) * F^{-1}; triangularity R21 R = 1 is then structural."""
     r = chain_R()
