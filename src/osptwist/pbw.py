@@ -101,8 +101,8 @@ def scalar_inverse(c):
 # --------------------------------------------------------------------------
 
 # Bits of one monomial id in a packed key.  A k-leg key packs k ids into
-# one int, and a pair of ids keys the product table; an id that does not
-# fit raises, so two keys never alias.
+# one int, and a pair of ids keys the product table; packing an id that
+# does not fit raises, so two keys never alias.
 _ID_BITS = 20
 
 
@@ -126,10 +126,13 @@ class PBWTable:
     Each monomial the kernel meets is interned: ``ids[mono]`` is its id
     (made on first lookup), ``monos[i]`` is the monomial of id i, and
     ``g2[i]`` and ``par[i]`` are its doubled grade and its parity; the
-    empty monomial is id 0.  Ids fit in ``bits`` bits (``_ID_BITS`` when
-    the table is made or cleared), so a tensor key of k legs packs into
-    one int of k * ``bits`` bits.  ``units[i]`` is the normal form
-    ((i, 1),), shared by every memo entry that is monomial i alone.
+    empty monomial is id 0.  A tensor key of k legs packs its ids into
+    one int of k * ``bits`` bits (``_ID_BITS`` when the table is made or
+    cleared); the product table and the product kernel raise
+    ``OverflowError`` before packing an id that does not fit, while
+    interning and normal ordering, which pack nothing, have no limit.
+    ``units[i]`` is the normal form ((i, 1),), shared by every memo entry
+    that is monomial i alone.
 
     A normal form is a tuple of (id, coefficient) pairs, with int
     coefficients where they are integral.  ``insertions`` maps
@@ -167,18 +170,24 @@ class PBWTable:
         }
 
     def _new_id(self, mono) -> int:
+        # grade and parity first: a bad letter raises before any list grows
+        g2 = sum(self.algebra.g2(x) for x in mono)
+        par = sum(self.odd[x] for x in mono) & 1
         i = len(self.monos)
-        if i >> self.bits:
-            raise OverflowError(
-                "more than %d distinct monomials do not fit the %d-bit "
-                "packed keys" % (1 << self.bits, self.bits)
-            )
-        self.ids[mono] = i
-        self.monos.append(mono)
-        self.g2.append(sum(self.algebra.g2(x) for x in mono))
-        self.par.append(sum(self.odd[x] for x in mono) & 1)
+        self.g2.append(g2)
+        self.par.append(par)
         self.units.append(((i, 1),))
+        self.monos.append(mono)
+        self.ids[mono] = i
         return i
+
+    def _too_wide(self, top):
+        """The error for packing id ``top``, which needs more than
+        ``bits`` bits."""
+        return OverflowError(
+            "monomial id %d does not fit the %d-bit packed keys"
+            % (top, self.bits)
+        )
 
     def _insert(self, mid, x):
         """Normal form of monos[mid] * x for a normal-ordered monomial and
@@ -253,12 +262,20 @@ class PBWTable:
     def product(self, a: int, b: int) -> tuple:
         """Normal form of monos[a] * monos[b], from the product table: the
         letters of b inserted into the normal form of a, which is the
-        entry (0, a)."""
-        key = a << self.bits | b
+        entry (0, a).  Every id of an entry fits ``bits`` bits, so the
+        kernel packs the ids it reads here without checking them."""
+        bits = self.bits
+        if (a | b) >> bits:
+            raise self._too_wide(max(a, b))
+        key = a << bits | b
         hit = self.products.get(key)
         if hit is None:
             start = self.product(0, a) if a else ((0, 1),)
-            hit = self.products[key] = self.fold(self.monos[b], start)
+            hit = self.fold(self.monos[b], start)
+            top = max((m for m, _ in hit), default=0)
+            if top >> bits:
+                raise self._too_wide(top)
+            self.products[key] = hit
         return hit
 
 
@@ -354,16 +371,18 @@ def _product(alg, left, right, legs, cap):
     """Exact product of two combinations of ``legs``-leg terms.
 
     ``left`` and ``right`` are collections of (key, coefficient) pairs, a
-    key being a tuple of one normal-ordered monomial per leg, or a single
-    monomial when ``legs`` is None (elements).  Returns the product as
-    {key: coefficient}, free of zeros and of terms above the cap.
+    key being a tuple of one normal-ordered monomial per leg (an element
+    is the one-leg case).  Returns the product as {key: coefficient}, free
+    of zeros and of terms above the cap.
 
     Every leg monomial is interned in the algebra's table, a term is
     accumulated under its packed int key, and leg products are read from
-    the table's product memo.  When both operands are rational, each
-    becomes int numerators over its own common denominator; products are
-    summed as ints and divided out once at the end, as the accumulator is
-    drained into {key: Fraction}.  Other scalars (Poly, LaurentSeries) run
+    the table's product memo.  An operand id too wide to pack raises, and
+    so does a product entry holding one (``PBWTable.product``), so no two
+    keys alias.  When both operands are rational, each becomes int
+    numerators over its own common denominator; products are summed as
+    ints and divided out once at the end, as the accumulator is drained
+    into {key: Fraction}.  Other scalars (Poly, LaurentSeries) run
     the same loop with their own coefficients and no denominator.
     """
     lq, rq = _over_common_denominator(left), _over_common_denominator(right)
@@ -374,14 +393,14 @@ def _product(alg, left, right, legs, cap):
         den = ld * rd
     table = pbw_table(alg)
     id_of, g2, par, bits = table.ids, table.g2, table.par, table.bits
-    if legs is None:
-        def leg_ids(key):
-            return (id_of[key],)
-        last = 0
-    else:
-        def leg_ids(key):
-            return [id_of[m] for m in key]
-        last = legs - 1
+    last = legs - 1
+
+    def leg_ids(key):
+        ids = [id_of[m] for m in key]
+        top = max(ids)
+        if top >> bits:
+            raise table._too_wide(top)
+        return ids
 
     # The right operand is prepared once.  Its terms are grouped by grade
     # and by every leg but the last (the head), and the groups are sorted
@@ -440,18 +459,11 @@ def _product(alg, left, right, legs, cap):
                             acc[key] = v
                         else:
                             acc.pop(key, None)
-    return _drain(acc, den, _decoder(table.monos, legs, bits))
-
-
-def _decoder(monos, legs, bits):
-    """Packed key -> its monomial (legs None) or its tuple of monomials."""
-    mask = (1 << bits) - 1
-    if legs is None:
-        return monos.__getitem__
-    if legs == 2:
-        return lambda k: (monos[k >> bits], monos[k & mask])
-    shifts = range(bits * (legs - 1), -1, -bits)
-    return lambda k: tuple([monos[k >> s & mask] for s in shifts])
+    monos, mask = table.monos, (1 << bits) - 1
+    shifts = range(bits * last, -1, -bits)
+    return _drain(
+        acc, den, lambda k: tuple([monos[k >> s & mask] for s in shifts])
+    )
 
 
 def _sum_terms(x, y, sign, grade):
@@ -772,9 +784,13 @@ class UEElement(_Terms):
         self._check(other)
         cap = _omin(self.g2cap, other.g2cap)
         out = _product(
-            self.algebra, self.terms.items(), other.terms.items(), None, cap
+            self.algebra,
+            [((m,), c) for m, c in self.terms.items()],
+            [((m,), c) for m, c in other.terms.items()],
+            1,
+            cap,
         )
-        return self._trusted(out, cap)
+        return self._trusted({key[0]: c for key, c in out.items()}, cap)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, find, given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from osptwist import pbw
 from osptwist.algebra import OspAlgebra, build_osp
@@ -116,24 +116,28 @@ word_strategy = st.lists(
 
 
 @given(word_strategy, word_strategy, word_strategy)
+# X- (Y+^2 Y+^2) keeps its grade-8 factor at cap 8 and lands on the exact
+# grade 6: a kernel that cut by the size of the left grade would drop it
+@example([IDX["X-"]], [IDX["Y+"]] * 2, [IDX["Y+"]] * 2)
 @settings(max_examples=40, deadline=None)
 def test_product_associative(wa, wb, wc):
-    """Untruncated products associate for any letters.  Truncated ones
-    associate when no letter has negative grade: only then is the span of
-    the monomials above the cap an ideal (X- (Y+^2 Y+^3) is cut at cap 8,
-    where (X- Y+^2) Y+^3 is not)."""
+    """Untruncated products associate.  Capped ones associate below the
+    cap less N, N the total |g2| of the negative-grade letters drawn: a
+    term cut at the cap has grade above it, and the letters still to come
+    lower a grade by at most N, so nothing cut reaches that grade.  (The
+    span above the cap is not an ideal once negative-grade letters occur:
+    at cap 8, X- (Y+^2 Y+^3) is cut where (X- Y+^2) Y+^3 is not.)"""
     def elem(w, cap):
         out = UEElement.one(ALG, g2cap=cap)
         for i in w:
             out = out * UEElement.generator(ALG, ALG.name_of(i), g2cap=cap)
         return out
 
-    caps = [None]
-    if all(ALG.g2(i) >= 0 for i in wa + wb + wc):
-        caps.append(CAP)
-    for cap in caps:
-        a, b, c = elem(wa, cap), elem(wb, cap), elem(wc, cap)
-        assert (a * b) * c == a * (b * c)
+    a, b, c = elem(wa, None), elem(wb, None), elem(wc, None)
+    assert (a * b) * c == a * (b * c)
+    exact = CAP - sum(-ALG.g2(i) for i in wa + wb + wc if ALG.g2(i) < 0)
+    a, b, c = elem(wa, CAP), elem(wb, CAP), elem(wc, CAP)
+    assert ((a * b) * c).truncate(exact) == (a * (b * c)).truncate(exact)
 
 
 @given(word_strategy, word_strategy)
@@ -658,8 +662,9 @@ def test_product_of_operands_from_two_compatible_instances():
 
 
 def test_packing_width_overflow_raises(monkeypatch):
-    """With 3-bit ids a table holds 8 monomials; the ninth raises
-    instead of wrapping onto a key already in use."""
+    """With 3-bit ids a packed key holds ids 0..7; a product that would
+    pack a ninth monomial's id raises instead of wrapping onto a key
+    already in use."""
     monkeypatch.setattr(pbw, "_ID_BITS", 3)
     alg = OspAlgebra(2)
     h = UEElement.generator(alg, "H")
@@ -667,3 +672,34 @@ def test_packing_width_overflow_raises(monkeypatch):
     x = sum((UEElement.generator(alg, i) for i in range(6)), h)
     with pytest.raises(OverflowError):
         x * x
+
+
+def test_packing_width_does_not_limit_normal_ordering(monkeypatch):
+    """Interning and normal ordering pack no keys: with 3-bit ids a word
+    whose ordering meets dozens of monomials is still normal-ordered."""
+    monkeypatch.setattr(pbw, "_ID_BITS", 3)
+    alg = OspAlgebra(2)
+    word = tuple(sorted(alg.positive_indices(), reverse=True))
+    assert normal_form(alg, word) == reference_rewrite(alg, word)
+    assert pbw_table(alg).sizes()["monomials"] > 8
+    assert monomial_g2(alg, word[::-1]) == sum(alg.g2(x) for x in word)
+
+
+def test_failed_interning_leaves_the_table_consistent():
+    """A letter outside the basis raises before anything is interned, so
+    later products on the same algebra are still read correctly."""
+    alg = OspAlgebra(2)
+    t = _odd_tensor(alg)
+    table = pbw_table(alg)
+    for bad in (
+        lambda: UEElement(alg, {(alg.size,): 1}, g2cap=CAP),
+        lambda: monomial_g2(alg, (0, alg.size)),
+        lambda: normal_form(alg, (1, alg.size, 0)),
+    ):
+        with pytest.raises(IndexError):
+            bad()
+        assert all(alg.size not in m for m in table.ids)
+        assert len(table.g2) == len(table.par) == len(table.monos)
+        assert len(table.units) == len(table.ids) == len(table.monos)
+    u = _odd_tensor(alg).flip()
+    assert (t * u).terms == reference_product(ALG, t.terms, u.terms, 2, CAP)
