@@ -302,15 +302,22 @@ class OspAlgebra:
         return out
 
     def monomial_matrix(self, mono) -> GradedMatrix:
-        """Defining-representation image of a product of basis elements."""
+        """Defining-representation image of a product of basis elements:
+        the image of the monomial without its last letter, times that
+        letter's matrix.  Images of up to six letters are cached, and so
+        is every zero image, which then ends the product for each
+        monomial that extends it."""
         mono = tuple(mono)
         hit = self._mono_matrix_cache.get(mono)
         if hit is not None:
             return hit
-        acc = GradedMatrix.identity(self.pv)
-        for ix in mono:
-            acc = acc @ self.basis[ix].matrix
-        if len(mono) <= 6:
+        if not mono:
+            acc = GradedMatrix.identity(self.pv)
+        else:
+            acc = self.monomial_matrix(mono[:-1])
+            if not acc.is_zero:
+                acc = acc @ self.basis[mono[-1]].matrix
+        if len(mono) <= 6 or acc.is_zero:
             self._mono_matrix_cache[mono] = acc
         return acc
 

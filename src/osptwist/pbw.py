@@ -15,47 +15,56 @@ of this module for one algebra: the interned monomials (small int ids,
 with their grades and parities), the insertion memo, the product table
 (a pair of ids -> the normal form of their product) that the product
 kernel reads, and the coproducts of monomials.  ``pbw_table(alg)`` finds
-it, ``clear()`` empties it and ``sizes()`` reports it.
+it, ``clear()`` empties its memos and ``sizes()`` reports it.
 
 Truncation.  Infinite objects (exponentials of raising elements, inverses,
-square roots) are handled by working in the quotient of the enveloping
-algebra -- or of its tensor powers -- by the span of all monomials whose
-*total principal grade* exceeds a chosen cap.  The principal grade (half
-the sum of the root's eps-coefficients, stored doubled as ``g2``) is
-additive under multiplication and preserved by rewriting, so that span is
-a two-sided ideal and the quotient is an honest ring: every coefficient
-kept is exact, none is polluted by discarded terms.  Since the grade of a
-monomial never exceeds its degree, capping at grade D certifies in
-particular every coefficient of degree <= D.
+square roots) are handled by working modulo the span of all monomials
+whose *total principal grade* exceeds a chosen cap.  The principal grade
+(half the sum of the root's eps-coefficients, stored doubled as ``g2``) is
+additive under multiplication and preserved by rewriting.  Where every
+letter has nonnegative grade, that span is therefore a two-sided ideal of
+the subalgebra those letters generate, and its quotient is an honest
+ring: every coefficient kept is exact, none is polluted by discarded
+terms.  The twist chain, R and the intertwining check (H, v+, X+) use
+such letters only.  A letter of negative grade lowers the grade of a term
+cut at the cap back below it, so there the cut is not an ideal and capped
+products depend on how they are associated: at cap 8, X-*(Y+^2*Y+^3) is 0
+while (X-*Y+^2)*Y+^3 is Y+^5*X-.  Since the grade of a monomial never
+exceeds its degree, capping at grade D certifies in particular every
+coefficient of degree <= D.
 
 An element with ``g2cap=None`` is untruncated; caps combine by taking the
 minimum.  All series operations require a finite cap (they do not
 terminate otherwise) and a grade-positive argument.
 
-Coefficients.  At the API every rational coefficient is a ``Fraction``
-(ints are converted on construction); Poly and LaurentSeries coefficients
-are kept as they are.  Inside a product of two rational operands, each
-operand is held as int numerators over one common denominator, the lcm of
-its denominators; products are summed as Python ints, under one packed
-int key per term (the ids of its legs), and turned back into ``Fraction``
-and tuple keys once per output term.  The coproducts sum int numerators
-the same way, and the table keeps int coefficients wherever they are
-integral.
+Coefficients.  An element or tensor stores one dict from packed keys to
+coefficients: a key packs the table ids of its leg monomials into one int
+(``_ID_BITS`` bits per leg, the first leg highest), and an element is the
+one-leg case.  Rational coefficients are int numerators over one positive
+int denominator ``den``, kept canonical (den and the numerators have no
+common factor), so equal objects have equal dicts and denominators.  Poly
+and LaurentSeries coefficients are kept as they are, with ``den`` None.
+Products, sums, coproducts and the leg maps (flip, embedding, counit)
+work on the packed ints directly; ``.terms`` is a read-only view that
+decodes keys to tuples of monomials and coefficients to ``Fraction`` on
+reading.
 
 One term algebra.  :class:`UEElement`, :class:`UETensor` and the classical
-:class:`~osptwist.rmatrix.LieTensor` are all zero-free coefficient dicts
-over keys of one shape, and share one implementation of construction,
-sums, scaling, powers, truncation, equality, the graded flip and printing
-(``_Terms``); each class fixes only its key shape, the grade and parity
-of a key, and its constructors' arguments.
+:class:`~osptwist.rmatrix.LieTensor` share one implementation of
+construction, sums, scaling, powers, truncation, equality, the graded flip
+and printing (``_Terms``); each class fixes its key codec (packed leg ids,
+or LieTensor's tuples of basis letters, stored as they are), the grade and
+parity of a key, and its constructors' arguments.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import (
@@ -65,7 +74,7 @@ from .errors import (
     IrrationalExpansionPoint,
     MixedAlgebra,
 )
-from .repmat import GradedMatrix, kron_all, tensor_pv
+from .repmat import GradedMatrix, kron, tensor_pv
 from .scalars import (
     LaurentSeries,
     Poly,
@@ -121,45 +130,50 @@ class _Ids(dict):
 
 
 class PBWTable:
-    """Every normal-ordering memo of one algebra, in one clearable object.
+    """Every normal-ordering memo of one algebra.
 
-    Each monomial the kernel meets is interned: ``ids[mono]`` is its id
-    (made on first lookup), ``monos[i]`` is the monomial of id i, and
-    ``g2[i]`` and ``par[i]`` are its doubled grade and its parity; the
-    empty monomial is id 0.  A tensor key of k legs packs its ids into
-    one int of k * ``bits`` bits (``_ID_BITS`` when the table is made or
-    cleared); the product table and the product kernel raise
-    ``OverflowError`` before packing an id that does not fit, while
-    interning and normal ordering, which pack nothing, have no limit.
-    ``units[i]`` is the normal form ((i, 1),), shared by every memo entry
-    that is monomial i alone.
+    Each monomial the algebra's elements and tensors meet is interned:
+    ``ids[mono]`` is its id (made on first lookup), ``monos[i]`` is the
+    monomial of id i, ``g2[i]`` and ``par[i]`` are its doubled grade and
+    its parity, and ``prefix[i]`` is the id of monos[i] without its last
+    letter; the empty monomial is id 0.  Interning is append-only, since
+    elements and tensors keep ids in their keys.  A key of k legs packs
+    its ids into one int of k * ``bits`` bits (``_ID_BITS`` when the table
+    is made), the first leg highest; packing an id that does not fit
+    raises ``OverflowError``, while interning and normal ordering, which
+    pack nothing, have no limit.  ``units[i]`` is the normal form
+    ((i, 1),), shared by every memo entry that is monomial i alone.
 
     A normal form is a tuple of (id, coefficient) pairs, with int
     coefficients where they are integral.  ``insertions`` maps
     id * size + letter to the normal form of a normal-ordered monomial
     times one letter; ``products`` maps the packed pair of two ids to the
     normal form of their product, read by the product kernel; and
-    ``coproducts`` maps (monomial, legs) to its undeformed coproduct as
-    (key, coefficient) pairs.
+    ``coproducts`` maps (id, legs) to the undeformed coproduct of a
+    monomial as (packed key, int) pairs.  ``clear()`` empties these three
+    memos.
     """
 
     __slots__ = ("algebra", "bits", "size", "odd", "monos", "ids", "g2",
-                 "par", "units", "insertions", "products", "coproducts")
+                 "par", "prefix", "units", "insertions", "products",
+                 "coproducts")
 
     def __init__(self, algebra):
         self.algebra = algebra
         self.size = algebra.size
         self.odd = [algebra.parity(x) for x in range(algebra.size)]
+        self.bits = _ID_BITS
+        self.monos, self.ids, self.g2, self.par = [], _Ids(), [], []
+        self.prefix, self.units = [], []
+        self.ids.table = self
+        self.ids[()]  # interned first: id 0
         self.clear()
 
     def clear(self):
-        """Forget every memo; the next products are computed cold."""
-        self.bits = _ID_BITS
-        self.monos, self.ids, self.g2, self.par = [], _Ids(), [], []
-        self.units = []
-        self.ids.table = self
+        """Forget the insertion, product and coproduct memos; the next
+        products are computed cold.  Interned monomials stay: live keys
+        name them."""
         self.insertions, self.products, self.coproducts = {}, {}, {}
-        self.ids[()]  # interned first: id 0
 
     def sizes(self) -> dict:
         return {
@@ -173,9 +187,11 @@ class PBWTable:
         # grade and parity first: a bad letter raises before any list grows
         g2 = sum(self.algebra.g2(x) for x in mono)
         par = sum(self.odd[x] for x in mono) & 1
+        prefix = self.ids[mono[:-1]] if mono else 0
         i = len(self.monos)
         self.g2.append(g2)
         self.par.append(par)
+        self.prefix.append(prefix)
         self.units.append(((i, 1),))
         self.monos.append(mono)
         self.ids[mono] = i
@@ -220,7 +236,7 @@ class PBWTable:
                 memo[key] = self.units[ids[mono + (x,)]]
                 stack.pop()
                 continue
-            u = ids[mono[:-1]]
+            u = self.prefix[mid]
             if y == x:
                 terms = [(c / 2, u, k) for k, c in bracket(x, x).items()]
             else:
@@ -260,9 +276,11 @@ class PBWTable:
         return nf
 
     def product(self, a: int, b: int) -> tuple:
-        """Normal form of monos[a] * monos[b], from the product table: the
-        letters of b inserted into the normal form of a, which is the
-        entry (0, a).  Every id of an entry fits ``bits`` bits, so the
+        """Normal form of monos[a] * monos[b], from the product table.  An
+        in-order concatenation (the last letter of a before the first of
+        b, or the two equal and even) is interned as it is; otherwise,
+        writing b = b' x, the letter x is inserted into the memoized
+        product a * b'.  Every id of an entry fits ``bits`` bits, so the
         kernel packs the ids it reads here without checking them."""
         bits = self.bits
         if (a | b) >> bits:
@@ -270,12 +288,35 @@ class PBWTable:
         key = a << bits | b
         hit = self.products.get(key)
         if hit is None:
-            start = self.product(0, a) if a else ((0, 1),)
-            hit = self.fold(self.monos[b], start)
+            ma, mb = self.monos[a], self.monos[b]
+            if not ma or not mb or ma[-1] < mb[0] or (
+                ma[-1] == mb[0] and not self.odd[mb[0]]
+            ):
+                hit = self.units[self.ids[ma + mb]]
+            else:
+                hit = self.fold(mb[-1:], self.product(a, self.prefix[b]))
             top = max((m for m, _ in hit), default=0)
             if top >> bits:
                 raise self._too_wide(top)
             self.products[key] = hit
+        return hit
+
+    def coproduct(self, mid: int, legs: int) -> tuple:
+        """The undeformed coproduct of monos[mid] on ``legs`` legs as
+        (packed key, int) pairs: that of its prefix times that of its last
+        letter x, which is x on one leg and 1 on the others."""
+        key = (mid, legs)
+        hit = self.coproducts.get(key)
+        if hit is None:
+            mono = self.monos[mid]
+            if not mono:
+                hit = ((0, 1),)
+            else:
+                x = self.ids[mono[-1:]]
+                primitive = {x << self.bits * pos: 1 for pos in range(legs)}
+                head = dict(self.coproduct(self.prefix[mid], legs))
+                hit = tuple(_mul(self, head, primitive, legs, None).items())
+            self.coproducts[key] = hit
         return hit
 
 
@@ -322,176 +363,154 @@ def format_monomial(alg, mono) -> str:
     return "*".join(parts)
 
 
-def _over_common_denominator(items):
-    """(key, int numerator) pairs over the lcm of the denominators, and
-    that lcm, when every coefficient is rational; None otherwise."""
-    dens = set()
-    for _, c in items:
-        if not isinstance(c, (int, Fraction)):
-            return None
-        dens.add(c.denominator)
-    den = lcm(*dens)
-    nums = [(key, c.numerator * (den // c.denominator)) for key, c in items]
-    return nums, den
+# --------------------------------------------------------------------------
+# Coefficient storage and the product kernel
+# --------------------------------------------------------------------------
 
 
-def _linear_image(items, image):
-    """sum of c * image(key) over (key, c) pairs, where image(key) lists
-    (key, coefficient) pairs, as a zero-free dict.  Rational coefficients
-    are summed as int numerators over one common denominator, divided out
-    once per output key."""
-    q = _over_common_denominator(items)
-    den = None
-    if q is not None:
-        items, den = q
-    acc: dict = {}
-    for key, c in items:
-        for k, a in image(key):
-            acc[k] = acc.get(k, 0) + c * a
-    return _drain(acc, den)
+def _canonical(data, den):
+    """(data, den) with the common factor of ``den`` and every numerator
+    divided out; ``data`` is divided in place.  An empty dict gets den 1."""
+    g = gcd(den, *data.values())
+    if g != 1:
+        for k, v in data.items():
+            data[k] = v // g
+        den //= g
+    return data, den
 
 
-def _drain(acc, den, decode=None):
-    """The nonzero terms of an accumulator as a fresh dict, each value
-    divided by ``den`` (kept as it is when ``den`` is None) and each key
-    mapped by ``decode`` when given.  The accumulator is emptied entry by
-    entry, so the two dicts are never both full."""
-    out = {}
-    pop = acc.popitem
-    for _ in range(len(acc)):
-        key, v = pop()
-        if v:
-            if decode is not None:
-                key = decode(key)
-            out[key] = v if den is None else Fraction(v, den)
-    return out
+def _stored(data):
+    """(data, den) for a {key: scalar} dict.  When every scalar is
+    rational: int numerators over their least common denominator, which
+    is already canonical (a prime of the lcm divides one denominator to
+    its full power, and that numerator is prime to it).  Otherwise the
+    nonzero scalars as they are, int ones made Fractions, and den None."""
+    values = data.values()
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        den = lcm(*[v.denominator for v in values])
+        return {
+            k: v.numerator * (den // v.denominator)
+            for k, v in data.items()
+            if v
+        }, den
+    return {
+        k: Fraction(v) if isinstance(v, int) else v
+        for k, v in data.items()
+        if not scalar_is_zero(v)
+    }, None
 
 
-def _product(alg, left, right, legs, cap):
-    """Exact product of two combinations of ``legs``-leg terms.
+def _mul(table, left, right, legs, cap):
+    """The product of two combinations of ``legs``-leg keys packed in
+    ``table``, {key: coefficient} dicts, as a zero-free {key: coefficient}
+    dict without terms above ``cap``.  Coefficients are multiplied as
+    they are: int numerators, or Poly and LaurentSeries values.
 
-    ``left`` and ``right`` are collections of (key, coefficient) pairs, a
-    key being a tuple of one normal-ordered monomial per leg (an element
-    is the one-leg case).  Returns the product as {key: coefficient}, free
-    of zeros and of terms above the cap.
-
-    Every leg monomial is interned in the algebra's table, a term is
-    accumulated under its packed int key, and leg products are read from
-    the table's product memo.  An operand id too wide to pack raises, and
-    so does a product entry holding one (``PBWTable.product``), so no two
-    keys alias.  When both operands are rational, each becomes int
-    numerators over its own common denominator; products are summed as
-    ints and divided out once at the end, as the accumulator is drained
-    into {key: Fraction}.  Other scalars (Poly, LaurentSeries) run
-    the same loop with their own coefficients and no denominator.
+    Both operands are grouped by grade and by the ids of every leg but
+    the last (the head), and the groups are sorted by grade, so the cap
+    cuts the right operand's groups at one index and each head product
+    is formed once per pair of groups.  The Koszul sign of terms t and u,
+    sum_i p(u_i) sum_{l>i} p(t_l), splits into a head part, the parity of
+    (bits of t's head legs followed by an odd number of odd head legs) &
+    (bits of u's odd head legs), and p(t_last) p(u's head).
     """
-    lq, rq = _over_common_denominator(left), _over_common_denominator(right)
-    if lq is None or rq is None:
-        den = None
-    else:
-        (left, ld), (right, rd) = lq, rq
-        den = ld * rd
-    table = pbw_table(alg)
-    id_of, g2, par, bits = table.ids, table.g2, table.par, table.bits
+    g2, par, bits = table.g2, table.par, table.bits
+    mask = (1 << bits) - 1
     last = legs - 1
+    shifts = range(bits * (last - 1), -1, -bits)
 
-    def leg_ids(key):
-        ids = [id_of[m] for m in key]
-        top = max(ids)
-        if top >> bits:
-            raise table._too_wide(top)
-        return ids
+    def grouped(data):
+        heads: dict = {}
+        groups: dict = {}
+        for key, c in data.items():
+            head = key >> bits
+            grade = heads.get(head)
+            if grade is None:
+                grade = heads[head] = sum(g2[head >> s & mask] for s in shifts)
+            m = key & mask
+            groups.setdefault((grade + g2[m], head), []).append((m, c))
+        out = []
+        for (grade, head), members in groups.items():
+            ids = [head >> s & mask for s in shifts]
+            odd_heads = odd_after = odd = 0
+            for i in range(last - 1, -1, -1):
+                if odd:
+                    odd_after |= 1 << i
+                if par[ids[i]]:
+                    odd_heads |= 1 << i
+                    odd ^= 1
+            out.append((grade, ids, odd_after, odd_heads, odd, members))
+        out.sort(key=itemgetter(0))
+        return out
 
-    # The right operand is prepared once.  Its terms are grouped by grade
-    # and by every leg but the last (the head), and the groups are sorted
-    # by grade, so the cap cuts the inner loop at one index and each head
-    # product is formed once per group.  The Koszul sign of a pair only
-    # sees the right term's odd head legs, as no leg follows the last one.
-    groups: dict = {}
-    for u, c in right:
-        ids = leg_ids(u)
-        grade = sum(g2[i] for i in ids)
-        groups.setdefault((grade, tuple(ids[:last])), []).append((ids[last], c))
-    prepared = sorted(
-        [
-            (grade, head, sum(par[m] << i for i, m in enumerate(head)), members)
-            for (grade, head), members in groups.items()
-        ],
-        key=itemgetter(0),
-    )
-    grades = [q[0] for q in prepared]
+    lgroups, rgroups = grouped(left), grouped(right)
+    rgrades = [q[0] for q in rgroups]
     get, product = table.products.get, table.product
     acc: dict = {}
     aget = acc.get
-    for t, c1 in left:
-        ids = leg_ids(t)
-        if cap is None:
-            stop = len(grades)
-        else:
-            stop = bisect_right(grades, cap - sum(g2[i] for i in ids))
-        # bit i set when the legs after i hold an odd number of odd letters
-        odd_after = 0
-        odd = 0
-        for i in range(last, -1, -1):
-            if odd:
-                odd_after |= 1 << i
-            odd ^= par[ids[i]]
-        t_head, t_last = ids[:last], ids[last]
-        t_last_key = t_last << bits
-        for _, head, odd_head, members in prepared[:stop]:
-            odd_pairs = (odd_head & odd_after).bit_count()
-            # (packed ids of the legs so far, shifted for the next leg,
+    for lgrade, t_head, t_after, _, _, lmembers in lgroups:
+        stop = len(rgroups) if cap is None else bisect_right(rgrades, cap - lgrade)
+        for _, u_head, _, u_odd_heads, u_odd, rmembers in rgroups[:stop]:
+            sign = (t_after & u_odd_heads).bit_count() & 1
+            # (packed ids of the head legs, shifted for the last leg,
             # coefficient)
-            parts = [(0, -c1 if odd_pairs & 1 else c1)]
-            for ti, ui in zip(t_head, head):
+            parts = [(0, 1)]
+            for ti, ui in zip(t_head, u_head):
                 nf = get(ti << bits | ui) or product(ti, ui)
                 parts = [
                     ((p | m) << bits, pc * a) for p, pc in parts for m, a in nf
                 ]
-            for u_last, c2 in members:
-                nf = get(t_last_key | u_last) or product(t_last, u_last)
-                for p, pc in parts:
-                    pc *= c2
-                    for m, a in nf:
-                        key = p | m
-                        v = aget(key, 0) + pc * a
-                        if v:
-                            acc[key] = v
-                        else:
-                            acc.pop(key, None)
-    monos, mask = table.monos, (1 << bits) - 1
-    shifts = range(bits * last, -1, -bits)
-    return _drain(
-        acc, den, lambda k: tuple([monos[k >> s & mask] for s in shifts])
-    )
+            for t_last, c1 in lmembers:
+                if sign ^ (u_odd & par[t_last]):
+                    c1 = -c1
+                scaled = [(p, pc * c1) for p, pc in parts]
+                row = t_last << bits
+                for u_last, c2 in rmembers:
+                    nf = get(row | u_last) or product(t_last, u_last)
+                    for p, pc in scaled:
+                        pc *= c2
+                        for m, a in nf:
+                            key = p | m
+                            v = aget(key, 0) + pc * a
+                            if v:
+                                acc[key] = v
+                            else:
+                                acc.pop(key, None)
+    return acc
 
 
-def _sum_terms(x, y, sign, grade):
-    """The terms of x + sign * y (sign +1 or -1) for two elements or two
-    tensors, and the smaller cap: zero-free and cut at that cap, a side's
-    terms being cut only when its own cap was looser."""
-    cap = _omin(x.g2cap, y.g2cap)
-    if x.g2cap == cap:
-        out = dict(x.terms)
-    else:
-        out = {k: c for k, c in x.terms.items() if grade(k) <= cap}
-    cut_y = y.g2cap != cap
-    for k, c in y.terms.items():
-        if cut_y and grade(k) > cap:
-            continue
-        v = out.get(k)
-        if v is None:
-            out[k] = c if sign > 0 else -c
-        elif sign < 0 and v == c:
-            # the terms of a vanishing residual cancel without arithmetic
-            del out[k]
-        else:
-            v = v + c if sign > 0 else v - c
-            if scalar_is_zero(v):
-                del out[k]
+def _product(x, y, legs, cap):
+    """(data, den) of x * y for two elements or two tensors of
+    compatible algebras, keyed in x's table and cut at ``cap``."""
+    table = pbw_table(x.algebra)
+    right = x._aligned(y)
+    if x.den is not None and y.den is not None:
+        return _canonical(_mul(table, x.data, right, legs, cap), x.den * y.den)
+    if y.den is not None:
+        right = _fractions(right, y.den)
+    return _stored(_mul(table, x._scalars(), right, legs, cap))
+
+
+def _fractions(data, den):
+    """{key: Fraction} for int numerators over ``den``."""
+    return dict(zip(data, map(Fraction, data.values(), repeat(den))))
+
+
+def _image(data, den, image):
+    """(data, den) of sum c * image(key) over the terms, where
+    ``image(key)`` lists (key, int) pairs."""
+    acc: dict = {}
+    get = acc.get
+    for key, c in data.items():
+        for k, a in image(key):
+            v = get(k, 0) + c * a
+            if v:
+                acc[k] = v
             else:
-                out[k] = v
-    return out, cap
+                acc.pop(k, None)
+    if den is None:
+        return _stored(acc)
+    return _canonical(acc, den)
 
 
 # --------------------------------------------------------------------------
@@ -499,65 +518,113 @@ def _sum_terms(x, y, sign, grade):
 # --------------------------------------------------------------------------
 
 
+class _TermsView(Mapping):
+    """The terms of an element or tensor as a read-only {key: coefficient}
+    mapping: keys in the class's public shape and Fraction (or Poly,
+    LaurentSeries) values, decoded as they are read.  ``len`` decodes
+    nothing."""
+
+    __slots__ = ("_of",)
+
+    def __init__(self, of):
+        self._of = of
+
+    def __len__(self):
+        return len(self._of.data)
+
+    def __iter__(self):
+        decode = self._of._decoder()
+        data = self._of.data
+        return iter(data) if decode is None else map(decode, data)
+
+    def __getitem__(self, key):
+        of = self._of
+        k = of._find(key)
+        if k is None or k not in of.data:
+            raise KeyError(key)
+        v = of.data[k]
+        return v if of.den is None else Fraction(v, of.den)
+
+    def items(self):
+        return _TermsItems(self)
+
+    def values(self):
+        return _TermsValues(self)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _TermsValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        of = self._mapping._of
+        values = of.data.values()
+        if of.den is None:
+            return iter(values)
+        return map(Fraction, values, repeat(of.den))
+
+
+class _TermsItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.values())
+
+
 class _Terms:
     """A finite combination of keys with coefficients in the exact scalar
-    tower, kept as a zero-free {key: coefficient} dict, modulo total grade
-    > g2cap/2 (no truncation when g2cap is None).
+    tower, modulo total grade > g2cap/2 (no truncation when g2cap is
+    None).  ``data`` is a zero-free {stored key: coefficient} dict and
+    ``den`` its denominator: int numerators over a positive int ``den``,
+    canonical, for rational coefficients, any other scalars with ``den``
+    None (see the module docstring).  ``terms`` is the decoded view.
 
     :class:`UEElement`, :class:`UETensor` and
     :class:`~osptwist.rmatrix.LieTensor` share this term algebra.  A
-    subclass fixes only the shape of a key (``_key``: a monomial, a tuple
-    of monomials, or a tuple of basis letters), the grade and parity of a
-    key (``term_g2``, ``term_parity``, and ``_leg_parity`` of one leg of a
-    tensor key), how a key prints (``_body``, ``_sort_key``) and the
-    arguments of its constructors.  ``legs`` is the number of tensor legs,
-    None for an element of the enveloping algebra itself.  Powers need the
-    subclass's product and ``one_like``.
+    subclass fixes the public shape of a key (``_key``: a monomial, a
+    tuple of monomials, or a tuple of basis letters), how it is stored
+    (``_encoder``, ``_decoder``, ``_find``; by default as it is), the
+    grade and parity of a key, public (``term_g2``, ``term_parity``) and
+    stored (``_grader``, ``_parity_of``, ``_swapper`` for the graded flip),
+    how a key prints (``_body``, ``_sort_key``) and the arguments of its
+    constructors.  ``legs`` is the number of tensor legs, None for an
+    element of the enveloping algebra itself.  Powers need the subclass's
+    product and ``one_like``.
     """
 
-    __slots__ = ("algebra", "terms", "legs", "g2cap")
+    __slots__ = ("algebra", "data", "den", "legs", "g2cap")
 
     def _fill(self, algebra, terms, legs, g2cap):
-        """The validated constructor: keys brought to shape, int
-        coefficients made Fractions, zeros and terms above the cap
-        dropped."""
+        """The validated constructor: keys brought to shape and stored,
+        zeros and terms above the cap dropped."""
         self.algebra = algebra
         self.legs = legs
         self.g2cap = g2cap
-        cleaned = {}
-        for key, c in terms.items():
-            key = self._key(key)
-            if isinstance(c, int):
-                c = Fraction(c)
-            if scalar_is_zero(c):
-                continue
-            if g2cap is not None and self.term_g2(key) > g2cap:
-                continue
-            cleaned[key] = c
-        self.terms = cleaned
-
-    def _rebuilt(self, terms, g2cap):
-        """An object of self's kind (type, algebra, legs) holding
-        ``terms``, validated."""
-        out = object.__new__(type(self))
-        out._fill(self.algebra, terms, self.legs, g2cap)
-        return out
+        encode = self._encoder()
+        data = {encode(key): c for key, c in terms.items()}
+        if g2cap is not None:
+            grade = self._grader()
+            data = {k: c for k, c in data.items() if grade(k) <= g2cap}
+        self.data, self.den = _stored(data)
 
     @classmethod
-    def _wrap(cls, algebra, terms, legs, g2cap):
-        """An object of kind ``cls`` wrapping terms that are already clean:
-        keys in shape, nonzero coefficients, none above the cap."""
+    def _wrap(cls, algebra, data, den, legs, g2cap):
+        """An object of kind ``cls`` wrapping stored terms that are
+        already clean: nonzero, canonical, none above the cap."""
         out = object.__new__(cls)
         out.algebra = algebra
-        out.terms = terms
+        out.data = data
+        out.den = den
         out.legs = legs
         out.g2cap = g2cap
         return out
 
-    def _trusted(self, terms, g2cap):
+    def _like(self, data, den, g2cap):
         """An object of self's kind (type, algebra, legs) wrapping clean
-        terms."""
-        return self._wrap(self.algebra, terms, self.legs, g2cap)
+        stored terms."""
+        return self._wrap(self.algebra, data, den, self.legs, g2cap)
 
     def _check_legs(self, key):
         if len(key) != self.legs:
@@ -567,21 +634,81 @@ class _Terms:
         return key
 
     def zero_like(self):
-        return self._trusted({}, self.g2cap)
+        return self._like({}, 1, self.g2cap)
+
+    # -- storage ----------------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping:
+        return _TermsView(self)
+
+    def _encoder(self):
+        return self._key
+
+    def _decoder(self):
+        """The stored key -> public key map; None when keys are stored as
+        they are."""
+        return None
+
+    def _find(self, key):
+        """The stored form of a public key, None when it cannot occur."""
+        try:
+            return tuple(key)
+        except TypeError:
+            return None
+
+    def _grader(self):
+        return self.term_g2
+
+    def _parity_of(self):
+        return self.term_parity
+
+    def _swapper(self):
+        """stored 2-leg key -> (swapped key, whether both legs are odd)."""
+        par = self._leg_parity
+        return lambda k: ((k[1], k[0]), par(k[0]) and par(k[1]))
+
+    def _scalars(self):
+        """The stored terms with their coefficients as scalars."""
+        if self.den is None:
+            return self.data
+        return _fractions(self.data, self.den)
+
+    def _aligned(self, other):
+        """other's stored terms, keyed as self stores keys."""
+        if other.algebra is self.algebra:
+            return other.data
+        shell = object.__new__(type(self))
+        shell.algebra, shell.legs = self.algebra, other.legs
+        encode, decode = shell._encoder(), other._decoder()
+        if decode is None:
+            return {encode(k): c for k, c in other.data.items()}
+        return {encode(decode(k)): c for k, c in other.data.items()}
+
+    def _select(self, keep):
+        """(data, den) of the terms whose doubled grade satisfies
+        ``keep``."""
+        grade = self._grader()
+        data = {k: c for k, c in self.data.items() if keep(grade(k))}
+        if self.den is None:
+            return data, None
+        return _canonical(data, self.den)
 
     # -- inspection -------------------------------------------------------
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.data
 
     def is_grade_positive(self):
         """True when every term has total grade >= 1/2 (g2 >= 1)."""
-        return all(self.term_g2(k) >= 1 for k in self.terms)
+        grade = self._grader()
+        return all(grade(k) >= 1 for k in self.data)
 
     def parity(self):
         """The parity shared by every term (0 for zero), None if they mix."""
-        seen = {self.term_parity(k) for k in self.terms}
+        parity = self._parity_of()
+        seen = {parity(k) for k in self.data}
         if not seen:
             return 0
         if len(seen) > 1:
@@ -605,17 +732,42 @@ class _Terms:
             )
 
     def _combine(self, other, sign):
-        """self + sign * other for ``other`` of self's kind."""
+        """self + sign * other (sign +1 or -1) for ``other`` of self's
+        kind, cut at the smaller cap; a side's terms are cut only when its
+        own cap was looser."""
         self._check(other)
-        out, cap = _sum_terms(self, other, sign, self.term_g2)
-        return self._trusted(out, cap)
+        y = self._aligned(other)
+        cap = _omin(self.g2cap, other.g2cap)
+        grade = self._grader()
+        cut_x, cut_y = self.g2cap != cap, other.g2cap != cap
+        rational = self.den is not None and other.den is not None
+        if rational:
+            den = lcm(self.den, other.den)
+            x, mx, my = self.data, den // self.den, sign * (den // other.den)
+        else:
+            x, mx, my = self._scalars(), 1, sign
+            if other.den is not None:
+                y = _fractions(y, other.den)
+        out = {k: c * mx for k, c in x.items() if not cut_x or grade(k) <= cap}
+        get = out.get
+        for k, c in y.items():
+            if cut_y and grade(k) > cap:
+                continue
+            v = get(k, 0) + c * my
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+        return self._like(
+            *(_canonical(out, den) if rational else _stored(out)), cap
+        )
 
     def __radd__(self, other):
         return self + other
 
     def __neg__(self):
-        return self._trusted(
-            {k: -c for k, c in self.terms.items()}, self.g2cap
+        return self._like(
+            {k: -c for k, c in self.data.items()}, self.den, self.g2cap
         )
 
     def __sub__(self, other):
@@ -629,8 +781,16 @@ class _Terms:
     def scale(self, c):
         if scalar_is_zero(c):
             return self.zero_like()
-        return self._rebuilt(
-            {k: c * v for k, v in self.terms.items()}, self.g2cap
+        f = _fr(c)
+        if f is not None and self.den is not None:
+            p = f.numerator
+            data = {k: v * p for k, v in self.data.items()}
+            return self._like(
+                *_canonical(data, self.den * f.denominator), self.g2cap
+            )
+        return self._like(
+            *_stored({k: c * v for k, v in self._scalars().items()}),
+            self.g2cap,
         )
 
     def __rmul__(self, c):
@@ -644,38 +804,49 @@ class _Terms:
         return power(self, k, self.one_like())
 
     def truncate(self, g2cap):
-        return self._rebuilt(self.terms, _omin(self.g2cap, g2cap))
+        cap = _omin(self.g2cap, g2cap)
+        if cap == self.g2cap:
+            return self._like(self.data, self.den, cap)
+        return self._like(*self._select(lambda g: g <= cap), cap)
 
     def map_coefficients(self, fn):
-        return self._rebuilt(
-            {k: fn(c) for k, c in self.terms.items()}, self.g2cap
+        return self._like(
+            *_stored({k: fn(c) for k, c in self._scalars().items()}),
+            self.g2cap,
         )
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return (
+        if not (
             self.algebra.compatible_with(other.algebra)
             and self.legs == other.legs
-            and self.terms == other.terms
-        )
+        ):
+            return False
+        if (
+            self.algebra is other.algebra
+            and self.den is not None
+            and other.den is not None
+        ):
+            return self.den == other.den and self.data == other.data
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.algebra.n, self.legs, frozenset(self.terms.items())))
+        return hash(
+            (self.algebra.n, self.legs, frozenset(self.terms.items()))
+        )
 
     def flip(self):
         """Graded swap of the two legs of a 2-leg tensor:
         a (x) b -> (-1)**(p(a)p(b)) b (x) a."""
         if self.legs != 2:
             raise HeterogeneousOperand("flip is defined for 2-leg tensors")
-        par = self._leg_parity
-        return self._trusted(
-            {
-                (b, a): -c if par(a) and par(b) else c
-                for (a, b), c in self.terms.items()
-            },
-            self.g2cap,
-        )
+        swap = self._swapper()
+        out = {}
+        for k, c in self.data.items():
+            k, odd = swap(k)
+            out[k] = -c if odd else c
+        return self._like(out, self.den, self.g2cap)
 
     # -- display ----------------------------------------------------------
 
@@ -684,11 +855,12 @@ class _Terms:
         return "%s*[%s]" % (cs, body)
 
     def __str__(self):
-        if not self.terms:
+        terms = dict(self.terms.items())
+        if not terms:
             return "0"
         parts = []
-        for key in sorted(self.terms, key=self._sort_key):
-            c = self.terms[key]
+        for key in sorted(terms, key=self._sort_key):
+            c = terms[key]
             cs = str(c)
             if isinstance(c, (Poly, LaurentSeries)) and len(getattr(c, "coeffs", ())) > 1:
                 cs = "(%s)" % cs
@@ -702,15 +874,123 @@ class _Terms:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+class _Packed(_Terms):
+    """Elements and tensors of the enveloping algebra: a stored key packs
+    the table ids of its leg monomials, the first leg highest; an element
+    is the one-leg case."""
+
+    __slots__ = ()
+
+    def _codec(self):
+        """(table, id mask, the shift of each leg, first leg first)."""
+        table = pbw_table(self.algebra)
+        bits = table.bits
+        shifts = range(bits * ((self.legs or 1) - 1), -1, -bits)
+        return table, (1 << bits) - 1, shifts
+
+    def _grader(self):
+        table, mask, shifts = self._codec()
+        g2 = table.g2
+        if len(shifts) == 1:
+            return g2.__getitem__
+        return lambda k: sum([g2[k >> s & mask] for s in shifts])
+
+    def _parity_of(self):
+        table, mask, shifts = self._codec()
+        par = table.par
+        return lambda k: sum([par[k >> s & mask] for s in shifts]) & 1
+
+    def _decoder(self):
+        table, mask, shifts = self._codec()
+        monos = table.monos
+        return lambda k: tuple([monos[k >> s & mask] for s in shifts])
+
+    def _encoder(self):
+        table = pbw_table(self.algebra)
+        ids, bits = table.ids, table.bits
+
+        def encode(key):
+            packed = 0
+            for mono in self._key(key):
+                i = ids[mono]
+                if i >> bits:
+                    raise table._too_wide(i)
+                packed = packed << bits | i
+            return packed
+
+        return encode
+
+    def _find(self, key):
+        table = pbw_table(self.algebra)
+        try:
+            monos = tuple(tuple(m) for m in key)
+        except TypeError:
+            return None
+        if len(monos) != (self.legs or 1):
+            return None
+        packed = 0
+        for mono in monos:
+            i = table.ids.get(mono)
+            if i is None or i >> table.bits:
+                return None
+            packed = packed << table.bits | i
+        return packed
+
+    def _swapper(self):
+        table, mask, _ = self._codec()
+        bits, par = table.bits, table.par
+
+        def swap(k):
+            a, b = k >> bits, k & mask
+            return b << bits | a, par[a] and par[b]
+
+        return swap
+
+    def constant_coefficient(self):
+        # the key of the empty monomial on every leg is 0
+        c = self.data.get(0)
+        if c is None:
+            return Fraction(0)
+        return c if self.den is None else Fraction(c, self.den)
+
+
+def _rep_image(t) -> GradedMatrix:
+    """The image of an element or tensor under the defining
+    representation on every leg, formed leg by leg: the sum over the
+    first-leg monomials m of rho(m) (x) (the image of what multiplies m),
+    skipping every m whose image is zero."""
+    alg = t.algebra
+    out: dict = {}
+    if t.legs is None or t.legs == 1:
+        monos = pbw_table(alg).monos
+        for i, c in t.data.items():
+            for ij, x in alg.monomial_matrix(monos[i]).entries.items():
+                out[ij] = out.get(ij, 0) + c * x
+        if t.den is not None and t.den != 1:
+            out = {ij: x / t.den for ij, x in out.items()}
+        return GradedMatrix(alg.pv, out)
+    for mono, rest in t.split_first_leg().items():
+        first = alg.monomial_matrix(mono)
+        if first.is_zero:
+            continue
+        inner = _rep_image(rest)
+        if inner.is_zero:
+            continue
+        for ij, x in kron(first, inner).entries.items():
+            out[ij] = out.get(ij, 0) + x
+    return GradedMatrix(tensor_pv(alg.pv, t.legs), out)
+
+
 # --------------------------------------------------------------------------
 # Elements of the (grade-capped) enveloping algebra
 # --------------------------------------------------------------------------
 
 
-class UEElement(_Terms):
+class UEElement(_Packed):
     """A finite combination of normal-ordered monomials with coefficients
     in the exact scalar tower, living in the enveloping algebra modulo
-    total grade > g2cap/2 (no truncation when g2cap is None)."""
+    total grade > g2cap/2 (no truncation when g2cap is None).  A stored
+    key is the monomial's id."""
 
     __slots__ = ()
 
@@ -719,7 +999,13 @@ class UEElement(_Terms):
 
     @staticmethod
     def _key(mono):
-        return tuple(mono)
+        return (tuple(mono),)
+
+    def _decoder(self):
+        return pbw_table(self.algebra).monos.__getitem__
+
+    def _find(self, mono):
+        return super()._find((mono,))
 
     def term_g2(self, mono):
         return monomial_g2(self.algebra, mono)
@@ -761,9 +1047,6 @@ class UEElement(_Terms):
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), Fraction(0))
 
-    def constant_coefficient(self):
-        return self.terms.get((), Fraction(0))
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -783,18 +1066,11 @@ class UEElement(_Terms):
             return self.scale(other)
         self._check(other)
         cap = _omin(self.g2cap, other.g2cap)
-        out = _product(
-            self.algebra,
-            [((m,), c) for m, c in self.terms.items()],
-            [((m,), c) for m, c in other.terms.items()],
-            1,
-            cap,
-        )
-        return self._trusted({key[0]: c for key, c in out.items()}, cap)
+        return self._like(*_product(self, other, 1, cap), cap)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.terms == ({(): Fraction(other)} if other else {})
+            return self == UEElement(self.algebra, {(): other})
         return _Terms.__eq__(self, other)
 
     __hash__ = _Terms.__hash__
@@ -812,19 +1088,14 @@ class UEElement(_Terms):
 
     def to_matrix(self) -> GradedMatrix:
         """Image under the defining representation."""
-        alg = self.algebra
-        return _matrix_sum(
-            alg.pv, ((alg.monomial_matrix(m), c) for m, c in self.terms.items())
-        )
+        return _rep_image(self)
 
     def coproduct(self, legs: int = 2) -> "UETensor":
         """Undeformed coproduct (every basis generator primitive), as a
         tensor with the same total-grade cap (the coproduct keeps grades)."""
-        alg = self.algebra
-        out = _linear_image(
-            self.terms.items(), lambda mono: _coproduct_monomial(alg, mono, legs)
-        )
-        return UETensor._wrap(alg, out, legs, self.g2cap)
+        cop = pbw_table(self.algebra).coproduct
+        data, den = _image(self.data, self.den, lambda i: cop(i, legs))
+        return UETensor._wrap(self.algebra, data, den, legs, self.g2cap)
 
     def __repr__(self):
         return "UEElement(%s)" % self
@@ -835,7 +1106,7 @@ class UEElement(_Terms):
 # --------------------------------------------------------------------------
 
 
-class UETensor(_Terms):
+class UETensor(_Packed):
     """A combination of leg-tuples of normal-ordered monomials, i.e. an
     element of U(osp(1|2n))^(x legs), modulo total grade > g2cap/2.
 
@@ -857,9 +1128,6 @@ class UETensor(_Terms):
 
     def term_parity(self, key):
         return sum(monomial_parity(self.algebra, m) for m in key) % 2
-
-    def _leg_parity(self, mono):
-        return monomial_parity(self.algebra, mono)
 
     @staticmethod
     def _sort_key(key):
@@ -890,14 +1158,22 @@ class UETensor(_Terms):
             if not alg.compatible_with(e.algebra):
                 raise MixedAlgebra("tensor factors from different algebras")
             cap = _omin(cap, e.g2cap)
-        combos = {(): Fraction(1)}
+        bits = pbw_table(alg).bits
+        rational = all(e.den is not None for e in elements)
+        combos, den = {0: 1}, 1
         for e in elements:
-            nxt = {}
-            for pref, pc in combos.items():
-                for mono, mc in e.terms.items():
-                    nxt[pref + (mono,)] = pc * mc
-            combos = nxt
-        return cls(alg, combos, len(elements), cap)
+            data = elements[0]._aligned(e)
+            if rational:
+                den *= e.den
+            elif e.den is not None:
+                data = _fractions(data, e.den)
+            combos = {
+                p << bits | k: pc * c
+                for p, pc in combos.items()
+                for k, c in data.items()
+            }
+        combos, den = _canonical(combos, den) if rational else _stored(combos)
+        return cls._wrap(alg, combos, den, len(elements), None).truncate(cap)
 
     def one_like(self):
         return UETensor.one(self.algebra, self.legs, self.g2cap)
@@ -906,9 +1182,6 @@ class UETensor(_Terms):
 
     def coefficient(self, key):
         return self.terms.get(tuple(tuple(m) for m in key), Fraction(0))
-
-    def constant_coefficient(self):
-        return self.terms.get(((),) * self.legs, Fraction(0))
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -928,12 +1201,15 @@ class UETensor(_Terms):
             return self.scale(other)
         self._check(other)
         cap = _omin(self.g2cap, other.g2cap)
-        out = _product(
-            self.algebra, self.terms.items(), other.terms.items(), self.legs, cap
-        )
-        return self._trusted(out, cap)
+        return self._like(*_product(self, other, self.legs, cap), cap)
 
     # -- leg surgery ------------------------------------------------------------
+
+    def _leg_shift(self, leg: int) -> int:
+        """The shift of 1-based leg ``leg`` in a stored key."""
+        if not 1 <= leg <= self.legs:
+            raise HeterogeneousOperand("no leg %d in a %d-leg tensor" % (leg, self.legs))
+        return pbw_table(self.algebra).bits * (self.legs - leg)
 
     def embed(self, legs, total: int) -> "UETensor":
         """Place the tensor's legs at the given (1-based, increasing)
@@ -949,29 +1225,60 @@ class UETensor(_Terms):
             raise HeterogeneousOperand(
                 "legs %r out of range 1..%d" % (legs, total)
             )
-        out = {}
-        for key, c in self.terms.items():
-            full = [()] * total
-            for pos, mono in zip(legs, key):
-                full[pos - 1] = mono
-            out[tuple(full)] = c
-        return UETensor(self.algebra, out, total, self.g2cap)
+        table, mask, shifts = self._codec()
+        bits = table.bits
+        if legs[-1] - legs[0] == self.legs - 1:
+            # consecutive positions: one shift moves every leg
+            shift = bits * (total - legs[-1])
+            out = {k << shift: c for k, c in self.data.items()}
+        else:
+            moves = [(s, bits * (total - pos)) for s, pos in zip(shifts, legs)]
+            out = {}
+            for k, c in self.data.items():
+                key = 0
+                for s, t in moves:
+                    key |= (k >> s & mask) << t
+                out[key] = c
+        return UETensor._wrap(self.algebra, out, self.den, total, self.g2cap)
+
+    def split_first_leg(self) -> dict:
+        """{monomial m: the combination r_m of the other legs}, with self
+        the sum of m (x) r_m; r_m is an element for a 2-leg tensor and a
+        tensor of one leg fewer otherwise, with self's cap."""
+        if self.legs < 2:
+            raise HeterogeneousOperand("splitting needs at least 2 legs")
+        table, mask, shifts = self._codec()
+        low = (1 << shifts[0]) - 1
+        groups: dict = {}
+        for k, c in self.data.items():
+            groups.setdefault(k >> shifts[0], {})[k & low] = c
+        kind, legs = (UEElement, None) if self.legs == 2 else (UETensor, self.legs - 1)
+        return {
+            table.monos[i]: kind._wrap(
+                self.algebra,
+                *(_stored(data) if self.den is None else _canonical(data, self.den)),
+                legs,
+                self.g2cap,
+            )
+            for i, data in groups.items()
+        }
 
     def counit_leg(self, leg: int) -> "UETensor | UEElement":
         """Apply the counit (constant-term functional) to one 1-based leg."""
-        if not 1 <= leg <= self.legs:
-            raise HeterogeneousOperand("no leg %d in a %d-leg tensor" % (leg, self.legs))
-        out = {}
-        for key, c in self.terms.items():
-            if key[leg - 1]:
-                continue
-            short = key[: leg - 1] + key[leg:]
-            out[short] = out.get(short, 0) + c
+        s = self._leg_shift(leg)
+        table, mask, _ = self._codec()
+        high, low = s + table.bits, (1 << s) - 1
+        # only terms with the empty monomial (id 0) on the leg survive,
+        # each under its own shortened key
+        out = {
+            (k >> high) << s | k & low: c
+            for k, c in self.data.items()
+            if not k >> s & mask
+        }
+        data, den = _stored(out) if self.den is None else _canonical(out, self.den)
         if self.legs == 2:
-            return UEElement(
-                self.algebra, {k[0]: c for k, c in out.items()}, self.g2cap
-            )
-        return UETensor(self.algebra, out, self.legs - 1, self.g2cap)
+            return UEElement._wrap(self.algebra, data, den, None, self.g2cap)
+        return UETensor._wrap(self.algebra, data, den, self.legs - 1, self.g2cap)
 
     def counits_are_one(self) -> bool:
         """(eps (x) id)t = 1 = (id (x) eps)t for a 2-leg tensor t, where eps
@@ -981,92 +1288,64 @@ class UETensor(_Terms):
 
     def coproduct_leg(self, leg: int) -> "UETensor":
         """Apply the undeformed coproduct to one 1-based leg (k -> k+1 legs)."""
-        if not 1 <= leg <= self.legs:
-            raise HeterogeneousOperand("no leg %d in a %d-leg tensor" % (leg, self.legs))
-        alg = self.algebra
-        i = leg - 1
+        s = self._leg_shift(leg)
+        table, mask, _ = self._codec()
+        bits, cop = table.bits, table.coproduct
+        high, low = s + bits, (1 << s) - 1
 
-        def image(key):
-            head, tail = key[:i], key[leg:]
-            return [
-                (head + split + tail, c)
-                for split, c in _coproduct_monomial(alg, key[i], 2)
-            ]
+        def image(k):
+            base = (k >> high) << (high + bits) | k & low
+            return [(base | split << s, a) for split, a in cop(k >> s & mask, 2)]
 
-        out = _linear_image(self.terms.items(), image)
-        return UETensor._wrap(alg, out, self.legs + 1, self.g2cap)
+        data, den = _image(self.data, self.den, image)
+        return UETensor._wrap(self.algebra, data, den, self.legs + 1, self.g2cap)
 
     # -- grading helpers -----------------------------------------------------------
 
     def grade_component(self, g2: int) -> "UETensor":
-        picked = {k: c for k, c in self.terms.items() if self.term_g2(k) == g2}
-        return UETensor(self.algebra, picked, self.legs, self.g2cap)
+        return self._like(*self._select(lambda g: g == g2), self.g2cap)
 
     def scale_by_grade(self, factor) -> "UETensor":
         """Multiply each term by factor**(grade).  Requires every term to
         have even g2 (true for parity-even tensors), so the power is an
         integer."""
-        powers: dict = {}
+        grade = self._grader()
+        by_grade: dict = {}
+        for k in self.data:
+            by_grade.setdefault(grade(k), []).append(k)
+        for g2 in by_grade:
+            if g2 % 2:
+                raise ValueError(
+                    "term of odd doubled grade %d cannot be scaled by an "
+                    "integer power" % g2
+                )
+        f = _fr(factor)
+        if f is not None and self.den is not None:
+            weights = {g2: f ** (g2 // 2) for g2 in by_grade}
+            den = lcm(*[w.denominator for w in weights.values()])
+            out = {}
+            for g2, keys in by_grade.items():
+                w = weights[g2]
+                m = w.numerator * (den // w.denominator)
+                for k in keys:
+                    out[k] = self.data[k] * m
+            return self._like(*_canonical(out, self.den * den), self.g2cap)
+        scalars = self._scalars()
         out = {}
-        for k, c in self.terms.items():
-            g2 = self.term_g2(k)
-            weight = powers.get(g2)
-            if weight is None:
-                if g2 % 2:
-                    raise ValueError(
-                        "term of odd doubled grade %d cannot be scaled by an "
-                        "integer power" % g2
-                    )
-                weight = powers[g2] = factor ** (g2 // 2)
-            out[k] = c * weight
-        return UETensor(self.algebra, out, self.legs, self.g2cap)
+        for g2, keys in by_grade.items():
+            weight = factor ** (g2 // 2)
+            for k in keys:
+                out[k] = scalars[k] * weight
+        return self._like(*_stored(out), self.g2cap)
 
     # -- representation ---------------------------------------------------------------
 
     def to_matrix(self) -> GradedMatrix:
         """Image under the defining representation on every leg."""
-        alg = self.algebra
-        return _matrix_sum(
-            tensor_pv(alg.pv, self.legs),
-            (
-                (kron_all([alg.monomial_matrix(m) for m in key]), c)
-                for key, c in self.terms.items()
-            ),
-        )
+        return _rep_image(self)
 
     def __repr__(self):
-        return "UETensor(legs=%d, terms=%d)" % (self.legs, len(self.terms))
-
-
-def _matrix_sum(pv, scaled):
-    """sum c * M over (M, c) pairs, accumulated in one entries dict."""
-    out: dict = {}
-    for mat, c in scaled:
-        for ij, x in mat.entries.items():
-            out[ij] = out.get(ij, 0) + c * x
-    return GradedMatrix(pv, out)
-
-
-def _coproduct_monomial(alg, mono, legs: int) -> tuple:
-    """The undeformed coproduct of one monomial as (key, coefficient)
-    pairs, int where integral; memoized on the algebra's table."""
-    cache = pbw_table(alg).coproducts
-    key = (mono, legs)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    out = UETensor.one(alg, legs)
-    for ix in mono:
-        primitive = UETensor.zero(alg, legs)
-        for pos in range(legs):
-            term = [()] * legs
-            term[pos] = (ix,)
-            primitive = primitive + UETensor(
-                alg, {tuple(term): Fraction(1)}, legs
-            )
-        out = out * primitive
-    hit = cache[key] = tuple((k, _exact(c)) for k, c in out.terms.items())
-    return hit
+        return "UETensor(legs=%d, terms=%d)" % (self.legs, len(self.data))
 
 
 # --------------------------------------------------------------------------

@@ -337,10 +337,10 @@ def l_operator(r: RMatrix) -> LOperator:
     grid = [
         [UEElement.zero(alg, cap) for _ in range(d)] for _ in range(d)
     ]
-    for (m1, m2), c in r.element.terms.items():
+    for m1, rest in r.element.split_first_leg().items():
         block = alg.monomial_matrix(m1)
         for (i, j), a in block.entries.items():
-            grid[i][j] = grid[i][j] + UEElement(alg, {m2: c * a}, cap)
+            grid[i][j] = grid[i][j] + rest.scale(a)
     return LOperator(alg, grid, source=r)
 
 

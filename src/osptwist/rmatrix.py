@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import HeterogeneousOperand, NegativePowerSurvives
-from .pbw import _matrix_sum, _Terms, format_monomial, scalar_inverse
+from .pbw import _Terms, format_monomial, scalar_inverse
 from .repmat import GradedMatrix, kron_all, tensor_pv
 from .scalars import LaurentSeries, Poly, rref
 
@@ -72,13 +72,12 @@ class LieTensor(_Terms):
     def to_matrix(self) -> GradedMatrix:
         """Image under the defining representation on every leg."""
         alg = self.algebra
-        return _matrix_sum(
-            tensor_pv(alg.pv, self.legs),
-            (
-                (kron_all([alg.basis[i].matrix for i in key]), c)
-                for key, c in self.terms.items()
-            ),
-        )
+        out: dict = {}
+        for key, c in self.terms.items():
+            mat = kron_all([alg.basis[i].matrix for i in key])
+            for ij, x in mat.entries.items():
+                out[ij] = out.get(ij, 0) + c * x
+        return GradedMatrix(tensor_pv(alg.pv, self.legs), out)
 
     def __repr__(self):
         return "LieTensor(legs=%d, terms=%d)" % (self.legs, len(self.terms))

@@ -43,8 +43,10 @@ A twist keeps the ordered factors of its chain.  Its inverse is the
 product of the factor inverses in reverse order, and its twisted coproduct
 conjugates by one factor at a time, innermost first; each factor's inverse
 is computed once per (rank, degree) and shared by every twist built there.
-The grade cut is a two-sided ideal, so the results are exactly those of
-the whole element in the truncated algebra.
+Every letter of the chain has nonnegative grade, where the grade cut is a
+two-sided ideal (see :mod:`pbw`), so the results are exactly those of the
+whole element in the truncated algebra whenever the conjugated element's
+letters have nonnegative grade too.
 
 Naming: the factor kinds are "jordanian" (exp(h (x) half-log)),
 "extension" (the even-root exponential riding on it), "super" (the
@@ -391,8 +393,9 @@ def workshop(algebra: OspAlgebra, degree: int = 6) -> _Workshop:
     """The memoized ingredient builder for (algebra, degree).  ``degree``
     is the user-facing truncation: all identities are certified for
     filtration degree <= degree (internally the cut is by doubled
-    principal grade 2*degree, which is a two-sided ideal, so every
-    surviving coefficient is exact)."""
+    principal grade 2*degree, which is a two-sided ideal among the
+    chain's grade-nonnegative letters, so every surviving coefficient is
+    exact)."""
     key = (algebra.n, degree)
     ws = _WORKSHOPS.get(key)
     if ws is None:

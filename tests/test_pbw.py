@@ -1,11 +1,15 @@
 """Normal-ordered enveloping-algebra arithmetic and its truncation."""
 
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from osptwist import pbw
+from osptwist import quantum as qt
+from osptwist import twist as tws
 from osptwist.algebra import OspAlgebra, build_osp
 from osptwist.pbw import (
     UEElement,
@@ -643,8 +647,10 @@ def test_table_cleared_then_cold_product_equals_warm():
     assert sizes["products"] > 0 and sizes["insertions"] > 0
     assert table is pbw_table(alg)
     table.clear()
+    # interning is append-only: t and u keep their monomials' ids
     assert table.sizes() == {
-        "monomials": 1, "insertions": 0, "products": 0, "coproducts": 0
+        "monomials": sizes["monomials"], "insertions": 0, "products": 0,
+        "coproducts": 0,
     }
     assert t * u == warm
     assert 0 < table.sizes()["products"] <= sizes["products"]
@@ -703,3 +709,171 @@ def test_failed_interning_leaves_the_table_consistent():
         assert len(table.units) == len(table.ids) == len(table.monos)
     u = _odd_tensor(alg).flip()
     assert (t * u).terms == reference_product(ALG, t.terms, u.terms, 2, CAP)
+
+
+# -- packed storage -----------------------------------------------------------
+
+
+def _digest(t):
+    """sha256 of the sorted decoded terms, one "key type value" line each."""
+    lines = "\n".join(
+        "%r %s %s" % (k, type(c).__name__, c) for k, c in sorted(t.terms.items())
+    )
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def test_chain_objects_match_golden_digests():
+    """F, its inverse, R, the product F12 (cop (x) id)(F) and the cocycle
+    residual at n=2, degree 5: term counts and digests of the decoded
+    terms, recorded with the Fraction-valued storage that preceded the
+    packed one."""
+    f = tws.full_chain(ALG, 5)
+    el = f.element
+    objects = {
+        "F": el,
+        "F^-1": f.inverse,
+        "R": qt.universal_R(f).element,
+        "F12 (cop x id)F": el.embed((1, 2), 3) * el.coproduct_leg(1),
+        "cocycle residual": tws.cocycle_residual(f),
+    }
+    golden = {
+        "F": (1838, "a2e93d38ed3b0ccf0ae74ef2d3b4c895d0be136ffd5abb942c170b6aa70a07f0"),
+        "F^-1": (1914, "660340b535d98e4bfdfb24c8b4d23c32c4ae3939195277950e5542bcefe213d8"),
+        "R": (8019, "401615722fb413ca0f28f247fca19adb0c9927fe055d4905e1b0b8d3aa6b828f"),
+        "F12 (cop x id)F": (51264, "62c7de3a29b7cc64f06d0b2d314da3009e39b7716ace3132f34d6e668feda447"),
+        "cocycle residual": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    }
+    got = {name: (len(t.terms), _digest(t)) for name, t in objects.items()}
+    assert got == golden
+
+
+def test_denominator_is_canonical():
+    x = gen("X+")
+    half = x.scale(Fraction(1, 2))
+    assert half.den == 2 and half.data == {pbw_table(ALG).ids[(IDX["X+"],)]: 1}
+    whole = half + half
+    assert whole.den == 1 and whole == x
+    assert (half - half).is_zero and (half - half).den == 1
+    third = UEElement(ALG, {(IDX["H"],): Fraction(2, 3), (): Fraction(4, 9)})
+    assert third.den == 9 and sorted(third.data.values()) == [4, 6]
+    # no common factor survives a product, a scaling or a truncation
+    assert half * x.scale(2) == x * x and (half * x.scale(2)).den == 1
+    assert half.scale(4).den == 1 and third.scale(3).den == 3
+    assert (third * x.scale(3)).den == 3
+    assert third.truncate(0).den == 9 and third.truncate(-1).den == 1
+
+
+def test_equal_tensors_from_different_routes_compare_and_hash_equal():
+    v, w, h = gen("v+"), gen("w+"), gen("H")
+    direct = UETensor.of(v + h.scale(Fraction(1, 3)), w, g2cap=CAP)
+    summed = UETensor.of(v, w, g2cap=CAP) + UETensor.of(h, w, g2cap=CAP).scale(
+        Fraction(1, 3)
+    )
+    via_terms = UETensor(ALG, dict(direct.terms), 2, CAP)
+    flipped_twice = direct.flip().flip()
+    for other in (summed, via_terms, flipped_twice):
+        assert other == direct and hash(other) == hash(direct)
+        assert (other.den, other.data) == (direct.den, direct.data)
+    foreign = UETensor(OspAlgebra(2), dict(direct.terms), 2, CAP)
+    assert foreign == direct and hash(foreign) == hash(direct)
+
+
+@given(products())
+@settings(max_examples=60, deadline=None)
+def test_terms_round_trip(case):
+    alg, legs, a, b = case
+    for t in (a, b, a * b, a - b):
+        assert UETensor(alg, t.terms, legs, t.g2cap) == t
+        assert len(t.terms) == len(dict(t.terms.items()))
+        for key, c in t.terms.items():
+            assert t.terms[key] == c and t.coefficient(key) == c
+
+
+def test_terms_view_is_read_only_and_decodes_lookups():
+    t = UETensor.of(gen("v+"), gen("H"), g2cap=CAP)
+    key = ((IDX["v+"],), (IDX["H"],))
+    assert dict(t.terms) == {key: Fraction(1)}
+    assert key in t.terms and ((IDX["H"],), ()) not in t.terms
+    assert t.terms.get(((), ((IDX["w+"],) * 3)), "absent") == "absent"
+    with pytest.raises(TypeError):
+        t.terms[key] = Fraction(2)
+
+
+def test_poly_coefficient_tensors_through_the_kernel():
+    """Poly coefficients stay Poly (den None) through products, sums and
+    leg maps, and the products match the reference loop."""
+    eta = Poly.var("eta")
+    a = UETensor.of(gen("v+") + gen("X+"), gen("w+") + gen("H"), g2cap=CAP).scale(eta)
+    b = UETensor.of(gen("H"), gen("v+"), g2cap=CAP) + a.flip().scale(Fraction(1, 2))
+    assert a.den is None and b.den is None
+    for x, y in ((a, b), (b, a), (a, a.flip())):
+        got = x * y
+        assert got.terms == reference_product(ALG, x.terms, y.terms, 2, CAP)
+        assert all(isinstance(c, Poly) for c in got.terms.values())
+    mixed = a * UETensor.of(gen("H"), gen("H"), g2cap=CAP)
+    assert mixed.terms == reference_product(
+        ALG, a.terms, UETensor.of(gen("H"), gen("H"), g2cap=CAP).terms, 2, CAP
+    )
+    assert (a - a).is_zero
+    # a Poly tensor whose values cancel to rationals reads back as Fractions
+    back = (a + UETensor.of(gen("H"), gen("H"), g2cap=CAP)) - a
+    assert back == UETensor.of(gen("H"), gen("H"), g2cap=CAP)
+
+
+def test_embed_places_every_leg():
+    """Every choice of positions agrees with the tensor rebuilt from its
+    decoded terms."""
+    t = UETensor.of(
+        gen("v+") + gen("H"), gen("w+") * gen("X+"), gen("Y+") + gen("J"), g2cap=CAP
+    ) + UETensor.of(gen("U+"), gen("v+"), gen("H"), g2cap=CAP)
+    for total in (3, 4, 5):
+        for legs in itertools.combinations(range(1, total + 1), 3):
+            want = {}
+            for key, c in t.terms.items():
+                full = [()] * total
+                for pos, mono in zip(legs, key):
+                    full[pos - 1] = mono
+                want[tuple(full)] = c
+            assert t.embed(legs, total).terms == want, legs
+
+
+def test_to_matrix_leg_by_leg_matches_the_term_sum():
+    """The leg-by-leg image equals the sum of one Kronecker product per
+    term, on three legs (which checks that nesting the Kronecker products
+    from the right agrees with kron_all's left nesting)."""
+    from osptwist.repmat import GradedMatrix, kron_all, tensor_pv
+
+    alg1 = build_osp(1)
+    g = {name: UEElement.generator(alg1, name, g2cap=6) for name in ("H", "v+", "X+", "v-")}
+    t = UETensor.of(g["v+"] + g["H"], g["v-"] + g["v+"], g["X+"] + g["v+"], g2cap=6)
+    t = t + t.embed((1, 2, 3), 3).scale(Fraction(1, 3)) * t
+    want: dict = {}
+    for key, c in t.terms.items():
+        for ij, x in kron_all([alg1.monomial_matrix(m) for m in key]).entries.items():
+            want[ij] = want.get(ij, 0) + c * x
+    assert t.to_matrix() == GradedMatrix(tensor_pv(alg1.pv, 3), want)
+
+
+def test_capped_products_with_a_negative_grade_letter_do_not_associate():
+    """The cut above the cap is an ideal only among grade-nonnegative
+    letters: with X- (g2 -2) at cap 8 the two bracketings differ."""
+    x_minus, y2, y3 = gen("X-"), gen("Y+") ** 2, gen("Y+") ** 3
+    left, right = x_minus * (y2 * y3), (x_minus * y2) * y3
+    assert left.is_zero
+    assert right == UEElement(ALG, {(IDX["Y+"],) * 5 + (IDX["X-"],): 1}, CAP)
+    assert left != right
+
+
+def test_split_first_leg_sums_back():
+    t = UETensor.of(gen("v+") + gen("H"), gen("w+").scale(Fraction(1, 3)), g2cap=CAP)
+    t = t * t.flip() + UETensor.of(gen("X+"), gen("H"), g2cap=CAP)
+    pieces = t.split_first_leg()
+    assert all(isinstance(rest, UEElement) for rest in pieces.values())
+    total = UETensor.zero(ALG, 2, CAP)
+    for mono, rest in pieces.items():
+        total = total + UETensor.of(UEElement(ALG, {mono: 1}, CAP), rest, g2cap=CAP)
+    assert total == t
+    three = t.embed((1, 3), 3)
+    assert all(rest.legs == 2 for rest in three.split_first_leg().values())
+    with pytest.raises(HeterogeneousOperand):
+        UETensor.one(ALG, 1).split_first_leg()
