@@ -740,27 +740,37 @@ class _Terms:
         cap = _omin(self.g2cap, other.g2cap)
         grade = self._grader()
         cut_x, cut_y = self.g2cap != cap, other.g2cap != cap
-        rational = self.den is not None and other.den is not None
-        if rational:
+        if self.den is not None and other.den is not None:
             den = lcm(self.den, other.den)
-            x, mx, my = self.data, den // self.den, sign * (den // other.den)
-        else:
-            x, mx, my = self._scalars(), 1, sign
-            if other.den is not None:
-                y = _fractions(y, other.den)
-        out = {k: c * mx for k, c in x.items() if not cut_x or grade(k) <= cap}
-        get = out.get
+            mx, my = den // self.den, sign * (den // other.den)
+            out = {
+                k: c * mx
+                for k, c in self.data.items()
+                if not cut_x or grade(k) <= cap
+            }
+            get = out.get
+            for k, c in y.items():
+                if cut_y and grade(k) > cap:
+                    continue
+                v = get(k, 0) + c * my
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+            return self._like(*_canonical(out, den), cap)
+        x = self._scalars()
+        if other.den is not None:
+            y = _fractions(y, other.den)
+        out = {k: c for k, c in x.items() if not cut_x or grade(k) <= cap}
         for k, c in y.items():
             if cut_y and grade(k) > cap:
                 continue
-            v = get(k, 0) + c * my
-            if v:
-                out[k] = v
+            v = out.get(k)
+            if v is None:
+                out[k] = c if sign > 0 else -c
             else:
-                out.pop(k, None)
-        return self._like(
-            *(_canonical(out, den) if rational else _stored(out)), cap
-        )
+                out[k] = v + c if sign > 0 else v - c
+        return self._like(*_stored(out), cap)
 
     def __radd__(self, other):
         return self + other

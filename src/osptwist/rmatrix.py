@@ -279,10 +279,11 @@ def _cybe_brackets(r: LieTensor) -> dict:
     if not r.is_even():
         raise HeterogeneousOperand("the residual formulas need an even tensor")
     alg = r.algebra
+    terms = list(r.terms.items())
     out: dict = {}
-    for (i, j), c1 in r.terms.items():
+    for (i, j), c1 in terms:
         pj = alg.parity(j)
-        for (k, l), c2 in r.terms.items():
+        for (k, l), c2 in terms:
             cc = c1 * c2
             signed = -cc if pj and alg.parity(k) else cc
             for res, sc in alg.bracket(i, k).items():
