@@ -933,10 +933,8 @@ class _Packed(_Terms):
     def _find(self, key):
         table = pbw_table(self.algebra)
         try:
-            monos = tuple(tuple(m) for m in key)
-        except TypeError:
-            return None
-        if len(monos) != (self.legs or 1):
+            monos = self._key(key)
+        except (TypeError, HeterogeneousOperand):
             return None
         packed = 0
         for mono in monos:
@@ -1013,9 +1011,6 @@ class UEElement(_Packed):
 
     def _decoder(self):
         return pbw_table(self.algebra).monos.__getitem__
-
-    def _find(self, mono):
-        return super()._find((mono,))
 
     def term_g2(self, mono):
         return monomial_g2(self.algebra, mono)
@@ -1320,32 +1315,19 @@ class UETensor(_Packed):
         have even g2 (true for parity-even tensors), so the power is an
         integer."""
         grade = self._grader()
-        by_grade: dict = {}
-        for k in self.data:
-            by_grade.setdefault(grade(k), []).append(k)
-        for g2 in by_grade:
-            if g2 % 2:
-                raise ValueError(
-                    "term of odd doubled grade %d cannot be scaled by an "
-                    "integer power" % g2
-                )
-        f = _fr(factor)
-        if f is not None and self.den is not None:
-            weights = {g2: f ** (g2 // 2) for g2 in by_grade}
-            den = lcm(*[w.denominator for w in weights.values()])
-            out = {}
-            for g2, keys in by_grade.items():
-                w = weights[g2]
-                m = w.numerator * (den // w.denominator)
-                for k in keys:
-                    out[k] = self.data[k] * m
-            return self._like(*_canonical(out, self.den * den), self.g2cap)
-        scalars = self._scalars()
+        powers: dict = {}
         out = {}
-        for g2, keys in by_grade.items():
-            weight = factor ** (g2 // 2)
-            for k in keys:
-                out[k] = scalars[k] * weight
+        for k, c in self._scalars().items():
+            g2 = grade(k)
+            weight = powers.get(g2)
+            if weight is None:
+                if g2 % 2:
+                    raise ValueError(
+                        "term of odd doubled grade %d cannot be scaled by an "
+                        "integer power" % g2
+                    )
+                weight = powers[g2] = factor ** (g2 // 2)
+            out[k] = c * weight
         return self._like(*_stored(out), self.g2cap)
 
     # -- representation ---------------------------------------------------------------
