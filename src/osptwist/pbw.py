@@ -136,7 +136,9 @@ class PBWTable:
     ``ids[mono]`` is its id (made on first lookup), ``monos[i]`` is the
     monomial of id i, ``g2[i]`` and ``par[i]`` are its doubled grade and
     its parity, and ``prefix[i]`` is the id of monos[i] without its last
-    letter; the empty monomial is id 0.  Interning is append-only, since
+    letter; the empty monomial is id 0.  A key given to a constructor need
+    not be normal-ordered: ``unordered`` holds the ids of the monomials
+    that are not, and products rewrite them.  Interning is append-only, since
     elements and tensors keep ids in their keys.  A key of k legs packs
     its ids into one int of k * ``bits`` bits (``_ID_BITS`` when the table
     is made), the first leg highest; packing an id that does not fit
@@ -155,8 +157,8 @@ class PBWTable:
     """
 
     __slots__ = ("algebra", "bits", "size", "odd", "monos", "ids", "g2",
-                 "par", "prefix", "units", "insertions", "products",
-                 "coproducts")
+                 "par", "prefix", "units", "unordered", "insertions",
+                 "products", "coproducts")
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -164,7 +166,7 @@ class PBWTable:
         self.odd = [algebra.parity(x) for x in range(algebra.size)]
         self.bits = _ID_BITS
         self.monos, self.ids, self.g2, self.par = [], _Ids(), [], []
-        self.prefix, self.units = [], []
+        self.prefix, self.units, self.unordered = [], [], set()
         self.ids.table = self
         self.ids[()]  # interned first: id 0
         self.clear()
@@ -189,6 +191,12 @@ class PBWTable:
         par = sum(self.odd[x] for x in mono) & 1
         prefix = self.ids[mono[:-1]] if mono else 0
         i = len(self.monos)
+        # the prefix is interned first, so only the last two letters are
+        # left to compare
+        if prefix in self.unordered or len(mono) > 1 and not (
+            mono[-2] < mono[-1] or (mono[-2] == mono[-1] and not self.odd[mono[-1]])
+        ):
+            self.unordered.add(i)
         self.g2.append(g2)
         self.par.append(par)
         self.prefix.append(prefix)
@@ -277,11 +285,13 @@ class PBWTable:
 
     def product(self, a: int, b: int) -> tuple:
         """Normal form of monos[a] * monos[b], from the product table.  An
-        in-order concatenation (the last letter of a before the first of
-        b, or the two equal and even) is interned as it is; otherwise,
-        writing b = b' x, the letter x is inserted into the memoized
-        product a * b'.  Every id of an entry fits ``bits`` bits, so the
-        kernel packs the ids it reads here without checking them."""
+        in-order concatenation of normal-ordered monomials (the last letter
+        of a before the first of b, or the two equal and even) is interned
+        as it is; a monomial a that is not normal-ordered, times 1, is
+        folded from its letters; otherwise, writing b = b' x, the letter x
+        is inserted into the memoized product a * b'.  Every id of an
+        entry fits ``bits`` bits, so the kernel packs the ids it reads here
+        without checking them."""
         bits = self.bits
         if (a | b) >> bits:
             raise self._too_wide(max(a, b))
@@ -289,10 +299,13 @@ class PBWTable:
         hit = self.products.get(key)
         if hit is None:
             ma, mb = self.monos[a], self.monos[b]
-            if not ma or not mb or ma[-1] < mb[0] or (
+            ordered = a not in self.unordered and b not in self.unordered
+            if ordered and (not ma or not mb or ma[-1] < mb[0] or (
                 ma[-1] == mb[0] and not self.odd[mb[0]]
-            ):
+            )):
                 hit = self.units[self.ids[ma + mb]]
+            elif not mb:
+                hit = self.fold(ma)
             else:
                 hit = self.fold(mb[-1:], self.product(a, self.prefix[b]))
             top = max((m for m, _ in hit), default=0)
@@ -406,10 +419,10 @@ def _mul(table, left, right, legs, cap):
     dict without terms above ``cap``.  Coefficients are multiplied as
     they are: int numerators, or Poly and LaurentSeries values.
 
-    Both operands are grouped by grade and by the ids of every leg but
+    The right operand is grouped by grade and by the ids of every leg but
     the last (the head), and the groups are sorted by grade, so the cap
-    cuts the right operand's groups at one index and each head product
-    is formed once per pair of groups.  The Koszul sign of terms t and u,
+    cuts them at one index for each left term, and each left term forms
+    its head product once per group.  The Koszul sign of terms t and u,
     sum_i p(u_i) sum_{l>i} p(t_l), splits into a head part, the parity of
     (bits of t's head legs followed by an odd number of odd head legs) &
     (bits of u's odd head legs), and p(t_last) p(u's head).
@@ -419,64 +432,70 @@ def _mul(table, left, right, legs, cap):
     last = legs - 1
     shifts = range(bits * (last - 1), -1, -bits)
 
-    def grouped(data):
-        heads: dict = {}
-        groups: dict = {}
-        for key, c in data.items():
-            head = key >> bits
-            grade = heads.get(head)
-            if grade is None:
-                grade = heads[head] = sum(g2[head >> s & mask] for s in shifts)
-            m = key & mask
-            groups.setdefault((grade + g2[m], head), []).append((m, c))
-        out = []
-        for (grade, head), members in groups.items():
-            ids = [head >> s & mask for s in shifts]
-            odd_heads = odd_after = odd = 0
-            for i in range(last - 1, -1, -1):
-                if odd:
-                    odd_after |= 1 << i
-                if par[ids[i]]:
-                    odd_heads |= 1 << i
-                    odd ^= 1
-            out.append((grade, ids, odd_after, odd_heads, odd, members))
-        out.sort(key=itemgetter(0))
-        return out
-
-    lgroups, rgroups = grouped(left), grouped(right)
+    heads: dict = {}
+    groups: dict = {}
+    for key, c in right.items():
+        head = key >> bits
+        grade = heads.get(head)
+        if grade is None:
+            grade = heads[head] = sum(g2[head >> s & mask] for s in shifts)
+        m = key & mask
+        groups.setdefault((grade + g2[m], head), []).append((m, c))
+    rgroups = []
+    for (grade, head), members in groups.items():
+        ids = [head >> s & mask for s in shifts]
+        odd_heads = odd = 0
+        for i in range(last):
+            if par[ids[i]]:
+                odd_heads |= 1 << i
+                odd ^= 1
+        rgroups.append((grade, ids, odd_heads, odd, members))
+    rgroups.sort(key=itemgetter(0))
     rgrades = [q[0] for q in rgroups]
+
     get, product = table.products.get, table.product
     acc: dict = {}
     aget = acc.get
-    for lgrade, t_head, t_after, _, _, lmembers in lgroups:
-        stop = len(rgroups) if cap is None else bisect_right(rgrades, cap - lgrade)
-        for _, u_head, _, u_odd_heads, u_odd, rmembers in rgroups[:stop]:
-            sign = (t_after & u_odd_heads).bit_count() & 1
+    for key, c1 in left.items():
+        head, t_last = key >> bits, key & mask
+        t_head = [head >> s & mask for s in shifts]
+        t_after = odd = 0
+        for i in range(last - 1, -1, -1):
+            if odd:
+                t_after |= 1 << i
+            odd ^= par[t_head[i]]
+        grade = sum([g2[i] for i in t_head]) + g2[t_last]
+        stop = len(rgroups) if cap is None else bisect_right(rgrades, cap - grade)
+        row = t_last << bits
+        for _, u_head, u_odd_heads, u_odd, members in rgroups[:stop]:
+            sign = (t_after & u_odd_heads).bit_count() & 1 ^ (u_odd & par[t_last])
             # (packed ids of the head legs, shifted for the last leg,
             # coefficient)
-            parts = [(0, 1)]
+            parts = [(0, -c1 if sign else c1)]
             for ti, ui in zip(t_head, u_head):
                 nf = get(ti << bits | ui) or product(ti, ui)
                 parts = [
                     ((p | m) << bits, pc * a) for p, pc in parts for m, a in nf
                 ]
-            for t_last, c1 in lmembers:
-                if sign ^ (u_odd & par[t_last]):
-                    c1 = -c1
-                scaled = [(p, pc * c1) for p, pc in parts]
-                row = t_last << bits
-                for u_last, c2 in rmembers:
-                    nf = get(row | u_last) or product(t_last, u_last)
-                    for p, pc in scaled:
-                        pc *= c2
-                        for m, a in nf:
-                            key = p | m
-                            v = aget(key, 0) + pc * a
-                            if v:
-                                acc[key] = v
-                            else:
-                                acc.pop(key, None)
+            for u_last, c2 in members:
+                nf = get(row | u_last) or product(t_last, u_last)
+                for p, pc in parts:
+                    pc *= c2
+                    for m, a in nf:
+                        k = p | m
+                        v = aget(k, 0) + pc * a
+                        if v:
+                            acc[k] = v
+                        else:
+                            acc.pop(k, None)
     return acc
+
+
+def _clean(data, den):
+    """(data, den) for a zero-free dict of coefficients stored over
+    ``den``: canonical when ``den`` is an int, re-stored when it is None
+    (so a rational remainder gets an int denominator)."""
+    return _stored(data) if den is None else _canonical(data, den)
 
 
 def _product(x, y, legs, cap):
@@ -508,9 +527,7 @@ def _image(data, den, image):
                 acc[k] = v
             else:
                 acc.pop(k, None)
-    if den is None:
-        return _stored(acc)
-    return _canonical(acc, den)
+    return _clean(acc, den)
 
 
 # --------------------------------------------------------------------------
@@ -690,9 +707,7 @@ class _Terms:
         ``keep``."""
         grade = self._grader()
         data = {k: c for k, c in self.data.items() if keep(grade(k))}
-        if self.den is None:
-            return data, None
-        return _canonical(data, self.den)
+        return _clean(data, self.den)
 
     # -- inspection -------------------------------------------------------
 
@@ -901,8 +916,6 @@ class _Packed(_Terms):
     def _grader(self):
         table, mask, shifts = self._codec()
         g2 = table.g2
-        if len(shifts) == 1:
-            return g2.__getitem__
         return lambda k: sum([g2[k >> s & mask] for s in shifts])
 
     def _parity_of(self):
@@ -1177,7 +1190,7 @@ class UETensor(_Packed):
                 for p, pc in combos.items()
                 for k, c in data.items()
             }
-        combos, den = _canonical(combos, den) if rational else _stored(combos)
+        combos, den = _clean(combos, den if rational else None)
         return cls._wrap(alg, combos, den, len(elements), None).truncate(cap)
 
     def one_like(self):
@@ -1231,42 +1244,38 @@ class UETensor(_Packed):
                 "legs %r out of range 1..%d" % (legs, total)
             )
         table, mask, shifts = self._codec()
-        bits = table.bits
-        if legs[-1] - legs[0] == self.legs - 1:
-            # consecutive positions: one shift moves every leg
-            shift = bits * (total - legs[-1])
-            out = {k << shift: c for k, c in self.data.items()}
-        else:
-            moves = [(s, bits * (total - pos)) for s, pos in zip(shifts, legs)]
-            out = {}
-            for k, c in self.data.items():
-                key = 0
-                for s, t in moves:
-                    key |= (k >> s & mask) << t
-                out[key] = c
+        moves = [(s, table.bits * (total - pos)) for s, pos in zip(shifts, legs)]
+        out = {}
+        for k, c in self.data.items():
+            key = 0
+            for s, t in moves:
+                key |= (k >> s & mask) << t
+            out[key] = c
         return UETensor._wrap(self.algebra, out, self.den, total, self.g2cap)
 
     def split_first_leg(self) -> dict:
         """{monomial m: the combination r_m of the other legs}, with self
         the sum of m (x) r_m; r_m is an element for a 2-leg tensor and a
-        tensor of one leg fewer otherwise, with self's cap."""
+        tensor of one leg fewer otherwise, cut at self's cap.  The cut
+        drops terms only under an m of negative grade, whose r_m can pass
+        the cap."""
         if self.legs < 2:
             raise HeterogeneousOperand("splitting needs at least 2 legs")
         table, mask, shifts = self._codec()
-        low = (1 << shifts[0]) - 1
+        cap, low = self.g2cap, (1 << shifts[0]) - 1
         groups: dict = {}
         for k, c in self.data.items():
             groups.setdefault(k >> shifts[0], {})[k & low] = c
         kind, legs = (UEElement, None) if self.legs == 2 else (UETensor, self.legs - 1)
-        return {
-            table.monos[i]: kind._wrap(
-                self.algebra,
-                *(_stored(data) if self.den is None else _canonical(data, self.den)),
-                legs,
-                self.g2cap,
+        grade = kind._wrap(self.algebra, {}, 1, legs, cap)._grader()
+        out = {}
+        for i, data in groups.items():
+            if cap is not None and table.g2[i] < 0:
+                data = {k: c for k, c in data.items() if grade(k) <= cap}
+            out[table.monos[i]] = kind._wrap(
+                self.algebra, *_clean(data, self.den), legs, cap
             )
-            for i, data in groups.items()
-        }
+        return out
 
     def counit_leg(self, leg: int) -> "UETensor | UEElement":
         """Apply the counit (constant-term functional) to one 1-based leg."""
@@ -1280,7 +1289,7 @@ class UETensor(_Packed):
             for k, c in self.data.items()
             if not k >> s & mask
         }
-        data, den = _stored(out) if self.den is None else _canonical(out, self.den)
+        data, den = _clean(out, self.den)
         if self.legs == 2:
             return UEElement._wrap(self.algebra, data, den, None, self.g2cap)
         return UETensor._wrap(self.algebra, data, den, self.legs - 1, self.g2cap)

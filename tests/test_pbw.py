@@ -875,5 +875,39 @@ def test_split_first_leg_sums_back():
     assert total == t
     three = t.embed((1, 3), 3)
     assert all(rest.legs == 2 for rest in three.split_first_leg().values())
+    # under a first leg of negative grade the other legs can pass the cap:
+    # X- (x) Y+^5 has grade 4 at cap 8, but Y+^5 alone has grade 5
+    x_minus, y_plus = IDX["X-"], IDX["Y+"]
+    low = UETensor(
+        ALG,
+        {((x_minus,), (y_plus,) * 5): 1, ((x_minus,), (y_plus,) * 4): 3},
+        2,
+        CAP,
+    )
+    assert len(low.terms) == 2
+    rest = low.split_first_leg()[(x_minus,)]
+    assert rest == UEElement(ALG, {(y_plus,) * 4: 3, (y_plus,) * 5: 1}, CAP)
+    assert rest == 3 * gen("Y+") ** 4 and rest.terms == {(y_plus,) * 4: 3}
     with pytest.raises(HeterogeneousOperand):
         UETensor.one(ALG, 1).split_first_leg()
+
+
+def test_keys_out_of_normal_order_are_rewritten_by_products():
+    """A constructor keeps a key as it is given; any product, even by 1,
+    normal-orders it as the product of its letters."""
+    h, v, w, x = IDX["H"], IDX["v+"], IDX["w+"], IDX["X+"]
+    one = UEElement.one(ALG, CAP)
+    for word in ((v, v), (w, x), (x, v, h), (w, v, v)):
+        e = UEElement(ALG, {word: 2}, CAP)
+        assert e.terms == {word: 2}
+        want = UEElement(ALG, normal_form(ALG, word), CAP).scale(2)
+        assert want != e
+        assert e * one == want and one * e == want
+        assert e * gen("v+") == UEElement(ALG, normal_form(ALG, word + (v,)), CAP).scale(2)
+        assert gen("X+") * e == UEElement(ALG, normal_form(ALG, (x,) + word), CAP).scale(2)
+    t = UETensor(ALG, {((v, v), (w, x)): 1}, 2, CAP)
+    want = UETensor.of(
+        UEElement(ALG, normal_form(ALG, (v, v)), CAP),
+        UEElement(ALG, normal_form(ALG, (w, x)), CAP),
+    )
+    assert t * UETensor.one(ALG, 2, CAP) == want
