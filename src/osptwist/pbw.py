@@ -46,15 +46,16 @@ common factor), so equal objects have equal dicts and denominators.  Poly
 and LaurentSeries coefficients are kept as they are, with ``den`` None.
 Products, sums, coproducts and the leg maps (flip, embedding, counit)
 work on the packed ints directly; ``.terms`` is a read-only view that
-decodes keys to tuples of monomials and coefficients to ``Fraction`` on
-reading.
+decodes keys to the class's public shape (tuples of monomials, or of basis
+letters for a LieTensor) and coefficients to ``Fraction`` on reading.
 
 One term algebra.  :class:`UEElement`, :class:`UETensor` and the classical
-:class:`~osptwist.rmatrix.LieTensor` share one implementation of
-construction, sums, scaling, powers, truncation, equality, the graded flip
-and printing (``_Terms``); each class fixes its key codec (packed leg ids,
-or LieTensor's tuples of basis letters, stored as they are), the grade and
-parity of a key, and its constructors' arguments.
+:class:`~osptwist.rmatrix.LieTensor` share one storage, the packed keys
+above, and one implementation of construction, sums, scaling, powers,
+truncation, equality, the graded flip and printing (``_Terms``) and of
+the rep image (``_rep_image``); a LieTensor's basis letters are stored
+as one-letter monomials.  Each class fixes only the public shape of its
+keys, how they print, and its constructors' arguments.
 """
 
 from __future__ import annotations
@@ -550,9 +551,7 @@ class _TermsView(Mapping):
         return len(self._of.data)
 
     def __iter__(self):
-        decode = self._of._decoder()
-        data = self._of.data
-        return iter(data) if decode is None else map(decode, data)
+        return map(self._of._decoder(), self._of.data)
 
     def __getitem__(self, key):
         of = self._of
@@ -599,16 +598,14 @@ class _Terms:
     None (see the module docstring).  ``terms`` is the decoded view.
 
     :class:`UEElement`, :class:`UETensor` and
-    :class:`~osptwist.rmatrix.LieTensor` share this term algebra.  A
-    subclass fixes the public shape of a key (``_key``: a monomial, a
-    tuple of monomials, or a tuple of basis letters), how it is stored
-    (``_encoder``, ``_decoder``, ``_find``; by default as it is), the
-    grade and parity of a key, public (``term_g2``, ``term_parity``) and
-    stored (``_grader``, ``_parity_of``, ``_swapper`` for the graded flip),
-    how a key prints (``_body``, ``_sort_key``) and the arguments of its
-    constructors.  ``legs`` is the number of tensor legs, None for an
-    element of the enveloping algebra itself.  Powers need the subclass's
-    product and ``one_like``.
+    :class:`~osptwist.rmatrix.LieTensor` share this term algebra and its
+    storage.  A subclass fixes the public shape of a key: ``_key`` brings
+    it to a tuple of leg monomials (a monomial, a tuple of monomials, or a
+    tuple of basis letters), ``_decoder`` maps a stored key back (by
+    default to that tuple); how a key prints (``_body``, ``_sort_key``);
+    and the arguments of its constructors.  ``legs`` is the number of
+    tensor legs, None for an element of the enveloping algebra itself.
+    Powers need the subclass's product and ``one_like``.
     """
 
     __slots__ = ("algebra", "data", "den", "legs", "g2cap")
@@ -659,31 +656,55 @@ class _Terms:
     def terms(self) -> Mapping:
         return _TermsView(self)
 
-    def _encoder(self):
-        return self._key
+    def _codec(self):
+        """(table, id mask, the shift of each leg, first leg first)."""
+        table = pbw_table(self.algebra)
+        bits = table.bits
+        shifts = range(bits * ((self.legs or 1) - 1), -1, -bits)
+        return table, (1 << bits) - 1, shifts
+
+    def _grader(self):
+        """stored key -> its doubled grade."""
+        table, mask, shifts = self._codec()
+        g2 = table.g2
+        return lambda k: sum([g2[k >> s & mask] for s in shifts])
 
     def _decoder(self):
-        """The stored key -> public key map; None when keys are stored as
-        they are."""
-        return None
+        """stored key -> public key; here the tuple of leg monomials."""
+        table, mask, shifts = self._codec()
+        monos = table.monos
+        return lambda k: tuple([monos[k >> s & mask] for s in shifts])
+
+    def _encoder(self):
+        """public key -> stored key, interning its leg monomials."""
+        table = pbw_table(self.algebra)
+        ids, bits = table.ids, table.bits
+
+        def encode(key):
+            packed = 0
+            for mono in self._key(key):
+                i = ids[mono]
+                if i >> bits:
+                    raise table._too_wide(i)
+                packed = packed << bits | i
+            return packed
+
+        return encode
 
     def _find(self, key):
         """The stored form of a public key, None when it cannot occur."""
+        table = pbw_table(self.algebra)
         try:
-            return tuple(key)
-        except TypeError:
+            monos = self._key(key)
+        except (TypeError, HeterogeneousOperand):
             return None
-
-    def _grader(self):
-        return self.term_g2
-
-    def _parity_of(self):
-        return self.term_parity
-
-    def _swapper(self):
-        """stored 2-leg key -> (swapped key, whether both legs are odd)."""
-        par = self._leg_parity
-        return lambda k: ((k[1], k[0]), par(k[0]) and par(k[1]))
+        packed = 0
+        for mono in monos:
+            i = table.ids.get(mono)
+            if i is None or i >> table.bits:
+                return None
+            packed = packed << table.bits | i
+        return packed
 
     def _scalars(self):
         """The stored terms with their coefficients as scalars."""
@@ -698,8 +719,6 @@ class _Terms:
         shell = object.__new__(type(self))
         shell.algebra, shell.legs = self.algebra, other.legs
         encode, decode = shell._encoder(), other._decoder()
-        if decode is None:
-            return {encode(k): c for k, c in other.data.items()}
         return {encode(decode(k)): c for k, c in other.data.items()}
 
     def _select(self, keep):
@@ -722,8 +741,9 @@ class _Terms:
 
     def parity(self):
         """The parity shared by every term (0 for zero), None if they mix."""
-        parity = self._parity_of()
-        seen = {parity(k) for k in self.data}
+        table, mask, shifts = self._codec()
+        par = table.par
+        seen = {sum([par[k >> s & mask] for s in shifts]) & 1 for k in self.data}
         if not seen:
             return 0
         if len(seen) > 1:
@@ -732,6 +752,13 @@ class _Terms:
 
     def is_even(self):
         return self.parity() == 0
+
+    def constant_coefficient(self):
+        # the key of the empty monomial on every leg is 0
+        c = self.data.get(0)
+        if c is None:
+            return Fraction(0)
+        return c if self.den is None else Fraction(c, self.den)
 
     # -- linear structure ---------------------------------------------------
 
@@ -866,11 +893,12 @@ class _Terms:
         a (x) b -> (-1)**(p(a)p(b)) b (x) a."""
         if self.legs != 2:
             raise HeterogeneousOperand("flip is defined for 2-leg tensors")
-        swap = self._swapper()
+        table, mask, _ = self._codec()
+        bits, par = table.bits, table.par
         out = {}
         for k, c in self.data.items():
-            k, odd = swap(k)
-            out[k] = -c if odd else c
+            a, b = k >> bits, k & mask
+            out[b << bits | a] = -c if par[a] and par[b] else c
         return self._like(out, self.den, self.g2cap)
 
     # -- display ----------------------------------------------------------
@@ -899,87 +927,11 @@ class _Terms:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-class _Packed(_Terms):
-    """Elements and tensors of the enveloping algebra: a stored key packs
-    the table ids of its leg monomials, the first leg highest; an element
-    is the one-leg case."""
-
-    __slots__ = ()
-
-    def _codec(self):
-        """(table, id mask, the shift of each leg, first leg first)."""
-        table = pbw_table(self.algebra)
-        bits = table.bits
-        shifts = range(bits * ((self.legs or 1) - 1), -1, -bits)
-        return table, (1 << bits) - 1, shifts
-
-    def _grader(self):
-        table, mask, shifts = self._codec()
-        g2 = table.g2
-        return lambda k: sum([g2[k >> s & mask] for s in shifts])
-
-    def _parity_of(self):
-        table, mask, shifts = self._codec()
-        par = table.par
-        return lambda k: sum([par[k >> s & mask] for s in shifts]) & 1
-
-    def _decoder(self):
-        table, mask, shifts = self._codec()
-        monos = table.monos
-        return lambda k: tuple([monos[k >> s & mask] for s in shifts])
-
-    def _encoder(self):
-        table = pbw_table(self.algebra)
-        ids, bits = table.ids, table.bits
-
-        def encode(key):
-            packed = 0
-            for mono in self._key(key):
-                i = ids[mono]
-                if i >> bits:
-                    raise table._too_wide(i)
-                packed = packed << bits | i
-            return packed
-
-        return encode
-
-    def _find(self, key):
-        table = pbw_table(self.algebra)
-        try:
-            monos = self._key(key)
-        except (TypeError, HeterogeneousOperand):
-            return None
-        packed = 0
-        for mono in monos:
-            i = table.ids.get(mono)
-            if i is None or i >> table.bits:
-                return None
-            packed = packed << table.bits | i
-        return packed
-
-    def _swapper(self):
-        table, mask, _ = self._codec()
-        bits, par = table.bits, table.par
-
-        def swap(k):
-            a, b = k >> bits, k & mask
-            return b << bits | a, par[a] and par[b]
-
-        return swap
-
-    def constant_coefficient(self):
-        # the key of the empty monomial on every leg is 0
-        c = self.data.get(0)
-        if c is None:
-            return Fraction(0)
-        return c if self.den is None else Fraction(c, self.den)
-
-
 def _rep_image(t) -> GradedMatrix:
-    """The image of an element or tensor under the defining
-    representation on every leg, formed leg by leg: the sum over the
-    first-leg monomials m of rho(m) (x) (the image of what multiplies m),
-    skipping every m whose image is zero."""
+    """The image of an element or tensor (a LieTensor too) under the
+    defining representation on every leg, formed leg by leg: the sum over
+    the first-leg monomials m of rho(m) (x) (the image of what multiplies
+    m), skipping every m whose image is zero."""
     alg = t.algebra
     out: dict = {}
     if t.legs is None or t.legs == 1:
@@ -990,7 +942,8 @@ def _rep_image(t) -> GradedMatrix:
         if t.den is not None and t.den != 1:
             out = {ij: x / t.den for ij, x in out.items()}
         return GradedMatrix(alg.pv, out)
-    for mono, rest in t.split_first_leg().items():
+    # a LieTensor stores UETensor keys, so UETensor's split serves it too
+    for mono, rest in UETensor.split_first_leg(t).items():
         first = alg.monomial_matrix(mono)
         if first.is_zero:
             continue
@@ -1007,7 +960,7 @@ def _rep_image(t) -> GradedMatrix:
 # --------------------------------------------------------------------------
 
 
-class UEElement(_Packed):
+class UEElement(_Terms):
     """A finite combination of normal-ordered monomials with coefficients
     in the exact scalar tower, living in the enveloping algebra modulo
     total grade > g2cap/2 (no truncation when g2cap is None).  A stored
@@ -1024,12 +977,6 @@ class UEElement(_Packed):
 
     def _decoder(self):
         return pbw_table(self.algebra).monos.__getitem__
-
-    def term_g2(self, mono):
-        return monomial_g2(self.algebra, mono)
-
-    def term_parity(self, mono):
-        return monomial_parity(self.algebra, mono)
 
     @staticmethod
     def _sort_key(mono):
@@ -1124,7 +1071,7 @@ class UEElement(_Packed):
 # --------------------------------------------------------------------------
 
 
-class UETensor(_Packed):
+class UETensor(_Terms):
     """A combination of leg-tuples of normal-ordered monomials, i.e. an
     element of U(osp(1|2n))^(x legs), modulo total grade > g2cap/2.
 
@@ -1143,9 +1090,6 @@ class UETensor(_Packed):
 
     def term_g2(self, key):
         return sum(monomial_g2(self.algebra, m) for m in key)
-
-    def term_parity(self, key):
-        return sum(monomial_parity(self.algebra, m) for m in key) % 2
 
     @staticmethod
     def _sort_key(key):

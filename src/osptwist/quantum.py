@@ -162,23 +162,22 @@ def classical_limit(r: RMatrix) -> LieTensor:
     component.  Either way the terms must be single generators on both
     legs; anything longer means the family is not first-order a Lie
     tensor and raises NotFirstOrderLie."""
-    el = r.element
-    alg = el.algebra
-    grade2 = el.grade_component(2)
-    out = {}
-    for (m1, m2), c in grade2.terms.items():
-        if len(m1) != 1 or len(m2) != 1:
+    grade2 = r.element.grade_component(2)
+    table, mask, shifts = grade2._codec()
+    prefix = table.prefix
+    for k in grade2.data:
+        # a nonzero id with the empty prefix is a one-letter monomial
+        if not all(k >> s & mask and not prefix[k >> s & mask] for s in shifts):
             raise NotFirstOrderLie(
-                "first-order term has a composite leg: %r" % ((m1, m2),)
+                "first-order term has a composite leg: %r"
+                % (grade2._decoder()(k),)
             )
-        if r.parameter is not None:
-            coeff = c.coefficient(r.parameter, 1) if isinstance(c, Poly) else 0
-        else:
-            coeff = c * Fraction(-2)
-        # each grade-2 key has single letters on both legs, so keys are
-        # distinct and zeros are left to the constructor
-        out[(m1[0], m2[0])] = coeff
-    return LieTensor(alg, 2, out)
+    eta = r.parameter
+    first = grade2.map_coefficients(
+        lambda c: c * Fraction(-2) if eta is None
+        else c.coefficient(eta, 1) if isinstance(c, Poly) else 0
+    )
+    return LieTensor._wrap(first.algebra, first.data, first.den, 2, None)
 
 
 def multi_parameter_twist(

@@ -24,16 +24,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import HeterogeneousOperand, NegativePowerSurvives
-from .pbw import _Terms, format_monomial, scalar_inverse
-from .repmat import GradedMatrix, kron_all, tensor_pv
+from .pbw import _rep_image, _Terms, format_monomial, scalar_inverse
+from .repmat import GradedMatrix
 from .scalars import LaurentSeries, Poly, rref
 
 
 class LieTensor(_Terms):
     """A combination of elementary tensors of *basis elements* (degree-one
     legs) with coefficients in the exact scalar tower.  Keys are tuples
-    of basis indices; sums, scaling, equality, the graded flip and printing
-    are the term algebra it shares with the enveloping-algebra classes of
+    of basis indices, stored as the packed ids of their one-letter
+    monomials in the algebra's :class:`~osptwist.pbw.PBWTable`; sums,
+    scaling, equality, the graded flip, printing and the rep image are the
+    term algebra it shares with the enveloping-algebra classes of
     :mod:`~osptwist.pbw`."""
 
     __slots__ = ()
@@ -42,16 +44,12 @@ class LieTensor(_Terms):
         self._fill(algebra, terms, legs, None)
 
     def _key(self, key):
-        return self._check_legs(tuple(key))
+        return tuple((i,) for i in self._check_legs(tuple(key)))
 
-    def term_g2(self, key):
-        return sum(self.algebra.g2(i) for i in key)
-
-    def term_parity(self, key):
-        return sum(self.algebra.parity(i) for i in key) % 2
-
-    def _leg_parity(self, i):
-        return self.algebra.parity(i)
+    def _decoder(self):
+        table, mask, shifts = self._codec()
+        monos = table.monos
+        return lambda k: tuple([monos[k >> s & mask][0] for s in shifts])
 
     @staticmethod
     def _sort_key(key):
@@ -71,13 +69,7 @@ class LieTensor(_Terms):
 
     def to_matrix(self) -> GradedMatrix:
         """Image under the defining representation on every leg."""
-        alg = self.algebra
-        out: dict = {}
-        for key, c in self.terms.items():
-            mat = kron_all([alg.basis[i].matrix for i in key])
-            for ij, x in mat.entries.items():
-                out[ij] = out.get(ij, 0) + c * x
-        return GradedMatrix(tensor_pv(alg.pv, self.legs), out)
+        return _rep_image(self)
 
     def __repr__(self):
         return "LieTensor(legs=%d, terms=%d)" % (self.legs, len(self.terms))

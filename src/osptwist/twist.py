@@ -587,7 +587,7 @@ def rep_factor(
     return _RepPair(a, b).factor(kind)
 
 
-def rep_chain(algebra, kinds, a: RepAssignment, b: RepAssignment) -> GradedMatrix:
+def rep_chain(kinds, a: RepAssignment, b: RepAssignment) -> GradedMatrix:
     """Product of factor matrices in the listed order; repeated kinds in
     one call (the second link conjugates by the first chain) are shared."""
     pair = _RepPair(a, b)
@@ -601,16 +601,14 @@ def rep_cocycle_residual(algebra: OspAlgebra, kinds) -> GradedMatrix:
     l1 = rep_leg(algebra, 1, 3)
     l2 = rep_leg(algebra, 2, 3)
     l3 = rep_leg(algebra, 3, 3)
-    f12 = rep_chain(algebra, kinds, l1, l2)
-    f23 = rep_chain(algebra, kinds, l2, l3)
-    cop_left = rep_chain(algebra, kinds, l1 + l2, l3)
-    cop_right = rep_chain(algebra, kinds, l1, l2 + l3)
+    f12 = rep_chain(kinds, l1, l2)
+    f23 = rep_chain(kinds, l2, l3)
+    cop_left = rep_chain(kinds, l1 + l2, l3)
+    cop_right = rep_chain(kinds, l1, l2 + l3)
     return f12 @ cop_left - f23 @ cop_right
 
 
 def rep_twist_matrix(algebra: OspAlgebra, kinds) -> GradedMatrix:
     """The chain as an exact matrix on two legs (independent of the
     enveloping-algebra construction; used as the oracle)."""
-    return rep_chain(
-        algebra, kinds, rep_leg(algebra, 1, 2), rep_leg(algebra, 2, 2)
-    )
+    return rep_chain(kinds, rep_leg(algebra, 1, 2), rep_leg(algebra, 2, 2))

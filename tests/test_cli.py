@@ -1,5 +1,6 @@
 """Command-line verification front end: suite reports, dumps, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -273,3 +274,35 @@ def test_rtt_check_reads_the_l_operator(monkeypatch):
     }
     assert status["quantum.rtt"] == "fail"
     assert status["quantum.qybe.rep"] == "pass"
+
+
+# sha256 of the printed output.  A change that alters the output on purpose
+# (a new check, a renamed anchor) updates the digest and says why.
+GOLDEN_DUMPS = {
+    (1, "text"): "4b78eb5d64eb333549491e9e6bbab64510e23a6d088b262c3644cbc6a53f76c9",
+    (1, "json"): "40a22fc85e90d3b9e2213304babf24560e026bc41b62ec85b97f83a527ddb452",
+    (2, "text"): "019aa2e31da5e79e380b2220cd46eb798fdcb98573222c8507053f13647b01d5",
+    (2, "json"): "15b06ab07298ed5f0a6e341fbf9d32a3e3c95689246577b11179e64a379f87f7",
+    (3, "text"): "0581c35be9c5c889924412562a25108563f10785857b05a574fdffd02dde1896",
+    (3, "json"): "d9438e5970ebcee72678f9de38b1db955e63af2e5f1f8195883714139a5e8b1c",
+}
+GOLDEN_ALL_N2_D3 = "65d3a9600ee85e8b9653c689a5259a06490b5c4744b55b4e1bf09c5be36fa7ae"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n, fmt", sorted(GOLDEN_DUMPS))
+def test_rmatrix_dump_is_byte_identical(capsys, n, fmt):
+    assert main(["--dump", "rmatrix", "--n", str(n), "--format", fmt]) == 0
+    assert sha256(capsys.readouterr().out) == GOLDEN_DUMPS[n, fmt]
+
+
+def test_json_report_is_byte_identical_apart_from_timing(capsys):
+    """``all --n 2 --degree 3 --format json`` with every ``ms`` zeroed."""
+    assert main(["all", "--n", "2", "--degree", "3", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for check in report["checks"]:
+        check["ms"] = 0
+    assert sha256(json.dumps(report, indent=2)) == GOLDEN_ALL_N2_D3

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from osptwist.algebra import build_osp
+from osptwist.pbw import UETensor
 from osptwist.repmat import GradedMatrix, embed_legs
 from osptwist.scalars import Poly, LaurentSeries, rref
 from osptwist.rmatrix import (
@@ -176,6 +177,52 @@ def test_residuals_match_the_defining_rep_oracle(n, case):
     assert spectral_residual_rational(r).to_matrix() == reference_residual(
         r, (w, u + w, u)
     )
+
+
+def kernel_residual(r):
+    """(r12 r13 - r13 r12) + (r12 r23 - r23 r12) + (r13 r23 - r23 r13)
+    formed in U(g)^(x)3 by the PBW product kernel, r rebuilt as a
+    UETensor whose legs are one-letter monomials.  r is even, so each
+    commutator is a plain difference; the Koszul signs are the kernel's."""
+    t = UETensor(
+        r.algebra,
+        {tuple((i,) for i in key): c for key, c in r.terms.items()},
+        2,
+    )
+    r12, r13, r23 = (t.embed(legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
+    return (r12 * r13 - r13 * r12) + (r12 * r23 - r23 * r12) + (
+        r13 * r23 - r23 * r13
+    )
+
+
+KERNEL_CASES = {
+    "jordanian": r_jordanian,
+    "super_jordanian": r_super_jordanian,
+    "extended_super_jordanian": r_extended_super_jordanian,
+    "cascade": r_cascade,
+    "full_borel": r_full_borel,
+    "casimir": casimir_tensor,
+    **{
+        "random%d" % seed: (lambda alg, seed=seed: random_even_tensor(alg, seed))
+        for seed in range(3)
+    },
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+@pytest.mark.parametrize("n", [1, 2])
+def test_cybe_residual_matches_the_pbw_kernel(n, case):
+    """The closed bracket forms of ``_cybe_brackets`` against the
+    commutators in the enveloping algebra, coefficient for coefficient."""
+    alg = build_osp(n)
+    r = KERNEL_CASES[case](alg)
+    residual = cybe_residual(r)
+    if case.startswith("random") or case == "casimir":
+        assert not residual.is_zero
+    want = {
+        tuple((i,) for i in key): c for key, c in residual.terms.items()
+    }
+    assert dict(kernel_residual(r).terms) == want
 
 
 def test_wedge_conventions():
