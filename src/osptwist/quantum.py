@@ -43,7 +43,7 @@ class RMatrix:
     checks); ``parameter`` names the formal deformation symbol when the
     element carries a parameterized family."""
 
-    __slots__ = ("element", "source", "parameter", "_rep", "_flip")
+    __slots__ = ("element", "source", "parameter", "_rep")
 
     def __init__(self, element, source=None, parameter=None, rep_matrix=None):
         if element is not None and element.legs != 2:
@@ -52,19 +52,12 @@ class RMatrix:
         self.source = source
         self.parameter = parameter
         self._rep = rep_matrix
-        self._flip = None
 
     @property
     def rep_matrix(self) -> GradedMatrix:
         if self._rep is None:
             self._rep = self.element.to_matrix()
         return self._rep
-
-    @property
-    def flipped(self) -> UETensor:
-        if self._flip is None:
-            self._flip = self.element.flip()
-        return self._flip
 
     def augmentation_ok(self) -> bool:
         """Counit on either leg must give 1 (universal form)."""
@@ -114,7 +107,7 @@ def universal_R(twist: Twist, eta: str | None = None) -> RMatrix:
 
 def triangularity_residual(r: RMatrix) -> UETensor:
     """R21 * R - 1: zero certifies the triangular (unitary) property."""
-    return r.flipped * r.element - r.element.one_like()
+    return r.element.flip() * r.element - r.element.one_like()
 
 
 def intertwining_residual(r: RMatrix, x: UEElement) -> UETensor:
@@ -136,21 +129,21 @@ def qybe_residual(r: RMatrix) -> UETensor:
     return r12 * r13 * r23 - r23 * r13 * r12
 
 
-def _rep_embeddings(r: RMatrix, alg: OspAlgebra):
-    m = r.rep_matrix
-    return (
-        embed_legs(m, alg.pv, (1, 2), 3),
-        embed_legs(m, alg.pv, (1, 3), 3),
-        embed_legs(m, alg.pv, (2, 3), 3),
-    )
+def _exchange(r_mat, l_mat, pv) -> GradedMatrix:
+    """R12 L13 L23 - L23 L13 R12 in the cube of the defining space, for
+    rep matrices R and L on its square: the RTT relation, and the braid
+    relation when L = R."""
+    r12 = embed_legs(r_mat, pv, (1, 2), 3)
+    l13 = embed_legs(l_mat, pv, (1, 3), 3)
+    l23 = embed_legs(l_mat, pv, (2, 3), 3)
+    return r12 @ l13 @ l23 - l23 @ l13 @ r12
 
 
 def qybe_residual_rep(r: RMatrix, algebra: OspAlgebra | None = None) -> GradedMatrix:
     """The same residual evaluated exactly in the cube of the defining
     representation; works for parameterized entries too."""
     alg = algebra if algebra is not None else r.element.algebra
-    r12, r13, r23 = _rep_embeddings(r, alg)
-    return r12 @ r13 @ r23 - r23 @ r13 @ r12
+    return _exchange(r.rep_matrix, r.rep_matrix, alg.pv)
 
 
 def classical_limit(r: RMatrix) -> LieTensor:
@@ -322,10 +315,7 @@ class LOperator:
             )
         diff = lhs - rhs
         top = cap - margin
-        kept = {
-            key: c for key, c in diff.terms.items() if diff.term_g2(key) <= top
-        }
-        return UETensor(alg, kept, 2, cap)
+        return diff._like(*diff._select(lambda g: g <= top), cap)
 
 
 def l_operator(r: RMatrix) -> LOperator:
@@ -349,12 +339,7 @@ def rtt_residual(r: RMatrix, l: LOperator | None = None) -> GradedMatrix:
 
     ``l`` is an LOperator, whose legs come from its own ``to_matrix``
     sign rule.  Without it the L legs are the rep form of ``r`` itself,
-    and the residual is the braid relation of :func:`qybe_residual_rep`
-    read on the same three matrices."""
-    alg = r.element.algebra
+    and the residual is the braid relation of :func:`qybe_residual_rep`."""
     r_mat = r.rep_matrix
     l_mat = r_mat if l is None else l.to_matrix()
-    r12 = embed_legs(r_mat, alg.pv, (1, 2), 3)
-    l1 = embed_legs(l_mat, alg.pv, (1, 3), 3)
-    l2 = embed_legs(l_mat, alg.pv, (2, 3), 3)
-    return r12 @ l1 @ l2 - l2 @ l1 @ r12
+    return _exchange(r_mat, l_mat, r.element.algebra.pv)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import HeterogeneousOperand, NegativePowerSurvives
-from .pbw import _rep_image, _Terms, format_monomial, scalar_inverse
+from .pbw import _Terms, format_monomial, scalar_inverse
 from .repmat import GradedMatrix
 from .scalars import LaurentSeries, Poly, rref
 
@@ -62,14 +62,17 @@ class LieTensor(_Terms):
     def zero(cls, algebra, legs=2):
         return cls(algebra, legs, {})
 
-    def __add__(self, other):
-        if not isinstance(other, LieTensor):
-            return NotImplemented
-        return self._combine(other, 1)
+    def one_like(self):
+        raise HeterogeneousOperand("a classical tensor has no unit")
 
-    def to_matrix(self) -> GradedMatrix:
-        """Image under the defining representation on every leg."""
-        return _rep_image(self)
+    def __add__(self, other):
+        # no unit to carry a scalar
+        if not isinstance(other, _Terms):
+            return NotImplemented
+        return _Terms.__add__(self, other)
+
+    # bound here: the benchmark tracer patches it
+    to_matrix = _Terms.to_matrix
 
     def __repr__(self):
         return "LieTensor(legs=%d, terms=%d)" % (self.legs, len(self.terms))

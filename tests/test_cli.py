@@ -306,3 +306,25 @@ def test_json_report_is_byte_identical_apart_from_timing(capsys):
     for check in report["checks"]:
         check["ms"] = 0
     assert sha256(json.dumps(report, indent=2)) == GOLDEN_ALL_N2_D3
+
+
+# ``all --n 1/3 --degree 2 --format json`` with every ``ms`` zeroed.  The
+# twist and quantum checks need generator aliases that exist only at n = 2,
+# so 16 and 18 of them fail (MissingAlias) and the run exits 1.
+GOLDEN_ALL_D2 = {
+    1: ("cb6ac432a64591fa6e2e13a228e6648eb288fb3eb31a84f2c6c1b99057d16a49", 16),
+    3: ("b4a1d63c2157a0ccf6bdcaf723c14e2e3f571fe5bd3db8dd141aac2814c60ea5", 18),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_ALL_D2))
+def test_json_report_at_n_other_than_2_is_byte_identical(capsys, n):
+    digest, failures = GOLDEN_ALL_D2[n]
+    assert main(["all", "--n", str(n), "--degree", "2", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    for check in report["checks"]:
+        check["ms"] = 0
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert {c["anchor"].split(".")[0] for c in failed} == {"twist", "quantum"}
+    assert len(failed) == failures
+    assert sha256(json.dumps(report, indent=2)) == digest

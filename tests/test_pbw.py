@@ -911,3 +911,60 @@ def test_keys_out_of_normal_order_are_rewritten_by_products():
         UEElement(ALG, normal_form(ALG, (w, x)), CAP),
     )
     assert t * UETensor.one(ALG, 2, CAP) == want
+
+
+# -- one term algebra: kinds, scalars, units -------------------------------------
+
+
+def term_kinds():
+    h = gen("H")
+    return (
+        h + gen("X+"),
+        UETensor.of(h, gen("v+"), g2cap=CAP),
+        LieTensor(ALG, 2, {(IDX["H"], IDX["X+"]): 1}),
+    )
+
+
+def test_mixed_kinds_are_refused_in_either_order():
+    """An element, a tensor and a classical tensor never add or multiply
+    with one another, whichever comes first."""
+    for a, b in itertools.permutations(term_kinds(), 2):
+        with pytest.raises(HeterogeneousOperand):
+            a + b
+        with pytest.raises(HeterogeneousOperand):
+            a * b
+
+
+def test_scalar_plus_element_or_tensor_is_a_multiple_of_one():
+    """A classical tensor has no unit, so it takes no scalar summand."""
+    for x in term_kinds()[:2]:
+        for c in (3, Fraction(-1, 2), Poly.var("a")):
+            want = x.one_like().scale(c) + x
+            assert c + x == want and x + c == want
+            assert (x + c).constant_coefficient() == c
+    lie = term_kinds()[2]
+    with pytest.raises(HeterogeneousOperand):
+        lie.one_like()
+    with pytest.raises(TypeError):
+        lie + 1
+
+
+def test_coefficient_accepts_list_keys():
+    h, x = IDX["H"], IDX["X+"]
+    el = UEElement(ALG, {(h, x): 3}, CAP)
+    t = UETensor(ALG, {((h,), (x, x)): 5}, 2, CAP)
+    lie = LieTensor(ALG, 2, {(h, x): 7})
+    assert el.coefficient([h, x]) == 3 and el.coefficient([x]) == 0
+    assert t.coefficient([[h], [x, x]]) == 5 and t.coefficient([[h]]) == 0
+    assert lie.coefficient([h, x]) == 7 and lie.coefficient([x, h]) == 0
+
+
+@pytest.mark.parametrize("cap", [CAP, 0, None])
+def test_one_like_is_the_unit_at_the_same_cap(cap):
+    el = gen("v+", cap)
+    assert el.one_like() == UEElement.one(ALG, cap)
+    assert el.one_like().g2cap == cap
+    for legs in (1, 2, 3):
+        t = UETensor.of(*[el] * legs)
+        assert t.one_like() == UETensor.one(ALG, legs, cap)
+        assert t.one_like().g2cap == cap

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from osptwist.algebra import build_osp
-from osptwist.pbw import UEElement, UETensor, ue_exp, ue_invert
+from osptwist.pbw import UEElement, UETensor, monomial_g2, ue_exp, ue_invert
 from osptwist.repmat import GradedMatrix, embed_legs, kron
 import osptwist.quantum as qt
 import osptwist.twist as tws
@@ -199,7 +199,7 @@ def shift_lowest_coefficient(el):
     terms = dict(el.terms)
     key = min(
         (k for k in terms if any(k)),
-        key=lambda k: (el.term_g2(k), k),
+        key=lambda k: (sum(monomial_g2(el.algebra, m) for m in k), k),
     )
     terms[key] += Fraction(1, 7)
     return UETensor(el.algebra, terms, el.legs, el.g2cap)
