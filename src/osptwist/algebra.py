@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import MissingAlias
 from .repmat import GradedMatrix
-from .scalars import rref, scalar_is_zero
+from .scalars import rref
 
 
 class BasisElement:
@@ -277,7 +277,7 @@ class OspAlgebra:
         rest = m
         for b in self.basis:
             c = rest[b.lead]
-            if not scalar_is_zero(c):
+            if c:
                 out[b.index] = c
                 rest = rest - b.matrix.scale(c)
         if not rest.is_zero:

@@ -51,10 +51,13 @@ letters for a LieTensor) and coefficients to ``Fraction`` on reading.
 
 One term algebra.  :class:`UEElement`, :class:`UETensor` and the classical
 :class:`~osptwist.rmatrix.LieTensor` share one storage, the packed keys
-above, and one implementation (``_Terms``) of construction, ``+``, ``*``,
-the unit ``one_like``, powers, ``coefficient``, truncation, equality, the
-graded flip, printing and the rep image ``to_matrix``; a LieTensor's
-basis letters are stored as one-letter monomials.  Two kinds never mix:
+above, and one implementation (``_Terms``) of construction (which
+normal-orders every key), ``+``, ``*``, the unit ``one_like``,
+``coefficient``, truncation, equality, the graded flip, printing, the rep
+image ``to_matrix`` and the series entries ``series(stream)`` and
+``exp()``; ``-``, powers and the super bracket are those of every
+:class:`~osptwist.scalars.Ring`.  A LieTensor's basis letters are stored
+as one-letter monomials.  Two kinds never mix:
 ``HeterogeneousOperand``.  Each class fixes only the public shape of its
 keys, how they print, and its constructors' arguments, and binds a
 shared operation under its own name where the benchmark tracer patches
@@ -82,12 +85,11 @@ from .repmat import GradedMatrix, kron, tensor_pv
 from .scalars import (
     LaurentSeries,
     Poly,
+    Ring,
     _fr,
     _omin,
     fraction_sqrt,
     nilpotent_series,
-    power,
-    scalar_is_zero,
     taylor_binomial,
     taylor_exp,
     taylor_geometric,
@@ -96,17 +98,14 @@ from .scalars import (
 
 
 def scalar_inverse(c):
-    """Multiplicative inverse within the scalar tower."""
+    """Multiplicative inverse within the scalar tower: 1/c for a rational,
+    ``c.inverse()`` for any other scalar."""
     f = _fr(c)
-    if f is not None:
-        if f == 0:
-            raise DivisionByNonUnit("scalar 0 has no inverse")
-        return 1 / f
-    if isinstance(c, Poly):
+    if f is None:
         return c.inverse()
-    if isinstance(c, LaurentSeries):
-        return c.invert()
-    raise TypeError("cannot invert scalar %r" % (c,))
+    if not f:
+        raise DivisionByNonUnit("scalar 0 has no inverse")
+    return 1 / f
 
 
 # --------------------------------------------------------------------------
@@ -140,12 +139,12 @@ class PBWTable:
     ``ids[mono]`` is its id (made on first lookup), ``monos[i]`` is the
     monomial of id i, ``g2[i]`` and ``par[i]`` are its doubled grade and
     its parity, and ``prefix[i]`` is the id of monos[i] without its last
-    letter; the empty monomial is id 0.  A key given to a constructor need
-    not be normal-ordered: ``unordered`` holds the ids of the monomials
-    that are not, and products rewrite them.  Interning is append-only, since
-    elements and tensors keep ids in their keys.  A key of k legs packs
-    its ids into one int of k * ``bits`` bits (``_ID_BITS`` when the table
-    is made), the first leg highest; packing an id that does not fit
+    letter; the empty monomial is id 0.  Only normal-ordered monomials are
+    interned: a constructor folds a leg monomial it does not find into its
+    normal form.  Interning is append-only, since elements and tensors
+    keep ids in their keys.  A key of k legs packs its ids into one int of
+    k * ``bits`` bits (``_ID_BITS`` when the table is made), the first leg
+    highest; packing an id that does not fit
     raises ``OverflowError``, while interning and normal ordering, which
     pack nothing, have no limit.  ``units[i]`` is the normal form
     ((i, 1),), shared by every memo entry that is monomial i alone.
@@ -161,7 +160,7 @@ class PBWTable:
     """
 
     __slots__ = ("algebra", "bits", "size", "odd", "monos", "ids", "g2",
-                 "par", "prefix", "units", "unordered", "insertions",
+                 "par", "prefix", "units", "insertions",
                  "products", "coproducts")
 
     def __init__(self, algebra):
@@ -170,7 +169,7 @@ class PBWTable:
         self.odd = [algebra.parity(x) for x in range(algebra.size)]
         self.bits = _ID_BITS
         self.monos, self.ids, self.g2, self.par = [], _Ids(), [], []
-        self.prefix, self.units, self.unordered = [], [], set()
+        self.prefix, self.units = [], []
         self.ids.table = self
         self.ids[()]  # interned first: id 0
         self.clear()
@@ -195,12 +194,6 @@ class PBWTable:
         par = sum(self.odd[x] for x in mono) & 1
         prefix = self.ids[mono[:-1]] if mono else 0
         i = len(self.monos)
-        # the prefix is interned first, so only the last two letters are
-        # left to compare
-        if prefix in self.unordered or len(mono) > 1 and not (
-            mono[-2] < mono[-1] or (mono[-2] == mono[-1] and not self.odd[mono[-1]])
-        ):
-            self.unordered.add(i)
         self.g2.append(g2)
         self.par.append(par)
         self.prefix.append(prefix)
@@ -277,6 +270,9 @@ class PBWTable:
         memo, size, insert = self.insertions, self.size, self._insert
         acc = dict(start)
         for x in word:
+            if not 0 <= x < size:
+                # a letter outside the basis would alias a memo key
+                raise IndexError("letter %r outside a basis of %d" % (x, size))
             nxt: dict = {}
             for m, c in acc.items():
                 for mm, a in memo.get(m * size + x) or insert(m, x):
@@ -289,11 +285,10 @@ class PBWTable:
 
     def product(self, a: int, b: int) -> tuple:
         """Normal form of monos[a] * monos[b], from the product table.  An
-        in-order concatenation of normal-ordered monomials (the last letter
-        of a before the first of b, or the two equal and even) is interned
-        as it is; a monomial a that is not normal-ordered, times 1, is
-        folded from its letters; otherwise, writing b = b' x, the letter x
-        is inserted into the memoized product a * b'.  Every id of an
+        in-order concatenation (the last letter of a before the first of
+        b, or the two equal and even) is interned as it is; otherwise,
+        writing b = b' x, the letter x is inserted into the memoized
+        product a * b'.  Every id of an
         entry fits ``bits`` bits, so the kernel packs the ids it reads here
         without checking them."""
         bits = self.bits
@@ -303,13 +298,10 @@ class PBWTable:
         hit = self.products.get(key)
         if hit is None:
             ma, mb = self.monos[a], self.monos[b]
-            ordered = a not in self.unordered and b not in self.unordered
-            if ordered and (not ma or not mb or ma[-1] < mb[0] or (
+            if not ma or not mb or ma[-1] < mb[0] or (
                 ma[-1] == mb[0] and not self.odd[mb[0]]
-            )):
+            ):
                 hit = self.units[self.ids[ma + mb]]
-            elif not mb:
-                hit = self.fold(ma)
             else:
                 hit = self.fold(mb[-1:], self.product(a, self.prefix[b]))
             top = max((m for m, _ in hit), default=0)
@@ -354,13 +346,11 @@ def normal_form(alg, word) -> dict:
 
 
 def monomial_g2(alg, mono) -> int:
-    table = pbw_table(alg)
-    return table.g2[table.ids[mono]]
+    return sum(map(alg.g2, mono))
 
 
 def monomial_parity(alg, mono) -> int:
-    table = pbw_table(alg)
-    return table.par[table.ids[mono]]
+    return sum(map(alg.parity, mono)) & 1
 
 
 def format_monomial(alg, mono) -> str:
@@ -413,7 +403,7 @@ def _stored(data):
     return {
         k: Fraction(v) if isinstance(v, int) else v
         for k, v in data.items()
-        if not scalar_is_zero(v)
+        if v
     }, None
 
 
@@ -621,7 +611,7 @@ class _TermsItems(ItemsView):
         return zip(self._mapping, self._mapping.values())
 
 
-class _Terms:
+class _Terms(Ring):
     """A finite combination of keys with coefficients in the exact scalar
     tower, modulo total grade > g2cap/2 (no truncation when g2cap is
     None).  ``data`` is a zero-free {stored key: coefficient} dict and
@@ -637,21 +627,28 @@ class _Terms:
     default to that tuple); how a key prints (``_body``, ``_sort_key``);
     and the arguments of its constructors.  ``legs`` is the number of
     tensor legs, None for an element of the enveloping algebra itself.
-    ``+``, ``*`` (as ``_times``), ``one_like``, ``coefficient`` and
-    ``to_matrix`` are written here once; a subclass binds one under its
-    own name only where the benchmark tracer patches it class by class.
+    ``+``, ``*`` (as ``_times``), ``one_like``, ``coefficient``,
+    ``to_matrix`` and the series entries ``series(stream)`` and ``exp()``
+    are written here once, and ``-``, ``**`` and the super commutator
+    are those of :class:`~osptwist.scalars.Ring`; a subclass binds one
+    under its own name only where the benchmark tracer patches it class
+    by class.
     """
 
     __slots__ = ("algebra", "data", "den", "legs", "g2cap")
 
     def _fill(self, algebra, terms, legs, g2cap):
-        """The validated constructor: keys brought to shape and stored,
-        zeros and terms above the cap dropped."""
+        """The validated constructor: keys brought to shape, normal-ordered
+        and stored, zeros and terms above the cap dropped."""
         self.algebra = algebra
         self.legs = legs
         self.g2cap = g2cap
         encode = self._encoder()
-        data = {encode(key): c for key, c in terms.items()}
+        data: dict = {}
+        for key, c in terms.items():
+            for k, a in encode(key):
+                c_k = c if a == 1 else c * a
+                data[k] = data[k] + c_k if k in data else c_k
         if g2cap is not None:
             grade = self._grader()
             data = {k: c for k, c in data.items() if grade(k) <= g2cap}
@@ -726,18 +723,22 @@ class _Terms:
         return lambda k: tuple([monos[k >> s & mask] for s in shifts])
 
     def _encoder(self):
-        """public key -> stored key, interning its leg monomials."""
+        """public key -> its normal form as (stored key, factor) pairs.  A
+        leg monomial already interned is normal-ordered; any other is
+        folded from its letters, which interns the monomials it meets."""
         table = pbw_table(self.algebra)
-        ids, bits = table.ids, table.bits
+        ids, bits, units, fold = table.ids, table.bits, table.units, table.fold
 
         def encode(key):
-            packed = 0
+            parts = [(0, 1)]
             for mono in self._key(key):
-                i = ids[mono]
-                if i >> bits:
-                    raise table._too_wide(i)
-                packed = packed << bits | i
-            return packed
+                i = ids.get(mono)
+                nf = units[i] if i is not None else fold(mono)
+                top = max([m for m, _ in nf], default=0)
+                if top >> bits:
+                    raise table._too_wide(top)
+                parts = [(p << bits | m, f * a) for p, f in parts for m, a in nf]
+            return parts
 
         return encode
 
@@ -767,7 +768,8 @@ class _Terms:
         shell = object.__new__(type(self))
         shell.algebra, shell.legs = self.algebra, other.legs
         encode, decode = shell._encoder(), other._decoder()
-        return {encode(decode(k)): c for k, c in other.data.items()}
+        # a stored key is normal-ordered: its normal form is ((key, 1),)
+        return {encode(decode(k))[0][0]: c for k, c in other.data.items()}
 
     def _select(self, keep):
         """(data, den) of the terms whose doubled grade satisfies
@@ -853,24 +855,19 @@ class _Terms:
             return self._combine(other, 1)
         return self + self.one_like().scale(other)
 
-    def __radd__(self, other):
-        return self + other
-
     def __neg__(self):
         return self._like(
             {k: -c for k, c in self.data.items()}, self.den, self.g2cap
         )
 
     def __sub__(self, other):
+        # a same-kind difference is one pass, with no negated copy
         if isinstance(other, type(self)):
             return self._combine(other, -1)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return Ring.__sub__(self, other)
 
     def scale(self, c):
-        if scalar_is_zero(c):
+        if not c:
             return self.zero_like()
         f = _fr(c)
         if f is not None and self.den is not None:
@@ -895,10 +892,12 @@ class _Terms:
             return NotImplemented
         return self.scale(c)
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        return power(self, k, self.one_like())
+    def series(self, stream):
+        """sum_k a_k * self**k (see :func:`ue_series`)."""
+        return ue_series(stream, self)
+
+    def exp(self):
+        return ue_exp(self)
 
     def truncate(self, g2cap):
         cap = _omin(self.g2cap, g2cap)
@@ -1038,14 +1037,7 @@ class UEElement(_Terms):
 
     # -- structure maps ---------------------------------------------------------
 
-    def super_bracket(self, other: "UEElement") -> "UEElement":
-        """[a,b] = ab - (-1)**(p(a)p(b)) ba (parities must be homogeneous)."""
-        pa, pb = self.parity(), other.parity()
-        if pa is None or pb is None:
-            raise ValueError("bracket needs parity-homogeneous operands")
-        ab = self * other
-        ba = other * self
-        return ab + ba if (pa and pb) else ab - ba
+    super_bracket = Ring.super_commutator
 
     def coproduct(self, legs: int = 2) -> "UETensor":
         """Undeformed coproduct (every basis generator primitive), as a
@@ -1281,7 +1273,7 @@ def ue_series(stream, x):
     a_(count-1) (``scalars.taylor_exp`` and its siblings).  The cap of x
     fixes the count: powers beyond it vanish."""
     c0, rest = _split_constant(x)
-    if not scalar_is_zero(c0):
+    if c0:
         raise ConstantTermPresent(
             "series argument must have zero constant term; fold the "
             "constant into the coefficients instead"
@@ -1311,7 +1303,7 @@ def ue_log(x):
 def ue_invert(x):
     """Inverse of (unit scalar) + (grade-positive part)."""
     c0, rest = _split_constant(x)
-    if scalar_is_zero(c0):
+    if not c0:
         raise DivisionByNonUnit("cannot invert: zero constant term")
     c0_inv = scalar_inverse(c0)
     y = rest.scale(c0_inv)  # x = c0 (1 + y)

@@ -155,22 +155,18 @@ def classical_limit(r: RMatrix) -> LieTensor:
     component.  Either way the terms must be single generators on both
     legs; anything longer means the family is not first-order a Lie
     tensor and raises NotFirstOrderLie."""
-    grade2 = r.element.grade_component(2)
-    table, mask, shifts = grade2._codec()
-    prefix = table.prefix
-    for k in grade2.data:
-        # a nonzero id with the empty prefix is a one-letter monomial
-        if not all(k >> s & mask and not prefix[k >> s & mask] for s in shifts):
-            raise NotFirstOrderLie(
-                "first-order term has a composite leg: %r"
-                % (grade2._decoder()(k),)
-            )
     eta = r.parameter
-    first = grade2.map_coefficients(
-        lambda c: c * Fraction(-2) if eta is None
-        else c.coefficient(eta, 1) if isinstance(c, Poly) else 0
-    )
-    return LieTensor._wrap(first.algebra, first.data, first.den, 2, None)
+    terms = {}
+    for key, c in r.element.grade_component(2).terms.items():
+        if any(len(m) != 1 for m in key):
+            raise NotFirstOrderLie(
+                "first-order term has a composite leg: %r" % (key,)
+            )
+        terms[tuple(m[0] for m in key)] = (
+            c * Fraction(-2) if eta is None
+            else c.coefficient(eta, 1) if isinstance(c, Poly) else 0
+        )
+    return LieTensor(r.element.algebra, 2, terms)
 
 
 def multi_parameter_twist(
@@ -291,10 +287,11 @@ class LOperator:
 
         Entries are leg contractions of a degree-capped element, so both
         sides are only determined through total grade ``cap - margin``;
-        components above that window are truncation shadow and are
-        dropped before differencing.  For an arbitrary element margin 4
-        is sound (no Borel monomial of grade above four survives the
-        defining rep - the weight chain is too short).  The chain-built
+        components above that window are truncation shadow, and the
+        residual is returned cut there (its ``g2cap`` is ``cap - margin``).
+        For an arbitrary element margin 4 is sound (no Borel monomial of
+        grade above four survives the defining rep - the weight chain is
+        too short).  The chain-built
         R tightens this to 2: its first-leg monomials never carry more
         short-difference-root factors than paired-root factors, and every
         such monomial of grade three or more has zero image."""
@@ -313,9 +310,7 @@ class LOperator:
             rhs = rhs + UETensor.of(
                 self.entries[k][j], self.entries[i][k], g2cap=cap
             )
-        diff = lhs - rhs
-        top = cap - margin
-        return diff._like(*diff._select(lambda g: g <= top), cap)
+        return (lhs - rhs).truncate(cap - margin)
 
 
 def l_operator(r: RMatrix) -> LOperator:

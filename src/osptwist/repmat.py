@@ -21,10 +21,14 @@ matrices.
 
 These matrices are one of the two rings the twist chain's single recipe
 is evaluated over (:mod:`twist`; the other is the truncated enveloping
-algebra of :mod:`pbw`), and every power series on them -- exp, log, the
-inverses and square roots of the chain's ingredients -- is a sum of the
-one loop :func:`~osptwist.scalars.nilpotent_series`, which stops at the
-first vanishing power.
+algebra of :mod:`pbw`).  A :class:`GradedMatrix` is a
+:class:`~osptwist.scalars.Ring`: ``-``, ``**`` and the super commutator
+are the shared ones, with the identity as its unit (``one_like``) and no
+inverse.  Every power series on these matrices -- ``exp``, log, and
+``series(stream)``, which serves the inverses and square roots of the
+chain's ingredients -- is a sum of the one loop
+:func:`~osptwist.scalars.nilpotent_series`, which stops at the first
+vanishing power.
 """
 
 from __future__ import annotations
@@ -32,16 +36,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import LegMismatch, NotNilpotent
-from .scalars import (
-    nilpotent_series,
-    power,
-    scalar_is_zero,
-    taylor_exp,
-    taylor_log1p,
-)
+from .scalars import Ring, nilpotent_series, taylor_exp, taylor_log1p
 
 
-class GradedMatrix:
+class GradedMatrix(Ring):
     """Square sparse matrix with a parity vector ``pv`` (0/1 per index)."""
 
     __slots__ = ("pv", "entries")
@@ -55,7 +53,7 @@ class GradedMatrix:
                 raise IndexError("entry (%d,%d) outside dim %d" % (i, j, d))
             if isinstance(c, int):
                 c = Fraction(c)
-            if scalar_is_zero(c):
+            if not c:
                 continue
             cleaned[(i, j)] = c
         object.__setattr__(self, "pv", pv)
@@ -113,23 +111,16 @@ class GradedMatrix:
             out[ij] = out.get(ij, Fraction(0)) + c
         return GradedMatrix(self.pv, out)
 
-    def __sub__(self, other):
-        if not isinstance(other, GradedMatrix):
-            return NotImplemented
-        return self + (-other)
-
     def __neg__(self):
         return GradedMatrix(self.pv, {ij: -c for ij, c in self.entries.items()})
 
     def scale(self, c) -> "GradedMatrix":
-        if scalar_is_zero(c):
+        if not c:
             return GradedMatrix.zero(self.pv)
         return GradedMatrix(self.pv, {ij: c * v for ij, v in self.entries.items()})
 
-    def __rmul__(self, c):
-        if isinstance(c, GradedMatrix):
-            return NotImplemented
-        return self.scale(c)
+    # reached only for a scalar c: a matrix on the left multiplies itself
+    __rmul__ = scale
 
     def __mul__(self, other):
         if isinstance(other, GradedMatrix):
@@ -153,10 +144,8 @@ class GradedMatrix:
                 out[key] = a * b if cur is None else cur + a * b
         return GradedMatrix(self.pv, out)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        return power(self, n, GradedMatrix.identity(self.pv))
+    def one_like(self) -> "GradedMatrix":
+        return GradedMatrix.identity(self.pv)
 
     def __eq__(self, other):
         if not isinstance(other, GradedMatrix):
@@ -188,15 +177,6 @@ class GradedMatrix:
                 tot = tot + (-c if self.pv[i] else c)
         return tot
 
-    def super_commutator(self, other: "GradedMatrix") -> "GradedMatrix":
-        """[A,B] = AB - (-1)**(p(A)p(B)) BA for homogeneous A, B."""
-        pa, pb = self.parity(), other.parity()
-        if pa is None or pb is None:
-            raise ValueError("super commutator needs homogeneous matrices")
-        ab = self @ other
-        ba = other @ self
-        return ab + ba if (pa and pb) else ab - ba
-
     # -- nilpotent calculus ----------------------------------------------------
 
     def is_nilpotent(self) -> bool:
@@ -212,18 +192,24 @@ class GradedMatrix:
         """exp(A) for nilpotent A (raises NotNilpotent otherwise)."""
         if not self.is_nilpotent():
             raise NotNilpotent("matrix power A^%d is still nonzero" % self.dim)
-        eye = GradedMatrix.identity(self.pv)
-        return nilpotent_series(taylor_exp(self.dim), self, eye)
+        return self.series(taylor_exp)
+
+    exp = exp_nilpotent
 
     def log_unipotent(self) -> "GradedMatrix":
         """log(A) for A = 1 + N with N nilpotent."""
-        eye = GradedMatrix.identity(self.pv)
-        n = self - eye
+        n = self - self.one_like()
         if not n.is_nilpotent():
             raise NotNilpotent(
                 "matrix is not unipotent: (A-1)^%d != 0" % self.dim
             )
-        return nilpotent_series(taylor_log1p(self.dim), n, eye)
+        return n.series(taylor_log1p)
+
+    def series(self, stream) -> "GradedMatrix":
+        """sum_k a_k A**k for ``stream(count)`` listing a_0, ...,
+        a_(count-1); for a nilpotent A, A**dim vanishes, so dim
+        coefficients reach a vanishing power."""
+        return nilpotent_series(stream(self.dim), self, self.one_like())
 
     # -- display -----------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: rationals, multivariate Laurent polynomials,
-and truncated Laurent series with explicit validity bookkeeping.
+and truncated Laurent series with explicit validity bookkeeping, and the
+one ring protocol that every ring of the package follows.
 
 Everything here is exact.  There are no floats anywhere in the tower:
 
@@ -17,6 +18,13 @@ Everything here is exact.  There are no floats anywhere in the tower:
 
 The three layers coerce upward (``Fraction`` -> ``Poly`` -> ``LaurentSeries``)
 through the usual reflected operators, so tensor code can mix them freely.
+The truth value of every scalar is its zero test: ``not c`` holds exactly
+when c is (provably) zero.
+
+One ring protocol: ``Poly``, ``LaurentSeries``, the matrices of
+:mod:`~osptwist.repmat` and the term algebras of :mod:`~osptwist.pbw`
+inherit :class:`Ring`, which writes ``-``, the reflected ``+`` and ``-``,
+``**`` and the graded commutator once.
 """
 
 from __future__ import annotations
@@ -43,13 +51,52 @@ def _fr(x):
     return None
 
 
-def scalar_is_zero(x) -> bool:
-    """True when a member of the scalar tower is (provably) zero."""
-    if isinstance(x, Poly):
-        return not x.coeffs
-    if isinstance(x, LaurentSeries):
-        return not x.coeffs
-    return x == 0
+class Ring:
+    """The operations every ring of the package shares, written once.
+
+    A subclass supplies ``__add__``, ``__neg__``, ``__mul__`` and
+    ``one_like()`` (its unit), and binds ``inverse`` to a method when its
+    elements may be inverted; the graded commutator also needs
+    ``parity()`` (0 or 1, None when the element mixes parities)."""
+
+    __slots__ = ()
+
+    inverse = None
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __radd__(self, other):
+        return self + other
+
+    def __pow__(self, k):
+        """self**k by square-and-multiply from ``one_like()``; for k < 0 the
+        (-k)-th power of ``inverse()``, or NotImplemented (so a TypeError)
+        where the ring has no inverse."""
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            if self.inverse is None:
+                return NotImplemented
+            return self.inverse() ** -k
+        out, x = self.one_like(), self
+        while k:
+            if k & 1:
+                out = out * x
+            x = x * x
+            k >>= 1
+        return out
+
+    def super_commutator(self, other):
+        """[a,b] = ab - (-1)**(p(a)p(b)) ba for homogeneous a, b."""
+        pa, pb = self.parity(), other.parity()
+        if pa is None or pb is None:
+            raise ValueError("super commutator needs homogeneous operands")
+        ab, ba = self * other, other * self
+        return ab + ba if (pa and pb) else ab - ba
 
 
 def fraction_sqrt(c: Fraction):
@@ -70,7 +117,7 @@ def fraction_sqrt(c: Fraction):
 # --------------------------------------------------------------------------
 
 
-class Poly:
+class Poly(Ring):
     """Multivariate polynomial with Fraction coefficients and integer
     (possibly negative) exponents.
 
@@ -246,18 +293,6 @@ class Poly:
     def __neg__(self):
         return Poly(self.vars, {e: -c for e, c in self.coeffs.items()})
 
-    def __sub__(self, other):
-        o = Poly._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = Poly._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = Poly._coerce(other)
         if o is None:
@@ -293,12 +328,8 @@ class Poly:
         ((e, c),) = self.coeffs.items()
         return Poly(self.vars, {tuple(-k for k in e): 1 / c})
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power(self, n, Poly.const(1))
+    def one_like(self) -> "Poly":
+        return Poly.const(1)
 
     # -- comparison / display ------------------------------------------------
 
@@ -365,7 +396,7 @@ def _oadd(a, k):
     return None if a is None else a + k
 
 
-class LaurentSeries:
+class LaurentSeries(Ring):
     """A Laurent series  sum_k  c_k * var**k  known exactly for k < order.
 
     ``order=None`` means the element is an exact Laurent *polynomial* (all
@@ -396,7 +427,7 @@ class LaurentSeries:
             else:
                 raise TypeError("unsupported coefficient %r" % (c,))
         # strip leading zeros
-        while cleaned and scalar_is_zero(cleaned[0]):
+        while cleaned and not cleaned[0]:
             cleaned.pop(0)
             min_deg += 1
         # drop anything at or beyond the order
@@ -404,7 +435,7 @@ class LaurentSeries:
             keep = max(0, order - min_deg)
             cleaned = cleaned[:keep]
         # strip trailing zeros
-        while cleaned and scalar_is_zero(cleaned[-1]):
+        while cleaned and not cleaned[-1]:
             cleaned.pop()
         if not cleaned:
             min_deg = 0
@@ -513,18 +544,6 @@ class LaurentSeries:
             self.var, self.min_deg, [-c for c in self.coeffs], self.order
         )
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -544,7 +563,7 @@ class LaurentSeries:
         lo = self.min_deg + o.min_deg
         out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if scalar_is_zero(a):
+            if not a:
                 continue
             for j, b in enumerate(o.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -552,12 +571,9 @@ class LaurentSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.invert() ** (-n)
-        return power(self, n, LaurentSeries.const(self.var, 1))
+    def one_like(self) -> "LaurentSeries":
+        """The exact unit in this series' variable."""
+        return LaurentSeries.const(self.var, 1)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by var**k (exact; shifts the order too)."""
@@ -605,6 +621,8 @@ class LaurentSeries:
             LaurentSeries.const(self.var, 1, known),
         )
         return acc.shift(-m) * LaurentSeries.const(self.var, lead_inv, None)
+
+    inverse = invert
 
     def exp(self) -> "LaurentSeries":
         """exp of a series with strictly positive valuation (finite order
@@ -674,7 +692,7 @@ class LaurentSeries:
         else:
             parts = []
             for i, c in enumerate(self.coeffs):
-                if scalar_is_zero(c):
+                if not c:
                     continue
                 k = self.min_deg + i
                 cs = str(c)
@@ -736,23 +754,8 @@ def taylor_binomial(alpha, num_terms: int):
 
 
 # --------------------------------------------------------------------------
-# The one power loop, the one power-series loop, and exact row reduction
+# The one power-series loop, and exact row reduction
 # --------------------------------------------------------------------------
-
-
-def power(x, k: int, one):
-    """x**k for an int k >= 0 by square-and-multiply, where ``one`` is the
-    unit of x's ring.  Every ``**`` the package defines (polynomials,
-    Laurent series, matrices, enveloping-algebra elements and tensors) is
-    this loop; a negative k is the caller's business (its inverse, if
-    any)."""
-    out = one
-    while k:
-        if k & 1:
-            out = out * x
-        x = x * x
-        k >>= 1
-    return out
 
 
 def nilpotent_series(coeffs, y, one):
@@ -765,7 +768,7 @@ def nilpotent_series(coeffs, y, one):
     by one of the Taylor streams above.  Powers of y are formed one at a
     time and the sum stops at the first power that vanishes, or when
     ``coeffs`` runs out, so the powers are running products, not calls
-    of :func:`power`, which serves a single ``y**k``.  The caller picks
+    of ``**`` (:meth:`Ring.__pow__`), which serves a single ``y**k``.  The caller picks
     enough coefficients: for a nilpotent y, as many as its nilpotency
     bound; for a truncated series, as many as its order."""
     coeffs = iter(coeffs)
@@ -775,7 +778,7 @@ def nilpotent_series(coeffs, y, one):
         y_k = y_k * y
         if y_k.is_zero:
             break
-        if not scalar_is_zero(c):
+        if c:
             acc = acc + c * y_k
     return acc
 

@@ -12,14 +12,16 @@ The chain is written once, as one recipe, and evaluated over two rings.
   evaluated for the long raising element X+ and for its deformed partner
   Y~.  The deformed generators Y~ and w~ are defined by conjugation with
   exp of the inner element -(Z+ U+ / 2)(sigma/X+); their closed forms are
-  kept as an independent route.  A ring supplies ``gen``, ``one``, ``exp``
-  and ``series`` (a Taylor stream summed in a nilpotent element by
-  :func:`~osptwist.scalars.nilpotent_series`).
+  kept as an independent route.  An ingredient source supplies only the
+  generators, ``gen``; the recipe calls its ring elements directly, which
+  follow the :class:`~osptwist.scalars.Ring` protocol and supply
+  ``one_like()``, ``exp()`` and ``series(stream)`` (a Taylor stream summed
+  in a nilpotent element by :func:`~osptwist.scalars.nilpotent_series`).
 * Factor recipe (:func:`_build`).  Every factor is written against a
   two-slot context: ``slots`` holds the ingredients of the first and of
   the second tensor slot, and the context supplies ``tensor``,
-  ``coproduct`` (of an ingredient), ``exp``, factor-by-factor
-  ``conjugate`` and the memoized ``factor``.
+  ``coproduct`` (of an ingredient), factor-by-factor ``conjugate`` and
+  the memoized ``factor``.
 
 The two rings:
 
@@ -63,11 +65,10 @@ from functools import partial, wraps
 
 from .algebra import OspAlgebra
 from .errors import LegMismatch, MissingAlias, MixedAlgebra
-from .pbw import UEElement, UETensor, ue_exp, ue_invert, ue_series
+from .pbw import UEElement, UETensor, ue_invert
 from .repmat import GradedMatrix, embed_legs
 from .scalars import (
     LaurentSeries,
-    nilpotent_series,
     taylor_binomial,
     taylor_geometric,
     taylor_log1p,
@@ -188,60 +189,58 @@ def _binomial(alpha):
 
 class _Link:
     """The scalars of one jordanian link as functions of its raising
-    element x, in the ring ``ring``; ``raising`` returns x."""
+    element x, in x's own ring; ``raising`` returns x."""
 
-    def __init__(self, ring, raising):
-        self.ring = ring
+    def __init__(self, raising):
         self.raising = raising
         self._made: dict = {}
 
     @_memoized
     def sigma(self):
         # half the logarithm of 1 + x
-        return self.ring.series(taylor_log1p, self.raising()).scale(HALF)
+        return self.raising().series(taylor_log1p).scale(HALF)
 
     @_memoized
     def exp_sigma(self):
-        return self.ring.series(_binomial(HALF), self.raising())
+        return self.raising().series(_binomial(HALF))
 
     @_memoized
     def exp_neg_sigma(self):
-        return self.ring.series(_binomial(-HALF), self.raising())
+        return self.raising().series(_binomial(-HALF))
 
     @_memoized
     def _half_sum_minus_one(self):
         # y with 1 + y = 1/2 (e^sigma + 1)
-        return (self.exp_sigma() - self.ring.one()).scale(HALF)
+        e = self.exp_sigma()
+        return (e - e.one_like()).scale(HALF)
 
     @_memoized
     def f1(self):
         # (e^sigma + 1)^(-1) = 1/2 (1 + y)^(-1)
-        y = self._half_sum_minus_one()
-        return self.ring.series(taylor_geometric, y).scale(HALF)
+        return self._half_sum_minus_one().series(taylor_geometric).scale(HALF)
 
     @_memoized
     def u_elem(self):
         # (1/2 (e^sigma + 1))^(1/2)
-        return self.ring.series(_binomial(HALF), self._half_sum_minus_one())
+        return self._half_sum_minus_one().series(_binomial(HALF))
 
     @_memoized
     def u_inv(self):
-        return self.ring.series(_binomial(-HALF), self._half_sum_minus_one())
+        return self._half_sum_minus_one().series(_binomial(-HALF))
 
 
 class _Ingredients(_Link):
     """Everything the factor recipe takes from one ring: the generators,
     the link of X+ (this object), the deformed generators and the link of
-    Y~ (``tilde``).  Subclasses supply the ring: ``gen``, ``one``,
-    ``exp`` and ``series(stream, y)``."""
+    Y~ (``tilde``).  Subclasses supply the generators, ``gen``."""
 
     def __init__(self):
-        super().__init__(self, partial(self.gen, "X+"))
+        super().__init__(partial(self.gen, "X+"))
 
     @_memoized
     def tilde(self) -> _Link:
         """The second link, built on Y~."""
-        return _Link(self, self.y_tilde)
+        return _Link(self.y_tilde)
 
     @_memoized
     def _conjugators(self):
@@ -249,9 +248,9 @@ class _Ingredients(_Link):
         # sigma/X+ := 1/2 sum_k (-X+)^k/(k+1) has a constant term, which is
         # why it is defined by this series rather than as a quotient;
         # over_x below is twice it
-        over_x = self.series(lambda n: taylor_log1p(n + 1)[1:], self.gen("X+"))
+        over_x = self.gen("X+").series(lambda n: taylor_log1p(n + 1)[1:])
         c = (self.gen("Z+") * self.gen("U+") * over_x).scale(Fraction(-1, 4))
-        return self.exp(c), self.exp(-c)
+        return c.exp(), (-c).exp()
 
     def _conjugate_gen(self, name):
         e, e_inv = self._conjugators()
@@ -267,7 +266,7 @@ class _Ingredients(_Link):
 
     def y_tilde_closed(self):
         # Y+ - 1/4 U+^2 e^(-2 sigma);  e^(-2 sigma) = (1+X+)^(-1)
-        exp_m2 = self.series(taylor_geometric, self.gen("X+"))
+        exp_m2 = self.gen("X+").series(taylor_geometric)
         return self.gen("Y+") - (self.gen("U+") ** 2 * exp_m2).scale(
             Fraction(1, 4)
         )
@@ -295,9 +294,8 @@ def _second(ingredients) -> _Link:
 def _odd_part(ctx, odd, link):
     """1 - g (x) g with g = odd * f1 of the link."""
     a, b = ctx.slots
-    return ctx.tensor(a.one(), b.one()) - ctx.tensor(
-        odd(a) * link(a).f1(), odd(b) * link(b).f1()
-    )
+    ga, gb = odd(a) * link(a).f1(), odd(b) * link(b).f1()
+    return ctx.tensor(ga.one_like(), gb.one_like()) - ctx.tensor(ga, gb)
 
 
 def _coboundary(ctx, link, rides_on):
@@ -314,18 +312,18 @@ def _build(ctx, kind: str):
     """The factor ``kind`` in the two-slot context ``ctx``."""
     a, b = ctx.slots
     if kind == "jordanian":
-        return ctx.exp(ctx.tensor(a.gen("H"), b.sigma()))
+        return ctx.tensor(a.gen("H"), b.sigma()).exp()
     if kind == "extension":
-        return ctx.exp(
+        return (
             ctx.tensor(a.gen("Z+"), b.gen("U+") * b.exp_neg_sigma()).scale(HALF)
-        )
+        ).exp()
     if kind == "coboundary":
         return _coboundary(ctx, _first, ("jordanian",))
     if kind == "super":
         odd = _odd_part(ctx, lambda ing: ing.gen("v+"), _first)
         return odd * ctx.factor("coboundary")
     if kind == "jordanian2":
-        return ctx.exp(ctx.tensor(a.gen("J"), b.tilde().sigma()))
+        return ctx.tensor(a.gen("J"), b.tilde().sigma()).exp()
     if kind == "sj2":
         # the second coboundary rides on the chain-twisted structure,
         # further twisted by the second jordanian factor
@@ -356,15 +354,6 @@ class _Workshop(_Ingredients):
     @_memoized
     def gen(self, name: str) -> UEElement:
         return UEElement.generator(self.algebra, name, self.g2cap)
-
-    def one(self) -> UEElement:
-        return UEElement.one(self.algebra, self.g2cap)
-
-    def series(self, stream, y):
-        return ue_series(stream, y)
-
-    def exp(self, x):
-        return ue_exp(x)
 
     def tensor(self, x: UEElement, y: UEElement) -> UETensor:
         return UETensor.of(x, y, g2cap=self.g2cap)
@@ -504,21 +493,10 @@ class RepAssignment(_Ingredients):
     def __init__(self, algebra: OspAlgebra, images: dict):
         self.algebra = algebra
         self.images = images
-        self.pv = images["H"].pv  # the parities of the whole tensor power
         super().__init__()
 
     def gen(self, name: str) -> GradedMatrix:
         return self.images[name]
-
-    def one(self) -> GradedMatrix:
-        return GradedMatrix.identity(self.pv)
-
-    def series(self, stream, y: GradedMatrix) -> GradedMatrix:
-        # a nilpotent matrix has y**dim = 0
-        return nilpotent_series(stream(len(self.pv)), y, self.one())
-
-    def exp(self, x: GradedMatrix) -> GradedMatrix:
-        return x.exp_nilpotent()
 
     def __add__(self, other: "RepAssignment") -> "RepAssignment":
         """Pointwise sum: with one summand per leg set this is exactly the
@@ -559,9 +537,6 @@ class _RepPair:
     def coproduct(self, ingredient) -> GradedMatrix:
         return ingredient(self.total)
 
-    def exp(self, x: GradedMatrix) -> GradedMatrix:
-        return x.exp_nilpotent()
-
     def conjugate(self, kinds, t: GradedMatrix) -> GradedMatrix:
         for kind in reversed(kinds):
             t = self.factor(kind) @ t @ self.inverse(kind)
@@ -574,8 +549,8 @@ class _RepPair:
     @_memoized
     def inverse(self, kind: str) -> GradedMatrix:
         # every factor is unipotent
-        total = self.total
-        return total.series(taylor_geometric, self.factor(kind) - total.one())
+        f = self.factor(kind)
+        return (f - f.one_like()).series(taylor_geometric)
 
 
 def rep_factor(

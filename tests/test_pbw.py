@@ -32,7 +32,7 @@ from osptwist.errors import (
     MixedAlgebra,
 )
 from osptwist.rmatrix import LieTensor
-from osptwist.scalars import Poly, scalar_is_zero
+from osptwist.scalars import Poly
 
 
 ALG = build_osp(2)
@@ -510,7 +510,7 @@ def reference_product(alg, left, right, legs, cap, koszul=True):
                     ]
             for key, v in parts:
                 w = out.get(key, 0) + v
-                if scalar_is_zero(w):
+                if not w:
                     out.pop(key, None)
                 else:
                     out[key] = w
@@ -711,6 +711,22 @@ def test_failed_interning_leaves_the_table_consistent():
     assert (t * u).terms == reference_product(ALG, t.terms, u.terms, 2, CAP)
 
 
+def test_letter_outside_the_basis_is_refused_after_products():
+    """Insertions are memoized under id * size + letter, so a letter equal
+    to the basis size would read the entry of the next id times letter 0;
+    normal ordering refuses it instead of returning that entry."""
+    alg = OspAlgebra(2)
+    x = UEElement(alg, {(3,): 1})
+    assert pbw_table(alg).ids[(3,)] == 1
+    x * UEElement.generator(alg, 0)  # memoizes (id 1) * letter 0
+    for bad in (
+        lambda: UEElement(alg, {(alg.size,): 1}),
+        lambda: normal_form(alg, (alg.size,)),
+    ):
+        with pytest.raises(IndexError):
+            bad()
+
+
 # -- packed storage -----------------------------------------------------------
 
 
@@ -892,17 +908,17 @@ def test_split_first_leg_sums_back():
         UETensor.one(ALG, 1).split_first_leg()
 
 
-def test_keys_out_of_normal_order_are_rewritten_by_products():
-    """A constructor keeps a key as it is given; any product, even by 1,
-    normal-orders it as the product of its letters."""
+def test_keys_out_of_normal_order_are_rewritten_by_constructors():
+    """A constructor normal-orders a key given out of order, so the built
+    element is its normal form and equals its own product with 1."""
     h, v, w, x = IDX["H"], IDX["v+"], IDX["w+"], IDX["X+"]
     one = UEElement.one(ALG, CAP)
     for word in ((v, v), (w, x), (x, v, h), (w, v, v)):
         e = UEElement(ALG, {word: 2}, CAP)
-        assert e.terms == {word: 2}
-        want = UEElement(ALG, normal_form(ALG, word), CAP).scale(2)
-        assert want != e
-        assert e * one == want and one * e == want
+        want = {m: 2 * c for m, c in normal_form(ALG, word).items()}
+        assert e.terms == want
+        assert word not in e.terms
+        assert e == e * one and e == one * e
         assert e * gen("v+") == UEElement(ALG, normal_form(ALG, word + (v,)), CAP).scale(2)
         assert gen("X+") * e == UEElement(ALG, normal_form(ALG, (x,) + word), CAP).scale(2)
     t = UETensor(ALG, {((v, v), (w, x)): 1}, 2, CAP)
@@ -910,7 +926,7 @@ def test_keys_out_of_normal_order_are_rewritten_by_products():
         UEElement(ALG, normal_form(ALG, (v, v)), CAP),
         UEElement(ALG, normal_form(ALG, (w, x)), CAP),
     )
-    assert t * UETensor.one(ALG, 2, CAP) == want
+    assert t == want and t == t * UETensor.one(ALG, 2, CAP)
 
 
 # -- one term algebra: kinds, scalars, units -------------------------------------

@@ -93,8 +93,9 @@ def test_element_string():
             (IX("-e1"),): Poly.var("b"),
         },
     )
+    # (+e1)*(+e2) is out of order: it is -(+e2)*(+e1) + [+e1, +e2]
     assert str(e) == (
-        "3 + (a + 1)*(+2e1) + b*(-e1) + 1/2*h1^2 - (+e1)*(+e2)"
+        "3 - (+e1+e2) + (a + 1)*(+2e1) + b*(-e1) + 1/2*h1^2 + (+e2)*(+e1)"
     )
 
 
@@ -110,9 +111,10 @@ def test_two_leg_tensor_string():
         },
         2,
     )
+    # the odd square (+e1)^2 is half its bracket, +2e1
     assert str(t) == (
         "2*[1 (x) 1] + (2*eta - 1)*[1 (x) (+2e2)] - (+2e1) (x) 1"
-        " + (+e2) (x) (+e1) - 3/4*[h1 (x) (+e1)^2]"
+        " - 3/4*[h1 (x) (+2e1)] + (+e2) (x) (+e1)"
     )
 
 

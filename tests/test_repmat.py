@@ -1,12 +1,13 @@
 """Sparse exact matrices over a parity-graded index set."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from osptwist.algebra import build_osp
-from osptwist.errors import NotNilpotent
+from osptwist.errors import DivisionByNonUnit, NotNilpotent
 from osptwist.pbw import UEElement, UETensor
 from osptwist.repmat import GradedMatrix, kron, kron_all, graded_swap, embed_legs
 from osptwist.scalars import LaurentSeries, Poly
@@ -216,3 +217,39 @@ def test_pow(ring):
         assert x ** k == product
     if inverse is not None:
         assert x ** -2 == inverse * inverse
+
+
+@pytest.mark.parametrize("ring", POW_CASES)
+def test_ring_protocol(ring):
+    """The operations every ring shares: the unit, a - b as a + (-b), and
+    a negative power only where the ring inverts its argument."""
+    x, one, inverse = POW_CASES[ring]
+    y = x * x
+    assert x.one_like() == one
+    assert x - y == x + (-y)
+    assert y - x == -(x - y)
+    assert (x - x).is_zero
+    if inverse is not None:
+        assert x ** -1 == inverse
+    else:
+        # a ring without inverses refuses the power outright; one that
+        # inverts only its units refuses a non-unit
+        with pytest.raises(TypeError if x.inverse is None else DivisionByNonUnit):
+            x ** -1
+
+
+def test_super_bracket_matches_the_matrix_super_commutator():
+    """The two engines' graded commutators agree: for homogeneous words a,
+    b of up to two letters at n = 2 (odd-odd pairs included), the image of
+    the PBW bracket [a, b] is the super commutator of the images."""
+    alg = build_osp(2)
+    letters = range(alg.size)
+    words = [()] + [(i,) for i in letters] + [(i, j) for i in letters for j in letters]
+    odd = [w for w in words if sum(map(alg.parity, w)) % 2]
+    rng = random.Random(0)
+    pairs = [(rng.choice(words), rng.choice(words)) for _ in range(30)]
+    pairs += [(rng.choice(odd), rng.choice(odd)) for _ in range(30)]
+    for wa, wb in pairs:
+        a, b = UEElement(alg, {wa: 1}), UEElement(alg, {wb: 1})
+        want = a.to_matrix().super_commutator(b.to_matrix())
+        assert a.super_bracket(b).to_matrix() == want, (wa, wb)

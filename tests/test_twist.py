@@ -326,7 +326,7 @@ def test_corrupted_ingredient_fails_at_both_levels(monkeypatch):
     enveloping-algebra and the matrix residual must say so."""
 
     def third_log(link):
-        return link.ring.series(taylor_log1p, link.raising()).scale(
+        return link.raising().series(taylor_log1p).scale(
             Fraction(1, 3)
         )
 
