@@ -215,9 +215,14 @@ class OspAlgebra:
         return self.basis[index].name
 
     def parity(self, index: int) -> int:
+        # a negative index raises instead of counting from the end
+        if not 0 <= index < self.size:
+            raise IndexError("no basis index %r" % (index,))
         return self.basis[index].parity
 
     def g2(self, index: int) -> int:
+        if not 0 <= index < self.size:
+            raise IndexError("no basis index %r" % (index,))
         return self.basis[index].g2
 
     def negative_of(self, index: int) -> int:
@@ -231,9 +236,6 @@ class OspAlgebra:
 
     def positive_indices(self):
         return tuple(b.index for b in self.basis if b.sign > 0)
-
-    def compatible_with(self, other: "OspAlgebra") -> bool:
-        return isinstance(other, OspAlgebra) and other.n == self.n
 
     # -- form and expansion ------------------------------------------------------
 

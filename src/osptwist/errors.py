@@ -19,7 +19,8 @@ class ConstantTermPresent(OspTwistError):
 
 
 class MixedAlgebra(OspTwistError):
-    """Operands belong to different algebra instances (e.g. different n)."""
+    """Operands belong to different algebra instances, even two of one
+    rank: each instance keys terms in its own multiplication table."""
 
 
 class HeterogeneousOperand(OspTwistError):

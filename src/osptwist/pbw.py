@@ -48,6 +48,9 @@ Products, sums, coproducts and the leg maps (flip, embedding, counit)
 work on the packed ints directly; ``.terms`` is a read-only view that
 decodes keys to the class's public shape (tuples of monomials, or of basis
 letters for a LieTensor) and coefficients to ``Fraction`` on reading.
+Equality and hashing read the stored terms, not that view: ``den`` and
+``data`` when both sides are rational, else the terms as scalars, which
+hash alike across the scalar tower.
 
 One term algebra.  :class:`UEElement`, :class:`UETensor` and the classical
 :class:`~osptwist.rmatrix.LieTensor` share one storage, the packed keys
@@ -58,10 +61,12 @@ image ``to_matrix`` and the series entries ``series(stream)`` and
 ``exp()``; ``-``, powers and the super bracket are those of every
 :class:`~osptwist.scalars.Ring`.  A LieTensor's basis letters are stored
 as one-letter monomials.  Two kinds never mix:
-``HeterogeneousOperand``.  Each class fixes only the public shape of its
-keys, how they print, and its constructors' arguments, and binds a
-shared operation under its own name where the benchmark tracer patches
-it class by class.
+``HeterogeneousOperand``.  A term object belongs to one algebra instance,
+whose table its keys index: operands of two instances, even of one rank,
+never combine (``MixedAlgebra``) and never compare equal.  Each class
+fixes only the public shape of its keys, how they print, and its
+constructors' arguments, and binds a shared operation under its own name
+where the benchmark tracer patches it class by class.
 """
 
 from __future__ import annotations
@@ -493,21 +498,12 @@ def _clean(data, den):
 
 
 def _product(x, y, legs, cap):
-    """(data, den) of x * y for two elements or two tensors of
-    compatible algebras, keyed in x's table and cut at ``cap``."""
+    """(data, den) of x * y for two elements or two tensors of one
+    algebra, cut at ``cap``."""
     table = pbw_table(x.algebra)
-    right = x._aligned(y)
     if x.den is not None and y.den is not None:
-        return _canonical(_mul(table, x.data, right, legs, cap), x.den * y.den)
-    right = _fractions(right, y.den)
-    return _stored(_mul(table, x._scalars(), right, legs, cap))
-
-
-def _fractions(data, den):
-    """{key: scalar}: Fractions over ``den``, or ``data`` if den is None."""
-    if den is None:
-        return data
-    return dict(zip(data, map(Fraction, data.values(), repeat(den))))
+        return _canonical(_mul(table, x.data, y.data, legs, cap), x.den * y.den)
+    return _stored(_mul(table, x._scalars(), y._scalars(), legs, cap))
 
 
 def _image(data, den, image):
@@ -758,18 +754,12 @@ class _Terms(Ring):
         return packed
 
     def _scalars(self):
-        """The stored terms with their coefficients as scalars."""
-        return _fractions(self.data, self.den)
-
-    def _aligned(self, other):
-        """other's stored terms, keyed as self stores keys."""
-        if other.algebra is self.algebra:
-            return other.data
-        shell = object.__new__(type(self))
-        shell.algebra, shell.legs = self.algebra, other.legs
-        encode, decode = shell._encoder(), other._decoder()
-        # a stored key is normal-ordered: its normal form is ((key, 1),)
-        return {encode(decode(k))[0][0]: c for k, c in other.data.items()}
+        """The stored terms with their coefficients as scalars: Fractions
+        over ``den``, or ``data`` itself if den is None."""
+        data, den = self.data, self.den
+        if den is None:
+            return data
+        return dict(zip(data, map(Fraction, data.values(), repeat(den))))
 
     def _select(self, keep):
         """(data, den) of the terms whose doubled grade satisfies
@@ -816,10 +806,10 @@ class _Terms(Ring):
     # -- linear structure ---------------------------------------------------
 
     def _check(self, other):
-        if not self.algebra.compatible_with(other.algebra):
+        if other.algebra is not self.algebra:
             raise MixedAlgebra(
-                "operands live in osp(1|%d) and osp(1|%d)"
-                % (2 * self.algebra.n, 2 * other.algebra.n)
+                "operands live in two algebra instances, osp(1|%d) and "
+                "osp(1|%d)" % (2 * self.algebra.n, 2 * other.algebra.n)
             )
         if self.legs != other.legs:
             raise HeterogeneousOperand(
@@ -833,10 +823,10 @@ class _Terms(Ring):
         self._check(other)
         cap = _omin(self.g2cap, other.g2cap)
         x, y = self.truncate(cap), other.truncate(cap)
-        left, right = x.data, x._aligned(y)
+        left, right = x.data, y.data
         if x.den is None or y.den is None:
             den, mx, my = None, 1, sign
-            left, right = _fractions(left, x.den), _fractions(right, y.den)
+            left, right = x._scalars(), y._scalars()
         else:
             den = lcm(x.den, y.den)
             mx, my = den // x.den, sign * (den // y.den)
@@ -914,23 +904,16 @@ class _Terms(Ring):
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        if not (
-            self.algebra.compatible_with(other.algebra)
-            and self.legs == other.legs
-        ):
+        if other.algebra is not self.algebra or other.legs != self.legs:
             return False
-        if (
-            self.algebra is other.algebra
-            and self.den is not None
-            and other.den is not None
-        ):
+        if self.den is not None and other.den is not None:
             return self.den == other.den and self.data == other.data
-        return self.terms == other.terms
+        return self._scalars() == other._scalars()
 
     def __hash__(self):
-        return hash(
-            (self.algebra.n, self.legs, frozenset(self.terms.items()))
-        )
+        # rational coefficients hash as Fractions, so a term whose
+        # coefficient is a constant Poly or exact series hashes the same
+        return hash((self.legs, frozenset(self._scalars().items())))
 
     def flip(self):
         """Graded swap of the two legs of a 2-leg tensor:
@@ -959,7 +942,11 @@ class _Terms(Ring):
         for key in sorted(terms, key=self._sort_key):
             c = terms[key]
             cs = str(c)
-            if isinstance(c, (Poly, LaurentSeries)) and len(getattr(c, "coeffs", ())) > 1:
+            if (
+                isinstance(c, Poly) and len(c.coeffs) > 1
+                or isinstance(c, LaurentSeries)
+                and c.valuation != c.poly.max_exponent(c.var)
+            ):
                 cs = "(%s)" % cs
             body = self._body(key)
             if cs == "1":
@@ -1098,18 +1085,16 @@ class UETensor(_Terms):
         alg = elements[0].algebra
         cap = g2cap
         for e in elements:
-            if not alg.compatible_with(e.algebra):
-                raise MixedAlgebra("tensor factors from different algebras")
+            if e.algebra is not alg:
+                raise MixedAlgebra("tensor factors from two algebra instances")
             cap = _omin(cap, e.g2cap)
         bits = pbw_table(alg).bits
         rational = all(e.den is not None for e in elements)
         combos, den = {0: 1}, 1
         for e in elements:
-            data = elements[0]._aligned(e)
             if rational:
                 den *= e.den
-            else:
-                data = _fractions(data, e.den)
+            data = e.data if rational else e._scalars()
             combos = {
                 p << bits | k: pc * c
                 for p, pc in combos.items()

@@ -470,11 +470,8 @@ def contraction_limit(
     q = LaurentSeries(eps, 1, [s], internal).exp()
     r = trig_r(algebra, q)
     # every coefficient as a series (uniform type), then conjugate
-    r = r.map_coefficients(
-        lambda c: c if isinstance(c, LaurentSeries)
-        else LaurentSeries.from_poly(c, eps, None) if isinstance(c, Poly)
-        else LaurentSeries.const(eps, c)
-    )
+    zero = LaurentSeries.zero(eps)
+    r = r.map_coefficients(lambda c: zero + c)
     theta = algebra.generator_index("+2e%d" % 1)
     coeff = LaurentSeries(eps, -1, [Poly.var("t") * theta_factor], None)
     conj = adjoint_exp_tensor(algebra, theta, coeff, r)

@@ -11,15 +11,18 @@ Everything here is exact.  There are no floats anywhere in the tower:
                       are ``Fraction``.
 * ``LaurentSeries``-- a series in one distinguished variable whose
                       coefficients may be ``Fraction`` or ``Poly`` in other
-                      variables.  Each series carries an ``order``: the
-                      exponent from which coefficients are unknown.  All
-                      operations propagate the worst-case order, so a stored
-                      coefficient is always a proven one.
+                      variables: a ``Poly`` holding the known part plus an
+                      ``order``, the exponent from which coefficients are
+                      unknown.  Its arithmetic is ``Poly`` arithmetic cut
+                      at the worst-case order, so a stored coefficient is
+                      always a proven one.
 
 The three layers coerce upward (``Fraction`` -> ``Poly`` -> ``LaurentSeries``)
 through the usual reflected operators, so tensor code can mix them freely.
-The truth value of every scalar is its zero test: ``not c`` holds exactly
-when c is (provably) zero.
+Equal scalars hash equal across the layers: a constant ``Poly`` hashes
+like its ``Fraction``, an exact series like its ``Poly``.  The truth value
+of every scalar is its zero test: ``not c`` holds exactly when c is
+(provably) zero.
 
 One ring protocol: ``Poly``, ``LaurentSeries``, the matrices of
 :mod:`~osptwist.repmat` and the term algebras of :mod:`~osptwist.pbw`
@@ -234,6 +237,13 @@ class Poly(Ring):
         }
         return Poly(rest, picked)
 
+    def below(self, name: str, k) -> "Poly":
+        """The terms in which ``name`` has exponent < k (all when k is None)."""
+        if k is None or name not in self.vars:
+            return self if k is None or k > 0 else Poly.zero()
+        i = self.vars.index(name)
+        return Poly(self.vars, {e: c for e, c in self.coeffs.items() if e[i] < k})
+
     def evaluate(self, assignment) -> "Poly":
         """Substitute Fractions for some variables (exact; negative powers
         require a nonzero value)."""
@@ -343,7 +353,11 @@ class Poly(Ring):
     def __hash__(self):
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            h = hash((self.vars, frozenset(self.coeffs.items())))
+            # a constant hashes like the Fraction it equals
+            h = hash(
+                self.as_fraction() if self.is_constant
+                else (self.vars, frozenset(self.coeffs.items()))
+            )
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -392,57 +406,37 @@ def _omin(a, b):
     return min(a, b)
 
 
-def _oadd(a, k):
-    return None if a is None else a + k
-
-
 class LaurentSeries(Ring):
     """A Laurent series  sum_k  c_k * var**k  known exactly for k < order.
 
-    ``order=None`` means the element is an exact Laurent *polynomial* (all
-    unstored coefficients are genuinely zero).  With a finite order, stored
-    coefficients cover degrees ``min_deg .. order-1`` (zeros elided) and
-    nothing is claimed from ``order`` on.  Binary operations take the
-    worst-case order of their operands; inversion costs ``2*valuation``
-    orders, as dictated by the error term of the geometric expansion.
+    The known part is one :class:`Poly` (``poly``), in ``var`` and in the
+    coefficients' variables, so ``+``, ``-``, ``*`` and ``shift`` are Poly
+    operations cut at the order by :meth:`Poly.below`.  ``order=None``
+    means the element is an exact Laurent *polynomial* (every term absent
+    from ``poly`` is genuinely zero).  With a finite order, ``poly`` holds
+    the terms of degree below ``order`` in ``var`` and nothing is claimed
+    from ``order`` on.  Binary operations take the worst-case order of
+    their operands; inversion costs ``2*valuation`` orders, as dictated by
+    the error term of the geometric expansion.
 
     Coefficients are Fractions or Polys in variables other than ``var``.
     """
 
-    __slots__ = ("var", "min_deg", "coeffs", "order")
+    __slots__ = ("var", "poly", "order")
 
     def __init__(self, var: str, min_deg: int, coeffs, order=None):
-        cleaned = []
-        for c in coeffs:
-            f = _fr(c)
-            if f is not None:
-                cleaned.append(f)
-            elif isinstance(c, Poly):
+        poly = Poly.zero()
+        for k, c in enumerate(coeffs, min_deg):
+            if isinstance(c, Poly):
                 if var in c.vars:
                     raise ValueError(
                         "coefficient of a LaurentSeries in %r may not itself "
                         "contain %r" % (var, var)
                     )
-                cleaned.append(c.as_fraction() if c.is_constant else c)
-            else:
+            elif _fr(c) is None:
                 raise TypeError("unsupported coefficient %r" % (c,))
-        # strip leading zeros
-        while cleaned and not cleaned[0]:
-            cleaned.pop(0)
-            min_deg += 1
-        # drop anything at or beyond the order
-        if order is not None and cleaned:
-            keep = max(0, order - min_deg)
-            cleaned = cleaned[:keep]
-        # strip trailing zeros
-        while cleaned and not cleaned[-1]:
-            cleaned.pop()
-        if not cleaned:
-            min_deg = 0
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "min_deg", min_deg)
-        object.__setattr__(self, "coeffs", tuple(cleaned))
-        object.__setattr__(self, "order", order)
+            poly = poly + Poly.var(var, k) * c
+        _hold(self, var, poly, order)
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentSeries is immutable")
@@ -463,12 +457,8 @@ class LaurentSeries(Ring):
 
     @classmethod
     def from_poly(cls, p: Poly, var: str, order=None) -> "LaurentSeries":
-        """Split the powers of ``var`` out of a Poly."""
-        if var not in p.vars:
-            return cls.const(var, p, order)
-        lo, hi = p.min_exponent(var), p.max_exponent(var)
-        coeffs = [p.coefficient(var, k) for k in range(lo, hi + 1)]
-        return cls(var, lo, coeffs, order)
+        """The series whose known part is the Poly p, cut at the order."""
+        return _hold(object.__new__(cls), var, p, order)
 
     def _coerce(self, x):
         if isinstance(x, LaurentSeries):
@@ -477,45 +467,41 @@ class LaurentSeries(Ring):
                     "series in different variables: %r vs %r" % (self.var, x.var)
                 )
             return x
-        f = _fr(x)
-        if f is not None:
-            return LaurentSeries.const(self.var, f)
-        if isinstance(x, Poly):
-            return LaurentSeries.from_poly(x, self.var)
-        return None
+        p = Poly._coerce(x)
+        return None if p is None else LaurentSeries.from_poly(p, self.var)
 
     # -- queries --------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         """Zero as far as the order can see."""
-        return not self.coeffs
+        return not self.poly
 
     @property
     def valuation(self):
         """Degree of the lowest *known* nonzero coefficient (None if zero)."""
-        return self.min_deg if self.coeffs else None
+        return self.poly.min_exponent(self.var)
 
-    def _pessimistic_valuation(self):
-        """A degree v with: content of the series is O(var**v). None = +inf."""
-        if self.coeffs:
-            return self.min_deg
-        return self.order  # zero up to order; unknown tail starts there
+    @property
+    def min_deg(self) -> int:
+        """The valuation, 0 for a zero series."""
+        return self.valuation or 0
 
     def coefficient(self, k: int):
-        """The coefficient of var**k; raises if k is beyond the order."""
+        """The coefficient of var**k (a Fraction when it is constant);
+        raises if k is beyond the order."""
         if self.order is not None and k >= self.order:
             raise ValueError(
                 "coefficient of %s^%d requested but series is only valid "
                 "below order %d" % (self.var, k, self.order)
             )
-        if k < self.min_deg or k >= self.min_deg + len(self.coeffs):
-            return Fraction(0)
-        return self.coeffs[k - self.min_deg]
+        c = self.poly.coefficient(self.var, k)
+        return c.as_fraction() if c.is_constant else c
 
     def truncate(self, order: int) -> "LaurentSeries":
-        return LaurentSeries(self.var, self.min_deg, self.coeffs,
-                             _omin(self.order, order))
+        return LaurentSeries.from_poly(
+            self.poly, self.var, _omin(self.order, order)
+        )
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -523,51 +509,31 @@ class LaurentSeries(Ring):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        order = _omin(self.order, o.order)
-        if not self.coeffs:
-            return LaurentSeries(o.var, o.min_deg, o.coeffs, order)
-        if not o.coeffs:
-            return LaurentSeries(self.var, self.min_deg, self.coeffs, order)
-        lo = min(self.min_deg, o.min_deg)
-        hi = max(self.min_deg + len(self.coeffs), o.min_deg + len(o.coeffs))
-        out = [Fraction(0)] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.min_deg - lo + i] = out[self.min_deg - lo + i] + c
-        for i, c in enumerate(o.coeffs):
-            out[o.min_deg - lo + i] = out[o.min_deg - lo + i] + c
-        return LaurentSeries(self.var, lo, out, order)
+        return LaurentSeries.from_poly(
+            self.poly + o.poly, self.var, _omin(self.order, o.order)
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(
-            self.var, self.min_deg, [-c for c in self.coeffs], self.order
-        )
+        return LaurentSeries.from_poly(-self.poly, self.var, self.order)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if (not self.coeffs and self.order is None) or (
-            not o.coeffs and o.order is None
+        if (not self.poly and self.order is None) or (
+            not o.poly and o.order is None
         ):
             return LaurentSeries.zero(self.var)  # exact zero annihilates
-        va, vb = self._pessimistic_valuation(), o._pessimistic_valuation()
-        # unknown tail of one factor times the content of the other
+        # a factor is O(var**v), v its valuation or, if zero, its order;
+        # the unknown tail of one factor times the content of the other
+        va, vb = (s.valuation if s.poly else s.order for s in (self, o))
         order = _omin(
             None if self.order is None else self.order + vb,
             None if o.order is None else o.order + va,
         )
-        if not self.coeffs or not o.coeffs:
-            return LaurentSeries.zero(self.var, order)
-        lo = self.min_deg + o.min_deg
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return LaurentSeries(self.var, lo, out, order)
+        return LaurentSeries.from_poly(self.poly * o.poly, self.var, order)
 
     __rmul__ = __mul__
 
@@ -577,8 +543,9 @@ class LaurentSeries(Ring):
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by var**k (exact; shifts the order too)."""
-        return LaurentSeries(
-            self.var, self.min_deg + k, self.coeffs, _oadd(self.order, k)
+        order = None if self.order is None else self.order + k
+        return LaurentSeries.from_poly(
+            self.poly * Poly.var(self.var, k), self.var, order
         )
 
     def invert(self) -> "LaurentSeries":
@@ -589,10 +556,10 @@ class LaurentSeries(Ring):
         an infinite inverse, so it must be truncated first; the order of the
         result is ``order - 2*valuation``.
         """
-        if not self.coeffs:
+        if not self.poly:
             raise NonInvertibleLeadingCoefficient("cannot invert zero series")
-        lead = self.coeffs[0]
-        m = self.min_deg
+        m = self.valuation
+        lead = self.coefficient(m)
         if isinstance(lead, Poly):
             if not lead.is_monomial_unit():
                 raise NonInvertibleLeadingCoefficient(
@@ -602,7 +569,7 @@ class LaurentSeries(Ring):
         else:
             lead_inv = 1 / lead
         if self.order is None:
-            if len(self.coeffs) == 1:
+            if self.poly.max_exponent(self.var) == m:
                 return LaurentSeries(self.var, -m, [lead_inv], None)
             raise NonInvertibleLeadingCoefficient(
                 "inverse of an exact multi-term series is an infinite "
@@ -612,8 +579,10 @@ class LaurentSeries(Ring):
         # known below order - 2m, so 1/(1 + y) is needed below order - m,
         # and y**k has valuation >= k
         known = self.order - m
-        y = LaurentSeries(
-            self.var, 1, [lead_inv * c for c in self.coeffs[1:]], known
+        y = LaurentSeries.from_poly(
+            (self.poly * Poly.var(self.var, -m) - lead) * lead_inv,
+            self.var,
+            known,
         )
         acc = nilpotent_series(
             taylor_geometric(max(known, 0) + 1),
@@ -674,29 +643,29 @@ class LaurentSeries(Ring):
             return False
         if o is None:
             return NotImplemented
-        return (
-            self.min_deg == o.min_deg
-            and self.order == o.order
-            and self.coeffs == o.coeffs
-        )
+        return self.order == o.order and self.poly == o.poly
 
     def __hash__(self):
-        return hash((self.var, self.min_deg, self.coeffs, self.order))
+        # an exact series hashes like its Poly, which it equals
+        if self.order is None:
+            return hash(self.poly)
+        return hash((self.var, self.poly, self.order))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.poly)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.poly:
             body = "0"
         else:
             parts = []
-            for i, c in enumerate(self.coeffs):
+            lo, hi = self.valuation, self.poly.max_exponent(self.var)
+            for k in range(lo, hi + 1):
+                c = self.poly.coefficient(self.var, k)
                 if not c:
                     continue
-                k = self.min_deg + i
                 cs = str(c)
-                if isinstance(c, Poly) and len(c.coeffs) > 1:
+                if len(c.coeffs) > 1:
                     cs = "(%s)" % cs
                 if k == 0:
                     parts.append(cs)
@@ -710,6 +679,14 @@ class LaurentSeries(Ring):
 
     def __repr__(self):
         return "LaurentSeries(%s)" % self
+
+
+def _hold(series, var, poly, order):
+    """Fill the slots of a new series: ``poly`` cut below ``order``."""
+    object.__setattr__(series, "var", var)
+    object.__setattr__(series, "poly", poly.below(var, order))
+    object.__setattr__(series, "order", order)
+    return series
 
 
 # --------------------------------------------------------------------------

@@ -375,21 +375,18 @@ class _Workshop(_Ingredients):
         return TwistFactor(self.factor(kind))
 
 
-_WORKSHOPS: dict = {}
-
-
 def workshop(algebra: OspAlgebra, degree: int = 6) -> _Workshop:
-    """The memoized ingredient builder for (algebra, degree).  ``degree``
-    is the user-facing truncation: all identities are certified for
-    filtration degree <= degree (internally the cut is by doubled
-    principal grade 2*degree, which is a two-sided ideal among the
-    chain's grade-nonnegative letters, so every surviving coefficient is
-    exact)."""
-    key = (algebra.n, degree)
-    ws = _WORKSHOPS.get(key)
+    """The ingredient builder for (algebra, degree), memoized on the
+    algebra instance itself, so its factors are built on that instance
+    and never on another one of the same rank.  ``degree`` is the
+    user-facing truncation: all identities are certified for filtration
+    degree <= degree (internally the cut is by doubled principal grade
+    2*degree, which is a two-sided ideal among the chain's
+    grade-nonnegative letters, so every surviving coefficient is exact)."""
+    made = algebra.__dict__.setdefault("_workshops", {})
+    ws = made.get(degree)
     if ws is None:
-        ws = _Workshop(algebra, 2 * degree)
-        _WORKSHOPS[key] = ws
+        ws = made[degree] = _Workshop(algebra, 2 * degree)
     return ws
 
 
@@ -416,8 +413,8 @@ def compose(*factors: Twist) -> Twist:
     if not factors:
         raise LegMismatch("compose needs at least one factor")
     for f in factors[1:]:
-        if not f.algebra.compatible_with(factors[0].algebra):
-            raise MixedAlgebra("cannot compose twists over different algebras")
+        if f.algebra is not factors[0].algebra:
+            raise MixedAlgebra("cannot compose twists over two algebra instances")
     return Twist(
         [p for f in factors for p in f.factors],
         [nm for f in factors for nm in f.factorization],

@@ -39,6 +39,21 @@ def test_run_suite_contraction_certification_labels():
     assert labels["contraction.pole-cancellation"] == 4
 
 
+def test_constant_split_fails_on_a_wrong_expected_t_part(monkeypatch):
+    """Negative control: the constant term is certified against the
+    independently built t-part, so doubling that t-part fails it."""
+    import osptwist.cli as cli
+
+    real = cli.rm.contraction_expected_t_part
+    monkeypatch.setattr(
+        cli.rm, "contraction_expected_t_part", lambda alg: real(alg).scale(2)
+    )
+    rep = run_suite("contraction", n=2, degree=3)
+    status = {c["anchor"]: c["status"] for c in rep.to_dict()["checks"]}
+    assert status["contraction.constant-split"] == "fail"
+    assert not rep.overall
+
+
 def test_run_suite_all_concatenates_in_order():
     rep = run_suite("all", n=2, degree=3)
     anchors = [c["anchor"] for c in rep.to_dict()["checks"]]

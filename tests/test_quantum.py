@@ -93,6 +93,13 @@ def test_classical_limit_of_grading_family():
     assert qt.classical_limit(fam) == rm.r_full_borel(ALG)
 
 
+def test_equal_classical_tensors_hash_equal():
+    """The grading family's classical limit has constant Poly
+    coefficients, r_full_borel Fraction ones: equal, so one set element."""
+    fam = qt.universal_R(tws.full_chain(ALG, 2), eta="eta")
+    assert len({qt.classical_limit(fam), rm.r_full_borel(ALG)}) == 1
+
+
 def test_classical_limit_of_unparameterized_R():
     """Without the parameter the same information sits in the grade-2
     component (the leading deviation from 1 (x) 1)."""

@@ -195,6 +195,145 @@ def test_series_product_commutes(cs, ds):
     assert (a + b) - b == a.truncate(6)
 
 
+def test_equal_scalars_hash_equal_across_the_tower():
+    assert len({Poly.const(2), Fraction(2), LaurentSeries.const("t", 2)}) == 1
+    p = Poly.var("t", -1) * Poly.var("a") + 3
+    assert len({p, LaurentSeries.from_poly(p, "t")}) == 1
+
+
+# -- LaurentSeries against a dense coefficient-list reference -----------------
+#
+# A reference series is (min_deg, coefficient list, order): dense lists
+# over the powers of the series variable, with leading and trailing zeros
+# stripped, nothing at or beyond the order and constant Polys as
+# Fractions, combined by sums and convolutions over the lists.
+
+
+def _omin(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _dense(m, cs, order):
+    cs = [
+        c.as_fraction() if isinstance(c, Poly) and c.is_constant
+        else c if isinstance(c, Poly) else Fraction(c)
+        for c in cs
+    ]
+    while cs and not cs[0]:
+        cs.pop(0)
+        m += 1
+    if order is not None:
+        cs = cs[: max(0, order - m)]
+    while cs and not cs[-1]:
+        cs.pop()
+    return (m if cs else 0, cs, order)
+
+
+def _ref_add(x, y):
+    (ma, ca, oa), (mb, cb, ob) = x, y
+    lo = min(ma, mb)
+    out = [Fraction(0)] * (max(ma + len(ca), mb + len(cb)) - lo)
+    for m, cs in ((ma, ca), (mb, cb)):
+        for i, c in enumerate(cs):
+            out[m - lo + i] = out[m - lo + i] + c
+    return _dense(lo, out, _omin(oa, ob))
+
+
+def _ref_neg(x):
+    m, cs, order = x
+    return (m, [-c for c in cs], order)
+
+
+def _ref_mul(x, y):
+    (ma, ca, oa), (mb, cb, ob) = x, y
+    if (not ca and oa is None) or (not cb and ob is None):
+        return (0, [], None)
+    va, vb = (ma if ca else oa), (mb if cb else ob)
+    order = _omin(
+        None if oa is None else oa + vb, None if ob is None else ob + va
+    )
+    out = [Fraction(0)] * max(len(ca) + len(cb) - 1, 0)
+    for i, a in enumerate(ca):
+        for j, b in enumerate(cb):
+            out[i + j] = out[i + j] + a * b
+    return _dense(ma + mb, out, order)
+
+
+def _ref_shift(x, k):
+    m, cs, order = x
+    return _dense(m + k, cs, None if order is None else order + k)
+
+
+def _ref_invert(x):
+    """The geometric expansion of 1/(lead t^m (1 + y)); None where the
+    inverse does not exist."""
+    m, cs, order = x
+    if not cs:
+        return None
+    lead = cs[0]
+    if isinstance(lead, Poly):
+        if len(lead.coeffs) != 1:
+            return None
+        lead_inv = lead.inverse()
+    else:
+        lead_inv = 1 / lead
+    if order is None:
+        return (-m, [lead_inv], None) if len(cs) == 1 else None
+    known = order - m
+    y = _dense(1, [lead_inv * c for c in cs[1:]], known)
+    acc = y_k = _dense(0, [1], known)
+    for c in taylor_geometric(max(known, 0) + 1)[1:]:
+        y_k = _ref_mul(y_k, y)
+        if not y_k[1]:
+            break
+        acc = _ref_add(acc, _ref_mul((0, [c], None), y_k))
+    return _ref_mul(_ref_shift(acc, -m), _dense(0, [lead_inv], None))
+
+
+def _assert_matches(got, ref):
+    m, cs, order = ref
+    assert got.order == order
+    assert got.min_deg == m and got.valuation == (m if cs else None)
+    for k in range(m - 2, m + len(cs) + 2):
+        if order is not None and k >= order:
+            break
+        want = cs[k - m] if m <= k < m + len(cs) else Fraction(0)
+        c = got.coefficient(k)
+        assert c == want and type(c) is type(want)
+    assert got == LaurentSeries("t", m, cs, order)
+
+
+@st.composite
+def dense_series(draw):
+    m = draw(st.integers(min_value=-2, max_value=2))
+    cs = draw(
+        st.lists(
+            st.one_of(fractions, st.just(Fraction(0)), small_polys()),
+            max_size=4,
+        )
+    )
+    order = draw(st.one_of(st.none(), st.integers(min_value=-2, max_value=7)))
+    return LaurentSeries("t", m, cs, order), _dense(m, cs, order)
+
+
+@given(dense_series(), dense_series(), st.integers(min_value=-3, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_series_ops_match_dense_reference(a, b, k):
+    (x, rx), (y, ry) = a, b
+    _assert_matches(x, rx)
+    _assert_matches(x + y, _ref_add(rx, ry))
+    _assert_matches(x - y, _ref_add(rx, _ref_neg(ry)))
+    _assert_matches(x * y, _ref_mul(rx, ry))
+    _assert_matches(x.shift(k), _ref_shift(rx, k))
+    _assert_matches(x.truncate(k), _dense(rx[0], rx[1], _omin(rx[2], k)))
+    want = _ref_invert(rx)
+    if want is None:
+        with pytest.raises(NonInvertibleLeadingCoefficient):
+            x.invert()
+    else:
+        _assert_matches(x.invert(), want)
+
+
 # -- helpers -------------------------------------------------------------------
 
 

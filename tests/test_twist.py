@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from osptwist.algebra import build_osp
+from osptwist.algebra import OspAlgebra, build_osp
 from osptwist.pbw import UEElement, UETensor, monomial_g2, ue_exp, ue_invert
 from osptwist.repmat import GradedMatrix, embed_legs, kron
 import osptwist.quantum as qt
@@ -34,7 +34,7 @@ from osptwist.twist import (
     FACTOR_KINDS,
     FULL_CHAIN_KINDS,
 )
-from osptwist.errors import MissingAlias
+from osptwist.errors import MissingAlias, MixedAlgebra
 from osptwist.scalars import taylor_log1p
 
 
@@ -340,3 +340,21 @@ def test_corrupted_ingredient_fails_at_both_levels(monkeypatch):
 def test_workshop_is_memoized():
     assert workshop(ALG, DEG) is workshop(ALG, DEG)
     assert workshop(ALG, DEG) is not workshop(ALG, DEG + 1)
+
+
+def test_workshop_belongs_to_one_algebra_instance():
+    """A chain built on a fresh instance with a poisoned structure
+    constant is never handed back for the shared algebra of that rank,
+    nor the shared one's for it, and the two do not compose."""
+    bad = OspAlgebra(2)
+    i, j, k = (bad.generator_index(nm) for nm in ("Z+", "U+", "X+"))
+    wrong = dict(bad.bracket(i, j))
+    wrong[k] = wrong.get(k, Fraction(0)) + 1  # 2X+ -> 3X+
+    bad._bracket_cache[(i, j)] = wrong
+    poisoned = full_chain(bad, 2)
+    clean = full_chain(build_osp(2), 2)
+    assert poisoned.algebra is bad
+    assert clean.algebra is build_osp(2)
+    assert cocycle_residual(clean).is_zero
+    with pytest.raises(MixedAlgebra):
+        compose(poisoned, clean)
