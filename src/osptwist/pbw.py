@@ -412,11 +412,13 @@ def _stored(data):
     }, None
 
 
-def _mul(table, left, right, legs, cap):
+def _mul(table, left, right, legs, cap, acc=None):
     """The product of two combinations of ``legs``-leg keys packed in
     ``table``, {key: coefficient} dicts, as a zero-free {key: coefficient}
     dict without terms above ``cap``.  Coefficients are multiplied as
-    they are: int numerators, or Poly and LaurentSeries values.
+    they are: int numerators, or Poly and LaurentSeries values.  Given a
+    zero-free dict ``acc``, the product is added into it, which stays
+    zero-free, and ``acc`` is returned.
 
     The right operand is grouped by grade and by the ids of every leg but
     the last (the head), and the groups are sorted by grade, so the cap
@@ -453,7 +455,8 @@ def _mul(table, left, right, legs, cap):
     rgrades = [q[0] for q in rgroups]
 
     get, product = table.products.get, table.product
-    acc: dict = {}
+    if acc is None:
+        acc = {}
     aget = acc.get
     for key, c1 in left.items():
         head, t_last = key >> bits, key & mask
@@ -497,13 +500,50 @@ def _clean(data, den):
     return _stored(data) if den is None else _canonical(data, den)
 
 
-def _product(x, y, legs, cap):
-    """(data, den) of x * y for two elements or two tensors of one
-    algebra, cut at ``cap``."""
-    table = pbw_table(x.algebra)
-    if x.den is not None and y.den is not None:
-        return _canonical(_mul(table, x.data, y.data, legs, cap), x.den * y.den)
-    return _stored(_mul(table, x._scalars(), y._scalars(), legs, cap))
+def _products(pairs):
+    """sum sign * x * y over (sign, x, y) triples of checked operands (one
+    kind, one algebra, one number of legs), each product cut at the
+    smallest cap of all operands and added into one accumulator, so no
+    product is held apart from the sum.
+
+    Rational products are put over the lcm of the pairs' denominators by
+    scaling each left operand's numerators once, the sign folded in;
+    with any other scalars every operand goes through ``_scalars()``."""
+    x = pairs[0][1]
+    table, legs = pbw_table(x.algebra), x.legs or 1
+    cap = None
+    for _, a, b in pairs:
+        cap = _omin(cap, _omin(a.g2cap, b.g2cap))
+    acc: dict = {}
+    if all(a.den is not None and b.den is not None for _, a, b in pairs):
+        den = lcm(*[a.den * b.den for _, a, b in pairs])
+        for sign, a, b in pairs:
+            m = sign * (den // (a.den * b.den))
+            left = a.data if m == 1 else {k: c * m for k, c in a.data.items()}
+            _mul(table, left, b.data, legs, cap, acc)
+        return x._like(*_canonical(acc, den), cap)
+    for sign, a, b in pairs:
+        left = a._scalars()
+        if sign != 1:
+            left = {k: -c for k, c in left.items()}
+        _mul(table, left, b._scalars(), legs, cap, acc)
+    return x._like(*_stored(acc), cap)
+
+
+def product_difference(x, y, z, w):
+    """x * y - z * w for four elements, or four tensors, of one algebra,
+    summed into one accumulator: the two products are never held at once.
+    Equal, coefficient for coefficient and in its cap, to ``x*y - z*w``,
+    and it raises as those operators do: ``HeterogeneousOperand`` for two
+    kinds or leg counts, ``MixedAlgebra`` for two algebra instances, and
+    TypeError for a kind without a product (a LieTensor) or a scalar."""
+    if not isinstance(x, (UEElement, UETensor)):
+        raise TypeError("a %s has no product" % type(x).__name__)
+    for other in (y, z, w):
+        if not x._same_kind(other):
+            raise TypeError("product_difference takes no scalar operand")
+        x._check(other)
+    return _products(((1, x, y), (-1, z, w)))
 
 
 def _image(data, den, image):
@@ -873,8 +913,7 @@ class _Terms(Ring):
         if not self._same_kind(other):
             return self.scale(other)
         self._check(other)
-        cap = _omin(self.g2cap, other.g2cap)
-        return self._like(*_product(self, other, self.legs or 1, cap), cap)
+        return _products(((1, self, other),))
 
     def __rmul__(self, c):
         # reached for a scalar, or when c's kind has no product (LieTensor)
@@ -942,10 +981,13 @@ class _Terms(Ring):
         for key in sorted(terms, key=self._sort_key):
             c = terms[key]
             cs = str(c)
+            # a series with an order prints its O-term after its terms
             if (
                 isinstance(c, Poly) and len(c.coeffs) > 1
-                or isinstance(c, LaurentSeries)
-                and c.valuation != c.poly.max_exponent(c.var)
+                or isinstance(c, LaurentSeries) and (
+                    c.order is not None
+                    or c.valuation != c.poly.max_exponent(c.var)
+                )
             ):
                 cs = "(%s)" % cs
             body = self._body(key)

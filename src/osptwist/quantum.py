@@ -20,7 +20,7 @@ from .errors import (
     LegMismatch,
     NotFirstOrderLie,
 )
-from .pbw import UEElement, UETensor
+from .pbw import UEElement, UETensor, product_difference
 from .repmat import GradedMatrix, embed_legs, tensor_pv
 from .rmatrix import LieTensor, r_full_borel
 from .scalars import Poly, nilpotent_series, taylor_exp
@@ -117,7 +117,7 @@ def intertwining_residual(r: RMatrix, x: UEElement) -> UETensor:
             "intertwining needs the twist the R-matrix came from"
         )
     cop = twisted_coproduct(r.source, x)
-    return r.element * cop - cop.flip() * r.element
+    return product_difference(r.element, cop, cop.flip(), r.element)
 
 
 def qybe_residual(r: RMatrix) -> UETensor:
@@ -126,7 +126,7 @@ def qybe_residual(r: RMatrix) -> UETensor:
     r12 = el.embed((1, 2), 3)
     r13 = el.embed((1, 3), 3)
     r23 = el.embed((2, 3), 3)
-    return r12 * r13 * r23 - r23 * r13 * r12
+    return product_difference(r12 * r13, r23, r23 * r13, r12)
 
 
 def _exchange(r_mat, l_mat, pv) -> GradedMatrix:

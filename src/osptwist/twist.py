@@ -65,7 +65,7 @@ from functools import partial, wraps
 
 from .algebra import OspAlgebra
 from .errors import LegMismatch, MissingAlias, MixedAlgebra
-from .pbw import UEElement, UETensor, ue_invert
+from .pbw import UEElement, UETensor, product_difference, ue_invert
 from .repmat import GradedMatrix, embed_legs
 from .scalars import (
     LaurentSeries,
@@ -436,11 +436,14 @@ def cocycle_residual(f: Twist) -> UETensor:
     """F12 * (cop (x) id)(F)  -  F23 * (id (x) cop)(F), a 3-leg tensor.
 
     Zero certifies the cocycle identity for the undeformed coproduct at
-    the working truncation."""
+    the working truncation.  Both products are summed into one
+    accumulator (:func:`~osptwist.pbw.product_difference`)."""
     el = f.element
     f12 = el.embed((1, 2), 3)
     f23 = el.embed((2, 3), 3)
-    return f12 * el.coproduct_leg(1) - f23 * el.coproduct_leg(2)
+    return product_difference(
+        f12, el.coproduct_leg(1), f23, el.coproduct_leg(2)
+    )
 
 
 def twisted_coproduct(f: Twist, x: UEElement) -> UETensor:

@@ -13,7 +13,9 @@ from osptwist.cli import (
     main,
 )
 from osptwist.errors import UnknownSuite, InvalidOption
+from osptwist.pbw import UETensor
 from osptwist.repmat import GradedMatrix
+from osptwist.twist import Twist, TwistFactor
 
 
 def test_suite_names_are_stable():
@@ -289,6 +291,63 @@ def test_rtt_check_reads_the_l_operator(monkeypatch):
     }
     assert status["quantum.rtt"] == "fail"
     assert status["quantum.qybe.rep"] == "pass"
+
+
+def corrupted_chain(chain):
+    """``chain`` with the coefficient of the last term (in grade, then key
+    order) of its last factor doubled."""
+    *outer, last = chain.factors
+    el = last.element
+    key = max(el.terms, key=lambda k: (sum(map(len, k)), k))
+    bump = UETensor(el.algebra, {key: el.terms[key]}, 2, el.g2cap)
+    return Twist([*outer, TwistFactor(el + bump)], chain.factorization)
+
+
+def test_corrupted_twist_factor_fails_the_full_chain_cocycle(monkeypatch):
+    """Negative control: doubling one top-grade coefficient of one factor
+    of F leaves a nonzero cocycle residual and fails
+    twist.cocycle.full-chain."""
+    import osptwist.cli as cli
+
+    real = cli.tws.full_chain
+    bad = corrupted_chain(real(cli.build_osp(2), 3))
+    assert not cli.tws.cocycle_residual(bad).is_zero
+    monkeypatch.setattr(
+        cli.tws, "full_chain", lambda alg, degree=6: corrupted_chain(real(alg, degree))
+    )
+    status = {
+        c["anchor"]: c["status"]
+        for c in run_suite("twist", n=2, degree=3).to_dict()["checks"]
+    }
+    assert status["twist.cocycle.full-chain"] == "fail"
+    assert status["twist.cocycle.jordanian"] == "pass"
+
+
+def test_corrupted_R_coefficient_fails_intertwining(monkeypatch):
+    """Negative control: one doubled coefficient of R (its H (x) X+ term,
+    from the classical r-matrix) makes quantum.intertwining fail."""
+    import osptwist.cli as cli
+
+    real = cli.qt.universal_R
+
+    def corrupted(twist, eta=None):
+        r = real(twist, eta=eta)
+        alg, el = r.element.algebra, r.element
+        h, x = alg.generator_index("H"), alg.generator_index("X+")
+        key = ((h,), (x,))
+        assert el.coefficient(key)
+        bump = UETensor(alg, {key: el.coefficient(key)}, 2, el.g2cap)
+        return cli.qt.RMatrix(el + bump, source=r.source)
+
+    monkeypatch.setattr(cli.qt, "universal_R", corrupted)
+    r = corrupted(cli.tws.full_chain(cli.build_osp(2), 3))
+    x = cli.tws.workshop(r.element.algebra, 3).gen("X+")
+    assert not cli.qt.intertwining_residual(r, x).is_zero
+    status = {
+        c["anchor"]: c["status"]
+        for c in run_suite("quantum", n=2, degree=3).to_dict()["checks"]
+    }
+    assert status["quantum.intertwining"] == "fail"
 
 
 # sha256 of the printed output.  A change that alters the output on purpose

@@ -626,6 +626,76 @@ def test_product_kernel_negative_control():
     assert a * b == _expected((alg, legs, a, b))
 
 
+# -- a difference of two products in one accumulator ---------------------------
+
+
+@st.composite
+def product_differences(draw):
+    """Four operands of one algebra and leg count, each with its own
+    coefficient kind (so denominators, Polys and caps differ), some of
+    them zero; one-leg draws are elements half of the time."""
+    n = draw(st.sampled_from((1, 2)))
+    legs = draw(st.integers(1, 3))
+    alg = ALGEBRAS[n]
+    ops = []
+    for _ in range(4):
+        terms, cap = draw(_operand(alg, legs))
+        if draw(st.integers(0, 4)) == 0:
+            terms = {}
+        ops.append(UETensor(alg, terms, legs, cap))
+    if legs == 1 and draw(st.booleans()):
+        ops = [
+            UEElement(alg, {k[0]: c for k, c in t.terms.items()}, t.g2cap)
+            for t in ops
+        ]
+    return ops
+
+
+@given(product_differences())
+@example([UETensor.zero(ALG, 2, CAP)] * 4)
+@settings(max_examples=150, deadline=None)
+def test_product_difference_matches_two_products(ops):
+    x, y, z, w = ops
+    got, want = pbw.product_difference(x, y, z, w), x * y - z * w
+    assert type(got) is type(want) and got.g2cap == want.g2cap
+    assert dict(got.terms.items()) == dict(want.terms.items())
+    if all(t.den is not None for t in ops):
+        assert (got.den, got.data) == (want.den, want.data)
+    assert pbw.product_difference(x, y, x, y).is_zero
+
+
+def test_product_difference_on_unequal_denominators_and_caps():
+    """Two 3-leg products over different denominators and caps: each
+    product is put on the lcm of the two, the cut is the smallest cap."""
+    t = UETensor.of(gen("v+"), gen("H"), gen("X+"), g2cap=CAP).scale(
+        Fraction(1, 3)
+    )
+    u = UETensor.of(gen("w+"), gen("X+") + gen("J"), gen("v+"), g2cap=6)
+    v = UETensor.of(gen("H", 5), gen("v+", 5), gen("J", 5)).scale(
+        Fraction(5, 4)
+    )
+    got = pbw.product_difference(t, u, v, t)
+    want = t * u - v * t
+    assert got.g2cap == 5 == want.g2cap and not got.is_zero
+    assert (got.den, got.data) == (want.den, want.data) and got.den == 12
+
+
+def test_product_difference_refuses_what_the_operators_refuse():
+    el, t, lie = term_kinds()
+    for ops in ((el, el, el, t), (t, el, t, t), (t, t, lie, t)):
+        with pytest.raises(HeterogeneousOperand):
+            pbw.product_difference(*ops)
+    three = UETensor.of(gen("H"), gen("H"), gen("v+"), g2cap=CAP)
+    with pytest.raises(HeterogeneousOperand):
+        pbw.product_difference(t, t, three, three)
+    foreign = UETensor(OspAlgebra(2), dict(t.terms), 2, CAP)
+    with pytest.raises(MixedAlgebra):
+        pbw.product_difference(t, t, t, foreign)
+    # a classical tensor has no product, as with ``*``
+    with pytest.raises(TypeError):
+        pbw.product_difference(lie, lie, lie, lie)
+
+
 # -- the multiplication table ------------------------------------------------
 
 

@@ -11,7 +11,7 @@ import pytest
 from osptwist import build_osp
 from osptwist.cli import dump_payload
 from osptwist.pbw import UEElement, UETensor
-from osptwist.rmatrix import wedge
+from osptwist.rmatrix import contraction_limit, wedge
 from osptwist.scalars import Poly
 
 ALG = build_osp(2)
@@ -132,3 +132,56 @@ def test_zero_prints_as_zero():
     assert str(UEElement.zero(ALG)) == "0"
     assert str(UETensor.zero(ALG, 2)) == "0"
     assert str(wedge(ALG, "h1", "+2e1", 0)) == "0"
+
+
+def test_contraction_series_parenthesizes_coefficients_with_an_order():
+    """A Laurent-series coefficient that carries an order is printed in
+    parentheses, its O-term included, even when it has one term: the
+    entry -t + O(eps^8) reads as one coefficient of its key."""
+    assert str(contraction_limit(ALG).series) == (
+        '(1/2*s^-1 + 1/24*s*eps^2 - 1/1440*s^3*eps^4 + 1/60480*s^5*eps^6 - '
+        '1/2419200*s^7*eps^8 + O(eps^9))*[h1 (x) h1]'
+        ' + (-t + O(eps^8))*[h1 (x) (+2e1)]'
+        ' + (1/2*s^-1 + 1/24*s*eps^2 - 1/1440*s^3*eps^4 + '
+        '1/60480*s^5*eps^6 - 1/2419200*s^7*eps^8 + O(eps^9))*[h2 (x) h2]'
+        ' + (-t + O(eps^8))*[(+e1-e2) (x) (+e1+e2)]'
+        ' + (1/2*s^-1 + 1/4*eps + 1/24*s*eps^2 - 1/1440*s^3*eps^4 + '
+        '1/60480*s^5*eps^6 - 1/2419200*s^7*eps^8 + O(eps^9))*[(+e1-e2) (x) '
+        '(-e1+e2)]'
+        ' + (s^-1 + 1/2*eps + 1/12*s*eps^2 - 1/720*s^3*eps^4 + '
+        '1/30240*s^5*eps^6 - 1/1209600*s^7*eps^8 + O(eps^9))*[(+2e2) (x) '
+        '(-2e2)]'
+        ' + (t + O(eps^8))*[(+e1+e2) (x) (+e1-e2)]'
+        ' + (1/2*s^-1 + 1/4*eps + 1/24*s*eps^2 - 1/1440*s^3*eps^4 + '
+        '1/60480*s^5*eps^6 - 1/2419200*s^7*eps^8 + O(eps^9))*[(+e1+e2) (x) '
+        '(-e1-e2)]'
+        ' + (t + O(eps^8))*[(+2e1) (x) h1]'
+        ' + (s^-1 + 1/2*eps + 1/12*s*eps^2 - 1/720*s^3*eps^4 + '
+        '1/30240*s^5*eps^6 - 1/1209600*s^7*eps^8 + O(eps^9))*[(+2e1) (x) '
+        '(-2e1)]'
+        ' + (1/2*s^-1 + 1/4*eps + 1/24*s*eps^2 - 1/1440*s^3*eps^4 + '
+        '1/60480*s^5*eps^6 - 1/2419200*s^7*eps^8 + O(eps^9))*[(+e2) (x) '
+        '(-e2)]'
+        ' + (t + O(eps^8))*[(+e1) (x) (+e1)]'
+        ' + (1/2*s^-1 + 1/4*eps + 1/24*s*eps^2 - 1/1440*s^3*eps^4 + '
+        '1/60480*s^5*eps^6 - 1/2419200*s^7*eps^8 + O(eps^9))*[(+e1) (x) '
+        '(-e1)]'
+        ' + (1/2*s^-1 - 1/4*eps + 1/24*s*eps^2 - 1/1440*s^3*eps^4 + '
+        '1/60480*s^5*eps^6 - 1/2419200*s^7*eps^8 + O(eps^9))*[(-e1+e2) (x) '
+        '(+e1-e2)]'
+        ' + (s^-1 - 1/2*eps + 1/12*s*eps^2 - 1/720*s^3*eps^4 + '
+        '1/30240*s^5*eps^6 - 1/1209600*s^7*eps^8 + O(eps^9))*[(-2e2) (x) '
+        '(+2e2)]'
+        ' + (1/2*s^-1 - 1/4*eps + 1/24*s*eps^2 - 1/1440*s^3*eps^4 + '
+        '1/60480*s^5*eps^6 - 1/2419200*s^7*eps^8 + O(eps^9))*[(-e1-e2) (x) '
+        '(+e1+e2)]'
+        ' + (s^-1 - 1/2*eps + 1/12*s*eps^2 - 1/720*s^3*eps^4 + '
+        '1/30240*s^5*eps^6 - 1/1209600*s^7*eps^8 + O(eps^9))*[(-2e1) (x) '
+        '(+2e1)]'
+        ' + (-1/2*s^-1 + 1/4*eps - 1/24*s*eps^2 + 1/1440*s^3*eps^4 - '
+        '1/60480*s^5*eps^6 + 1/2419200*s^7*eps^8 + O(eps^9))*[(-e2) (x) '
+        '(+e2)]'
+        ' + (-1/2*s^-1 + 1/4*eps - 1/24*s*eps^2 + 1/1440*s^3*eps^4 - '
+        '1/60480*s^5*eps^6 + 1/2419200*s^7*eps^8 + O(eps^9))*[(-e1) (x) '
+        '(+e1)]'
+    )

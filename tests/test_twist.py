@@ -105,6 +105,30 @@ def test_cocycle_full_chain():
     assert cocycle_residual(full_chain(ALG, DEG)).is_zero
 
 
+def test_cocycle_residual_holds_one_product_at_a_time():
+    """Memory regression at degree 5, with the multiplication table warm:
+    the traced peak of the residual stays below 1.4 times that of its left
+    product F12 (cop (x) id)(F) alone.  Holding the left product while the
+    right one is formed, then subtracting, peaks near 1.6 times."""
+    import tracemalloc
+
+    f = full_chain(ALG, 5)
+    el = f.element
+    cocycle_residual(f)
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    left = traced_peak(lambda: el.embed((1, 2), 3) * el.coproduct_leg(1))
+    both = traced_peak(lambda: cocycle_residual(f))
+    assert both < 1.4 * left, both / left
+
+
 def test_extension_factor_alone_is_not_a_cocycle():
     """Order matters: the extension factor only closes after the jordanian
     one has reshaped the coproduct."""
