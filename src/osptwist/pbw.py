@@ -52,6 +52,13 @@ Equality and hashing read the stored terms, not that view: ``den`` and
 ``data`` when both sides are rational, else the terms as scalars, which
 hash alike across the scalar tower.
 
+Products.  One kernel forms every product, and ``*`` and
+:func:`product_difference` reach it through one entry that adds signed
+products into one accumulator.  A residual x*y - z*w (the cocycle,
+intertwining and braid checks) thus never holds both products: each is
+cut at the smallest cap of the four operands and summed as it is formed,
+over one denominator for rational operands.
+
 One term algebra.  :class:`UEElement`, :class:`UETensor` and the classical
 :class:`~osptwist.rmatrix.LieTensor` share one storage, the packed keys
 above, and one implementation (``_Terms``) of construction (which

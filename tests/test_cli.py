@@ -313,7 +313,9 @@ def test_corrupted_twist_factor_fails_the_full_chain_cocycle(monkeypatch):
     bad = corrupted_chain(real(cli.build_osp(2), 3))
     assert not cli.tws.cocycle_residual(bad).is_zero
     monkeypatch.setattr(
-        cli.tws, "full_chain", lambda alg, degree=6: corrupted_chain(real(alg, degree))
+        cli.tws,
+        "full_chain",
+        lambda alg, degree=6: corrupted_chain(real(alg, degree)),
     )
     status = {
         c["anchor"]: c["status"]

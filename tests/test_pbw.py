@@ -653,7 +653,7 @@ def product_differences(draw):
 
 @given(product_differences())
 @example([UETensor.zero(ALG, 2, CAP)] * 4)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_product_difference_matches_two_products(ops):
     x, y, z, w = ops
     got, want = pbw.product_difference(x, y, z, w), x * y - z * w
