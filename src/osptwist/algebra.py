@@ -225,12 +225,6 @@ class OspAlgebra:
             raise IndexError("no basis index %r" % (index,))
         return self.basis[index].g2
 
-    def negative_of(self, index: int) -> int:
-        b = self.basis[index]
-        if b.kind == "cartan":
-            raise ValueError("Cartan generators have no opposite root")
-        return self._by_name[_root_name(tuple(-c for c in b.root))].index
-
     def cartan_indices(self):
         return tuple(b.index for b in self.basis if b.kind == "cartan")
 

@@ -387,7 +387,7 @@ def _twist_checks(n, degree):
             "complete chain cocycle holds exactly in the cubed rep",
             "exact",
             lambda: tws.rep_cocycle_residual(
-                alg, qt.FULL_CHAIN_KINDS
+                alg, tws.FULL_CHAIN_KINDS
             ).is_zero,
         ),
         (

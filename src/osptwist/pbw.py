@@ -357,14 +357,6 @@ def normal_form(alg, word) -> dict:
     return {table.monos[m]: Fraction(c) for m, c in table.fold(tuple(word))}
 
 
-def monomial_g2(alg, mono) -> int:
-    return sum(map(alg.g2, mono))
-
-
-def monomial_parity(alg, mono) -> int:
-    return sum(map(alg.parity, mono)) & 1
-
-
 def format_monomial(alg, mono) -> str:
     if not mono:
         return "1"

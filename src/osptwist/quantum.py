@@ -24,13 +24,7 @@ from .pbw import UEElement, UETensor, product_difference
 from .repmat import GradedMatrix, embed_legs, tensor_pv
 from .rmatrix import LieTensor, r_full_borel
 from .scalars import Poly, nilpotent_series, taylor_exp
-from .twist import (
-    FULL_CHAIN_KINDS,
-    Twist,
-    TwistFactor,
-    twisted_coproduct,
-    workshop,
-)
+from .twist import Twist, twisted_coproduct
 
 
 class RMatrix:
@@ -169,38 +163,12 @@ def classical_limit(r: RMatrix) -> LieTensor:
     return LieTensor(r.element.algebra, 2, terms)
 
 
-def multi_parameter_twist(
-    algebra: OspAlgebra, params: dict, degree: int = 6
-) -> Twist:
-    """The several-parameter deformation family: each chain factor is
-    rescaled along the grading line by its own formal symbol.  Exposed
-    for first-order study only — for distinct parameter values the
-    product is NOT claimed to satisfy the cocycle identity, so only its
-    first-order (classical) part is certified, against the matching
-    combination of classical r-matrix summands."""
-    ws = workshop(algebra, degree)
-    for kind in FULL_CHAIN_KINDS:
-        if kind not in params:
-            raise HeterogeneousOperand(
-                "missing deformation symbol for factor %r" % kind
-            )
-    return Twist(
-        [
-            TwistFactor(ws.factor(kind).scale_by_grade(Poly.var(params[kind])))
-            for kind in FULL_CHAIN_KINDS
-        ],
-        ["%s[%s]" % (kind, params[kind]) for kind in FULL_CHAIN_KINDS],
-    )
-
-
 # --------------------------------------------------------------------------
 # Nilpotent exponential R-matrix in the defining representation
 # --------------------------------------------------------------------------
 
 
-def exp_r_matrix(
-    algebra: OspAlgebra, eta: str = "eta", r: LieTensor | None = None
-) -> RMatrix:
+def exp_r_matrix(algebra: OspAlgebra, r: LieTensor | None = None) -> RMatrix:
     """exp(eta * r_rho) for the classical r-matrix of the full chain in
     the defining representation.  The cube of r_rho must vanish, so the
     exponential is the exact quadratic polynomial
@@ -213,9 +181,8 @@ def exp_r_matrix(
             "r in the defining representation does not cube to zero"
         )
     eye = GradedMatrix.identity(r_rho.pv)
-    mat = nilpotent_series(taylor_exp(3), r_rho.scale(Poly.var(eta)), eye)
-    return RMatrix(None, source="nilpotent-exponential", parameter=eta,
-                   rep_matrix=mat)
+    mat = nilpotent_series(taylor_exp(3), r_rho.scale(Poly.var("eta")), eye)
+    return RMatrix(None, parameter="eta", rep_matrix=mat)
 
 
 # --------------------------------------------------------------------------

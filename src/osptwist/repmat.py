@@ -14,8 +14,7 @@ exactly the matrix of the operator ``a (x) b`` acting on ``v (x) w`` as
 remains correct for inhomogeneous factors.
 
 Also here: the parity vector of a tensor power (the one every tensor
-image in the package is built on), the graded swap matrix, embedding of an
-operator into chosen tensor legs (with the signs for sliding factors past
+image in the package is built on), embedding of an operator into chosen tensor legs (with the signs for sliding factors past
 untouched legs), and the exponential and logarithm of nilpotent/unipotent
 matrices.
 
@@ -76,14 +75,6 @@ class GradedMatrix(Ring):
     def unit(cls, pv, i: int, j: int, c=1) -> "GradedMatrix":
         """The elementary matrix c * E_{ij}."""
         return cls(pv, {(i, j): c})
-
-    @classmethod
-    def from_rows(cls, pv, rows) -> "GradedMatrix":
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, c in enumerate(row):
-                entries[(i, j)] = c
-        return cls(pv, entries)
 
     # -- basics ------------------------------------------------------------
 
@@ -264,17 +255,6 @@ def tensor_pv(pv, k: int):
     for _ in range(k):
         out = tuple((pa + pb) % 2 for pa in out for pb in pv)
     return out
-
-
-def graded_swap(pv) -> GradedMatrix:
-    """P with P(v (x) w) = (-1)**(p(v)p(w)) w (x) v on the square of a space."""
-    d = len(pv)
-    entries = {}
-    for i in range(d):
-        for j in range(d):
-            c = Fraction(-1 if pv[i] and pv[j] else 1)
-            entries[(j * d + i, i * d + j)] = c
-    return GradedMatrix(tensor_pv(pv, 2), entries)
 
 
 def _decode(flat: int, d: int, k: int):

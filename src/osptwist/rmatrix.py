@@ -444,7 +444,6 @@ class ContractionResult:
 def contraction_limit(
     algebra,
     order: int = 4,
-    eps: str = "eps",
     theta_factor=Fraction(2),
     eps_power: int = 1,
 ) -> ContractionResult:
@@ -467,13 +466,13 @@ def contraction_limit(
     internal = order + 6
     s = Poly.var("s")
     # q = exp(eps*s), truncated
-    q = LaurentSeries(eps, 1, [s], internal).exp()
+    q = LaurentSeries("eps", 1, [s], internal).exp()
     r = trig_r(algebra, q)
     # every coefficient as a series (uniform type), then conjugate
-    zero = LaurentSeries.zero(eps)
+    zero = LaurentSeries.zero("eps")
     r = r.map_coefficients(lambda c: zero + c)
     theta = algebra.generator_index("+2e%d" % 1)
-    coeff = LaurentSeries(eps, -1, [Poly.var("t") * theta_factor], None)
+    coeff = LaurentSeries("eps", -1, [Poly.var("t") * theta_factor], None)
     conj = adjoint_exp_tensor(algebra, theta, coeff, r)
     scaled = conj.map_coefficients(lambda c: c.shift(eps_power))
     for key, c in scaled.terms.items():

@@ -198,11 +198,6 @@ class Poly(Ring):
             raise ValueError("polynomial is not constant: %s" % self)
         return self.coeffs.get((), Fraction(0))
 
-    @property
-    def constant_term(self) -> Fraction:
-        z = (0,) * len(self.vars)
-        return self.coeffs.get(z, Fraction(0))
-
     def is_monomial_unit(self) -> bool:
         """True when the polynomial is a single monomial (hence invertible)."""
         return len(self.coeffs) == 1
@@ -243,33 +238,6 @@ class Poly(Ring):
             return self if k is None or k > 0 else Poly.zero()
         i = self.vars.index(name)
         return Poly(self.vars, {e: c for e, c in self.coeffs.items() if e[i] < k})
-
-    def evaluate(self, assignment) -> "Poly":
-        """Substitute Fractions for some variables (exact; negative powers
-        require a nonzero value)."""
-        vals = {}
-        for name, v in assignment.items():
-            f = _fr(v)
-            if f is None:
-                raise TypeError("evaluate() needs rational values")
-            vals[name] = f
-        keep = tuple(v for v in self.vars if v not in vals)
-        out: dict = {}
-        for e, c in self.coeffs.items():
-            newe, factor = [], c
-            for name, k in zip(self.vars, e):
-                if name in vals:
-                    base = vals[name]
-                    if k < 0 and base == 0:
-                        raise DivisionByNonUnit(
-                            "negative power of %s evaluated at 0" % name
-                        )
-                    factor *= base**k
-                else:
-                    newe.append(k)
-            key = tuple(newe)
-            out[key] = out.get(key, Fraction(0)) + factor
-        return Poly(keep, out)
 
     # -- ring operations ----------------------------------------------------
 
@@ -450,10 +418,6 @@ class LaurentSeries(Ring):
     @classmethod
     def const(cls, var: str, c, order=None) -> "LaurentSeries":
         return cls(var, 0, [c], order)
-
-    @classmethod
-    def monomial(cls, var: str, k: int, c=1, order=None) -> "LaurentSeries":
-        return cls(var, k, [c], order)
 
     @classmethod
     def from_poly(cls, p: Poly, var: str, order=None) -> "LaurentSeries":

@@ -64,15 +64,10 @@ from fractions import Fraction
 from functools import partial, wraps
 
 from .algebra import OspAlgebra
-from .errors import LegMismatch, MissingAlias, MixedAlgebra
+from .errors import LegMismatch, MissingAlias
 from .pbw import UEElement, UETensor, product_difference, ue_invert
 from .repmat import GradedMatrix, embed_legs
-from .scalars import (
-    LaurentSeries,
-    taylor_binomial,
-    taylor_geometric,
-    taylor_log1p,
-)
+from .scalars import taylor_binomial, taylor_geometric, taylor_log1p
 
 FACTOR_KINDS = ("jordanian", "extension", "super", "coboundary", "sj2")
 ESJ_KINDS = ("super", "extension", "jordanian")
@@ -408,19 +403,6 @@ def build_factor(algebra: OspAlgebra, kind: str, degree: int = 6) -> Twist:
     return _chain(algebra, (kind,), degree)
 
 
-def compose(*factors: Twist) -> Twist:
-    """Product of twists in the listed order, keeping the factor names."""
-    if not factors:
-        raise LegMismatch("compose needs at least one factor")
-    for f in factors[1:]:
-        if f.algebra is not factors[0].algebra:
-            raise MixedAlgebra("cannot compose twists over two algebra instances")
-    return Twist(
-        [p for f in factors for p in f.factors],
-        [nm for f in factors for nm in f.factorization],
-    )
-
-
 def extended_super_jordanian(algebra: OspAlgebra, degree: int = 6) -> Twist:
     """The three-factor chain: super * extension * jordanian."""
     return _chain(algebra, ESJ_KINDS, degree)
@@ -451,32 +433,12 @@ def twisted_coproduct(f: Twist, x: UEElement) -> UETensor:
     return _conjugate(f.factors, x.coproduct())
 
 
-def deformed_generators(algebra: OspAlgebra, degree: int = 6):
-    """The tilded partners of the second-block raising elements, produced
-    by conjugation with exp of the inner element -(Z+ U+ / 2)(sigma/X+),
-    as a pair (long-root tilde, odd-root tilde)."""
-    ws = workshop(algebra, degree)
-    return ws.y_tilde(), ws.w_tilde()
-
-
 def primitive_part(x: UEElement) -> UETensor:
     """cop0-primitive pattern x (x) 1 + 1 (x) x (for comparisons)."""
     one = UEElement.one(x.algebra, x.g2cap)
     return UETensor.of(x, one, g2cap=x.g2cap) + UETensor.of(
         one, x, g2cap=x.g2cap
     )
-
-
-def u_inverse_taylor(order: int):
-    """Taylor coefficients of g(y) = (1/2(1 + (1+y)^(1/2)))^(-1/2), the
-    scalar function with  u^(-1) = g(long raising element).  Used to
-    cross-check the second coboundary factor by primitive substitution."""
-    one = LaurentSeries.const("y", Fraction(1))
-    y = LaurentSeries("y", 1, [Fraction(1)], order + 1)
-    sqrt_1py = ((one + y).log() * Fraction(1, 2)).exp()
-    t = (sqrt_1py + one) * Fraction(1, 2)
-    g = (t.log() * Fraction(-1, 2)).exp()
-    return [g.coefficient(k) for k in range(order + 1)]
 
 
 # --------------------------------------------------------------------------

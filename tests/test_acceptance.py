@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from osptwist.algebra import build_osp, check_jacobi, invert_fraction_matrix
-from osptwist.pbw import UEElement, UETensor, ue_exp, ue_invert, monomial_g2
+from osptwist.pbw import UEElement, UETensor, ue_exp, ue_invert
 from osptwist.repmat import GradedMatrix, kron
 from osptwist.scalars import Poly
 import osptwist.rmatrix as rm
@@ -41,11 +41,12 @@ def rep_twisted_primitive(alg, f_mat, name):
     rep-side chain matrix, inverted by Gauss-Jordan, and the primitive
     pattern is built from the generator's defining-rep matrix."""
     d = f_mat.dim
-    f_inv = GradedMatrix.from_rows(
+    rows = invert_fraction_matrix(
+        [[f_mat[(i, j)] for j in range(d)] for i in range(d)]
+    )
+    f_inv = GradedMatrix(
         f_mat.pv,
-        invert_fraction_matrix(
-            [[f_mat[(i, j)] for j in range(d)] for i in range(d)]
-        ),
+        {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row)},
     )
     m = alg.generator_matrix(name)
     eye = GradedMatrix.identity(alg.pv)
@@ -223,7 +224,7 @@ def test_criterion_5_twist_cocycles(capsys):
         and tws.rep_cocycle_residual(
             alg, ("super", "extension", "jordanian")
         ).is_zero
-        and tws.rep_cocycle_residual(alg, qt.FULL_CHAIN_KINDS).is_zero
+        and tws.rep_cocycle_residual(alg, tws.FULL_CHAIN_KINDS).is_zero
     )
     pbw_ok = (
         tws.cocycle_residual(tws.build_factor(alg, "jordanian", DEGREE)).is_zero
@@ -380,7 +381,7 @@ def test_criterion_9_oracle_cross_check(capsys):
     disagreements = []
 
     # twist element: truncated universal product vs directly assembled matrix
-    kinds = qt.FULL_CHAIN_KINDS
+    kinds = tws.FULL_CHAIN_KINDS
     if tws.full_chain(alg, deg).element.to_matrix() != tws.rep_twist_matrix(
         alg, kinds
     ):

@@ -170,15 +170,13 @@ def test_aliases_resolve():
         build_osp(3).generator_index("w+")
 
 
-def test_negative_of_is_involution():
-    for i in range(ALG.size):
-        if ALG.basis[i].kind == "cartan":
-            with pytest.raises(ValueError):
-                ALG.negative_of(i)
-            continue
-        j = ALG.negative_of(i)
-        assert ALG.negative_of(j) == i
-        assert ALG.g2(j) == -ALG.g2(i)
+def test_roots_closed_under_negation():
+    """Each root vector of the basis has exactly one partner of the
+    opposite root, and it sits at the opposite grade."""
+    roots = {b.root: b for b in ALG.basis if b.kind != "cartan"}
+    assert len(roots) == ALG.size - ALG.n
+    for root, b in roots.items():
+        assert roots[tuple(-c for c in root)].g2 == -b.g2
 
 
 def test_defining_rep_preserves_the_form():

@@ -8,7 +8,6 @@ import pytest
 
 from osptwist.algebra import build_osp
 from osptwist.pbw import UEElement, UETensor
-from osptwist.scalars import Poly
 import osptwist.rmatrix as rm
 import osptwist.twist as tws
 import osptwist.quantum as qt
@@ -75,12 +74,13 @@ def test_intertwining_sampled_generators():
 
 
 def test_rmatrix_needs_twist_for_intertwining():
-    """A rep-only operator cannot be checked against the universal coproduct."""
-    r = chain_R()
-    bare = qt.RMatrix(None, None, rep_matrix=r.rep_matrix)
-    w = tws.workshop(ALG, DEG)
-    with pytest.raises((HeterogeneousOperand, AttributeError)):
-        qt.intertwining_residual(bare, w.gen("H"))
+    """A rep-only operator cannot be checked against the universal
+    coproduct, whether it is a bare rep image or the exp-r solution."""
+    bare = qt.RMatrix(None, None, rep_matrix=chain_R().rep_matrix)
+    x = tws.workshop(ALG, DEG).gen("H")
+    for r in (bare, qt.exp_r_matrix(ALG)):
+        with pytest.raises(HeterogeneousOperand):
+            qt.intertwining_residual(r, x)
 
 
 # -- classical limits ---------------------------------------------------------------
@@ -120,28 +120,6 @@ def test_classical_limit_rejects_composite_legs():
     fake = qt.RMatrix(UETensor.one(ALG, 2, 2 * DEG) + t, None)
     with pytest.raises(NotFirstOrderLie):
         qt.classical_limit(fake)
-
-
-def test_multi_parameter_family():
-    """Independent symbolic weights on the chain factors survive to the
-    classical term with their expected wedge structure."""
-    fam = qt.universal_R(
-        qt.multi_parameter_twist(
-            ALG,
-            {"sj2": "a", "super": "b", "extension": "c", "jordanian": "d"},
-            DEG,
-        )
-    )
-    got = qt.classical_limit(fam)
-    a, b, c, d = (Poly.var(nm) for nm in ("a", "b", "c", "d"))
-    want = (
-        rm.wedge(ALG, "J", "Y+", coeff=a)
-        - rm.wedge(ALG, "w+", "w+", coeff=a).scale(Fraction(1, 2))
-        - rm.wedge(ALG, "v+", "v+", coeff=b).scale(Fraction(1, 2))
-        + rm.wedge(ALG, "Z+", "U+", coeff=c)
-        + rm.wedge(ALG, "H", "X+", coeff=d)
-    )
-    assert got == want
 
 
 # -- quadratic exponential -----------------------------------------------------------
@@ -221,8 +199,6 @@ def test_frt_margin_is_needed_at_the_corner():
     assert with_margin.is_zero
     assert not without.is_zero
     cap = l.entries[0][4].g2cap
-    from osptwist.pbw import monomial_g2
-
     for mono in without.terms:
-        g = sum(monomial_g2(ALG, m) for m in mono)
+        g = sum(ALG.g2(x) for m in mono for x in m)
         assert g > cap - 2  # all surviving debris sits above the window

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from osptwist.algebra import build_osp
 from osptwist.errors import DivisionByNonUnit, NotNilpotent
 from osptwist.pbw import UEElement, UETensor
-from osptwist.repmat import GradedMatrix, kron, kron_all, graded_swap, embed_legs
+from osptwist.repmat import GradedMatrix, kron, kron_all, embed_legs, tensor_pv
 from osptwist.scalars import LaurentSeries, Poly
 
 
@@ -114,6 +114,15 @@ def test_kron_all_matches_iterated_kron():
     B = GradedMatrix.unit(PV, 2, 3)
     C = GradedMatrix.unit(PV, 4, 4)
     assert kron_all([A, B, C]) == kron(kron(A, B), C)
+
+
+def graded_swap(pv):
+    """P with P(v (x) w) = (-1)**(p(v)p(w)) w (x) v on the square of a space."""
+    d = len(pv)
+    return GradedMatrix(tensor_pv(pv, 2), {
+        (j * d + i, i * d + j): Fraction(-1 if pv[i] and pv[j] else 1)
+        for i in range(d) for j in range(d)
+    })
 
 
 def test_graded_swap_involution_and_action():

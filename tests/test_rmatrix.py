@@ -435,7 +435,7 @@ def test_trig_r_spectral_certificate():
 def test_trig_r_shape():
     """The one-parameter family is r0 plus the invariant tensor over q - 1;
     q - 1 must be invertible in the chosen scalar tower."""
-    t = LaurentSeries.monomial("t", 1, order=6)
+    t = LaurentSeries("t", 1, [1], 6)
     q = LaurentSeries.const("t", 1, order=6) + t
     r = trig_r(ALG, q)
     want = standard_r0(ALG).map_coefficients(

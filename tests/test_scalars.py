@@ -60,8 +60,8 @@ def test_poly_arithmetic_known_values():
     assert p == a * a - b * b
     q = (a + 1) ** 3
     assert q.coefficient("a", 2).as_fraction() == 3
-    assert q.constant_term == 1
-    assert q.evaluate({"a": Fraction(1)}).as_fraction() == 8
+    assert q.coefficient("a", 0).as_fraction() == 1
+    assert evaluate(q, {"a": Fraction(1)}) == 8
 
 
 def test_poly_coefficient_extraction_keeps_other_vars():
@@ -98,13 +98,23 @@ def test_poly_ring_axioms(p, q, r):
     assert p * Poly.const(1) == p
 
 
+def evaluate(p, point):
+    """The exact value of ``p`` at a point that assigns every variable."""
+    total = Fraction(0)
+    for e, c in p.coeffs.items():
+        for name, k in zip(p.vars, e):
+            c *= point[name] ** k
+        total += c
+    return total
+
+
 @given(small_polys())
 @settings(max_examples=40, deadline=None)
 def test_poly_evaluate_is_homomorphism(p):
     point = {"a": Fraction(2, 3), "b": Fraction(-1, 2)}
     q = p * p + 3 * p
-    lhs = q.evaluate(point).as_fraction()
-    v = p.evaluate(point).as_fraction()
+    lhs = evaluate(q, point)
+    v = evaluate(p, point)
     assert lhs == v * v + 3 * v
 
 
@@ -112,7 +122,7 @@ def test_poly_evaluate_is_homomorphism(p):
 
 
 def t_series(order=8):
-    return LaurentSeries.monomial("t", 1, order=order)
+    return LaurentSeries("t", 1, [1], order)
 
 
 def test_series_basic_arithmetic():
@@ -184,11 +194,11 @@ def test_series_from_poly_roundtrip():
 @settings(max_examples=50, deadline=None)
 def test_series_product_commutes(cs, ds):
     a = sum(
-        (LaurentSeries.monomial("t", k, c, order=6) for k, c in enumerate(cs)),
+        (LaurentSeries("t", k, [c], 6) for k, c in enumerate(cs)),
         LaurentSeries.zero("t", order=6),
     )
     b = sum(
-        (LaurentSeries.monomial("t", k, c, order=6) for k, c in enumerate(ds)),
+        (LaurentSeries("t", k, [c], 6) for k, c in enumerate(ds)),
         LaurentSeries.zero("t", order=6),
     )
     assert a * b == b * a
