@@ -18,6 +18,7 @@ from .errors import (
     NegativePowerSurvives,
     NonInvertibleLeadingCoefficient,
     NotFirstOrderLie,
+    NotInAlgebra,
     NotNilpotent,
     OspTwistError,
     UnknownSuite,

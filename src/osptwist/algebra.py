@@ -4,18 +4,27 @@ realization, with a fixed ordered basis of root vectors.
 Conventions (all 0-based):
 
 * The defining space is C^(2n+1) with the single odd coordinate in the
-  middle: parity vector (0,..,0,1,0,..,0), the 1 at position n.
-* The preserved bilinear form is antidiagonal,  B[i, 2n-i] = +1 for
-  i <= n and -1 for i > n  (symmetric on the even block, antisymmetric on
-  the odd one).
-* Weights: the basis vector e_{k-1} has weight eps_k (k = 1..n), e_n has
-  weight 0, and e_{2n-k+1} has weight -eps_k.
+  middle: parity vector pv = (0,..,0,1,0,..,0), the 1 at position n.
+* The preserved bilinear form is antidiagonal,  B[i, 2n-i] = beta_i with
+  beta_i = +1 for i <= n and -1 for i > n  (symmetric on the even block,
+  antisymmetric on the odd one).
+* Weights: w(i) = eps_{i+1} for i < n, w(n) = 0 and w(i) = -eps_{2n+1-i}
+  for i > n.
 
-The basis consists of the Cartan generators ``h1..hn`` plus one root
-vector per root, named by the root itself in eps-coordinates, e.g.
-``"+e1-e2"``, ``"+2e1"``, ``"-e1"``.  Roots: even ones eps_k - eps_j,
-eps_k + eps_j (k < j) and 2 eps_k; odd ones eps_k (short).  Total
-dimension 2n^2 + 3n.
+The basis is derived from the form by one rule.  Every matrix entry
+(a, b) except the odd diagonal (n, n) pairs with its partner
+(2n-b, 2n-a).  A pair's lead is the member whose row comes first when the
+odd row n is ranked last, and the pair spans one basis element
+
+    E_ab - (-1)**p beta_a beta_b E_{2n-b, 2n-a},   p = pv[a] + pv[b] mod 2,
+
+of parity p, the form-preserving completion of E_ab; a pair that is one
+entry (b = 2n-a, a long root) gives E_ab alone.  Its root is
+w(a) - w(b), and it owns the lead position: no other basis element
+touches it.  A zero root makes the Cartan generator ``h{a+1}``; every
+other element is named by its root in eps-coordinates, e.g. ``"+e1-e2"``,
+``"+2e1"``, ``"-e1"``.  Roots: even ones eps_k - eps_j, eps_k + eps_j
+(k < j) and 2 eps_k; odd ones eps_k (short).  Total dimension 2n^2 + 3n.
 
 Each basis element also carries the additive "principal grade": half the
 sum of its root's eps-coefficients, stored doubled (``g2``) so it stays an
@@ -24,15 +33,18 @@ on, because it is additive through bracket and product alike.
 
 The basis list is stored already sorted in the order used for normal
 ordering in the enveloping algebra: Cartan first, then even raising
-elements by height, odd raising elements by height, then the same for
-lowering elements.
+elements, odd raising elements, even lowering and odd lowering ones.
+Within a block the order is by height |sum_i c_i (n-i)| of the root
+sum_i c_i eps_{i+1} (the height over the simple roots eps_i - eps_{i+1}
+and eps_n), then by the first and last eps the root involves (a Cartan
+generator's lead row).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MissingAlias
+from .errors import MissingAlias, NotInAlgebra
 from .repmat import GradedMatrix
 from .scalars import rref
 
@@ -69,18 +81,9 @@ def _root_name(root) -> str:
     return "".join(parts)
 
 
-def _height(kind: str, n: int, k: int, j: int) -> int:
-    """Height of the positive root of the given kind w.r.t. the simple
-    system eps_i - eps_{i+1} (i < n), eps_n."""
-    if kind == "diff":
-        return j - k
-    if kind == "sum":
-        return 2 * n - k - j + 2
-    if kind == "long":
-        return 2 * n - 2 * k + 2
-    if kind == "odd":
-        return n - k + 1
-    raise ValueError(kind)
+# kind of a root by (number of nonzero eps-coefficients, |their sum|)
+_KINDS = {(0, 0): "cartan", (1, 1): "odd", (1, 2): "long", (2, 0): "diff",
+          (2, 2): "sum"}
 
 
 # aliases into the worked low-rank cases; resolved by generator_index()
@@ -124,72 +127,39 @@ class OspAlgebra:
 
     # -- construction -------------------------------------------------------
 
-    def _unit(self, i, j, c=1):
-        return GradedMatrix.unit(self.pv, i, j, Fraction(c))
-
     def _build_basis(self):
-        n, make = self.n, self._unit
+        n, pv, top = self.n, self.pv, 2 * self.n
+        beta = [1 if i <= n else -1 for i in range(top + 1)]
+        weight = [[0] * n for _ in range(top + 1)]
+        for k in range(n):
+            weight[k][k], weight[top - k][k] = 1, -1
+        # a pair's lead is its member whose row comes first, the odd row last
+        rank = [top + 1 if i == n else i for i in range(top + 1)]
         elems = []
-
-        def put(name, matrix, parity, root, kind, sign, lead):
-            elems.append(
-                BasisElement(name, matrix, parity, tuple(root), kind, sign, lead)
-            )
-
-        zero_root = (0,) * n
-        for k in range(1, n + 1):
-            m = make(k - 1, k - 1) - make(2 * n - k + 1, 2 * n - k + 1)
-            put("h%d" % k, m, 0, zero_root, "cartan", 0, (k - 1, k - 1))
-
-        def root_of(pairs):
-            r = [0] * n
-            for k, c in pairs:
-                r[k - 1] += c
-            return tuple(r)
-
-        for k in range(1, n + 1):
-            for j in range(k + 1, n + 1):
-                # eps_k - eps_j and its negative
-                mp = make(k - 1, j - 1) - make(2 * n - j + 1, 2 * n - k + 1)
-                mn = make(j - 1, k - 1) - make(2 * n - k + 1, 2 * n - j + 1)
-                rp = root_of([(k, 1), (j, -1)])
-                put(_root_name(rp), mp, 0, rp, "diff", 1, (k - 1, j - 1))
-                rn = tuple(-c for c in rp)
-                put(_root_name(rn), mn, 0, rn, "diff", -1, (j - 1, k - 1))
-                # eps_k + eps_j and its negative
-                mp = make(k - 1, 2 * n - j + 1) + make(j - 1, 2 * n - k + 1)
-                mn = make(2 * n - j + 1, k - 1) + make(2 * n - k + 1, j - 1)
-                rp = root_of([(k, 1), (j, 1)])
-                put(_root_name(rp), mp, 0, rp, "sum", 1, (k - 1, 2 * n - j + 1))
-                rn = tuple(-c for c in rp)
-                put(_root_name(rn), mn, 0, rn, "sum", -1, (2 * n - j + 1, k - 1))
-            # 2 eps_k and its negative
-            mp = make(k - 1, 2 * n - k + 1)
-            mn = make(2 * n - k + 1, k - 1)
-            rp = root_of([(k, 2)])
-            put(_root_name(rp), mp, 0, rp, "long", 1, (k - 1, 2 * n - k + 1))
-            rn = tuple(-c for c in rp)
-            put(_root_name(rn), mn, 0, rn, "long", -1, (2 * n - k + 1, k - 1))
-            # odd eps_k and its negative
-            mp = make(k - 1, n) + make(n, 2 * n - k + 1)
-            mn = make(2 * n - k + 1, n) - make(n, k - 1)
-            rp = root_of([(k, 1)])
-            put(_root_name(rp), mp, 1, rp, "odd", 1, (k - 1, n))
-            rn = tuple(-c for c in rp)
-            put(_root_name(rn), mn, 1, rn, "odd", -1, (2 * n - k + 1, n))
+        for a in range(top + 1):
+            for b in range(top + 1):
+                partner = (top - b, top - a)
+                if (a, b) == (n, n) or rank[partner[0]] < rank[a]:
+                    continue
+                p = (pv[a] + pv[b]) % 2
+                entries = {(a, b): 1}
+                if partner != (a, b):
+                    entries[partner] = -(-1) ** p * beta[a] * beta[b]
+                root = tuple(x - y for x, y in zip(weight[a], weight[b]))
+                cs = [c for c in root if c]
+                kind = _KINDS[len(cs), abs(sum(cs))]
+                name = _root_name(root) if cs else "h%d" % (a + 1)
+                sign = 0 if not cs else 1 if cs[0] > 0 else -1
+                elems.append(BasisElement(
+                    name, GradedMatrix(pv, entries), p, root, kind, sign, (a, b)
+                ))
 
         def order_key(b: BasisElement):
-            if b.kind == "cartan":
-                return (0, b.lead[0], 0)
-            ks = [k + 1 for k, c in enumerate(b.root) if c != 0]
-            k = ks[0]
-            j = ks[-1]
-            h = _height(b.kind, n, k, j)
-            if b.sign > 0:
-                block = 1 if b.parity == 0 else 2
-            else:
-                block = 3 if b.parity == 0 else 4
-            return (block, h, k, j)
+            # Cartan; even, odd raising; even, odd lowering
+            block = (1 if b.sign > 0 else 3) + b.parity if b.sign else 0
+            ks = [k for k, c in enumerate(b.root) if c] or [b.lead[0]]
+            height = abs(sum(c * (n - k) for k, c in enumerate(b.root)))
+            return (block, height, ks[0], ks[-1])
 
         elems.sort(key=order_key)
         return elems
@@ -277,7 +247,7 @@ class OspAlgebra:
                 out[b.index] = c
                 rest = rest - b.matrix.scale(c)
         if not rest.is_zero:
-            raise ValueError("matrix does not lie in the span of the basis")
+            raise NotInAlgebra("matrix does not lie in the span of the basis")
         return out
 
     # -- structure constants -------------------------------------------------------

@@ -22,6 +22,7 @@ from . import rmatrix as rm
 from . import twist as tws
 from .algebra import build_osp, check_jacobi
 from .errors import InvalidOption, OspTwistError, UnknownSuite
+from .scalars import rref
 
 SUITE_NAMES = ("algebra", "cybe", "contraction", "twist", "quantum")
 
@@ -118,8 +119,8 @@ def _algebra_checks(n, degree):
         )
 
     def gram_invertible():
-        alg.gram_inverse()
-        return True
+        # full rank: one pivot per basis element
+        return len(rref(alg.gram())[1]) == alg.size
 
     return [
         (
@@ -407,25 +408,25 @@ def _twist_checks(n, degree):
 
 def _quantum_checks(n, degree):
     alg = build_osp(n)
-    # the full chain's R is built once per suite run and degree, by the
-    # first check that needs it
+    # the full chain's R and its L-operator are built once per suite run
+    # and degree, by the first check that needs them
     @cache
     def r_at(d):
         return qt.universal_R(tws.full_chain(alg, d))
 
-    def r_full():
-        return r_at(degree)
+    @cache
+    def l_at(d):
+        return qt.l_operator(r_at(d))
 
-    def r_rep():
-        # the exact rep checks read an R truncated no lower than the degree
-        # at which its image in the defining rep is exact
-        return r_at(max(degree, qt.rep_exact_degree(alg)))
+    # the exact rep checks read R and L truncated no lower than the degree
+    # at which R's image in the defining rep is exact
+    rep = max(degree, qt.rep_exact_degree(alg))
 
     def r_jord():
         return qt.universal_R(tws.build_factor(alg, "jordanian", degree))
 
     def intertwining():
-        r = r_full()
+        r = r_at(degree)
         return all(
             qt.intertwining_residual(
                 r, tws.workshop(alg, degree).gen(nm)
@@ -436,22 +437,17 @@ def _quantum_checks(n, degree):
     def classical_limit():
         # -2 times the grade-2 part of R: the eta^1 coefficient of its
         # grading family
-        return qt.classical_limit(r_full()) == rm.r_full_borel(alg)
-
-    def exp_r_qybe():
-        r = qt.exp_r_matrix(alg)
-        return qt.qybe_residual_rep(r, alg).is_zero
+        return qt.classical_limit(r_at(degree)) == rm.r_full_borel(alg)
 
     def l_shape():
-        l = qt.l_operator(r_full())
+        l = l_at(degree)
         return l.shape_ok() and l.diagonal_unit_ok()
 
     def l_rep_consistency():
-        r = r_rep()
-        return qt.l_operator(r).to_matrix() == r.rep_matrix
+        return l_at(rep).to_matrix() == r_at(rep).rep_matrix
 
     def frt_sampled():
-        l = qt.l_operator(r_full())
+        l = l_at(degree)
         return all(l.frt_residual(i, j).is_zero for (i, j) in ((0, 0), (0, 2)))
 
     return [
@@ -459,7 +455,7 @@ def _quantum_checks(n, degree):
             "quantum.augmentation",
             "both counits of the full-chain R give 1",
             degree,
-            lambda: r_full().augmentation_ok(),
+            lambda: r_at(degree).augmentation_ok(),
         ),
         (
             "quantum.qybe.jordanian",
@@ -471,13 +467,13 @@ def _quantum_checks(n, degree):
             "quantum.triangularity",
             "flipped R times R is the identity",
             degree,
-            lambda: qt.triangularity_residual(r_full()).is_zero,
+            lambda: qt.triangularity_residual(r_at(degree)).is_zero,
         ),
         (
             "quantum.qybe.rep",
             "full-chain R satisfies the braid relation exactly in the cubed rep",
             "exact",
-            lambda: qt.qybe_residual_rep(r_rep()).is_zero,
+            lambda: qt.qybe_residual_rep(r_at(rep)).is_zero,
         ),
         (
             "quantum.intertwining",
@@ -495,7 +491,7 @@ def _quantum_checks(n, degree):
             "quantum.exp-r.qybe",
             "quadratic exponential of rep r solves the braid relation in a formal parameter",
             "exact",
-            exp_r_qybe,
+            lambda: qt.qybe_residual_rep(qt.exp_r_matrix(alg)).is_zero,
         ),
         (
             "quantum.l.shape",
@@ -513,7 +509,7 @@ def _quantum_checks(n, degree):
             "quantum.rtt",
             "graded RTT relation holds exactly in the cubed rep",
             "exact",
-            lambda: qt.rtt_residual(r_rep(), l=qt.l_operator(r_rep())).is_zero,
+            lambda: qt.rtt_residual(r_at(rep), l=l_at(rep)).is_zero,
         ),
         (
             "quantum.l.frt",

@@ -39,6 +39,10 @@ class LegMismatch(OspTwistError):
     """Leg indices passed to an embedding are out of range or collide."""
 
 
+class NotInAlgebra(OspTwistError, ValueError):
+    """A matrix does not lie in the span of the algebra's basis."""
+
+
 class MissingAlias(OspTwistError):
     """A generator alias was requested that this algebra does not define."""
 

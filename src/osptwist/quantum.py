@@ -32,30 +32,44 @@ class RMatrix:
 
     ``element`` is the universal (2-leg, grade-truncated) form when the
     matrix came from a twist; ``rep_matrix`` is the exact image in the
-    tensor square of the defining representation.  ``source`` keeps the
-    twist the element came from (used by intertwining and L-operator
-    checks); ``parameter`` names the formal deformation symbol when the
-    element carries a parameterized family."""
+    tensor square of the defining representation.  ``algebra`` is the
+    element's algebra, or is given with a rep-only matrix (``element``
+    None).  ``source`` keeps the twist the element came from (used by
+    intertwining and L-operator checks); ``parameter`` names the formal
+    deformation symbol when the element carries a parameterized family."""
 
-    __slots__ = ("element", "source", "parameter", "_rep")
+    __slots__ = ("element", "algebra", "source", "parameter", "_rep")
 
-    def __init__(self, element, source=None, parameter=None, rep_matrix=None):
-        if element is not None and element.legs != 2:
-            raise LegMismatch("an R-matrix must have exactly 2 tensor legs")
+    def __init__(self, element, source=None, parameter=None, rep_matrix=None,
+                 algebra=None):
+        if element is not None:
+            if element.legs != 2:
+                raise LegMismatch("an R-matrix must have exactly 2 tensor legs")
+            algebra = element.algebra
         self.element = element
+        self.algebra = algebra
         self.source = source
         self.parameter = parameter
         self._rep = rep_matrix
 
     @property
+    def universal(self):
+        """The universal element; HeterogeneousOperand for a rep-only R."""
+        if self.element is None:
+            raise HeterogeneousOperand(
+                "a rep-only R-matrix has no universal element to read"
+            )
+        return self.element
+
+    @property
     def rep_matrix(self) -> GradedMatrix:
         if self._rep is None:
-            self._rep = self.element.to_matrix()
+            self._rep = self.universal.to_matrix()
         return self._rep
 
     def augmentation_ok(self) -> bool:
         """Counit on either leg must give 1 (universal form)."""
-        return self.element.counits_are_one()
+        return self.universal.counits_are_one()
 
     def __repr__(self):
         tag = "rep-only" if self.element is None else "%d terms" % len(
@@ -101,22 +115,24 @@ def universal_R(twist: Twist, eta: str | None = None) -> RMatrix:
 
 def triangularity_residual(r: RMatrix) -> UETensor:
     """R21 * R - 1: zero certifies the triangular (unitary) property."""
-    return r.element.flip() * r.element - r.element.one_like()
+    el = r.universal
+    return el.flip() * el - el.one_like()
 
 
 def intertwining_residual(r: RMatrix, x: UEElement) -> UETensor:
     """R * cop_F(x) - (flip of cop_F(x)) * R for the source twist F."""
+    el = r.universal
     if r.source is None:
         raise HeterogeneousOperand(
             "intertwining needs the twist the R-matrix came from"
         )
     cop = twisted_coproduct(r.source, x)
-    return product_difference(r.element, cop, cop.flip(), r.element)
+    return product_difference(el, cop, cop.flip(), el)
 
 
 def qybe_residual(r: RMatrix) -> UETensor:
     """R12 R13 R23 - R23 R13 R12 in the universal (3-leg) form."""
-    el = r.element
+    el = r.universal
     r12 = el.embed((1, 2), 3)
     r13 = el.embed((1, 3), 3)
     r23 = el.embed((2, 3), 3)
@@ -136,7 +152,7 @@ def _exchange(r_mat, l_mat, pv) -> GradedMatrix:
 def qybe_residual_rep(r: RMatrix, algebra: OspAlgebra | None = None) -> GradedMatrix:
     """The same residual evaluated exactly in the cube of the defining
     representation; works for parameterized entries too."""
-    alg = algebra if algebra is not None else r.element.algebra
+    alg = algebra if algebra is not None else r.algebra
     return _exchange(r.rep_matrix, r.rep_matrix, alg.pv)
 
 
@@ -151,7 +167,7 @@ def classical_limit(r: RMatrix) -> LieTensor:
     tensor and raises NotFirstOrderLie."""
     eta = r.parameter
     terms = {}
-    for key, c in r.element.grade_component(2).terms.items():
+    for key, c in r.universal.grade_component(2).terms.items():
         if any(len(m) != 1 for m in key):
             raise NotFirstOrderLie(
                 "first-order term has a composite leg: %r" % (key,)
@@ -160,7 +176,7 @@ def classical_limit(r: RMatrix) -> LieTensor:
             c * Fraction(-2) if eta is None
             else c.coefficient(eta, 1) if isinstance(c, Poly) else 0
         )
-    return LieTensor(r.element.algebra, 2, terms)
+    return LieTensor(r.algebra, 2, terms)
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +198,7 @@ def exp_r_matrix(algebra: OspAlgebra, r: LieTensor | None = None) -> RMatrix:
         )
     eye = GradedMatrix.identity(r_rho.pv)
     mat = nilpotent_series(taylor_exp(3), r_rho.scale(Poly.var("eta")), eye)
-    return RMatrix(None, parameter="eta", rep_matrix=mat)
+    return RMatrix(None, parameter="eta", rep_matrix=mat, algebra=algebra)
 
 
 # --------------------------------------------------------------------------
@@ -282,13 +298,14 @@ class LOperator:
 
 def l_operator(r: RMatrix) -> LOperator:
     """Evaluate leg 1 of the universal R-matrix in the defining rep."""
-    alg = r.element.algebra
+    el = r.universal
+    alg = el.algebra
     d = alg.dim_rep
-    cap = r.element.g2cap
+    cap = el.g2cap
     grid = [
         [UEElement.zero(alg, cap) for _ in range(d)] for _ in range(d)
     ]
-    for m1, rest in r.element.split_first_leg().items():
+    for m1, rest in el.split_first_leg().items():
         block = alg.monomial_matrix(m1)
         for (i, j), a in block.entries.items():
             grid[i][j] = grid[i][j] + rest.scale(a)
@@ -304,4 +321,4 @@ def rtt_residual(r: RMatrix, l: LOperator | None = None) -> GradedMatrix:
     and the residual is the braid relation of :func:`qybe_residual_rep`."""
     r_mat = r.rep_matrix
     l_mat = r_mat if l is None else l.to_matrix()
-    return _exchange(r_mat, l_mat, r.element.algebra.pv)
+    return _exchange(r_mat, l_mat, r.algebra.pv)

@@ -71,11 +71,6 @@ class GradedMatrix(Ring):
     def identity(cls, pv) -> "GradedMatrix":
         return cls(pv, {(i, i): Fraction(1) for i in range(len(pv))})
 
-    @classmethod
-    def unit(cls, pv, i: int, j: int, c=1) -> "GradedMatrix":
-        """The elementary matrix c * E_{ij}."""
-        return cls(pv, {(i, j): c})
-
     # -- basics ------------------------------------------------------------
 
     @property

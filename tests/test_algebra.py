@@ -225,7 +225,7 @@ def test_expand_in_basis_roundtrip(cs):
 def test_expand_in_basis_rejects_outside_span():
     from osptwist.repmat import GradedMatrix
 
-    stray = GradedMatrix.unit(ALG.pv, 0, 0)  # not form-compatible alone
+    stray = GradedMatrix(ALG.pv, {(0, 0): 1})  # not form-compatible alone
     with pytest.raises(ValueError):
         ALG.expand_in_basis(stray)
 

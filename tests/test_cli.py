@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from osptwist.algebra import OspAlgebra
 from osptwist.cli import (
     SUITE_NAMES,
     SuiteReport,
@@ -225,25 +227,80 @@ def test_check_error_is_reported_not_raised(monkeypatch, capsys):
 
 
 def test_quantum_suite_builds_the_full_chain_R_once(monkeypatch):
-    """The quantum checks share one full-chain R per suite run, the
-    classical-limit check included; the only other R build is the
-    jordanian one."""
+    """The quantum checks share one full-chain R and one L-operator per
+    suite run, the classical-limit check included; the only other R build
+    is the jordanian one.  At degree 1 the exact rep checks read R at
+    degree 2, so R and L are built once at each degree."""
     import osptwist.cli as cli
 
-    real = cli.qt.universal_R
-    calls = []
+    real_r, real_l = cli.qt.universal_R, cli.qt.l_operator
+    calls, l_caps = [], []
 
     def counting(twist, eta=None):
         calls.append((twist.factorization, eta))
-        return real(twist, eta=eta)
+        return real_r(twist, eta=eta)
+
+    def counting_l(r):
+        l_caps.append(r.element.g2cap)
+        return real_l(r)
 
     monkeypatch.setattr(cli.qt, "universal_R", counting)
-    rep = run_suite("quantum", n=2, degree=3)
-    assert rep.overall
-    full = [c for c in calls if len(c[0]) == 4]
-    assert len(calls) == 2
-    assert full == [(full[0][0], None)]
-    assert [c for c in calls if c not in full] == [(("jordanian",), None)]
+    monkeypatch.setattr(cli.qt, "l_operator", counting_l)
+    for degree, full_degrees in ((3, [3]), (1, [1, 2])):
+        calls.clear()
+        l_caps.clear()
+        rep = run_suite("quantum", n=2, degree=degree)
+        assert rep.overall
+        full = [c for c in calls if len(c[0]) == 4]
+        assert len(calls) == len(full_degrees) + 1
+        assert full == [(full[0][0], None)] * len(full_degrees)
+        assert [c for c in calls if c not in full] == [(("jordanian",), None)]
+        assert sorted(l_caps) == [2 * d for d in full_degrees]
+
+
+def test_singular_gram_fails_the_supertrace_form_check(monkeypatch, capsys):
+    """Negative control: with a zero Gram matrix on a fresh algebra the
+    supertrace-form check reports fail (it used to raise ValueError out
+    of the suite), the other algebra checks still pass and the exit code
+    is 1."""
+    import osptwist.cli as cli
+
+    alg = OspAlgebra(2)
+    alg.gram = lambda: [[Fraction(0)] * alg.size for _ in range(alg.size)]
+    monkeypatch.setattr(cli, "build_osp", lambda n: alg)
+    status = {
+        c["anchor"]: c["status"]
+        for c in run_suite("algebra", n=2, degree=3).to_dict()["checks"]
+    }
+    assert [a for a, s in status.items() if s != "pass"] == [
+        "algebra.supertrace-form"
+    ]
+    assert main(["algebra"]) == 1
+    assert "[fail] algebra.supertrace-form" in capsys.readouterr().out
+
+
+def test_flipped_partner_sign_fails_form_invariance(monkeypatch):
+    """Negative control: with the sign of the partner entry of "+e1"
+    flipped on a fresh algebra, that matrix no longer preserves the form,
+    its brackets leave the span of the basis and its supertrace pairing
+    with "-e1" vanishes; the algebra suite reports the three failures
+    instead of raising."""
+    import osptwist.cli as cli
+
+    alg = OspAlgebra(2)
+    b = alg.basis[alg.generator_index("+e1")]
+    b.matrix = GradedMatrix(
+        alg.pv,
+        {ij: c if ij == b.lead else -c for ij, c in b.matrix.entries.items()},
+    )
+    monkeypatch.setattr(cli, "build_osp", lambda n: alg)
+    status = {
+        c["anchor"]: c["status"]
+        for c in run_suite("algebra", n=2, degree=3).to_dict()["checks"]
+    }
+    assert [a for a, s in status.items() if s != "pass"] == [
+        "algebra.form-invariance", "algebra.jacobi", "algebra.supertrace-form"
+    ]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -362,6 +419,27 @@ GOLDEN_DUMPS = {
     (3, "text"): "0581c35be9c5c889924412562a25108563f10785857b05a574fdffd02dde1896",
     (3, "json"): "d9438e5970ebcee72678f9de38b1db955e63af2e5f1f8195883714139a5e8b1c",
 }
+# sha256 of ``--dump algebra`` and ``--dump rep`` (names, order, parities,
+# grades, roots and every basis matrix), taken before the basis was derived
+# from the form; the derivation must reproduce them byte for byte.
+GOLDEN_BASIS_DUMPS = {
+    ("algebra", 1, "text"): "595805c64824c99c5c374698e6a5998194e1b3a23c8673786b43ff258642ab6f",
+    ("algebra", 1, "json"): "5d14243465ceae18dea34398f4c30284d5c2250f81e71d806abee81ea960f674",
+    ("algebra", 2, "text"): "56f15235d78c1e7eb3cdeff581c43914756c9d4a467baad288debd8814226318",
+    ("algebra", 2, "json"): "12b9510745d7fc91da6e7871dd3196787fc468d41e4b52e12423978b11deef9e",
+    ("algebra", 3, "text"): "fd3f7a32a1b006ecf9e965ac1b6540a9bca7a2637ad023e0e092fc9fc660bc3d",
+    ("algebra", 3, "json"): "bb2657277971ea99d7de545105167dbee2dca685bd35dab9f0801620220a721c",
+    ("algebra", 4, "text"): "bd040d6c6d91778241d7246e92a3ac1294aeb2434fc470786234f2ce861ead9c",
+    ("algebra", 4, "json"): "19bb513a8366de604ccdf78c53c252c2aa4a8fd83ff05d8b6d71e954a417fc78",
+    ("rep", 1, "text"): "ba8581364024625e14e777c5b2b674292d16242decc3ada53e354a5ae1f12ad9",
+    ("rep", 1, "json"): "d3378659ae6a93c85fadf89e115a8d4e9a8e1481fc89d7b35bfd0b5ab6e11395",
+    ("rep", 2, "text"): "26f2c2c2cf5b4bc72d3050b4e742158b4eb7442cf48945196639f274e2768f88",
+    ("rep", 2, "json"): "6c566b1c7487984cdaead1956b36c752a1360eaedadf7cfbb649dcb4ec8af50f",
+    ("rep", 3, "text"): "ff779c6c885e8616e5164d994d2884041edb93db5d75ee669ad3da7715b0f914",
+    ("rep", 3, "json"): "c8a04b74f72a79c26e11638f1346f8a4cfd73d99e2f209edfe750f1bc800fed5",
+    ("rep", 4, "text"): "c22e9bdb943662ef4d2edde39a276c691d52bbe149bf50b418e74a7f05d81b44",
+    ("rep", 4, "json"): "829a64e761c8e80c918af0cdbfc70c060bdc80099e78de125ca26d80984735e7",
+}
 GOLDEN_ALL_N2_D3 = "65d3a9600ee85e8b9653c689a5259a06490b5c4744b55b4e1bf09c5be36fa7ae"
 
 
@@ -373,6 +451,12 @@ def sha256(text):
 def test_rmatrix_dump_is_byte_identical(capsys, n, fmt):
     assert main(["--dump", "rmatrix", "--n", str(n), "--format", fmt]) == 0
     assert sha256(capsys.readouterr().out) == GOLDEN_DUMPS[n, fmt]
+
+
+@pytest.mark.parametrize("kind, n, fmt", sorted(GOLDEN_BASIS_DUMPS))
+def test_basis_dump_is_byte_identical(capsys, kind, n, fmt):
+    assert main(["--dump", kind, "--n", str(n), "--format", fmt]) == 0
+    assert sha256(capsys.readouterr().out) == GOLDEN_BASIS_DUMPS[kind, n, fmt]
 
 
 def test_json_report_is_byte_identical_apart_from_timing(capsys):

@@ -83,6 +83,36 @@ def test_rmatrix_needs_twist_for_intertwining():
             qt.intertwining_residual(r, x)
 
 
+# Entry points on the exp-r solution, a rep-only R-matrix: the rep-level
+# residuals read the algebra it keeps, every reader of the universal
+# element raises HeterogeneousOperand naming the cause.
+REP_ONLY_ENTRIES = {
+    "qybe_residual_rep": (qt.qybe_residual_rep, True),
+    "rtt_residual": (qt.rtt_residual, True),
+    "augmentation_ok": (qt.RMatrix.augmentation_ok, False),
+    "triangularity_residual": (qt.triangularity_residual, False),
+    "qybe_residual": (qt.qybe_residual, False),
+    "classical_limit": (qt.classical_limit, False),
+    "l_operator": (qt.l_operator, False),
+    "intertwining_residual": (
+        lambda r: qt.intertwining_residual(r, tws.workshop(ALG, DEG).gen("H")),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REP_ONLY_ENTRIES))
+def test_rep_only_r_matrix_entry_points(name):
+    entry, rep_level = REP_ONLY_ENTRIES[name]
+    r = qt.exp_r_matrix(ALG)
+    assert r.algebra is ALG
+    if rep_level:
+        assert entry(r).is_zero
+    else:
+        with pytest.raises(HeterogeneousOperand, match="rep-only"):
+            entry(r)
+
+
 # -- classical limits ---------------------------------------------------------------
 
 

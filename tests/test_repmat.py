@@ -15,6 +15,11 @@ from osptwist.scalars import LaurentSeries, Poly
 
 PV = (0, 0, 1, 0, 0)  # the five-dimensional graded space used throughout
 
+def unit(pv, i, j):
+    """The elementary matrix E_ij."""
+    return GradedMatrix(pv, {(i, j): 1})
+
+
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 
@@ -27,7 +32,7 @@ def sparse_matrices(pv=PV, max_terms=4):
     )
     return st.lists(entry, max_size=max_terms).map(
         lambda es: sum(
-            (GradedMatrix.unit(pv, i, j).scale(c) for i, j, c in es),
+            (unit(pv, i, j).scale(c) for i, j, c in es),
             GradedMatrix.zero(pv),
         )
     )
@@ -43,13 +48,13 @@ def homogeneous(pv=PV, parity=0):
         if (pv[i] + pv[j]) % 2 == parity
     ]
     return st.tuples(st.sampled_from(pairs), fractions).map(
-        lambda t: GradedMatrix.unit(pv, *t[0]).scale(t[1])
+        lambda t: unit(pv, *t[0]).scale(t[1])
     )
 
 
 def test_identity_and_units():
     I = GradedMatrix.identity(PV)
-    E = GradedMatrix.unit(PV, 1, 3)
+    E = unit(PV, 1, 3)
     assert I @ E == E
     assert E @ I == E
     assert I[2, 2] == 1
@@ -61,15 +66,15 @@ def test_supertrace():
     # str = sum over even diagonal minus sum over odd diagonal
     I = GradedMatrix.identity(PV)
     assert I.supertrace() == 4 - 1
-    odd_diag = GradedMatrix.unit(PV, 2, 2)
+    odd_diag = unit(PV, 2, 2)
     assert odd_diag.supertrace() == -1
 
 
 def test_parity_of_homogeneous_entries():
-    assert GradedMatrix.unit(PV, 0, 1).parity() == 0
-    assert GradedMatrix.unit(PV, 0, 2).parity() == 1
-    assert GradedMatrix.unit(PV, 2, 3).parity() == 1
-    assert GradedMatrix.unit(PV, 2, 2).parity() == 0
+    assert unit(PV, 0, 1).parity() == 0
+    assert unit(PV, 0, 2).parity() == 1
+    assert unit(PV, 2, 3).parity() == 1
+    assert unit(PV, 2, 2).parity() == 0
 
 
 @given(sparse_matrices(), sparse_matrices(), sparse_matrices())
@@ -96,23 +101,23 @@ def test_super_commutator_antisymmetric_mixed(a, b):
 
 def test_kron_koszul_sign():
     """(A x B)(C x D) = (-1)^{p(B)p(C)} (AC x BD) for homogeneous blocks."""
-    A = GradedMatrix.unit(PV, 0, 2)  # odd
-    B = GradedMatrix.unit(PV, 2, 4)  # odd
-    C = GradedMatrix.unit(PV, 2, 3)  # odd
-    D = GradedMatrix.unit(PV, 4, 1)  # even
+    A = unit(PV, 0, 2)  # odd
+    B = unit(PV, 2, 4)  # odd
+    C = unit(PV, 2, 3)  # odd
+    D = unit(PV, 4, 1)  # even
     lhs = kron(A, B) @ kron(C, D)
     rhs = kron(A @ C, B @ D).scale(Fraction(-1))  # p(B)=p(C)=1
     assert lhs == rhs
     # even-even pairs pick up no sign
-    E = GradedMatrix.unit(PV, 0, 1)
-    F = GradedMatrix.unit(PV, 1, 0)
+    E = unit(PV, 0, 1)
+    F = unit(PV, 1, 0)
     assert kron(E, E) @ kron(F, F) == kron(E @ F, E @ F)
 
 
 def test_kron_all_matches_iterated_kron():
-    A = GradedMatrix.unit(PV, 0, 1)
-    B = GradedMatrix.unit(PV, 2, 3)
-    C = GradedMatrix.unit(PV, 4, 4)
+    A = unit(PV, 0, 1)
+    B = unit(PV, 2, 3)
+    C = unit(PV, 4, 4)
     assert kron_all([A, B, C]) == kron(kron(A, B), C)
 
 
@@ -130,17 +135,17 @@ def test_graded_swap_involution_and_action():
     I2 = GradedMatrix.identity(P.pv)
     assert P @ P == I2
     # conjugating a product tensor swaps the factors with the Koszul sign
-    A = GradedMatrix.unit(PV, 0, 2)  # odd
-    B = GradedMatrix.unit(PV, 2, 1)  # odd
+    A = unit(PV, 0, 2)  # odd
+    B = unit(PV, 2, 1)  # odd
     assert P @ kron(A, B) @ P == kron(B, A).scale(Fraction(-1))
-    E = GradedMatrix.unit(PV, 0, 1)  # even
+    E = unit(PV, 0, 1)  # even
     assert P @ kron(E, A) @ P == kron(A, E)
 
 
 def test_embed_legs_places_factors():
     # leg numbering is 1-based
-    A = GradedMatrix.unit(PV, 0, 1)
-    B = GradedMatrix.unit(PV, 3, 4)
+    A = unit(PV, 0, 1)
+    B = unit(PV, 3, 4)
     I = GradedMatrix.identity(PV)
     assert embed_legs(A, PV, (1,), 2) == kron(A, I)
     assert embed_legs(A, PV, (2,), 2) == kron(I, A)
@@ -148,8 +153,8 @@ def test_embed_legs_places_factors():
 
 
 def test_embed_legs_even_factors_commute_across_legs():
-    A = GradedMatrix.unit(PV, 0, 1)
-    B = GradedMatrix.unit(PV, 3, 4)
+    A = unit(PV, 0, 1)
+    B = unit(PV, 3, 4)
     a0 = embed_legs(A, PV, (1,), 2)
     b1 = embed_legs(B, PV, (2,), 2)
     assert a0 @ b1 == b1 @ a0
@@ -157,7 +162,7 @@ def test_embed_legs_even_factors_commute_across_legs():
 
 
 def test_nilpotent_exp_log_roundtrip():
-    N = GradedMatrix.unit(PV, 0, 1) + GradedMatrix.unit(PV, 1, 3).scale(
+    N = unit(PV, 0, 1) + unit(PV, 1, 3).scale(
         Fraction(1, 2)
     )
     assert N.is_nilpotent()
@@ -184,9 +189,9 @@ def _pow_cases():
     series = LaurentSeries("eps", -1, [Fraction(2), a, Fraction(-1, 3)], 3)
     return {
         "GradedMatrix": (
-            GradedMatrix.unit(PV, 0, 1)
-            + GradedMatrix.unit(PV, 1, 3)
-            + GradedMatrix.unit(PV, 2, 2, Fraction(1, 2)),
+            unit(PV, 0, 1)
+            + unit(PV, 1, 3)
+            + unit(PV, 2, 2).scale(Fraction(1, 2)),
             GradedMatrix.identity(PV),
             None,
         ),
