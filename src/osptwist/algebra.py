@@ -44,9 +44,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MissingAlias, NotInAlgebra
+from .errors import MissingAlias, NotHomogeneous, NotInAlgebra
 from .repmat import GradedMatrix
-from .scalars import rref
+from .scalars import _exact, rref
 
 
 class BasisElement:
@@ -208,7 +208,7 @@ class OspAlgebra:
         n, d = self.n, self.dim_rep
         return GradedMatrix(
             self.pv,
-            {(i, 2 * n - i): Fraction(1 if i <= n else -1) for i in range(d)},
+            {(i, 2 * n - i): 1 if i <= n else -1 for i in range(d)},
         )
 
     def preserves_form(self, m: GradedMatrix) -> bool:
@@ -219,7 +219,7 @@ class OspAlgebra:
         """
         p = m.parity()
         if p is None:
-            raise ValueError("membership test needs a homogeneous matrix")
+            raise NotHomogeneous("membership test needs a homogeneous matrix")
         b = self.form_matrix()
         lhs = m.transpose() @ b
         rhs = b @ m
@@ -233,7 +233,8 @@ class OspAlgebra:
         return (lhs + signed).is_zero
 
     def expand_in_basis(self, m: GradedMatrix) -> dict:
-        """Write a matrix as a combination of basis elements (exact).
+        """Write a matrix as a combination of basis elements (exact), as
+        {index: Fraction}.
 
         Uses the fact that every basis element owns one matrix position no
         other basis element touches; the remainder after peeling all of
@@ -244,7 +245,7 @@ class OspAlgebra:
         for b in self.basis:
             c = rest[b.lead]
             if c:
-                out[b.index] = c
+                out[b.index] = Fraction(c)
                 rest = rest - b.matrix.scale(c)
         if not rest.is_zero:
             raise NotInAlgebra("matrix does not lie in the span of the basis")
@@ -308,24 +309,29 @@ def check_jacobi(algebra: OspAlgebra):
         [x,[y,z]] - [[x,y],z] - (-1)**(p(x)p(y)) [y,[x,z]]  =  0.
 
     Returns the list of violating (i, j, k) triples; empty means every
-    triple checks out."""
+    triple checks out.  The structure constants are read once into a
+    table, integral ones as ints."""
     idx = range(algebra.size)
+    table = [
+        [[(m, _exact(c)) for m, c in algebra.bracket(i, j).items()] for j in idx]
+        for i in idx
+    ]
     bad = []
     for i in idx:
-        pi = algebra.parity(i)
+        pi, ti = algebra.parity(i), table[i]
         for j in idx:
             sij = -1 if (pi and algebra.parity(j)) else 1
-            bij = algebra.bracket(i, j)
+            tj = table[j]
             for k in idx:
                 acc: dict = {}
-                for m, c in algebra.bracket(j, k).items():
-                    for r, d in algebra.bracket(i, m).items():
+                for m, c in tj[k]:
+                    for r, d in ti[m]:
                         acc[r] = acc.get(r, 0) + c * d
-                for m, c in bij.items():
-                    for r, d in algebra.bracket(m, k).items():
+                for m, c in ti[j]:
+                    for r, d in table[m][k]:
                         acc[r] = acc.get(r, 0) - c * d
-                for m, c in algebra.bracket(i, k).items():
-                    for r, d in algebra.bracket(j, m).items():
+                for m, c in ti[k]:
+                    for r, d in tj[m]:
                         acc[r] = acc.get(r, 0) - sij * c * d
                 if any(acc.values()):
                     bad.append((i, j, k))

@@ -43,6 +43,10 @@ class NotInAlgebra(OspTwistError, ValueError):
     """A matrix does not lie in the span of the algebra's basis."""
 
 
+class NotHomogeneous(OspTwistError, ValueError):
+    """An operand that must be parity-homogeneous mixes parities."""
+
+
 class MissingAlias(OspTwistError):
     """A generator alias was requested that this algebra does not define."""
 

@@ -98,6 +98,7 @@ from .scalars import (
     LaurentSeries,
     Poly,
     Ring,
+    _exact,
     _fr,
     _omin,
     fraction_sqrt,
@@ -128,11 +129,6 @@ def scalar_inverse(c):
 # one int, and a pair of ids keys the product table; packing an id that
 # does not fit raises, so two keys never alias.
 _ID_BITS = 20
-
-
-def _exact(c):
-    """An integral coefficient as an int, any other one unchanged."""
-    return c.numerator if c.denominator == 1 else c
 
 
 class _Ids(dict):
@@ -573,7 +569,7 @@ def _rep_image(t) -> GradedMatrix:
             for ij, x in alg.monomial_matrix(monos[i]).entries.items():
                 out[ij] = out.get(ij, 0) + c * x
         if t.den is not None and t.den != 1:
-            out = {ij: x / t.den for ij, x in out.items()}
+            out = {ij: Fraction(x, t.den) for ij, x in out.items()}
         return GradedMatrix(alg.pv, out)
     # a LieTensor stores UETensor keys, so UETensor's split serves it too
     for mono, rest in UETensor.split_first_leg(t).items():

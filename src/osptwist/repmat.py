@@ -1,8 +1,10 @@
 """Exact sparse matrices on Z2-graded vector spaces.
 
 A :class:`GradedMatrix` is a square matrix over the exact scalar tower
-(Fraction / Poly / LaurentSeries) together with the parity vector of the
-space it acts on.  Ordinary matrix multiplication carries no signs; all of
+(rational / Poly / LaurentSeries) together with the parity vector of the
+space it acts on.  A rational entry is stored by the tower's one rule
+(:func:`~osptwist.scalars._exact`): an int when it is integral, a Fraction
+otherwise.  Ordinary matrix multiplication carries no signs; all of
 the grading enters through :func:`kron`, whose entries pick up the Koszul
 sign
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import LegMismatch, NotNilpotent
-from .scalars import Ring, nilpotent_series, taylor_exp, taylor_log1p
+from .scalars import Ring, _exact, nilpotent_series, taylor_exp, taylor_log1p
 
 
 class GradedMatrix(Ring):
@@ -50,11 +52,10 @@ class GradedMatrix(Ring):
         for (i, j), c in entries.items():
             if not (0 <= i < d and 0 <= j < d):
                 raise IndexError("entry (%d,%d) outside dim %d" % (i, j, d))
-            if isinstance(c, int):
-                c = Fraction(c)
-            if not c:
-                continue
-            cleaned[(i, j)] = c
+            if type(c) is not int and isinstance(c, (int, Fraction)):
+                c = _exact(c)
+            if c:
+                cleaned[(i, j)] = c
         object.__setattr__(self, "pv", pv)
         object.__setattr__(self, "entries", cleaned)
 
@@ -69,7 +70,7 @@ class GradedMatrix(Ring):
 
     @classmethod
     def identity(cls, pv) -> "GradedMatrix":
-        return cls(pv, {(i, i): Fraction(1) for i in range(len(pv))})
+        return cls(pv, {(i, i): 1 for i in range(len(pv))})
 
     # -- basics ------------------------------------------------------------
 
@@ -78,7 +79,7 @@ class GradedMatrix(Ring):
         return len(self.pv)
 
     def __getitem__(self, ij):
-        return self.entries.get(ij, Fraction(0))
+        return self.entries.get(ij, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -94,7 +95,7 @@ class GradedMatrix(Ring):
         self._check_space(other)
         out = dict(self.entries)
         for ij, c in other.entries.items():
-            out[ij] = out.get(ij, Fraction(0)) + c
+            out[ij] = out.get(ij, 0) + c
         return GradedMatrix(self.pv, out)
 
     def __neg__(self):
@@ -157,7 +158,7 @@ class GradedMatrix(Ring):
         return GradedMatrix(self.pv, {(j, i): c for (i, j), c in self.entries.items()})
 
     def supertrace(self):
-        tot = Fraction(0)
+        tot = 0
         for (i, j), c in self.entries.items():
             if i == j:
                 tot = tot + (-c if self.pv[i] else c)

@@ -4,25 +4,27 @@ one ring protocol that every ring of the package follows.
 
 Everything here is exact.  There are no floats anywhere in the tower:
 
-* ``Fraction``     -- rationals, from :mod:`fractions`.
+* rationals        -- stored by one rule (:func:`_exact`): an integral one
+                      as an ``int``, any other as a ``Fraction`` from
+                      :mod:`fractions`.
 * ``Poly``         -- polynomials in finitely many named variables with
                       *integer* exponents (negative powers are allowed, so
                       these are really Laurent polynomials).  Coefficients
-                      are ``Fraction``.
+                      are rationals, stored by that rule.
 * ``LaurentSeries``-- a series in one distinguished variable whose
-                      coefficients may be ``Fraction`` or ``Poly`` in other
+                      coefficients may be rationals or ``Poly`` in other
                       variables: a ``Poly`` holding the known part plus an
                       ``order``, the exponent from which coefficients are
                       unknown.  Its arithmetic is ``Poly`` arithmetic cut
                       at the worst-case order, so a stored coefficient is
                       always a proven one.
 
-The three layers coerce upward (``Fraction`` -> ``Poly`` -> ``LaurentSeries``)
+The three layers coerce upward (rational -> ``Poly`` -> ``LaurentSeries``)
 through the usual reflected operators, so tensor code can mix them freely.
-Equal scalars hash equal across the layers: a constant ``Poly`` hashes
-like its ``Fraction``, an exact series like its ``Poly``.  The truth value
-of every scalar is its zero test: ``not c`` holds exactly when c is
-(provably) zero.
+Equal scalars hash equal across the layers: an integral ``Fraction``
+hashes like its ``int``, a constant ``Poly`` like its value, an exact
+series like its ``Poly``.  The truth value of every scalar is its zero
+test: ``not c`` holds exactly when c is (provably) zero.
 
 One ring protocol: ``Poly``, ``LaurentSeries``, the matrices of
 :mod:`~osptwist.repmat` and the term algebras of :mod:`~osptwist.pbw`
@@ -40,6 +42,7 @@ from .errors import (
     DivisionByNonUnit,
     IrrationalExpansionPoint,
     NonInvertibleLeadingCoefficient,
+    NotHomogeneous,
 )
 
 
@@ -52,6 +55,12 @@ def _fr(x):
     if isinstance(x, Fraction):
         return x
     return None
+
+
+def _exact(c):
+    """A rational by the one rule of the scalar tower: an integral one as
+    an int (a bool too becomes one), any other as the Fraction it is."""
+    return c.numerator if c.denominator == 1 else c
 
 
 class Ring:
@@ -97,7 +106,7 @@ class Ring:
         """[a,b] = ab - (-1)**(p(a)p(b)) ba for homogeneous a, b."""
         pa, pb = self.parity(), other.parity()
         if pa is None or pb is None:
-            raise ValueError("super commutator needs homogeneous operands")
+            raise NotHomogeneous("super commutator needs homogeneous operands")
         ab, ba = self * other, other * self
         return ab + ba if (pa and pb) else ab - ba
 
@@ -121,8 +130,9 @@ def fraction_sqrt(c: Fraction):
 
 
 class Poly(Ring):
-    """Multivariate polynomial with Fraction coefficients and integer
-    (possibly negative) exponents.
+    """Multivariate polynomial with rational coefficients and integer
+    (possibly negative) exponents.  A coefficient is stored as an int when
+    it is integral and as a Fraction otherwise (:func:`_exact`).
 
     Canonical form: variables sorted by name, no zero coefficients, and no
     variable that appears with exponent zero in every monomial.  Instances
@@ -135,10 +145,10 @@ class Poly(Ring):
         vs = tuple(variables)
         cleaned = {}
         for expts, c in coeffs.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            cleaned[tuple(expts)] = c
+            if type(c) is not int:
+                c = _exact(c)
+            if c:
+                cleaned[tuple(expts)] = c
         # drop variables that never occur with a nonzero exponent
         if vs:
             used = [any(e[i] != 0 for e in cleaned) for i in range(len(vs))]
@@ -164,14 +174,13 @@ class Poly(Ring):
 
     @classmethod
     def const(cls, c) -> "Poly":
-        c = Fraction(c)
-        return cls((), {} if c == 0 else {(): c})
+        return cls((), {(): c})
 
     @classmethod
     def var(cls, name: str, exponent: int = 1, coefficient=1) -> "Poly":
         if exponent == 0:
             return cls.const(coefficient)
-        return cls((name,), {(exponent,): Fraction(coefficient)})
+        return cls((name,), {(exponent,): coefficient})
 
     @staticmethod
     def _coerce(x):
@@ -196,7 +205,7 @@ class Poly(Ring):
         """The value of a constant polynomial (raises if not constant)."""
         if self.vars:
             raise ValueError("polynomial is not constant: %s" % self)
-        return self.coeffs.get((), Fraction(0))
+        return Fraction(self.coeffs.get((), 0))
 
     def is_monomial_unit(self) -> bool:
         """True when the polynomial is a single monomial (hence invertible)."""
@@ -263,7 +272,7 @@ class Poly(Ring):
         vs, ca, cb = Poly._unify(self, o)
         out = dict(ca)
         for e, c in cb.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return Poly(vs, out)
 
     __radd__ = __add__
@@ -282,7 +291,7 @@ class Poly(Ring):
         for ea, a in ca.items():
             for eb, b in cb.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + a * b
+                out[e] = out.get(e, 0) + a * b
         return Poly(vs, out)
 
     __rmul__ = __mul__
@@ -304,7 +313,7 @@ class Poly(Ring):
                 "only single monomials are invertible, got %s" % self
             )
         ((e, c),) = self.coeffs.items()
-        return Poly(self.vars, {tuple(-k for k in e): 1 / c})
+        return Poly(self.vars, {tuple(-k for k in e): Fraction(1, c)})
 
     def one_like(self) -> "Poly":
         return Poly.const(1)
@@ -321,9 +330,9 @@ class Poly(Ring):
     def __hash__(self):
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            # a constant hashes like the Fraction it equals
+            # a constant hashes like the rational it equals
             h = hash(
-                self.as_fraction() if self.is_constant
+                self.coeffs.get((), 0) if self.is_constant
                 else (self.vars, frozenset(self.coeffs.items()))
             )
             object.__setattr__(self, "_hash", h)
@@ -387,7 +396,7 @@ class LaurentSeries(Ring):
     their operands; inversion costs ``2*valuation`` orders, as dictated by
     the error term of the geometric expansion.
 
-    Coefficients are Fractions or Polys in variables other than ``var``.
+    Coefficients are rationals or Polys in variables other than ``var``.
     """
 
     __slots__ = ("var", "poly", "order")

@@ -137,6 +137,22 @@ def test_jacobi_detects_corruption():
     assert check_jacobi(bad) != []
 
 
+@pytest.mark.parametrize("n, poison", [(2, Fraction(1, 2)), (4, 1)])
+def test_jacobi_detects_a_poisoned_constant(n, poison):
+    """check_jacobi reads the structure constants into a table, integral
+    ones as ints and the others as Fractions; a poison of either kind in
+    [+e1-e2, +e1+e2] = 2(+2e1) is reported, at rank 2 and at rank 4."""
+    bad = OspAlgebra(n)
+    i = bad.generator_index("+e1-e2")
+    j = bad.generator_index("+e1+e2")
+    k = bad.generator_index("+2e1")
+    wrong = dict(bad.bracket(i, j))
+    assert wrong == {k: 2}
+    wrong[k] += poison
+    bad._bracket_cache[(i, j)] = wrong
+    assert check_jacobi(bad) != []
+
+
 def test_parity_assignment():
     odd = [b.name for b in ALG.basis if b.parity]
     assert sorted(odd) == sorted(["+e1", "+e2", "-e1", "-e2"])

@@ -14,7 +14,7 @@ from osptwist.cli import (
     dump_payload,
     main,
 )
-from osptwist.errors import UnknownSuite, InvalidOption
+from osptwist.errors import InvalidOption, NotHomogeneous, UnknownSuite
 from osptwist.pbw import UETensor
 from osptwist.repmat import GradedMatrix
 from osptwist.twist import Twist, TwistFactor
@@ -301,6 +301,33 @@ def test_flipped_partner_sign_fails_form_invariance(monkeypatch):
     assert [a for a, s in status.items() if s != "pass"] == [
         "algebra.form-invariance", "algebra.jacobi", "algebra.supertrace-form"
     ]
+
+
+def test_inhomogeneous_basis_matrix_fails_instead_of_raising(monkeypatch, capsys):
+    """Negative control: an odd entry (0, 2) added to the even "+e1-e2"
+    matrix of a fresh algebra makes it mix parities.  The membership test
+    and the super commutator raise NotHomogeneous, an OspTwistError, so
+    form-invariance and jacobi report fail, the other algebra checks still
+    pass and the exit code is 1."""
+    import osptwist.cli as cli
+
+    alg = OspAlgebra(2)
+    b = alg.basis[alg.generator_index("+e1-e2")]
+    b.matrix = GradedMatrix(alg.pv, {**b.matrix.entries, (0, 2): 1})
+    with pytest.raises(NotHomogeneous):
+        alg.preserves_form(b.matrix)
+    with pytest.raises(NotHomogeneous):
+        b.matrix.super_commutator(b.matrix)
+    monkeypatch.setattr(cli, "build_osp", lambda n: alg)
+    status = {
+        c["anchor"]: c["status"]
+        for c in run_suite("algebra", n=2, degree=3).to_dict()["checks"]
+    }
+    assert [a for a, s in status.items() if s != "pass"] == [
+        "algebra.form-invariance", "algebra.jacobi"
+    ]
+    assert main(["algebra"]) == 1
+    assert "[fail] algebra.jacobi" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n", [3, 4])
