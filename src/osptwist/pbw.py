@@ -415,18 +415,24 @@ def _mul(table, left, right, legs, cap, acc=None):
     zero-free dict ``acc``, the product is added into it, which stays
     zero-free, and ``acc`` is returned.
 
-    The right operand is grouped by grade and by the ids of every leg but
-    the last (the head), and the groups are sorted by grade, so the cap
-    cuts them at one index for each left term, and each left term forms
-    its head product once per group.  The Koszul sign of terms t and u,
+    Both operands are grouped by the ids of every leg but the last (the
+    head).  Right groups are split by grade and sorted by it; a member
+    keeps the table's id object of its last leg, not a fresh int.  A left
+    head keeps its keys sorted by last-leg grade: for each (left head,
+    right group) pair within the cap, the head-leg products are formed
+    once, without a coefficient, and the head's last legs are walked up
+    to the first one over the cap, adding c1 * c2 times those products
+    per member.  A unit last leg (id 0) times a member's last leg is that
+    leg, added without a table lookup.  The Koszul sign of terms t and u,
     sum_i p(u_i) sum_{l>i} p(t_l), splits into a head part, the parity of
     (bits of t's head legs followed by an odd number of odd head legs) &
     (bits of u's odd head legs), and p(t_last) p(u's head).
     """
-    g2, par, bits = table.g2, table.par, table.bits
+    g2, par, bits, units = table.g2, table.par, table.bits, table.units
     mask = (1 << bits) - 1
     last = legs - 1
     shifts = range(bits * (last - 1), -1, -bits)
+    cap = float("inf") if cap is None else cap
 
     heads: dict = {}
     groups: dict = {}
@@ -435,56 +441,71 @@ def _mul(table, left, right, legs, cap, acc=None):
         grade = heads.get(head)
         if grade is None:
             grade = heads[head] = sum(g2[head >> s & mask] for s in shifts)
-        m = key & mask
+        m = units[key & mask][0][0]
         groups.setdefault((grade + g2[m], head), []).append((m, c))
     rgroups = []
     for (grade, head), members in groups.items():
         ids = [head >> s & mask for s in shifts]
-        odd_heads = odd = 0
-        for i in range(last):
-            if par[ids[i]]:
-                odd_heads |= 1 << i
-                odd ^= 1
-        rgroups.append((grade, ids, odd_heads, odd, members))
+        odd_heads = sum([par[x] << i for i, x in enumerate(ids)])
+        rgroups.append((grade, ids, odd_heads, odd_heads.bit_count() & 1, members))
     rgroups.sort(key=itemgetter(0))
     rgrades = [q[0] for q in rgroups]
+
+    lefts: dict = {}
+    for key in sorted(left, key=lambda k: g2[k & mask]):
+        lefts.setdefault(key >> bits, []).append(key)
 
     get, product = table.products.get, table.product
     if acc is None:
         acc = {}
     aget = acc.get
-    for key, c1 in left.items():
-        head, t_last = key >> bits, key & mask
+    for head, keys in lefts.items():
         t_head = [head >> s & mask for s in shifts]
         t_after = odd = 0
         for i in range(last - 1, -1, -1):
             if odd:
                 t_after |= 1 << i
             odd ^= par[t_head[i]]
-        grade = sum([g2[i] for i in t_head]) + g2[t_last]
-        stop = len(rgroups) if cap is None else bisect_right(rgrades, cap - grade)
-        row = t_last << bits
-        for _, u_head, u_odd_heads, u_odd, members in rgroups[:stop]:
-            sign = (t_after & u_odd_heads).bit_count() & 1 ^ (u_odd & par[t_last])
+        # (last-leg grade, last-leg id, coefficient), lowest grade first
+        lasts = [(g2[k & mask], k & mask, left[k]) for k in keys]
+        room = cap - sum([g2[i] for i in t_head])
+        stop = bisect_right(rgrades, room - lasts[0][0])
+        for grade, u_head, u_odd_heads, u_odd, members in rgroups[:stop]:
             # (packed ids of the head legs, shifted for the last leg,
-            # coefficient)
-            parts = [(0, -c1 if sign else c1)]
+            # coefficient with the head's Koszul sign)
+            parts = [(0, -1 if (t_after & u_odd_heads).bit_count() & 1 else 1)]
             for ti, ui in zip(t_head, u_head):
                 nf = get(ti << bits | ui) or product(ti, ui)
-                parts = [
-                    ((p | m) << bits, pc * a) for p, pc in parts for m, a in nf
-                ]
-            for u_last, c2 in members:
-                nf = get(row | u_last) or product(t_last, u_last)
-                for p, pc in parts:
-                    pc *= c2
-                    for m, a in nf:
-                        k = p | m
-                        v = aget(k, 0) + pc * a
-                        if v:
-                            acc[k] = v
-                        else:
-                            acc.pop(k, None)
+                parts = [((p | m) << bits, pc * a) for p, pc in parts for m, a in nf]
+            for t_grade, t_last, c1 in lasts:
+                if t_grade > room - grade:
+                    break
+                if u_odd and par[t_last]:
+                    c1 = -c1
+                if not t_last:
+                    for u_last, c2 in members:
+                        c = c1 * c2
+                        for p, pc in parts:
+                            k = p | u_last
+                            v = aget(k, 0) + pc * c
+                            if v:
+                                acc[k] = v
+                            else:
+                                acc.pop(k, None)
+                    continue
+                row = t_last << bits
+                for u_last, c2 in members:
+                    nf = get(row | u_last) or product(t_last, u_last)
+                    c = c1 * c2
+                    for p, pc in parts:
+                        pc *= c
+                        for m, a in nf:
+                            k = p | m
+                            v = aget(k, 0) + pc * a
+                            if v:
+                                acc[k] = v
+                            else:
+                                acc.pop(k, None)
     return acc
 
 

@@ -118,7 +118,7 @@ def standard_r0(algebra) -> LieTensor:
     for a in cartan:
         for b in cartan:
             if inv[a][b]:
-                terms[(a, b)] = inv[a][b] / 2
+                terms[(a, b)] = Fraction(inv[a][b], 2)
     for a in pos:
         for b in range(algebra.size):
             if inv[a][b]:
@@ -129,7 +129,7 @@ def standard_r0(algebra) -> LieTensor:
 def dual_of_opposite(algebra, pos_index: int):
     """For a raising basis element e, the element dual to it under the
     supertrace form (a multiple of the opposite-root basis element), as
-    {index: Fraction}."""
+    {index: rational}."""
     inv = algebra.gram_inverse()
     row = inv[pos_index]
     return {b: c for b, c in enumerate(row) if c}

@@ -734,8 +734,9 @@ def nilpotent_series(coeffs, y, one):
 
 
 def rref(rows):
-    """Reduced row echelon form over Fraction; returns (rows, pivot_cols)."""
-    rows = [list(map(Fraction, r)) for r in rows]
+    """Reduced row echelon form over the rationals, every cell stored by
+    the rule of :func:`_exact`; returns (rows, pivot_cols)."""
+    rows = [[x if type(x) is int else _exact(Fraction(x)) for x in r] for r in rows]
     if not rows:
         return [], []
     ncols = len(rows[0])
@@ -746,12 +747,14 @@ def rref(rows):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        pr = rows[r]
+        if pr[c] != 1:
+            inv = Fraction(1, pr[c])
+            pr = rows[r] = [_exact(x * inv) if x else 0 for x in pr]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [_exact(x - f * y) if y else x for x, y in zip(rows[i], pr)]
         pivots.append(c)
         r += 1
         if r == len(rows):

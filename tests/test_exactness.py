@@ -9,12 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osptwist.algebra import build_osp
+from osptwist.algebra import OspAlgebra, build_osp, invert_fraction_matrix
 from osptwist.pbw import UEElement
 from osptwist.repmat import GradedMatrix, embed_legs, kron
+from osptwist.rmatrix import LieTensor, casimir_tensor, standard_r0
 from osptwist.scalars import (
     LaurentSeries,
     Poly,
+    rref,
     taylor_exp,
     taylor_geometric,
 )
@@ -263,3 +265,102 @@ def test_rep_image_over_a_denominator_is_exact():
         Fraction(1, 3)
     )
     assert dense(m) == dense(want)
+
+
+# -- row reduction: a Fraction-only oracle ------------------------------------
+
+
+def o_rref(rows):
+    """Gauss-Jordan elimination with every cell a Fraction."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def grids(square=False):
+    """Row lists of int and Fraction cells, zero-rich, up to 4 x 5."""
+    cell = st.one_of(st.just(0), rationals)
+    shape = st.integers(1, 4).flatmap(
+        lambda m: st.tuples(st.just(m), st.just(m) if square else st.integers(1, 5))
+    )
+    return shape.flatmap(
+        lambda mn: st.lists(
+            st.lists(cell, min_size=mn[1], max_size=mn[1]),
+            min_size=mn[0], max_size=mn[0],
+        )
+    )
+
+
+@given(grids())
+@settings(max_examples=80, deadline=None)
+def test_rref_keeps_the_rule(rows):
+    got, pivots = rref(rows)
+    assert all(stored_by_the_rule(row) for row in got)
+    assert (got, pivots) == o_rref(rows)
+
+
+@given(grids(square=True))
+@settings(max_examples=80, deadline=None)
+def test_inverse_keeps_the_rule(rows):
+    m = len(rows)
+    if len(o_rref(rows)[1]) < m:
+        with pytest.raises(ValueError):
+            invert_fraction_matrix(rows)
+        return
+    inv = invert_fraction_matrix(rows)
+    assert all(stored_by_the_rule(row) for row in inv)
+    assert o_mul([[Fraction(x) for x in row] for row in rows], inv) == o_eye(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gram_inverse_and_standard_r0_are_exact(n):
+    """The Gram inverse follows the rule, and the Cartan block of r0 is an
+    exact half of it: r0 + flip(r0) is the invariant two-tensor, and r0
+    equals the tensor built from the Fraction-only inverse."""
+    alg = build_osp(n)
+    inv = alg.gram_inverse()
+    assert all(stored_by_the_rule(row) for row in inv)
+    oracle = [row[alg.size:] for row in o_rref(
+        [list(row) + [int(i == j) for j in range(alg.size)]
+         for i, row in enumerate(alg.gram())]
+    )[0]]
+    assert inv == oracle
+    r0 = standard_r0(alg)
+    assert all(type(c) is Fraction for c in r0.terms.values())
+    assert r0 + r0.flip() == casimir_tensor(alg)
+    cartan, pos = alg.cartan_indices(), alg.positive_indices()
+    want: dict = {}
+    for a in cartan:
+        for b in cartan:
+            want[a, b] = oracle[a][b] / 2
+    for a in pos:
+        for b in range(alg.size):
+            want[a, b] = want.get((a, b), 0) + oracle[a][b]
+    assert r0 == LieTensor(alg, 2, want)
+
+
+def test_standard_r0_halves_an_int_cell_exactly():
+    """Every nonzero Cartan cell of the Gram inverse is 1/2 at n = 1...4, so
+    no rank above makes standard_r0 halve an int: a fresh algebra whose
+    inverse is doubled (Cartan cells 1) does."""
+    alg = OspAlgebra(2)
+    doubled = [[Fraction(2 * x) for x in row] for row in build_osp(2).gram_inverse()]
+    alg._gram_inv = [
+        [x.numerator if x.denominator == 1 else x for x in row] for row in doubled
+    ]
+    h = alg.cartan_indices()[0]
+    assert type(alg.gram_inverse()[h][h]) is int
+    r0 = standard_r0(alg)
+    assert all(type(c) is Fraction for c in r0.terms.values())
+    assert r0.terms[(h, h)] == Fraction(1, 2)

@@ -589,6 +589,66 @@ def test_product_kernel_matches_reference(case):
         assert {(m,): c for m, c in (ea * eb).terms.items()} == got.terms
 
 
+def _last_legs(alg):
+    """Last-leg monomials of every grade: the unit, each letter (odd ones
+    and negative-grade ones among them) and the products of two distinct
+    odd letters."""
+    odd = [ix for ix in range(alg.size) if alg.parity(ix)]
+    return [()] + [(ix,) for ix in range(alg.size)] + [
+        _normal_monomial(alg, w) for w in itertools.combinations(odd, 2)
+    ]
+
+
+@st.composite
+def _shared_heads(draw, alg, legs):
+    """1-3 heads, each with 2-4 last legs of different grades, so that
+    several terms share each head and a cap can fall between them."""
+    kind = draw(st.sampled_from(("fraction", "int", "poly")))
+    odd = [ix for ix in range(alg.size) if alg.parity(ix)]
+    letter = st.one_of(st.sampled_from(odd), st.integers(0, alg.size - 1))
+    mono = st.lists(letter, max_size=2).map(lambda w: _normal_monomial(alg, w))
+    lasts = st.lists(
+        st.sampled_from(_last_legs(alg)), min_size=2, max_size=4,
+        unique_by=lambda m: sum(map(alg.g2, m)),
+    )
+    terms = {}
+    for head in draw(st.lists(st.tuples(*[mono] * (legs - 1)), min_size=1,
+                              max_size=3, unique=True)):
+        for m in draw(lasts):
+            terms[head + (m,)] = draw(_coefficient(kind))
+    return terms
+
+
+@st.composite
+def shared_head_products(draw):
+    """Two 2- or 3-leg operands whose terms share heads, and a cap at or
+    just below the grade of a drawn pair of terms, or none."""
+    alg = ALGEBRAS[draw(st.sampled_from((1, 2)))]
+    legs = draw(st.integers(2, 3))
+    lt, rt = draw(_shared_heads(alg, legs)), draw(_shared_heads(alg, legs))
+
+    def grade(key):
+        return sum(alg.g2(x) for m in key for x in m)
+
+    pair = grade(draw(st.sampled_from(sorted(lt)))) + grade(
+        draw(st.sampled_from(sorted(rt)))
+    )
+    cap = draw(st.one_of(st.none(), st.sampled_from((pair, pair - 1))))
+    return alg, legs, UETensor(alg, lt, legs, cap), UETensor(alg, rt, legs)
+
+
+@given(shared_head_products())
+@settings(max_examples=150, deadline=None)
+def test_product_kernel_with_shared_heads_matches_reference(case):
+    """Left terms that share a head are walked together in last-leg grade
+    order; the products, and their difference formed in one accumulator,
+    are the reference loop's."""
+    alg, legs, a, b = case
+    ab, ba = _expected(case), _expected((alg, legs, b, a))
+    assert a * b == ab and b * a == ba
+    assert pbw.product_difference(a, b, b, a) == ab - ba
+
+
 @given(products())
 @settings(max_examples=60, deadline=None)
 def test_sum_and_difference_match_public_constructor(case):
@@ -820,15 +880,21 @@ def test_chain_objects_match_golden_digests():
     """F, its inverse, R, the product F12 (cop (x) id)(F) and the cocycle
     residual at n=2, degree 5: term counts and digests of the decoded
     terms, recorded with the Fraction-valued storage that preceded the
-    packed one."""
+    packed one.  R R was recorded with the product kernel that walked the
+    left operand term by term, before it grouped left terms by head."""
     f = tws.full_chain(ALG, 5)
-    el = f.element
+    el, r = f.element, qt.universal_R(f).element
     objects = {
         "F": el,
         "F^-1": f.inverse,
-        "R": qt.universal_R(f).element,
+        "R": r,
         "F12 (cop x id)F": el.embed((1, 2), 3) * el.coproduct_leg(1),
         "cocycle residual": tws.cocycle_residual(f),
+        # the cocycle identity makes this the product above; its left
+        # operand shares heads (F's first leg) across many terms
+        "F23 (id x cop)F": el.embed((2, 3), 3) * el.coproduct_leg(2),
+        # both operands share heads
+        "R R": r * r,
     }
     golden = {
         "F": (1838, "a2e93d38ed3b0ccf0ae74ef2d3b4c895d0be136ffd5abb942c170b6aa70a07f0"),
@@ -836,7 +902,9 @@ def test_chain_objects_match_golden_digests():
         "R": (8019, "401615722fb413ca0f28f247fca19adb0c9927fe055d4905e1b0b8d3aa6b828f"),
         "F12 (cop x id)F": (51264, "62c7de3a29b7cc64f06d0b2d314da3009e39b7716ace3132f34d6e668feda447"),
         "cocycle residual": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "R R": (10564, "7cc4eb330c3f664fc0d772218f25608575e2c0a70a32d2726aa6e3ed8fb395ae"),
     }
+    golden["F23 (id x cop)F"] = golden["F12 (cop x id)F"]
     got = {name: (len(t.terms), _digest(t)) for name, t in objects.items()}
     assert got == golden
 
