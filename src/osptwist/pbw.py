@@ -82,7 +82,7 @@ from bisect import bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -1312,8 +1312,8 @@ def _split_constant(x):
 
 def ue_series(stream, x):
     """sum_k a_k * x**k for a grade-positive truncated x with zero constant
-    term, where ``stream(count)`` lists the Taylor coefficients a_0, ...,
-    a_(count-1) (``scalars.taylor_exp`` and its siblings).  The cap of x
+    term, where ``stream()`` iterates over the Taylor coefficients a_0,
+    a_1, ... (``scalars.taylor_exp`` and its siblings).  The cap of x
     fixes the count: powers beyond it vanish."""
     c0, rest = _split_constant(x)
     if c0:
@@ -1327,7 +1327,7 @@ def ue_series(stream, x):
             "strictly positive grade (grade-0 letters such as Cartan or "
             "grade-0 root vectors would make the series non-terminating)"
         )
-    return nilpotent_series(stream(x.g2cap + 2), rest, x.one_like())
+    return nilpotent_series(islice(stream(), x.g2cap + 2), rest, x.one_like())
 
 
 def ue_exp(x):

@@ -35,6 +35,7 @@ vanishing power.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .errors import LegMismatch, NotNilpotent
 from .scalars import Ring, _exact, nilpotent_series, taylor_exp, taylor_log1p
@@ -193,10 +194,10 @@ class GradedMatrix(Ring):
         return n.series(taylor_log1p)
 
     def series(self, stream) -> "GradedMatrix":
-        """sum_k a_k A**k for ``stream(count)`` listing a_0, ...,
-        a_(count-1); for a nilpotent A, A**dim vanishes, so dim
-        coefficients reach a vanishing power."""
-        return nilpotent_series(stream(self.dim), self, self.one_like())
+        """sum_k a_k A**k for ``stream()`` iterating over a_0, a_1, ...;
+        for a nilpotent A, A**dim vanishes, so the first dim coefficients
+        reach a vanishing power, and only those up to it are formed."""
+        return nilpotent_series(islice(stream(), self.dim), self, self.one_like())
 
     # -- display -----------------------------------------------------------------
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, count, cycle, islice
 
 from .errors import (
     ConstantTermPresent,
@@ -281,6 +282,10 @@ class Poly(Ring):
         return Poly(self.vars, {e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
+            if not other:
+                return Poly.zero()
+            return Poly(self.vars, {e: c * other for e, c in self.coeffs.items()})
         o = Poly._coerce(other)
         if o is None:
             return NotImplemented
@@ -663,44 +668,44 @@ def _hold(series, var, poly, order):
 
 
 # --------------------------------------------------------------------------
-# Classical Taylor coefficient streams (exact, as Fraction lists)
+# Classical Taylor coefficient streams (exact Fractions)
 # --------------------------------------------------------------------------
 
 
-def taylor_exp(num_terms: int):
+def _take(coeffs, num_terms):
+    """A stream's first ``num_terms`` coefficients as a list, or with no
+    count the endless iterator, so a series draws only what it uses."""
+    return coeffs if num_terms is None else list(islice(coeffs, num_terms))
+
+
+def taylor_exp(num_terms=None):
     """[1, 1, 1/2, 1/6, ...]: coefficients of exp(x)."""
-    out, c = [], Fraction(1)
-    for k in range(num_terms):
-        out.append(c)
-        c /= k + 1
-    return out
+    coeffs = accumulate(count(1), lambda c, k: c / k, initial=Fraction(1))
+    return _take(coeffs, num_terms)
 
 
-def taylor_log1p(num_terms: int):
+def taylor_log1p(num_terms=None):
     """[0, 1, -1/2, 1/3, ...]: coefficients of log(1 + x)."""
-    return [
-        Fraction(0) if k == 0 else Fraction((-1) ** (k + 1), k)
-        for k in range(num_terms)
-    ]
+    coeffs = (Fraction((-1) ** (k + 1), k) if k else Fraction(0) for k in count())
+    return _take(coeffs, num_terms)
 
 
-def taylor_geometric(num_terms: int):
+def taylor_geometric(num_terms=None):
     """[1, -1, 1, ...]: coefficients of 1/(1 + x)."""
-    return [Fraction((-1) ** k) for k in range(num_terms)]
+    return _take(cycle((Fraction(1), Fraction(-1))), num_terms)
 
 
-def taylor_binomial(alpha, num_terms: int):
+def taylor_binomial(alpha, num_terms=None):
     """Coefficients of (1 + x)**alpha for rational alpha."""
     a = _fr(alpha)
     if a is None:
         raise IrrationalExpansionPoint(
             "binomial exponent must be rational, got %r" % (alpha,)
         )
-    out, c = [], Fraction(1)
-    for k in range(num_terms):
-        out.append(c)
-        c = c * (a - k) / (k + 1)
-    return out
+    coeffs = accumulate(
+        count(), lambda c, k: c * (a - k) / (k + 1), initial=Fraction(1)
+    )
+    return _take(coeffs, num_terms)
 
 
 # --------------------------------------------------------------------------
@@ -718,9 +723,10 @@ def nilpotent_series(coeffs, y, one):
     by one of the Taylor streams above.  Powers of y are formed one at a
     time and the sum stops at the first power that vanishes, or when
     ``coeffs`` runs out, so the powers are running products, not calls
-    of ``**`` (:meth:`Ring.__pow__`), which serves a single ``y**k``.  The caller picks
-    enough coefficients: for a nilpotent y, as many as its nilpotency
-    bound; for a truncated series, as many as its order."""
+    of ``**`` (:meth:`Ring.__pow__`), which serves a single ``y**k``.  The caller bounds
+    ``coeffs`` by enough of them: for a nilpotent y, its nilpotency bound;
+    for a truncated series, its order.  They are read one at a time, so a
+    lazy stream builds none past the vanishing power."""
     coeffs = iter(coeffs)
     acc = next(coeffs, 0) * one
     y_k = one

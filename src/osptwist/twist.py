@@ -36,8 +36,11 @@ The two rings:
   ingredients of the summed assignment (each generator sent to its total
   coproduct image) are the coproducts of the ingredients -- which is what
   makes the cocycle sides computable without touching the enveloping
-  algebra at all.  All matrix series terminate (nilpotency), so those
-  certificates are exact.
+  algebra at all.  The matrix cocycle residual assigns each leg set of
+  rho^(x)3 once, so both coproduct sides share the sum over all three
+  legs, and its F12 and F23 are the chain on rho^(x)2 embedded in two
+  legs.  All matrix series terminate (nilpotency), so those certificates
+  are exact.
 
 The two arithmetic engines stay separate, so each is the other's oracle.
 
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial, wraps
+from itertools import islice
 
 from .algebra import OspAlgebra
 from .errors import LegMismatch, MissingAlias
@@ -243,7 +247,7 @@ class _Ingredients(_Link):
         # sigma/X+ := 1/2 sum_k (-X+)^k/(k+1) has a constant term, which is
         # why it is defined by this series rather than as a quotient;
         # over_x below is twice it
-        over_x = self.gen("X+").series(lambda n: taylor_log1p(n + 1)[1:])
+        over_x = self.gen("X+").series(lambda: islice(taylor_log1p(), 1, None))
         c = (self.gen("Z+") * self.gen("U+") * over_x).scale(Fraction(-1, 4))
         return c.exp(), (-c).exp()
 
@@ -484,13 +488,14 @@ def rep_leg(algebra: OspAlgebra, leg: int, total: int) -> RepAssignment:
 class _RepPair:
     """The factor context at the matrix level: the first tensor slot sent
     through assignment ``a``, the second through ``b``; coproducts are the
-    ingredients of the summed assignment a+b, which sends each generator
-    to its undeformed-coproduct image.  Factors and their inverses are
-    memoized, so a chain shares the factors it repeats."""
+    ingredients of the summed assignment ``total``, which sends each
+    generator to its undeformed-coproduct image (a+b unless the caller
+    shares one it holds).  Factors and their inverses are memoized, so a
+    chain shares the factors it repeats."""
 
-    def __init__(self, a: RepAssignment, b: RepAssignment):
+    def __init__(self, a: RepAssignment, b: RepAssignment, total=None):
         self.slots = (a, b)
-        self.total = a + b
+        self.total = a + b if total is None else total
         self._made: dict = {}
 
     def tensor(self, x: GradedMatrix, y: GradedMatrix) -> GradedMatrix:
@@ -524,28 +529,35 @@ def rep_factor(
     return _RepPair(a, b).factor(kind)
 
 
-def rep_chain(kinds, a: RepAssignment, b: RepAssignment) -> GradedMatrix:
+def rep_chain(kinds, a, b, total=None) -> GradedMatrix:
     """Product of factor matrices in the listed order; repeated kinds in
-    one call (the second link conjugates by the first chain) are shared."""
-    pair = _RepPair(a, b)
+    one call (the second link conjugates by the first chain) are shared.
+    ``total`` is the summed assignment a+b, when the caller has it."""
+    pair = _RepPair(a, b, total)
     return _product([pair.factor(k) for k in kinds])
 
 
 def rep_cocycle_residual(algebra: OspAlgebra, kinds) -> GradedMatrix:
     """Exact matrix form of the cocycle residual in rho^(x)3 for the chain
-    with the given factor kinds (product in listed order).  The summed
-    assignment of two legs is the undeformed-coproduct image on them."""
-    l1 = rep_leg(algebra, 1, 3)
-    l2 = rep_leg(algebra, 2, 3)
-    l3 = rep_leg(algebra, 3, 3)
-    f12 = rep_chain(kinds, l1, l2)
-    f23 = rep_chain(kinds, l2, l3)
-    cop_left = rep_chain(kinds, l1 + l2, l3)
-    cop_right = rep_chain(kinds, l1, l2 + l3)
+    with the given factor kinds (product in listed order).  F12 and F23
+    are the chain on rho^(x)2 (:func:`rep_twist_matrix`) embedded in legs
+    (1,2) and (2,3).  The coproduct sides put the summed assignment of two
+    legs, their undeformed-coproduct image, in one slot; each leg set is
+    assigned once per call, and both sides take their coproducts from the
+    one sum over all three legs."""
+    l1, l2, l3 = (rep_leg(algebra, leg, 3) for leg in (1, 2, 3))
+    l12, l23 = l1 + l2, l2 + l3
+    l123 = l12 + l3
+    f = rep_twist_matrix(algebra, kinds)
+    f12 = embed_legs(f, algebra.pv, (1, 2), 3)
+    f23 = embed_legs(f, algebra.pv, (2, 3), 3)
+    cop_left = rep_chain(kinds, l12, l3, l123)
+    cop_right = rep_chain(kinds, l1, l23, l123)
     return f12 @ cop_left - f23 @ cop_right
 
 
 def rep_twist_matrix(algebra: OspAlgebra, kinds) -> GradedMatrix:
     """The chain as an exact matrix on two legs (independent of the
-    enveloping-algebra construction; used as the oracle)."""
+    enveloping-algebra construction; the oracle of the truncated chain,
+    and the F12 and F23 of :func:`rep_cocycle_residual`)."""
     return rep_chain(kinds, rep_leg(algebra, 1, 2), rep_leg(algebra, 2, 2))

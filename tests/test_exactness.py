@@ -186,6 +186,38 @@ def test_poly_operations_keep_the_rule(s, t):
         assert read(got) == want
 
 
+scalars = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1), Fraction(6, 3)]),
+    rationals,
+)
+orders = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
+
+
+@given(polys(), scalars, st.integers(min_value=-1, max_value=1), orders)
+@settings(max_examples=80, deadline=None)
+def test_poly_times_a_rational_keeps_the_rule(s, c, m, order):
+    """A rational on either side scales the coefficients: the product
+    equals the one by the constant Poly, keeps the rule and hashes like
+    it, and a zero scalar gives the zero Poly.  A LaurentSeries, whose
+    terms are built by such products, scales as before."""
+    p = to_poly(s)
+    got = p * c
+    assert got == c * p == p * Poly.const(c)
+    assert hash(got) == hash(c * p) == hash(p * Poly.const(c))
+    assert stored_by_the_rule(got.coeffs.values())
+    assert read(got) == {e: v * c for e, v in o_poly(s).items() if c}
+    assert got.is_zero if not c else got.vars == p.vars
+    with pytest.raises(TypeError):
+        p * True
+    cs = [c, 1, -c]
+    series = LaurentSeries("q", m, cs, order)
+    known = {(k,): v for k, v in enumerate(cs, m) if order is None or k < order}
+    assert read(series.poly, ("q",)) == {k: v for k, v in known.items() if v}
+    assert series * c == c * series == LaurentSeries.from_poly(
+        series.poly * Poly.const(c), "q", order if c else None
+    )
+
+
 @given(
     st.integers(min_value=-2, max_value=2),
     st.integers(min_value=0, max_value=2),

@@ -10,7 +10,7 @@ from osptwist.algebra import build_osp
 from osptwist.errors import DivisionByNonUnit, NotNilpotent
 from osptwist.pbw import UEElement, UETensor
 from osptwist.repmat import GradedMatrix, kron, kron_all, embed_legs, tensor_pv
-from osptwist.scalars import LaurentSeries, Poly
+from osptwist.scalars import LaurentSeries, Poly, taylor_exp
 
 
 PV = (0, 0, 1, 0, 0)  # the five-dimensional graded space used throughout
@@ -169,6 +169,26 @@ def test_nilpotent_exp_log_roundtrip():
     U = N.exp_nilpotent()
     assert U.log_unipotent() == N
     assert U @ (-N).exp_nilpotent() == GradedMatrix.identity(PV)
+
+
+def test_series_draws_only_the_coefficients_it_uses():
+    """On the 125-dim cube a nilpotent N with N**3 = 0 reads a_0 ... a_3
+    from a lazy stream, not dim coefficients; a non-nilpotent matrix
+    still stops after dim of them."""
+    drawn = []
+
+    def stream():
+        for c in taylor_exp():
+            drawn.append(c)
+            yield c
+
+    pv = tensor_pv(PV, 3)
+    n = unit(pv, 0, 1) + unit(pv, 1, 2)
+    assert n.series(stream) == n.exp_nilpotent()
+    assert len(drawn) == 4
+    drawn.clear()
+    GradedMatrix.identity(PV).series(stream)
+    assert len(drawn) == len(PV)
 
 
 def test_exp_rejects_non_nilpotent():

@@ -1,6 +1,8 @@
 """Exact scalar towers: multivariate polynomials and Laurent series."""
 
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -367,6 +369,17 @@ def test_taylor_tables():
     assert taylor_binomial(Fraction(1, 2), 4) == [
         Fraction(1), Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)
     ]
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [taylor_exp, taylor_log1p, taylor_geometric, partial(taylor_binomial, Fraction(-1, 2))],
+)
+def test_taylor_stream_without_a_count_is_the_lazy_list(stream):
+    lazy = stream()
+    assert not isinstance(lazy, list)
+    assert list(islice(lazy, 7)) == stream(7)
+    assert all(type(c) is Fraction for c in stream(7))
 
 
 def test_taylor_binomial_rejects_irrational_point():

@@ -28,6 +28,7 @@ from osptwist.twist import (
     primitive_part,
     rep_cocycle_residual,
     rep_twist_matrix,
+    ESJ_KINDS,
     FACTOR_KINDS,
     FULL_CHAIN_KINDS,
 )
@@ -322,6 +323,44 @@ def test_rep_tilde_generators_match_closed_forms():
         assert a.w_tilde() == a.w_tilde_closed()
     assert summed.y_tilde() != summed.gen("Y+")
     assert summed.w_tilde() != summed.gen("w+")
+
+
+REP_CHAINS = (("jordanian",), ESJ_KINDS, FULL_CHAIN_KINDS)
+
+
+@pytest.mark.parametrize("kinds", REP_CHAINS)
+def test_embedded_square_chain_is_the_cube_chain(kinds):
+    """Oracle for the F12 and F23 of the matrix cocycle: the chain built
+    on two legs of rho^(x)3 equals the chain built on rho^(x)2 and
+    embedded in those legs."""
+    l1, l2, l3 = (tws.rep_leg(ALG, leg, 3) for leg in (1, 2, 3))
+    square = rep_twist_matrix(ALG, kinds)
+    assert tws.rep_chain(kinds, l1, l2) == embed_legs(square, ALG.pv, (1, 2), 3)
+    assert tws.rep_chain(kinds, l2, l3) == embed_legs(square, ALG.pv, (2, 3), 3)
+
+
+@pytest.mark.parametrize("kinds", REP_CHAINS)
+def test_doubled_square_chain_entry_fails_the_rep_cocycle(monkeypatch, kinds):
+    """Negative control for the embedded F12 and F23: doubling one
+    off-diagonal entry of the square chain breaks the matrix cocycle."""
+    square = rep_twist_matrix(ALG, kinds)
+    ij = min(ij for ij in square.entries if ij[0] != ij[1])
+    bad = GradedMatrix(square.pv, {**square.entries, ij: 2 * square[ij]})
+    monkeypatch.setattr(tws, "rep_twist_matrix", lambda alg, k: bad)
+    assert not rep_cocycle_residual(ALG, kinds).is_zero
+
+
+def test_rep_cocycle_leaves_no_cache_on_the_algebra():
+    """The assignments a matrix cocycle shares live for one call: a fresh
+    algebra instance gains no attribute and no cache entry."""
+    alg = OspAlgebra(2)
+
+    def state():
+        return {k: len(v) if isinstance(v, dict) else v for k, v in vars(alg).items()}
+
+    before = state()
+    assert rep_cocycle_residual(alg, FULL_CHAIN_KINDS).is_zero
+    assert state() == before
 
 
 def test_corrupted_ingredient_fails_at_both_levels(monkeypatch):
