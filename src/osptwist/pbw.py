@@ -40,10 +40,12 @@ terminate otherwise) and a grade-positive argument.
 Coefficients.  An element or tensor stores one dict from packed keys to
 coefficients: a key packs the table ids of its leg monomials into one int
 (``_ID_BITS`` bits per leg, the first leg highest), and an element is the
-one-leg case.  Rational coefficients are int numerators over one positive
-int denominator ``den``, kept canonical (den and the numerators have no
-common factor), so equal objects have equal dicts and denominators.  Poly
-and LaurentSeries coefficients are kept as they are, with ``den`` None.
+one-leg case.  The coefficients are stored by the rule that the matrices
+of :mod:`~osptwist.repmat` share (:func:`~osptwist.scalars._stored`):
+rational ones as int numerators over one positive int denominator
+``den``, kept canonical (den and the numerators have no common factor),
+so equal objects have equal dicts and denominators; Poly and
+LaurentSeries ones as they are, with ``den`` None.
 Products, sums, coproducts and the leg maps (flip, embedding, counit)
 work on the packed ints directly; ``.terms`` is a read-only view that
 decodes keys to the class's public shape (tuples of monomials, or of basis
@@ -83,7 +85,7 @@ from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from functools import partial
 from itertools import islice, repeat
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter
 
 from .errors import (
@@ -93,14 +95,17 @@ from .errors import (
     IrrationalExpansionPoint,
     MixedAlgebra,
 )
-from .repmat import GradedMatrix, kron, tensor_pv
+from .repmat import GradedMatrix, combination, kron, tensor_pv
 from .scalars import (
     LaurentSeries,
     Poly,
     Ring,
+    _canonical,
+    _clean,
     _exact,
     _fr,
     _omin,
+    _stored,
     fraction_sqrt,
     nilpotent_series,
     taylor_binomial,
@@ -371,40 +376,8 @@ def format_monomial(alg, mono) -> str:
 
 
 # --------------------------------------------------------------------------
-# Coefficient storage and the product kernel
+# The product kernel
 # --------------------------------------------------------------------------
-
-
-def _canonical(data, den):
-    """(data, den) with the common factor of ``den`` and every numerator
-    divided out; ``data`` is divided in place.  An empty dict gets den 1."""
-    g = gcd(den, *data.values())
-    if g != 1:
-        for k, v in data.items():
-            data[k] = v // g
-        den //= g
-    return data, den
-
-
-def _stored(data):
-    """(data, den) for a {key: scalar} dict.  When every scalar is
-    rational: int numerators over their least common denominator, which
-    is already canonical (a prime of the lcm divides one denominator to
-    its full power, and that numerator is prime to it).  Otherwise the
-    nonzero scalars as they are, int ones made Fractions, and den None."""
-    values = data.values()
-    if all(isinstance(v, (int, Fraction)) for v in values):
-        den = lcm(*[v.denominator for v in values])
-        return {
-            k: v.numerator * (den // v.denominator)
-            for k, v in data.items()
-            if v
-        }, den
-    return {
-        k: Fraction(v) if isinstance(v, int) else v
-        for k, v in data.items()
-        if v
-    }, None
 
 
 def _mul(table, left, right, legs, cap, acc=None):
@@ -509,13 +482,6 @@ def _mul(table, left, right, legs, cap, acc=None):
     return acc
 
 
-def _clean(data, den):
-    """(data, den) for a zero-free dict of coefficients stored over
-    ``den``: canonical when ``den`` is an int, re-stored when it is None
-    (so a rational remainder gets an int denominator)."""
-    return _stored(data) if den is None else _canonical(data, den)
-
-
 def _products(pairs):
     """sum sign * x * y over (sign, x, y) triples of checked operands (one
     kind, one algebra, one number of legs), each product cut at the
@@ -581,28 +547,23 @@ def _rep_image(t) -> GradedMatrix:
     """The image of an element or tensor (a LieTensor too) under the
     defining representation on every leg, formed leg by leg: the sum over
     the first-leg monomials m of rho(m) (x) (the image of what multiplies
-    m), skipping every m whose image is zero."""
+    m), skipping every m whose image is zero.  The stored coefficients go
+    to the matrix as they are: int numerators over ``den``, or scalars."""
     alg = t.algebra
-    out: dict = {}
     if t.legs is None or t.legs == 1:
         monos = pbw_table(alg).monos
-        for i, c in t.data.items():
-            for ij, x in alg.monomial_matrix(monos[i]).entries.items():
-                out[ij] = out.get(ij, 0) + c * x
-        if t.den is not None and t.den != 1:
-            out = {ij: Fraction(x, t.den) for ij, x in out.items()}
-        return GradedMatrix(alg.pv, out)
+        pairs = [(c, alg.monomial_matrix(monos[i])) for i, c in t.data.items()]
+        return combination(alg.pv, pairs, t.den)
     # a LieTensor stores UETensor keys, so UETensor's split serves it too
+    pairs = []
     for mono, rest in UETensor.split_first_leg(t).items():
         first = alg.monomial_matrix(mono)
         if first.is_zero:
             continue
         inner = _rep_image(rest)
-        if inner.is_zero:
-            continue
-        for ij, x in kron(first, inner).entries.items():
-            out[ij] = out.get(ij, 0) + x
-    return GradedMatrix(tensor_pv(alg.pv, t.legs), out)
+        if not inner.is_zero:
+            pairs.append((1, kron(first, inner)))
+    return combination(tensor_pv(alg.pv, t.legs), pairs)
 
 
 # --------------------------------------------------------------------------
@@ -1362,16 +1323,17 @@ def ue_sqrt(x):
                 "square root needs a rational constant term, got %s" % c0
             )
         c0 = c0.as_fraction()
-    if not isinstance(c0, Fraction):
+    f = _fr(c0)
+    if f is None:
         raise IrrationalExpansionPoint(
             "square root needs a rational constant term, got %r" % (c0,)
         )
-    root = fraction_sqrt(c0)
+    root = fraction_sqrt(f)
     if root is None or root == 0:
         raise IrrationalExpansionPoint(
-            "constant term %s has no nonzero rational square root" % c0
+            "constant term %s has no nonzero rational square root" % f
         )
-    y = rest.scale(1 / c0)  # x = c0 (1 + y)
+    y = rest.scale(1 / f)  # x = c0 (1 + y)
     return ue_series(partial(taylor_binomial, Fraction(1, 2)), y).scale(root)
 
 

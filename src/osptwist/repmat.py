@@ -2,9 +2,18 @@
 
 A :class:`GradedMatrix` is a square matrix over the exact scalar tower
 (rational / Poly / LaurentSeries) together with the parity vector of the
-space it acts on.  A rational entry is stored by the tower's one rule
-(:func:`~osptwist.scalars._exact`): an int when it is integral, a Fraction
-otherwise.  Ordinary matrix multiplication carries no signs; all of
+space it acts on.  Its entries are stored by the rule the term algebras
+of :mod:`~osptwist.pbw` share (:func:`~osptwist.scalars._stored`): a
+rational matrix as int numerators over one positive, canonical
+denominator ``den``, a matrix with any Poly or LaurentSeries entry as its
+scalars with ``den`` None.  Only the public constructor validates; the
+products, sums, scalings, tensor products, leg embeddings, transposes and
+units build their results from the stored numerators on a trusted path,
+so rational arithmetic is int arithmetic.  Read through ``entries``,
+``[]``, ``str`` or ``==``, a rational entry is an int when it is integral
+and a Fraction otherwise (:func:`~osptwist.scalars._exact`).
+
+Ordinary matrix multiplication carries no signs; all of
 the grading enters through :func:`kron`, whose entries pick up the Koszul
 sign
 
@@ -23,7 +32,7 @@ matrices.
 These matrices are one of the two rings the twist chain's single recipe
 is evaluated over (:mod:`twist`; the other is the truncated enveloping
 algebra of :mod:`pbw`).  A :class:`GradedMatrix` is a
-:class:`~osptwist.scalars.Ring`: ``-``, ``**`` and the super commutator
+:class:`~osptwist.scalars.Ring`: ``**`` and the super commutator
 are the shared ones, with the identity as its unit (``one_like``) and no
 inverse.  Every power series on these matrices -- ``exp``, log, and
 ``series(stream)``, which serves the inverses and square roots of the
@@ -36,29 +45,49 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 from .errors import LegMismatch, NotNilpotent
-from .scalars import Ring, _exact, nilpotent_series, taylor_exp, taylor_log1p
+from .scalars import (
+    Ring,
+    _canonical,
+    _clean,
+    _exact,
+    _stored,
+    nilpotent_series,
+    taylor_exp,
+    taylor_log1p,
+)
+
+
+def _ratio(num: int, den: int):
+    """num/den by the rule of the scalar tower: an int when integral."""
+    return _exact(Fraction(num, den))
 
 
 class GradedMatrix(Ring):
-    """Square sparse matrix with a parity vector ``pv`` (0/1 per index)."""
+    """Square sparse matrix with a parity vector ``pv`` (0/1 per index).
 
-    __slots__ = ("pv", "entries")
+    ``data`` is the zero-free {(i, j): stored entry} dict over ``den``, by
+    the shared storage rule: int numerators over a positive canonical
+    ``den`` for a rational matrix, else the scalars with ``den`` None.
+    ``entries`` reads them back as scalars."""
+
+    __slots__ = ("pv", "data", "den")
 
     def __init__(self, pv, entries):
         pv = tuple(pv)
         d = len(pv)
-        cleaned = {}
-        for (i, j), c in entries.items():
+        for i, j in entries:
             if not (0 <= i < d and 0 <= j < d):
                 raise IndexError("entry (%d,%d) outside dim %d" % (i, j, d))
-            if type(c) is not int and isinstance(c, (int, Fraction)):
-                c = _exact(c)
-            if c:
-                cleaned[(i, j)] = c
-        object.__setattr__(self, "pv", pv)
-        object.__setattr__(self, "entries", cleaned)
+        _hold(self, pv, *_stored(entries))
+
+    @classmethod
+    def _wrap(cls, pv, data, den) -> "GradedMatrix":
+        """The trusted path: a matrix on the parity tuple ``pv`` holding
+        ``data`` over ``den`` that are already stored by the rule."""
+        return _hold(object.__new__(cls), pv, data, den)
 
     def __setattr__(self, *a):
         raise AttributeError("GradedMatrix is immutable")
@@ -67,11 +96,12 @@ class GradedMatrix(Ring):
 
     @classmethod
     def zero(cls, pv) -> "GradedMatrix":
-        return cls(pv, {})
+        return cls._wrap(tuple(pv), {}, 1)
 
     @classmethod
     def identity(cls, pv) -> "GradedMatrix":
-        return cls(pv, {(i, i): 1 for i in range(len(pv))})
+        pv = tuple(pv)
+        return cls._wrap(pv, {(i, i): 1 for i in range(len(pv))}, 1)
 
     # -- basics ------------------------------------------------------------
 
@@ -79,12 +109,22 @@ class GradedMatrix(Ring):
     def dim(self) -> int:
         return len(self.pv)
 
+    @property
+    def entries(self) -> dict:
+        """{(i, j): scalar} of the nonzero entries."""
+        den = self.den
+        if den is None or den == 1:
+            return self.data
+        return {ij: _ratio(v, den) for ij, v in self.data.items()}
+
     def __getitem__(self, ij):
-        return self.entries.get(ij, 0)
+        v = self.data.get(ij, 0)
+        den = self.den
+        return v if den is None or den == 1 else _ratio(v, den)
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.data
 
     def _check_space(self, other: "GradedMatrix"):
         if self.pv != other.pv:
@@ -94,18 +134,32 @@ class GradedMatrix(Ring):
         if not isinstance(other, GradedMatrix):
             return NotImplemented
         self._check_space(other)
-        out = dict(self.entries)
-        for ij, c in other.entries.items():
-            out[ij] = out.get(ij, 0) + c
-        return GradedMatrix(self.pv, out)
+        return combination(self.pv, ((1, self), (1, other)))
+
+    def __sub__(self, other):
+        # one pass, with no negated copy
+        if not isinstance(other, GradedMatrix):
+            return NotImplemented
+        self._check_space(other)
+        return combination(self.pv, ((1, self), (-1, other)))
 
     def __neg__(self):
-        return GradedMatrix(self.pv, {ij: -c for ij, c in self.entries.items()})
+        return self._wrap(
+            self.pv, {ij: -c for ij, c in self.data.items()}, self.den
+        )
 
     def scale(self, c) -> "GradedMatrix":
         if not c:
             return GradedMatrix.zero(self.pv)
-        return GradedMatrix(self.pv, {ij: c * v for ij, v in self.entries.items()})
+        if self.den is not None and isinstance(c, (int, Fraction)):
+            p = c.numerator
+            data = {ij: v * p for ij, v in self.data.items()}
+            return self._wrap(
+                self.pv, *_canonical(data, self.den * c.denominator)
+            )
+        return self._wrap(
+            self.pv, *_stored({ij: c * v for ij, v in self.entries.items()})
+        )
 
     # reached only for a scalar c: a matrix on the left multiplies itself
     __rmul__ = scale
@@ -119,18 +173,21 @@ class GradedMatrix(Ring):
         return self.matmul(other)
 
     def matmul(self, other: "GradedMatrix") -> "GradedMatrix":
-        """Plain matrix product (signs belong to kron, not to composition)."""
+        """Plain matrix product (signs belong to kron, not to composition):
+        int numerators over the product of the two denominators when both
+        matrices are rational, else scalars."""
         self._check_space(other)
+        left, right, den = _factors(self, other)
         by_row = {}
-        for (k, j), c in other.entries.items():
+        for (k, j), c in right.items():
             by_row.setdefault(k, []).append((j, c))
         out = {}
-        for (i, k), a in self.entries.items():
+        for (i, k), a in left.items():
             for j, b in by_row.get(k, ()):
                 key = (i, j)
                 cur = out.get(key)
                 out[key] = a * b if cur is None else cur + a * b
-        return GradedMatrix(self.pv, out)
+        return _summed(self.pv, out, den)
 
     def one_like(self) -> "GradedMatrix":
         return GradedMatrix.identity(self.pv)
@@ -138,7 +195,11 @@ class GradedMatrix(Ring):
     def __eq__(self, other):
         if not isinstance(other, GradedMatrix):
             return NotImplemented
-        return self.pv == other.pv and self.entries == other.entries
+        if self.pv != other.pv:
+            return False
+        if self.den is not None and other.den is not None:
+            return self.den == other.den and self.data == other.data
+        return self.entries == other.entries
 
     def __hash__(self):
         return hash((self.pv, frozenset(self.entries.items())))
@@ -148,7 +209,7 @@ class GradedMatrix(Ring):
     def parity(self):
         """0 or 1 for a homogeneous matrix (zero counts as even), None if
         the matrix mixes parities."""
-        seen = {(self.pv[i] + self.pv[j]) % 2 for (i, j) in self.entries}
+        seen = {(self.pv[i] + self.pv[j]) % 2 for (i, j) in self.data}
         if not seen:
             return 0
         if len(seen) > 1:
@@ -156,14 +217,17 @@ class GradedMatrix(Ring):
         return seen.pop()
 
     def transpose(self) -> "GradedMatrix":
-        return GradedMatrix(self.pv, {(j, i): c for (i, j), c in self.entries.items()})
+        return self._wrap(
+            self.pv, {(j, i): c for (i, j), c in self.data.items()}, self.den
+        )
 
     def supertrace(self):
         tot = 0
-        for (i, j), c in self.entries.items():
+        for (i, j), c in self.data.items():
             if i == j:
                 tot = tot + (-c if self.pv[i] else c)
-        return tot
+        den = self.den
+        return tot if den is None or den == 1 else _ratio(tot, den)
 
     # -- nilpotent calculus ----------------------------------------------------
 
@@ -211,8 +275,59 @@ class GradedMatrix(Ring):
         return "\n".join(rows)
 
     def __repr__(self):
-        nz = len(self.entries)
+        nz = len(self.data)
         return "GradedMatrix(dim=%d, nonzero=%d)" % (self.dim, nz)
+
+
+def _hold(m, pv, data, den):
+    """Fill the slots of a new matrix."""
+    object.__setattr__(m, "pv", pv)
+    object.__setattr__(m, "data", data)
+    object.__setattr__(m, "den", den)
+    return m
+
+
+def _factors(a, b):
+    """(a's entries, b's entries, their products' denominator): int
+    numerators over a.den * b.den when both matrices are rational, else
+    scalars and None."""
+    if a.den is None or b.den is None:
+        return a.entries, b.entries, None
+    return a.data, b.data, a.den * b.den
+
+
+def _summed(pv, data, den) -> GradedMatrix:
+    """The matrix of a sum formed over ``den`` (stored scalars when den is
+    None), whose entries may have cancelled to zero."""
+    if den is not None:
+        data = {ij: v for ij, v in data.items() if v}
+    return GradedMatrix._wrap(pv, *_clean(data, den))
+
+
+def combination(pv, pairs, den=1) -> GradedMatrix:
+    """sum c * m / den over (c, m) pairs of matrices on the parity tuple
+    ``pv``, in one accumulator: int c over an int ``den``, or scalars c
+    with den None.  When the c and every m are rational, the numerators
+    are summed over the lcm of the matrices' denominators."""
+    acc: dict = {}
+    get = acc.get
+    if den is not None and all(m.den is not None for _, m in pairs):
+        lcd = lcm(*[m.den for _, m in pairs])
+        for c, m in pairs:
+            f = c * (lcd // m.den)
+            for ij, v in m.data.items():
+                acc[ij] = get(ij, 0) + f * v
+        return _summed(pv, acc, den * lcd)
+    for c, m in pairs:
+        if den is not None:
+            c = _ratio(c, den)
+        values = m.entries
+        if c != 1:
+            values = {ij: c * v for ij, v in values.items()}
+        for ij, v in values.items():
+            cur = get(ij)
+            acc[ij] = v if cur is None else cur + v
+    return _summed(pv, acc, None)
 
 
 # --------------------------------------------------------------------------
@@ -224,14 +339,15 @@ def kron(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """Graded Kronecker product; see the module docstring for the sign."""
     da, db = a.dim, b.dim
     pv = tuple((pa + pb) % 2 for pa in a.pv for pb in b.pv)
+    left, right, den = _factors(a, b)
     out = {}
-    for (i, j), x in a.entries.items():
+    for (i, j), x in left.items():
         col_par = a.pv[j]
-        for (k, l), y in b.entries.items():
+        for (k, l), y in right.items():
             sign = -1 if col_par and (b.pv[k] + b.pv[l]) % 2 else 1
             v = x * y
             out[(i * db + k, j * db + l)] = -v if sign < 0 else v
-    return GradedMatrix(pv, out)
+    return _summed(pv, out, den)
 
 
 def kron_all(mats) -> GradedMatrix:
@@ -294,7 +410,7 @@ def embed_legs(m: GradedMatrix, pv, legs, total: int) -> GradedMatrix:
     free_assignments = [[]]
     for _ in free:
         free_assignments = [fa + [x] for fa in free_assignments for x in range(d)]
-    for (flat_i, flat_j), c in m.entries.items():
+    for (flat_i, flat_j), c in m.data.items():
         rows = _decode(flat_i, d, k)
         cols = _decode(flat_j, d, k)
         for fa in free_assignments:
@@ -320,4 +436,4 @@ def embed_legs(m: GradedMatrix, pv, legs, total: int) -> GradedMatrix:
             val = -c if sgn % 2 else c
             cur = out.get((fi, fj))
             out[(fi, fj)] = val if cur is None else cur + val
-    return GradedMatrix(tensor_pv(pv, total), out)
+    return _summed(tensor_pv(pv, total), out, m.den)

@@ -64,6 +64,59 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
+# --------------------------------------------------------------------------
+# The one storage rule of the sparse objects
+# --------------------------------------------------------------------------
+#
+# The term algebras of :mod:`~osptwist.pbw` and the matrices of
+# :mod:`~osptwist.repmat` store a {key: scalar} dict as (data, den): int
+# numerators over one positive canonical den (no common factor, so equal
+# objects store alike) when every scalar is rational, else the scalars,
+# a rational among them by :func:`_exact`, with den None.
+
+
+def _canonical(data, den):
+    """(data, den) with the common factor of ``den`` and every numerator
+    of the zero-free ``data`` divided out; ``data`` is divided in place.
+    An empty dict gets den 1."""
+    if den == 1:
+        return data, den
+    g = math.gcd(den, *data.values())
+    if g != 1:
+        for k, v in data.items():
+            data[k] = v // g
+        den //= g
+    return data, den
+
+
+def _stored(data):
+    """(data, den) for a {key: scalar} dict, zeros dropped.  When every
+    scalar is rational: int numerators over their least common
+    denominator, which is already canonical (a prime of the lcm divides
+    one denominator to its full power, and that numerator is prime to
+    it).  Otherwise the nonzero scalars, and den None."""
+    values = data.values()
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        den = math.lcm(*[v.denominator for v in values])
+        return {
+            k: v.numerator * (den // v.denominator)
+            for k, v in data.items()
+            if v
+        }, den
+    return {
+        k: _exact(v) if isinstance(v, (int, Fraction)) else v
+        for k, v in data.items()
+        if v
+    }, None
+
+
+def _clean(data, den):
+    """(data, den) for a zero-free dict of coefficients stored over
+    ``den``: canonical when ``den`` is an int, re-stored when it is None
+    (so a rational remainder gets an int denominator)."""
+    return _stored(data) if den is None else _canonical(data, den)
+
+
 class Ring:
     """The operations every ring of the package shares, written once.
 
@@ -160,9 +213,15 @@ class Poly(Ring):
                     for e, c in cleaned.items()
                 }
                 vs = vs2
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "_hash", None)
+        _hold_poly(self, vs, cleaned)
+
+    @classmethod
+    def _wrap(cls, variables, coeffs) -> "Poly":
+        """The trusted path: a Poly holding ``coeffs`` that are already
+        stored by the rule and zero-free, over ``variables`` that all
+        occur, so no variable is scanned (a nonzero rational scaling or a
+        negation keeps every monomial)."""
+        return _hold_poly(object.__new__(cls), variables, coeffs)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("Poly is immutable")
@@ -171,7 +230,7 @@ class Poly(Ring):
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls((), {})
+        return cls._wrap((), {})
 
     @classmethod
     def const(cls, c) -> "Poly":
@@ -187,6 +246,8 @@ class Poly(Ring):
     def _coerce(x):
         if isinstance(x, Poly):
             return x
+        if type(x) is int:
+            return Poly.const(x)
         f = _fr(x)
         if f is not None:
             return Poly.const(f)
@@ -279,13 +340,15 @@ class Poly(Ring):
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.coeffs.items()})
+        return Poly._wrap(self.vars, {e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)) and type(other) is not bool:
             if not other:
                 return Poly.zero()
-            return Poly(self.vars, {e: c * other for e, c in self.coeffs.items()})
+            return Poly._wrap(
+                self.vars, {e: _exact(c * other) for e, c in self.coeffs.items()}
+            )
         o = Poly._coerce(other)
         if o is None:
             return NotImplemented
@@ -372,6 +435,14 @@ class Poly(Ring):
 
     def __repr__(self):
         return "Poly(%s)" % self
+
+
+def _hold_poly(poly, variables, coeffs):
+    """Fill the slots of a new Poly."""
+    object.__setattr__(poly, "vars", variables)
+    object.__setattr__(poly, "coeffs", coeffs)
+    object.__setattr__(poly, "_hash", None)
+    return poly
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ Fraction inputs, its stored scalars are checked against the rule and its
 result against an oracle written with Fractions only."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,9 @@ rationals = st.one_of(
     st.fractions(min_value=-4, max_value=4, max_denominator=4),
 )
 nonzero = rationals.filter(bool)
+nonintegral = st.fractions(
+    min_value=-4, max_value=4, max_denominator=6
+).filter(lambda f: f.denominator != 1)
 
 
 def stored_by_the_rule(values):
@@ -94,21 +98,108 @@ def matrices(strict_upper=False):
     )
 
 
+def fresh(m: GradedMatrix):
+    """The same entries passed through the public constructor."""
+    return GradedMatrix(m.pv, dict(m.entries))
+
+
+def check_storage(m: GradedMatrix):
+    """m reads back by the rule, and is stored as, equals and hashes like
+    the same entries passed through the public constructor."""
+    assert stored_by_the_rule(
+        c for c in m.entries.values() if not isinstance(c, Poly)
+    )
+    f = fresh(m)
+    assert (m.data, m.den) == (f.data, f.den)
+    assert m == f and hash(m) == hash(f)
+
+
 def check(m: GradedMatrix, oracle):
-    assert stored_by_the_rule(m.entries.values())
+    """A rational result: its stored den is positive and canonical (no
+    common factor with the numerators), and it reads as the oracle."""
+    check_storage(m)
+    assert m.den > 0 and gcd(m.den, *m.data.values()) == 1
     assert dense(m) == oracle
 
 
-@given(matrices(), matrices(), rationals)
+def o_transpose(a):
+    return [list(row) for row in zip(*a)]
+
+
+def o_scale(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+@given(matrices(), matrices(), rationals, nonintegral)
 @settings(max_examples=60, deadline=None)
-def test_matrix_ring_operations_keep_the_rule(a, b, c):
-    assert stored_by_the_rule(a.entries.values())
+def test_matrix_ring_operations_keep_the_rule(a, b, c, f):
+    check(a, dense(a))
     da, db = dense(a), dense(b)
     check(a + b, o_add(da, db))
     check(a - b, o_add(da, db, -1))
-    check(a.scale(c), [[c * x for x in row] for row in da])
+    check(-a, o_scale(-1, da))
+    check(a.scale(c), o_scale(c, da))
+    check(a.scale(f), o_scale(f, da))
+    check(f * a, o_scale(f, da))
+    check(a.transpose(), o_transpose(da))
     check(a @ b, o_mul(da, db))
     check(kron(a, b), o_kron(da, PV, db, PV))
+    check(GradedMatrix.identity(PV), o_eye(D))
+    check(a.one_like(), o_eye(D))
+
+
+# -- matrices with Poly entries: x*A + B, read back one power of x at a time
+
+
+X = Poly.var("x")
+
+
+def x_matrix(a, b):
+    """The matrix x*A + B, with Poly entries wherever A is nonzero."""
+    return a.scale(X) + b
+
+
+def dense_at(m: GradedMatrix, k):
+    """The Fraction matrix of the coefficients of x**k."""
+    def at(c):
+        if isinstance(c, Poly):
+            return c.coefficient("x", k).as_fraction()
+        return Fraction(c) if k == 0 else Fraction(0)
+    return [[at(m[i, j]) for j in range(m.dim)] for i in range(m.dim)]
+
+
+def check_x(m: GradedMatrix, oracles):
+    """A Poly-entry result: stored with den None while a Poly entry is
+    left, and its coefficient of x**k reads as ``oracles[k]``."""
+    check_storage(m)
+    has_poly = any(isinstance(c, Poly) for c in m.data.values())
+    assert (m.den is None) == has_poly
+    assert all(m.data.values())
+    zero = [[Fraction(0)] * m.dim for _ in range(m.dim)]
+    for k in range(-1, 4):
+        assert dense_at(m, k) == oracles.get(k, zero)
+
+
+@given(matrices(), matrices(), matrices(), matrices(), nonintegral)
+@settings(max_examples=40, deadline=None)
+def test_poly_entry_matrices_keep_the_rule(a, b, c, d, f):
+    p, q = x_matrix(a, b), x_matrix(c, d)
+    da, db, dc, dd = dense(a), dense(b), dense(c), dense(d)
+    check_x(p, {0: db, 1: da})
+    check_x(p + q, {0: o_add(db, dd), 1: o_add(da, dc)})
+    check_x(p - q, {0: o_add(db, dd, -1), 1: o_add(da, dc, -1)})
+    check_x(-p, {0: o_scale(-1, db), 1: o_scale(-1, da)})
+    check_x(p.scale(f), {0: o_scale(f, db), 1: o_scale(f, da)})
+    check_x(p.transpose(), {0: o_transpose(db), 1: o_transpose(da)})
+    check_x(p @ q, {
+        0: o_mul(db, dd),
+        1: o_add(o_mul(da, dd), o_mul(db, dc)),
+        2: o_mul(da, dc),
+    })
+    check_x(kron(p, b), {0: o_kron(db, PV, db, PV), 1: o_kron(da, PV, db, PV)})
+    check_x(embed_legs(p, PV, (2,), 2), {
+        0: o_kron(o_eye(D), PV, db, PV), 1: o_kron(o_eye(D), PV, da, PV)
+    })
 
 
 @given(matrices())

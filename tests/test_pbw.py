@@ -352,6 +352,10 @@ def test_invert_and_sqrt_of_a_tensor_around_a_non_unit_constant():
     assert ue_invert(x) * x == one
     y = one.scale(4) + t
     assert ue_sqrt(y) ** 2 == y
+    # with Poly coefficients the constant term is stored as the int 4
+    z = one.scale(4) + t.scale(Poly.var("a"))
+    assert z.den is None and type(z.constant_coefficient()) is int
+    assert ue_sqrt(z) ** 2 == z and ue_invert(z) * z == one
 
 
 def test_ad_exp_matches_explicit_conjugation():

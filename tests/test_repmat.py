@@ -62,6 +62,25 @@ def test_identity_and_units():
     assert E[3, 1] == 0
 
 
+def test_public_constructor_validates_and_stores_by_the_rule():
+    """Keys outside the space raise; zeros are dropped and an integral
+    Fraction reads back as an int, over one canonical denominator."""
+    for key in ((5, 0), (0, 5), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            GradedMatrix(PV, {key: 1})
+    with pytest.raises(IndexError):
+        GradedMatrix(PV, {(5, 5): 0})
+    m = GradedMatrix(
+        PV, {(0, 0): Fraction(4, 2), (1, 1): 0, (2, 2): Fraction(0), (3, 3): Fraction(1, 6)}
+    )
+    assert m.entries == {(0, 0): 2, (3, 3): Fraction(1, 6)}
+    assert type(m[0, 0]) is int and type(m.entries[0, 0]) is int
+    assert (m.data, m.den) == ({(0, 0): 12, (3, 3): 1}, 6)
+    assert m[1, 1] == 0 and (1, 1) not in m.entries
+    assert str(m).splitlines()[0] == "[2, 0, 0, 0, 0]"
+    assert GradedMatrix(PV, {(0, 0): Fraction(0)}) == GradedMatrix.zero(PV)
+
+
 def test_supertrace():
     # str = sum over even diagonal minus sum over odd diagonal
     I = GradedMatrix.identity(PV)

@@ -100,6 +100,32 @@ def test_poly_ring_axioms(p, q, r):
     assert p * Poly.const(1) == p
 
 
+@given(small_polys(), fractions.filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_poly_scaling_and_negation_match_a_fresh_poly(p, c):
+    """A nonzero rational scaling and a negation keep every variable; the
+    results equal, store and hash like the Poly built from their terms."""
+    for got, coeffs in (
+        (p * c, {e: v * c for e, v in p.coeffs.items()}),
+        (c * p, {e: c * v for e, v in p.coeffs.items()}),
+        (p * 3, {e: v * 3 for e, v in p.coeffs.items()}),
+        (-p, {e: -v for e, v in p.coeffs.items()}),
+    ):
+        fresh = Poly(p.vars, coeffs)
+        assert got == fresh and hash(got) == hash(fresh)
+        assert (got.vars, got.coeffs) == (fresh.vars, fresh.coeffs)
+        assert all(type(v) is int or v.denominator != 1 for v in got.coeffs.values())
+
+
+def test_laurent_product_drops_a_cancelled_variable():
+    x, y = Poly.var("x"), Poly.var("y")
+    one = x * Poly.var("x", -1)
+    assert one.vars == () and one == Poly.const(1) and hash(one) == hash(1)
+    p = (x * y * 2) * Poly.var("x", -1)
+    assert p.vars == ("y",) and p == y * 2
+    assert (x * Poly.var("x", -1) + y).vars == ("y",)
+
+
 def evaluate(p, point):
     """The exact value of ``p`` at a point that assigns every variable."""
     total = Fraction(0)
