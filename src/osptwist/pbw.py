@@ -316,10 +316,26 @@ class PBWTable:
             ):
                 hit = self.units[self.ids[ma + mb]]
             else:
-                hit = self.fold(mb[-1:], self.product(a, self.prefix[b]))
-            top = max((m for m, _ in hit), default=0)
-            if top >> bits:
-                raise self._too_wide(top)
+                # b = b' x: insert x into each term of a * b'
+                memo, size, x = self.insertions, self.size, mb[-1]
+                start = self.product(a, self.prefix[b])
+                if len(start) == 1:
+                    ((m, c),) = start
+                    hit = memo.get(m * size + x) or self._insert(m, x)
+                    if c != 1:
+                        hit = tuple((mm, _exact(c * v)) for mm, v in hit)
+                else:
+                    acc: dict = {}
+                    for m, c in start:
+                        for mm, v in memo.get(m * size + x) or self._insert(m, x):
+                            acc[mm] = acc.get(mm, 0) + c * v
+                    hit = tuple((mm, _exact(v)) for mm, v in acc.items() if v)
+            # every id is below len(monos), so only a table that has
+            # outgrown the width can hold an entry too wide to pack
+            if len(self.monos) >> bits:
+                top = max((m for m, _ in hit), default=0)
+                if top >> bits:
+                    raise self._too_wide(top)
             self.products[key] = hit
         return hit
 

@@ -21,7 +21,15 @@ from .errors import (
     NotFirstOrderLie,
 )
 from .pbw import UEElement, UETensor, product_difference
-from .repmat import GradedMatrix, embed_legs, tensor_pv
+from .repmat import (
+    GradedMatrix,
+    combination,
+    convolve,
+    embed_legs,
+    join_monomials,
+    split_monomials,
+    tensor_pv,
+)
 from .rmatrix import LieTensor, r_full_borel
 from .scalars import Poly, nilpotent_series, taylor_exp
 from .twist import Twist, twisted_coproduct
@@ -142,16 +150,36 @@ def qybe_residual(r: RMatrix) -> UETensor:
 def _exchange(r_mat, l_mat, pv) -> GradedMatrix:
     """R12 L13 L23 - L23 L13 R12 in the cube of the defining space, for
     rep matrices R and L on its square: the RTT relation, and the braid
-    relation when L = R."""
-    r12 = embed_legs(r_mat, pv, (1, 2), 3)
-    l13 = embed_legs(l_mat, pv, (1, 3), 3)
-    l23 = embed_legs(l_mat, pv, (2, 3), 3)
-    return r12 @ l13 @ l23 - l23 @ l13 @ r12
+    relation when L = R.
+
+    Poly entries are evaluated through their monomials: R and L are split
+    into one rational matrix per monomial (:func:`split_monomials`), each
+    is embedded in the cube, the two chains are convolutions of rational
+    products, and the residual's Polys are built once at the end.  A
+    rational R or L is its own one monomial, and a matrix with a
+    LaurentSeries entry is taken whole."""
+    names, (r_parts, l_parts) = split_monomials((r_mat, l_mat))
+    r12 = {e: embed_legs(m, pv, (1, 2), 3) for e, m in r_parts.items()}
+    l13 = {e: embed_legs(m, pv, (1, 3), 3) for e, m in l_parts.items()}
+    l23 = {e: embed_legs(m, pv, (2, 3), 3) for e, m in l_parts.items()}
+    left = convolve(convolve(r12, l13), l23)
+    right = convolve(convolve(l23, l13), r12)
+    cube = tensor_pv(pv, 3)
+    diff = {
+        e: combination(
+            cube,
+            [(c, side[e]) for c, side in ((1, left), (-1, right)) if e in side],
+        )
+        for e in left.keys() | right.keys()
+    }
+    return join_monomials(cube, names, diff)
 
 
 def qybe_residual_rep(r: RMatrix, algebra: OspAlgebra | None = None) -> GradedMatrix:
     """The same residual evaluated exactly in the cube of the defining
-    representation; works for parameterized entries too."""
+    representation; works for parameterized entries too, whose Polys are
+    evaluated one monomial at a time as rational matrices (see
+    :func:`_exchange`)."""
     alg = algebra if algebra is not None else r.algebra
     return _exchange(r.rep_matrix, r.rep_matrix, alg.pv)
 

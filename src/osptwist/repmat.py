@@ -24,6 +24,14 @@ exactly the matrix of the operator ``a (x) b`` acting on ``v (x) w`` as
 ``(-1)**(p(b)p(v)) av (x) bw``, summed over homogeneous components, so it
 remains correct for inhomogeneous factors.
 
+A product chain of matrices with Poly entries can also be evaluated
+monomial by monomial: :func:`split_monomials` splits the matrices into
+one rational matrix per monomial of their variables, :func:`convolve`
+multiplies two such expansions by rational (int) products, and
+:func:`join_monomials` builds each entry's Poly once, at the end.  The
+braid and RTT residuals of :mod:`~osptwist.quantum` evaluate Poly entries
+this way; ``matmul`` itself multiplies the Poly scalars.
+
 Also here: the parity vector of a tensor power (the one every tensor
 image in the package is built on), embedding of an operator into chosen tensor legs (with the signs for sliding factors past
 untouched legs), and the exponential and logarithm of nilpotent/unipotent
@@ -46,9 +54,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import lcm
+from operator import add
 
 from .errors import LegMismatch, NotNilpotent
 from .scalars import (
+    LaurentSeries,
+    Poly,
     Ring,
     _canonical,
     _clean,
@@ -437,3 +448,91 @@ def embed_legs(m: GradedMatrix, pv, legs, total: int) -> GradedMatrix:
             cur = out.get((fi, fj))
             out[(fi, fj)] = val if cur is None else cur + val
     return _summed(tensor_pv(pv, total), out, m.den)
+
+
+# --------------------------------------------------------------------------
+# Monomial coefficient matrices
+# --------------------------------------------------------------------------
+
+
+def split_monomials(mats):
+    """(names, parts) for matrices whose entries are rationals and Polys:
+    ``names`` is the sorted union of the variables of their Poly entries,
+    and ``parts[t]`` maps each exponent tuple over ``names`` to the
+    rational matrix of the coefficients of that monomial in ``mats[t]``,
+    so that mats[t] = sum_e x**e * parts[t][e].  A rational matrix is its
+    own one part at the zero exponent, and so is a matrix with any
+    LaurentSeries entry, which is taken whole."""
+    whole = [
+        m.den is not None
+        or any(isinstance(c, LaurentSeries) for c in m.data.values())
+        for m in mats
+    ]
+    names = tuple(sorted({
+        v
+        for m, w in zip(mats, whole) if not w
+        for c in m.data.values() if isinstance(c, Poly)
+        for v in c.vars
+    }))
+    zero = (0,) * len(names)
+    parts = []
+    for m, w in zip(mats, whole):
+        if w:
+            parts.append({zero: m})
+            continue
+        coeffs: dict = {}
+        for ij, c in m.data.items():
+            if not isinstance(c, Poly):
+                coeffs.setdefault(zero, {})[ij] = c
+                continue
+            at = [names.index(v) for v in c.vars]
+            for e, a in c.coeffs.items():
+                full = list(zero)
+                for i, k in zip(at, e):
+                    full[i] = k
+                coeffs.setdefault(tuple(full), {})[ij] = a
+        parts.append({
+            e: GradedMatrix._wrap(m.pv, *_stored(data))
+            for e, data in coeffs.items()
+        })
+    return names, parts
+
+
+def join_monomials(pv, names, parts) -> GradedMatrix:
+    """sum_e x**e * parts[e] over the variables ``names``, the inverse of
+    :func:`split_monomials`: each entry's Poly is built once from its
+    rational coefficients, and an entry whose only monomial is the zero
+    exponent stays rational.  A part with non-rational scalars (taken
+    whole) is added entry by entry."""
+    zero = (0,) * len(names)
+    coeffs: dict = {}
+    scalars: dict = {}
+    for e, m in parts.items():
+        if m.den is not None:
+            for ij, c in m.entries.items():
+                coeffs.setdefault(ij, {})[e] = c
+            continue
+        x = 1 if e == zero else Poly(names, {e: 1})
+        for ij, c in m.data.items():
+            scalars[ij] = scalars.get(ij, 0) + x * c
+    out = {
+        ij: cs[zero] if len(cs) == 1 and zero in cs else Poly(names, cs)
+        for ij, cs in coeffs.items()
+    }
+    for ij, c in scalars.items():
+        out[ij] = out.get(ij, 0) + c
+    return GradedMatrix._wrap(pv, *_stored(out))
+
+
+def convolve(a: dict, b: dict) -> dict:
+    """The product of two monomial expansions {exponent: matrix} (as
+    :func:`split_monomials` gives them): a[e1] @ b[e2] summed at e1 + e2."""
+    terms: dict = {}
+    for e1, x in a.items():
+        for e2, y in b.items():
+            terms.setdefault(tuple(map(add, e1, e2)), []).append(x @ y)
+    return {
+        e: combination(ms[0].pv, [(1, m) for m in ms])
+        for e, ms in terms.items()
+    }
+

@@ -2,6 +2,8 @@
 classical limits, the quadratic-exponential solution, and the L-operator
 with its bialgebra matrix identities."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,9 @@ from osptwist.pbw import UEElement, UETensor
 import osptwist.rmatrix as rm
 import osptwist.twist as tws
 import osptwist.quantum as qt
+from osptwist.cli import main
+from osptwist.repmat import GradedMatrix, embed_legs, tensor_pv
+from osptwist.scalars import LaurentSeries, Poly
 from osptwist.errors import (
     CubeNotZero,
     HeterogeneousOperand,
@@ -160,6 +165,102 @@ def test_exp_r_matrix_qybe():
     because the cube of the rep image of r vanishes."""
     r = qt.exp_r_matrix(ALG)
     assert qt.qybe_residual_rep(r, ALG).is_zero
+
+
+def _chain_oracle(r_mat, l_mat, pv):
+    """R12 L13 L23 - L23 L13 R12 by plain embeddings and products, entry
+    scalars multiplied as they are."""
+    r12 = embed_legs(r_mat, pv, (1, 2), 3)
+    l13 = embed_legs(l_mat, pv, (1, 3), 3)
+    l23 = embed_legs(l_mat, pv, (2, 3), 3)
+    return r12 @ l13 @ l23 - l23 @ l13 @ r12
+
+
+def _random_matrix(rng, pv, scalars, terms=6):
+    d = len(pv)
+    return GradedMatrix(
+        pv,
+        {(rng.randrange(d), rng.randrange(d)): rng.choice(scalars) for _ in range(terms)},
+    )
+
+
+def test_exchange_matches_the_plain_chain():
+    """The monomial-split exchange equals the plain product chain entry for
+    entry at n = 1 (a 27-dim cube): rational and Poly operands with
+    different variables, a LaurentSeries entry taken whole, the exp-r
+    solution itself (zero residual), and random operands whose residuals
+    do not vanish."""
+    alg = build_osp(1)
+    pv = tensor_pv(alg.pv, 2)
+    eta, a = Poly.var("eta"), Poly.var("a")
+    rational = [1, -2, Fraction(1, 3)]
+    in_eta = rational + [eta, 1 + eta**2 / 4, eta ** -1]
+    in_a_eta = rational + [a - eta, a**2 * Fraction(-1, 2), a ** -2 + 3]
+    series = in_a_eta + [LaurentSeries("t", -1, [1, Fraction(1, 2)], order=2)]
+    exp_r = qt.exp_r_matrix(alg).rep_matrix
+    rng = random.Random(7)
+    cases = [(exp_r, exp_r)]
+    for r_scalars, l_scalars in (
+        (rational, rational),
+        (in_eta, rational),
+        (rational, in_a_eta),
+        (in_eta, in_a_eta),
+        (in_eta, series),
+    ):
+        for _ in range(3):
+            cases.append((
+                _random_matrix(rng, pv, r_scalars) + exp_r,
+                _random_matrix(rng, pv, l_scalars) + exp_r,
+            ))
+    nonzero = 0
+    for r_mat, l_mat in cases:
+        got = qt._exchange(r_mat, l_mat, alg.pv)
+        want = _chain_oracle(r_mat, l_mat, alg.pv)
+        assert got == want and hash(got) == hash(want)
+        nonzero += not got.is_zero
+    assert qt._exchange(exp_r, exp_r, alg.pv).is_zero
+    assert nonzero == len(cases) - 1
+
+
+def _corrupted_exp_r(monkeypatch):
+    """Patch exp_r_matrix so that its rep matrix carries an extra
+    eta^2 / 3 in its (0, 0) entry."""
+    honest = qt.exp_r_matrix
+
+    def corrupted(algebra, r=None):
+        mat = honest(algebra, r).rep_matrix
+        entries = dict(mat.entries)
+        entries[0, 0] = entries.get((0, 0), 0) + Poly.var("eta", 2, Fraction(1, 3))
+        return qt.RMatrix(
+            None, parameter="eta", rep_matrix=GradedMatrix(mat.pv, entries),
+            algebra=algebra,
+        )
+
+    monkeypatch.setattr(qt, "exp_r_matrix", corrupted)
+
+
+def test_corrupted_exp_r_fails_its_braid_check(monkeypatch, capsys):
+    """Negative control for quantum.exp-r.qybe: an extra eta^2 / 3 in one
+    entry of the exp-r rep matrix makes the n=2 report fail that anchor."""
+    _corrupted_exp_r(monkeypatch)
+    assert main(["quantum", "--n", "2", "--degree", "2", "--format", "json"]) == 1
+    status = {
+        c["anchor"]: c["status"]
+        for c in json.loads(capsys.readouterr().out)["checks"]
+    }
+    assert status["quantum.exp-r.qybe"] == "fail"
+
+
+def test_corrupted_exp_r_residual_matches_the_poly_chain(monkeypatch):
+    """At n=3 the corrupted exp-r residual is nonzero and equals the
+    residual of the plain Poly-entry chain entry for entry."""
+    _corrupted_exp_r(monkeypatch)
+    alg = build_osp(3)
+    r = qt.exp_r_matrix(alg)
+    got = qt.qybe_residual_rep(r)
+    want = _chain_oracle(r.rep_matrix, r.rep_matrix, alg.pv)
+    assert not got.is_zero
+    assert got.entries == want.entries
 
 
 def test_exp_r_matrix_cube_guard():

@@ -9,7 +9,15 @@ from hypothesis import given, settings, strategies as st
 from osptwist.algebra import build_osp
 from osptwist.errors import DivisionByNonUnit, NotNilpotent
 from osptwist.pbw import UEElement, UETensor
-from osptwist.repmat import GradedMatrix, kron, kron_all, embed_legs, tensor_pv
+from osptwist.repmat import (
+    GradedMatrix,
+    embed_legs,
+    join_monomials,
+    kron,
+    kron_all,
+    split_monomials,
+    tensor_pv,
+)
 from osptwist.scalars import LaurentSeries, Poly, taylor_exp
 
 
@@ -102,6 +110,53 @@ def test_matmul_bilinear_associative(a, b, c):
     assert (a @ b) @ c == a @ (b @ c)
     assert (a + b) @ c == a @ c + b @ c
     assert a @ (b + c) == a @ b + a @ c
+
+
+def polys():
+    """Polys in one or two variables with negative exponents allowed, some
+    of them constant."""
+    names = st.sampled_from([("a",), ("b",), ("a", "b"), ()])
+    return names.flatmap(
+        lambda vs: st.dictionaries(
+            st.tuples(*[st.integers(min_value=-2, max_value=2)] * len(vs)),
+            fractions,
+            max_size=3,
+        ).map(lambda cs: Poly(vs, cs))
+    )
+
+
+def scalar_matrices(pv=PV, max_terms=5):
+    d = len(pv)
+    index = st.integers(min_value=0, max_value=d - 1)
+    scalar = st.one_of(st.integers(min_value=-3, max_value=3), fractions, polys())
+    return st.dictionaries(st.tuples(index, index), scalar, max_size=max_terms).map(
+        lambda es: GradedMatrix(pv, es)
+    )
+
+
+@given(scalar_matrices(), scalar_matrices())
+@settings(max_examples=60, deadline=None)
+def test_monomial_split_and_join_round_trip(a, b):
+    """Split over the variables of both matrices, each matrix is a sum of
+    rational matrices, one per monomial, and joining them back gives a
+    matrix that equals and hashes like the input."""
+    names, parts = split_monomials((a, b))
+    for m, by_exponent in zip((a, b), parts):
+        assert all(p.den is not None and len(e) == len(names) for e, p in by_exponent.items())
+        back = join_monomials(m.pv, names, by_exponent)
+        assert back == m and hash(back) == hash(m)
+
+
+def test_monomial_split_keeps_a_series_matrix_whole():
+    """A matrix with a LaurentSeries entry is its own one part, at the
+    zero exponent of the other matrix's variables."""
+    series = GradedMatrix(PV, {(0, 1): LaurentSeries("t", -1, [1, 2], order=3), (1, 1): Poly.var("a")})
+    poly = GradedMatrix(PV, {(2, 2): Poly.var("b", -1) + 1})
+    names, (s_parts, p_parts) = split_monomials((series, poly))
+    assert names == ("b",)
+    assert s_parts == {(0,): series}
+    assert set(p_parts) == {(0,), (-1,)}
+    assert join_monomials(PV, names, s_parts) == series
 
 
 @given(homogeneous(parity=1), homogeneous(parity=1))
