@@ -94,20 +94,22 @@ def _stored(data):
     scalar is rational: int numerators over their least common
     denominator, which is already canonical (a prime of the lcm divides
     one denominator to its full power, and that numerator is prime to
-    it).  Otherwise the nonzero scalars, and den None."""
-    values = data.values()
-    if all(isinstance(v, (int, Fraction)) for v in values):
-        den = math.lcm(*[v.denominator for v in values])
-        return {
-            k: v.numerator * (den // v.denominator)
-            for k, v in data.items()
-            if v
-        }, den
+    it).  Otherwise the nonzero scalars, and den None.  Which case holds
+    is decided on the nonzero scalars, so a dict whose Poly entries all
+    cancelled to zero is stored as the rational dict that is left."""
+    if not all(isinstance(v, (int, Fraction)) for v in data.values()):
+        data = {k: v for k, v in data.items() if v}
+        if not all(isinstance(v, (int, Fraction)) for v in data.values()):
+            return {
+                k: _exact(v) if isinstance(v, (int, Fraction)) else v
+                for k, v in data.items()
+            }, None
+    den = math.lcm(*[v.denominator for v in data.values()])
     return {
-        k: _exact(v) if isinstance(v, (int, Fraction)) else v
+        k: v.numerator * (den // v.denominator)
         for k, v in data.items()
         if v
-    }, None
+    }, den
 
 
 def _clean(data, den):
