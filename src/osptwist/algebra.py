@@ -42,11 +42,9 @@ generator's lead row).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import MissingAlias, NotHomogeneous, NotInAlgebra
 from .repmat import GradedMatrix
-from .scalars import _exact, rref
+from .scalars import rref
 
 
 class BasisElement:
@@ -121,6 +119,7 @@ class OspAlgebra:
             b.index = i
         self.size = len(self.basis)
         self._by_name = {b.name: b for b in self.basis}
+        self._by_lead = {b.lead: b.index for b in self.basis}
         self._bracket_cache = {}
         self._mono_matrix_cache = {}
         self._gram_inv = None
@@ -233,28 +232,31 @@ class OspAlgebra:
         return (lhs + signed).is_zero
 
     def expand_in_basis(self, m: GradedMatrix) -> dict:
-        """Write a matrix as a combination of basis elements (exact), as
-        {index: Fraction}.
+        """Write a matrix as a combination of basis elements, as
+        {index: coefficient} with each coefficient stored by the rule.
 
-        Uses the fact that every basis element owns one matrix position no
-        other basis element touches; the remainder after peeling all of
-        them off must vanish, otherwise the matrix is not in the algebra.
+        Every basis element owns one matrix position, its lead, that no
+        other basis element touches, so its coefficient is the matrix's
+        entry there.  The remainder after peeling all of them off must
+        vanish, otherwise the matrix is not in the algebra.
         """
-        out = {}
-        rest = m
-        for b in self.basis:
-            c = rest[b.lead]
-            if c:
-                out[b.index] = Fraction(c)
-                rest = rest - b.matrix.scale(c)
-        if not rest.is_zero:
+        by_lead, entries = self._by_lead, m.entries
+        out = dict(sorted(
+            (by_lead[ij], c) for ij, c in entries.items() if ij in by_lead
+        ))
+        rest = dict(entries)
+        for i, c in out.items():
+            for ij, v in self.basis[i].matrix.data.items():
+                rest[ij] = rest.get(ij, 0) - c * v
+        if any(rest.values()):
             raise NotInAlgebra("matrix does not lie in the span of the basis")
         return out
 
     # -- structure constants -------------------------------------------------------
 
     def bracket(self, i: int, j: int) -> dict:
-        """[x_i, x_j] as {index: Fraction}, from the defining matrices."""
+        """[x_i, x_j] as {index: coefficient} by the rule, from the
+        defining matrices."""
         key = (i, j)
         hit = self._bracket_cache.get(key)
         if hit is not None:
@@ -306,28 +308,38 @@ class OspAlgebra:
 def check_jacobi(algebra: OspAlgebra):
     """Graded Jacobi identity on basis triples:
 
-        [x,[y,z]] - [[x,y],z] - (-1)**(p(x)p(y)) [y,[x,z]]  =  0.
+        J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)**(p(x)p(y)) [y,[x,z]] = 0.
 
-    Returns the list of violating (i, j, k) triples; empty means every
-    triple checks out.  The structure constants are read once into a
-    table, integral ones as ints."""
+    Every pair is checked too: [x,y] must have parity p(x) + p(y), and
+    graded antisymmetry [y,x] = -(-1)**(p(x)p(y)) [x,y] must hold.  Given
+    both, J(y,x,z) = -(-1)**(p(x)p(y)) J(x,y,z) and
+    J(x,z,y) = -(-1)**(p(y)p(z)) J(x,y,z), so J vanishes on every
+    ordering of a triple exactly when it vanishes on the sorted one: it
+    is evaluated on triples i <= j <= k only.
+
+    Returns the violations in lexicographic order: the pairs (i, j),
+    i <= j, that break the grading or antisymmetry, and the sorted
+    triples (i, j, k) with a nonzero Jacobiator; empty means every triple
+    checks out."""
     idx = range(algebra.size)
-    table = [
-        [[(m, _exact(c)) for m, c in algebra.bracket(i, j).items()] for j in idx]
-        for i in idx
-    ]
+    par = [algebra.parity(i) for i in idx]
+    table = [[list(algebra.bracket(i, j).items()) for j in idx] for i in idx]
     bad = []
     for i in idx:
-        pi, ti = algebra.parity(i), table[i]
-        for j in idx:
-            sij = -1 if (pi and algebra.parity(j)) else 1
-            tj = table[j]
-            for k in idx:
+        ti = table[i]
+        for j in idx[i:]:
+            sij = -1 if par[i] and par[j] else 1
+            tj, tij = table[j], ti[j]
+            if dict(tj[i]) != {m: -sij * c for m, c in tij} or any(
+                par[m] != par[i] ^ par[j] for m, _ in tij
+            ):
+                bad.append((i, j))
+            for k in idx[j:]:
                 acc: dict = {}
                 for m, c in tj[k]:
                     for r, d in ti[m]:
                         acc[r] = acc.get(r, 0) + c * d
-                for m, c in ti[j]:
+                for m, c in tij:
                     for r, d in table[m][k]:
                         acc[r] = acc.get(r, 0) - c * d
                 for m, c in ti[k]:

@@ -256,7 +256,7 @@ class PBWTable:
                 continue
             u = self.prefix[mid]
             if y == x:
-                terms = [(c / 2, u, k) for k, c in bracket(x, x).items()]
+                terms = [(Fraction(c, 2), u, k) for k, c in bracket(x, x).items()]
             else:
                 ux = memo.get(u * size + x)
                 if ux is None:

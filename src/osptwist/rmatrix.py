@@ -22,11 +22,12 @@ Koszul factor (-1)**(p(x) * sum of parities of the legs left of i).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import HeterogeneousOperand, NegativePowerSurvives
 from .pbw import _Terms, format_monomial, scalar_inverse
 from .repmat import GradedMatrix
-from .scalars import LaurentSeries, Poly, rref
+from .scalars import LaurentSeries, Poly, _clean, rref
 
 
 class LieTensor(_Terms):
@@ -76,6 +77,27 @@ class LieTensor(_Terms):
 
     def __repr__(self):
         return "LieTensor(legs=%d, terms=%d)" % (self.legs, len(self.terms))
+
+
+def _letter_ids(table, size):
+    """The stored id of each basis letter's one-letter monomial (the ids
+    a LieTensor key packs), interned and checked to fit a leg."""
+    ids = [table.ids[(x,)] for x in range(size)]
+    if max(ids) >> table.bits:
+        raise table._too_wide(max(ids))
+    return ids
+
+
+def _tensor(algebra, legs, sums, den) -> LieTensor:
+    """The LieTensor of {stored key: sum} over ``den`` (int numerators, or
+    scalars with den None), cancelled sums dropped; a sum that is not an
+    int (a Poly weight, a non-integral constant) makes them scalars."""
+    data = {k: v for k, v in sums.items() if v}
+    if den is not None and not all(type(v) is int for v in data.values()):
+        if den != 1:
+            data = {k: v * Fraction(1, den) for k, v in data.items()}
+        den = None
+    return LieTensor._wrap(algebra, *_clean(data, den), legs, None)
 
 
 def wedge(algebra, name_a, name_b, coeff=1) -> LieTensor:
@@ -141,21 +163,28 @@ def dual_of_opposite(algebra, pos_index: int):
 
 
 def adjoint_action(x_index: int, t: LieTensor) -> LieTensor:
-    """[x (x) 1 (x) ... + ... + 1 (x) ... (x) x, t] for a basis element x."""
+    """[x (x) 1 (x) ... + ... + 1 (x) ... (x) x, t] for a basis element x,
+    formed on the stored terms."""
     alg = t.algebra
     px = alg.parity(x_index)
+    table, mask, shifts = t._codec()
+    ids = _letter_ids(table, alg.size)
+    brackets = {
+        ids[y]: [(ids[r], sc) for r, sc in alg.bracket(x_index, y).items()]
+        for y in range(alg.size)
+    }
     out: dict = {}
-    for key, c in t.terms.items():
-        left_parity = 0
-        for leg in range(t.legs):
-            coeff = c
-            if px and left_parity % 2:
-                coeff = -coeff
-            for res, sc in alg.bracket(x_index, key[leg]).items():
-                newkey = key[:leg] + (res,) + key[leg + 1 :]
-                out[newkey] = out.get(newkey, 0) + coeff * sc
-            left_parity += alg.parity(key[leg])
-    return LieTensor(alg, t.legs, out)
+    for key, c in t.data.items():
+        odd_left = 0
+        for s in shifts:
+            m = key >> s & mask
+            coeff = -c if px and odd_left else c
+            rest = key & ~(mask << s)
+            for r, sc in brackets[m]:
+                k = rest | r << s
+                out[k] = out.get(k, 0) + coeff * sc
+            odd_left ^= table.par[m]
+    return _tensor(alg, t.legs, out, t.den)
 
 
 def cobracket(x_index: int, r: LieTensor) -> LieTensor:
@@ -167,17 +196,15 @@ def cobracket_kernel(algebra, r: LieTensor):
     """Basis of {x in g : cobracket(x, r) = 0}, as a list of coefficient
     vectors over the algebra basis, in reduced echelon form."""
     m = algebra.size
-    images = [cobracket(i, r) for i in range(m)]
-    keys = sorted({k for img in images for k in img.terms})
-    key_pos = {k: j for j, k in enumerate(keys)}
-    # matrix of the linear map x -> delta(x); kernel = null space
-    mat = [[Fraction(0)] * m for _ in keys]
-    for i, img in enumerate(images):
-        for k, c in img.terms.items():
-            if not isinstance(c, Fraction):
-                raise TypeError("kernel computation needs rational tensors")
-            mat[key_pos[k]][i] = c
-    rref_rows, pivots = rref(mat)
+    # the rows of the linear map x -> delta(x), one per key; kernel = null space
+    rows: dict = {}
+    for i in range(m):
+        img = cobracket(i, r)
+        if img.den is None:
+            raise TypeError("kernel computation needs rational tensors")
+        for k, c in img.data.items():
+            rows.setdefault(k, [0] * m)[i] = Fraction(c, img.den)
+    rref_rows, pivots = rref(list(rows.values()))
     pivot_set = set(pivots)
     free = [c for c in range(m) if c not in pivot_set]
     basis = []
@@ -240,18 +267,20 @@ def span_contains(span_vectors, vec) -> bool:
 def kernel_closed_under_bracket(algebra, kernel_basis) -> bool:
     """Is the kernel a subalgebra?  Brackets of kernel vectors must stay
     inside the kernel's span.  The span is reduced once; each nonzero
-    bracket then costs one back-substitution against it."""
+    bracket then costs one back-substitution against it.  Membership does
+    not change under scaling, so each vector's denominators are cleared
+    once and the brackets are summed in ints."""
     m = algebra.size
     span = _Span(kernel_basis)
-    for va in kernel_basis:
-        for vb in kernel_basis:
-            out = [Fraction(0)] * m
-            for i, ca in enumerate(va):
-                if not ca:
-                    continue
-                for j, cb in enumerate(vb):
-                    if not cb:
-                        continue
+    cleared = []
+    for v in kernel_basis:
+        d = lcm(*[x.denominator for x in v])
+        cleared.append([(i, (x * d).numerator) for i, x in enumerate(v) if x])
+    for va in cleared:
+        for vb in cleared:
+            out = [0] * m
+            for i, ca in va:
+                for j, cb in vb:
                     for k, c in algebra.bracket(i, j).items():
                         out[k] += ca * cb * c
             if any(out) and not span.contains(out):
@@ -264,30 +293,40 @@ def kernel_closed_under_bracket(algebra, kernel_basis) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _cybe_brackets(r: LieTensor) -> dict:
-    """[r12, r13], [r12, r23] and [r13, r23] of an even 2-leg tensor, as
-    {3-leg key: [three coefficients]}, from one pass over pairs of terms
-    by the closed forms of the module docstring.  Coefficients that
-    cancel are left in; the LieTensor constructor drops them."""
+def _cybe_brackets(r: LieTensor, combine) -> LieTensor:
+    """The 3-leg tensor of combine([r12, r13], [r12, r23], [r13, r23]),
+    coefficient by coefficient, for an even 2-leg tensor r: the three
+    brackets from one pass over pairs of stored terms by the closed forms
+    of the module docstring, as int numerators over r.den**2 for a
+    rational r, else as scalars."""
     if r.legs != 2:
         raise HeterogeneousOperand("the residual needs a 2-leg tensor")
     if not r.is_even():
         raise HeterogeneousOperand("the residual formulas need an even tensor")
     alg = r.algebra
-    terms = list(r.terms.items())
+    table, mask, _ = r._codec()
+    ids, bits, monos = _letter_ids(table, alg.size), table.bits, table.monos
+    terms = [
+        (monos[a][0], monos[b][0], a, b, c)
+        for a, b, c in ((k >> bits, k & mask, c) for k, c in r.data.items())
+    ]
     out: dict = {}
-    for (i, j), c1 in terms:
-        pj = alg.parity(j)
-        for (k, l), c2 in terms:
+    for i, j, ii, ij, c1 in terms:
+        pj = table.par[ij]
+        for k, l, ik, il, c2 in terms:
             cc = c1 * c2
-            signed = -cc if pj and alg.parity(k) else cc
+            signed = -cc if pj and table.par[ik] else cc
             for res, sc in alg.bracket(i, k).items():
-                out.setdefault((res, j, l), [0, 0, 0])[0] += signed * sc
+                key = (ids[res] << bits | ij) << bits | il
+                out.setdefault(key, [0, 0, 0])[0] += signed * sc
             for res, sc in alg.bracket(j, k).items():
-                out.setdefault((i, res, l), [0, 0, 0])[1] += cc * sc
+                key = (ii << bits | ids[res]) << bits | il
+                out.setdefault(key, [0, 0, 0])[1] += cc * sc
             for res, sc in alg.bracket(j, l).items():
-                out.setdefault((i, k, res), [0, 0, 0])[2] += signed * sc
-    return out
+                key = (ii << bits | ik) << bits | ids[res]
+                out.setdefault(key, [0, 0, 0])[2] += signed * sc
+    sums = {key: combine(*abc) for key, abc in out.items()}
+    return _tensor(alg, 3, sums, None if r.den is None else r.den * r.den)
 
 
 def cybe_residual(r: LieTensor) -> LieTensor:
@@ -296,11 +335,7 @@ def cybe_residual(r: LieTensor) -> LieTensor:
     Zero iff r solves the graded classical Yang-Baxter equation.  The
     closed bracket formulas require a parity-even tensor (always true for
     the solutions considered here)."""
-    return LieTensor(
-        r.algebra,
-        3,
-        {key: a + b + c for key, (a, b, c) in _cybe_brackets(r).items()},
-    )
+    return _cybe_brackets(r, lambda a, b, c: a + b + c)
 
 
 def spectral_residual_rational(c: LieTensor) -> LieTensor:
@@ -318,14 +353,7 @@ def spectral_residual_rational(c: LieTensor) -> LieTensor:
     with these weights.)"""
     u, w = Poly.var("u"), Poly.var("w")
     # the weighted sum above, grouped by variable: two scalings, not three
-    return LieTensor(
-        c.algebra,
-        3,
-        {
-            key: u * (b + d) + w * (a + b)
-            for key, (a, b, d) in _cybe_brackets(c).items()
-        },
-    )
+    return _cybe_brackets(c, lambda a, b, d: u * (b + d) + w * (a + b))
 
 
 # --------------------------------------------------------------------------

@@ -153,6 +153,88 @@ def test_jacobi_detects_a_poisoned_constant(n, poison):
     assert check_jacobi(bad) != []
 
 
+def test_jacobi_detects_a_poison_in_the_flipped_entry():
+    """The sorted triples read [x_i, x_j] for i <= j in most places; a
+    poison written only to the flipped entry (j, i) still breaks graded
+    antisymmetry, and that pair is reported, as (i, j)."""
+    bad = OspAlgebra(2)
+    i = bad.generator_index("+e1-e2")
+    j = bad.generator_index("+e1+e2")
+    k = bad.generator_index("+2e1")
+    assert i < j
+    wrong = dict(bad.bracket(j, i))
+    wrong[k] += 1
+    bad._bracket_cache[(j, i)] = wrong
+    assert (i, j) in check_jacobi(bad)
+
+
+def test_jacobi_detects_a_bracket_off_its_parity():
+    """A poison of the wrong parity, written to both entries with the
+    antisymmetric sign, is reported as the pair that breaks the grading."""
+    bad = OspAlgebra(2)
+    i, j = bad.generator_index("h1"), bad.generator_index("+2e1")
+    v = bad.generator_index("+e1")
+    for a, b, s in ((i, j, 1), (j, i, -1)):
+        wrong = dict(bad.bracket(a, b))
+        wrong[v] = s
+        bad._bracket_cache[(a, b)] = wrong
+    assert (i, j) in check_jacobi(bad)
+
+
+def full_jacobi_oracle(alg):
+    """The Jacobiator on every ordered triple, with Fractions, no
+    antisymmetry assumed: True when it vanishes on all of them."""
+    idx = range(alg.size)
+    for i in idx:
+        for j in idx:
+            sij = -1 if alg.parity(i) and alg.parity(j) else 1
+            for k in idx:
+                acc: dict = {}
+                for m, c in alg.bracket(j, k).items():
+                    for r, d in alg.bracket(i, m).items():
+                        acc[r] = acc.get(r, 0) + Fraction(c) * d
+                for m, c in alg.bracket(i, j).items():
+                    for r, d in alg.bracket(m, k).items():
+                        acc[r] = acc.get(r, 0) - Fraction(c) * d
+                for m, c in alg.bracket(i, k).items():
+                    for r, d in alg.bracket(j, m).items():
+                        acc[r] = acc.get(r, 0) - sij * Fraction(c) * d
+                if any(acc.values()):
+                    return False
+    return True
+
+
+def test_sorted_jacobi_agrees_with_the_full_oracle_on_every_poisoned_pair():
+    """At rank 2, each basis pair i <= j in turn gets one structure
+    constant moved by 1, in an element of the right parity, written to
+    both (i, j) and (j, i) with the antisymmetric sign, so only the
+    Jacobiator can see it.  The route over sorted triples and the oracle
+    over all ordered triples agree on pass or fail every time, and both
+    pass on the clean constants."""
+    clean = OspAlgebra(2)
+    size = clean.size
+    for i in range(size):
+        for j in range(size):
+            clean.bracket(i, j)
+    assert check_jacobi(clean) == [] and full_jacobi_oracle(clean)
+    for i in range(size):
+        for j in range(i, size):
+            p = clean.parity(i) ^ clean.parity(j)
+            k = next(
+                m % size for m in range(i + j, i + j + size)
+                if clean.parity(m % size) == p
+            )
+            bad = OspAlgebra(2)
+            bad._bracket_cache = dict(clean._bracket_cache)
+            s = 1 if clean.parity(i) and clean.parity(j) else -1
+            for a, b, sign in ((i, j, 1), (j, i, s)):
+                wrong = dict(clean.bracket(a, b))
+                wrong[k] = wrong.get(k, 0) + sign
+                bad._bracket_cache[(a, b)] = wrong
+            sorted_ok = check_jacobi(bad) == []
+            assert sorted_ok == full_jacobi_oracle(bad), (i, j, k)
+
+
 def test_parity_assignment():
     odd = [b.name for b in ALG.basis if b.parity]
     assert sorted(odd) == sorted(["+e1", "+e2", "-e1", "-e2"])

@@ -5,7 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, example, find, given, settings, strategies as st
+from hypothesis import (
+    Phase, assume, example, find, given, settings, strategies as st,
+)
 
 from osptwist.algebra import build_osp
 from osptwist.pbw import UETensor
@@ -613,3 +615,183 @@ def test_adjoint_action_is_a_derivation():
     i = ALG.generator_index("Z+")
     lhs = adjoint_action(i, r + s)
     assert lhs == adjoint_action(i, r) + adjoint_action(i, s)
+
+
+# -- the numerator loops against Fraction-only oracles ---------------------------
+#
+# The oracles are the loops over the decoded ``terms`` view that the stored-
+# numerator routines replaced: tuple keys, Fraction (or Poly) coefficients,
+# every structure constant read as a Fraction, and the public constructor.
+
+
+def oracle_adjoint_action(x_index, t):
+    alg = t.algebra
+    px = alg.parity(x_index)
+    out: dict = {}
+    for key, c in t.terms.items():
+        left_parity = 0
+        for leg in range(t.legs):
+            coeff = -c if px and left_parity % 2 else c
+            for res, sc in alg.bracket(x_index, key[leg]).items():
+                newkey = key[:leg] + (res,) + key[leg + 1:]
+                out[newkey] = out.get(newkey, 0) + coeff * Fraction(sc)
+            left_parity += alg.parity(key[leg])
+    return LieTensor(alg, t.legs, out)
+
+
+def oracle_cybe_brackets(r):
+    alg = r.algebra
+    terms = list(r.terms.items())
+    out: dict = {}
+    for (i, j), c1 in terms:
+        for (k, l), c2 in terms:
+            cc = c1 * c2
+            signed = -cc if alg.parity(j) and alg.parity(k) else cc
+            for res, sc in alg.bracket(i, k).items():
+                out.setdefault((res, j, l), [0, 0, 0])[0] += signed * Fraction(sc)
+            for res, sc in alg.bracket(j, k).items():
+                out.setdefault((i, res, l), [0, 0, 0])[1] += cc * Fraction(sc)
+            for res, sc in alg.bracket(j, l).items():
+                out.setdefault((i, k, res), [0, 0, 0])[2] += signed * Fraction(sc)
+    return out
+
+
+def oracle_cybe_residual(r):
+    return LieTensor(
+        r.algebra,
+        3,
+        {k: a + b + c for k, (a, b, c) in oracle_cybe_brackets(r).items()},
+    )
+
+
+def oracle_spectral_residual(r):
+    u, w = Poly.var("u"), Poly.var("w")
+    return LieTensor(
+        r.algebra,
+        3,
+        {
+            k: w * a + (u + w) * b + u * d
+            for k, (a, b, d) in oracle_cybe_brackets(r).items()
+        },
+    )
+
+
+def oracle_kernel_closed(alg, kernel_basis):
+    for va in kernel_basis:
+        for vb in kernel_basis:
+            out = [Fraction(0)] * alg.size
+            for i, ca in enumerate(va):
+                for j, cb in enumerate(vb):
+                    if ca and cb:
+                        for k, c in alg.bracket(i, j).items():
+                            out[k] += Fraction(ca) * Fraction(cb) * Fraction(c)
+            if any(out) and not reference_span_contains(kernel_basis, out):
+                return False
+    return True
+
+
+def oracle_cobracket_kernel(alg, r):
+    images = [oracle_adjoint_action(i, r) for i in range(alg.size)]
+    keys = sorted({k for img in images for k in img.terms})
+    mat = [[Fraction(0)] * alg.size for _ in keys]
+    for i, img in enumerate(images):
+        for k, c in img.terms.items():
+            mat[keys.index(k)][i] = c
+    rows, pivots = rref(mat)
+    basis = []
+    for fc in (c for c in range(alg.size) if c not in pivots):
+        vec = [Fraction(0)] * alg.size
+        vec[fc] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+NONINTEGRAL = st.builds(
+    Fraction, st.integers(-7, 7).filter(bool), st.sampled_from((2, 3, 4, 6))
+).filter(lambda f: f.denominator != 1)
+A = Poly.var("a")
+
+
+@st.composite
+def drawn_tensors(draw, legs=2, even=False, poly=False):
+    """A LieTensor on osp(1|4) of 1-6 terms: rational with at least one
+    non-integral coefficient (so den > 1), or with Poly coefficients in
+    ``a`` among rational ones.  ``even`` keeps every term even."""
+    keys = draw(st.lists(
+        st.tuples(*[st.integers(0, ALG.size - 1)] * legs).filter(
+            lambda k: not even or sum(ALG.parity(x) for x in k) % 2 == 0
+        ),
+        min_size=1, max_size=6, unique=True,
+    ))
+    coeffs = [draw(NONINTEGRAL)] + [
+        draw(st.one_of(ENTRY.filter(bool), NONINTEGRAL)) for _ in keys[1:]
+    ]
+    if poly:
+        coeffs[0] = A * draw(NONINTEGRAL) + draw(ENTRY)
+        coeffs[1:] = [c * A if draw(st.booleans()) else c for c in coeffs[1:]]
+    t = LieTensor(ALG, legs, dict(zip(keys, coeffs)))
+    assume(not t.is_zero)
+    assert (t.den is None) == poly and (poly or t.den > 1)
+    return t
+
+
+def same_tensor(got, want):
+    """Equal, hashing alike, and stored alike."""
+    assert got == want
+    assert hash(got) == hash(want)
+    assert (got.den, got.data) == (want.den, want.data)
+
+
+@given(
+    st.integers(0, ALG.size - 1),
+    st.one_of(
+        *[drawn_tensors(legs, poly=poly) for legs in (1, 2, 3)
+          for poly in (False, True)]
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_adjoint_action_matches_the_fraction_oracle(x, t):
+    same_tensor(adjoint_action(x, t), oracle_adjoint_action(x, t))
+
+
+@given(st.one_of(
+    drawn_tensors(even=True), drawn_tensors(even=True, poly=True)
+))
+@settings(max_examples=60, deadline=None)
+def test_cybe_residuals_match_the_fraction_oracle(r):
+    same_tensor(cybe_residual(r), oracle_cybe_residual(r))
+    same_tensor(spectral_residual_rational(r), oracle_spectral_residual(r))
+
+
+@given(drawn_tensors(even=True))
+@settings(max_examples=15, deadline=None)
+def test_cobracket_kernel_matches_the_fraction_oracle(r):
+    assert cobracket_kernel(ALG, r) == oracle_cobracket_kernel(ALG, r)
+
+
+@st.composite
+def drawn_spans(draw):
+    """Kernel vectors scaled by non-integral factors: a subalgebra's
+    (a cobracket kernel), or one with a fresh vector or more added."""
+    base = draw(st.sampled_from((
+        r_extended_super_jordanian, r_super_jordanian, r_jordanian
+    )))
+    vectors = [
+        [draw(NONINTEGRAL) * x for x in v]
+        for v in cobracket_kernel(ALG, base(ALG))
+    ]
+    extra = st.lists(
+        st.one_of(st.just(0), NONINTEGRAL), min_size=ALG.size,
+        max_size=ALG.size,
+    )
+    return vectors + draw(st.lists(extra, max_size=2))
+
+
+@given(drawn_spans())
+@settings(max_examples=25, deadline=None)
+def test_kernel_closure_matches_the_fraction_oracle(vectors):
+    assert kernel_closed_under_bracket(ALG, vectors) == oracle_kernel_closed(
+        ALG, vectors
+    )
