@@ -246,7 +246,7 @@ class OspAlgebra:
         ))
         rest = dict(entries)
         for i, c in out.items():
-            for ij, v in self.basis[i].matrix.data.items():
+            for ij, v in self.basis[i].matrix.entries.items():
                 rest[ij] = rest.get(ij, 0) - c * v
         if any(rest.values()):
             raise NotInAlgebra("matrix does not lie in the span of the basis")

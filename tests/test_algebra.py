@@ -235,6 +235,30 @@ def test_sorted_jacobi_agrees_with_the_full_oracle_on_every_poisoned_pair():
             assert sorted_ok == full_jacobi_oracle(bad), (i, j, k)
 
 
+class _TwoElementBrackets:
+    """An even x (index 0) and an odd v (index 1) with [x, v] = v and
+    [v, v] = x: graded and graded-antisymmetric, but [v, [v, v]] = -v, so
+    only the triples (x, v, v) and (v, v, v), each with an odd element
+    twice, break the Jacobi identity."""
+
+    size = 2
+    _table = {(0, 0): {}, (0, 1): {1: 1}, (1, 0): {1: -1}, (1, 1): {0: 1}}
+
+    def parity(self, i):
+        return i
+
+    def bracket(self, i, j):
+        return self._table[i, j]
+
+
+def test_jacobi_evaluates_triples_with_a_repeated_odd_element():
+    """Given antisymmetry a triple with an even element twice cannot fail,
+    but one with an odd element twice can, and the sorted route keeps it."""
+    alg = _TwoElementBrackets()
+    assert check_jacobi(alg) == [(0, 1, 1), (1, 1, 1)]
+    assert not full_jacobi_oracle(alg)
+
+
 def test_parity_assignment():
     odd = [b.name for b in ALG.basis if b.parity]
     assert sorted(odd) == sorted(["+e1", "+e2", "-e1", "-e2"])
