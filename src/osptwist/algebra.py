@@ -122,7 +122,7 @@ class OspAlgebra:
         self._by_lead = {b.lead: b.index for b in self.basis}
         self._bracket_cache = {}
         self._mono_matrix_cache = {}
-        self._gram_inv = None
+        self._gram = self._gram_inv = None
 
     # -- construction -------------------------------------------------------
 
@@ -293,11 +293,11 @@ class OspAlgebra:
     # -- invariant form -------------------------------------------------------------
 
     def gram(self):
-        """Supertrace form on the basis: G[a][b] = str(x_a x_b)."""
-        mats = [b.matrix for b in self.basis]
-        return [
-            [(a @ c).supertrace() for c in mats] for a in mats
-        ]
+        """Supertrace form G[a][b] = str(x_a x_b), formed once, as row tuples."""
+        if self._gram is None:
+            mats = [b.matrix for b in self.basis]
+            self._gram = tuple(tuple((a @ c).supertrace() for c in mats) for a in mats)
+        return self._gram
 
     def gram_inverse(self):
         if self._gram_inv is None:

@@ -59,7 +59,8 @@ Products.  One kernel forms every product, and ``*`` and
 products into one accumulator.  A residual x*y - z*w (the cocycle,
 intertwining and braid checks) thus never holds both products: each is
 cut at the smallest cap of the four operands and summed as it is formed,
-over one denominator for rational operands.
+over one denominator for rational operands.  Legs on which the left
+operand is the unit (the third of F12 = F (x) 1) are carried, not walked.
 
 One term algebra.  :class:`UEElement`, :class:`UETensor` and the classical
 :class:`~osptwist.rmatrix.LieTensor` share one storage, the packed keys
@@ -83,10 +84,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import islice, repeat
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .errors import (
     ConstantTermPresent,
@@ -404,89 +405,125 @@ def _mul(table, left, right, legs, cap, acc=None):
     zero-free dict ``acc``, the product is added into it, which stays
     zero-free, and ``acc`` is returned.
 
-    Both operands are grouped by the ids of every leg but the last (the
-    head).  Right groups are split by grade and sorted by it; a member
-    keeps the table's id object of its last leg, not a fresh int.  A left
-    head keeps its keys sorted by last-leg grade: for each (left head,
-    right group) pair within the cap, the head-leg products are formed
-    once, without a coefficient, and the head's last legs are walked up
-    to the first one over the cap, adding c1 * c2 times those products
-    per member.  A unit last leg (id 0) times a member's last leg is that
-    leg, added without a table lookup.  The Koszul sign of terms t and u,
+    A leg on which every left term is the unit (an OR of the left keys
+    shows it) is carried: a right term's monomial there goes into the key
+    as it is.  The other legs are walked: the last of them is the last
+    leg, every leg before it a head leg.  Right terms are grouped by
+    walked head ids and head parities, split by grade and sorted by it; a
+    member keeps the table's id object of its last leg, and its carried
+    ids.  For each (left head, right group) pair within the cap, the
+    walked head products are formed once, without a coefficient, and the
+    head's last legs, sorted by grade, are walked up to the first one over
+    the cap, adding c1 * c2 times those products, with the carried ids, per
+    member (a unit last leg without a lookup).  The Koszul sign of t and u,
     sum_i p(u_i) sum_{l>i} p(t_l), splits into a head part, the parity of
     (bits of t's head legs followed by an odd number of odd head legs) &
-    (bits of u's odd head legs), and p(t_last) p(u's head).
+    (bits of u's odd head legs), and p(t_last) p(u's head); a carried leg
+    after the last one adds nothing.
     """
     g2, par, bits, units = table.g2, table.par, table.bits, table.units
     mask = (1 << bits) - 1
-    last = legs - 1
-    shifts = range(bits * (last - 1), -1, -bits)
+    shifts = range(bits * (legs - 1), -1, -bits)
     cap = float("inf") if cap is None else cap
+    free = reduce(or_, left, 0)
+    walked = [s for s in shifts if free >> s & mask] or [0]
+    low, whead = walked[-1], walked[:-1]  # the last leg; walked head legs
+    heads = [s for s in shifts if s > low]
+    lead, top = ~(mask << low), bits * legs
+    carried = (1 << top) - 1 ^ sum([mask << s for s in walked])
 
-    heads: dict = {}
+    span = top + legs  # a group key packs grade, head parities, walked head ids
+    rests: dict = {}
     groups: dict = {}
     for key, c in right.items():
-        head = key >> bits
-        grade = heads.get(head)
-        if grade is None:
-            grade = heads[head] = sum(g2[head >> s & mask] for s in shifts)
-        m = units[key & mask][0][0]
-        groups.setdefault((grade + g2[m], head), []).append((m, c))
+        rest = key & lead
+        base = rests.get(rest)
+        if base is None:
+            odd = sum([par[rest >> s & mask] << i for i, s in enumerate(heads)])
+            grade = sum([g2[rest >> s & mask] for s in shifts])
+            base = rests[rest] = grade << span | odd << top | rest & ~carried
+        m = units[key >> low & mask][0][0]
+        groups.setdefault(base + (g2[m] << span), []).append((m, key & carried, c))
     rgroups = []
-    for (grade, head), members in groups.items():
-        ids = [head >> s & mask for s in shifts]
-        odd_heads = sum([par[x] << i for i, x in enumerate(ids)])
-        rgroups.append((grade, ids, odd_heads, odd_heads.bit_count() & 1, members))
+    for group, members in groups.items():
+        if low:
+            members = [(m << low, cb, c) for m, cb, c in members]
+        ids = [group >> s & mask for s in whead]
+        odd_heads = group >> top & (1 << legs) - 1
+        rgroups.append((group >> span, ids, odd_heads, odd_heads.bit_count() & 1, members))
     rgroups.sort(key=itemgetter(0))
     rgrades = [q[0] for q in rgroups]
 
     lefts: dict = {}
-    for key in sorted(left, key=lambda k: g2[k & mask]):
-        lefts.setdefault(key >> bits, []).append(key)
+    for key in sorted(left, key=lambda k: g2[k >> low & mask]):
+        lefts.setdefault(key & lead, []).append(key)
 
-    get, product = table.products.get, table.product
+    row_shift = bits + low  # a last leg's id, shifted to key a row of products
+    tget, tproduct = table.products.get, table.product
+    if low:
+        # carried legs below the last: its products shifted into place, memoized
+        shifted: dict = {}
+        get = shifted.get
+
+        def product(t, u):
+            nf = tuple([(m << low, a) for m, a in tproduct(t, u >> low)])
+            shifted[t << row_shift | u] = nf
+            return nf
+    else:
+        get, product = tget, tproduct
+    # head parts pack the walked head legs down to the lowest one, at sh
+    sh = whead[-1] if whead else 0
+    gaps = [0] + [a - b for a, b in zip(whead, whead[1:])]
+    one = ((0, 1),)
     if acc is None:
         acc = {}
     aget = acc.get
     for head, keys in lefts.items():
-        t_head = [head >> s & mask for s in shifts]
+        t_head = [head >> s & mask for s in heads]
+        t_walked = [(head >> s & mask, gap) for s, gap in zip(whead, gaps)]
         t_after = odd = 0
-        for i in range(last - 1, -1, -1):
+        for i in range(len(heads) - 1, -1, -1):
             if odd:
                 t_after |= 1 << i
             odd ^= par[t_head[i]]
-        # (last-leg grade, last-leg id, coefficient), lowest grade first
-        lasts = [(g2[k & mask], k & mask, left[k]) for k in keys]
+        # (grade, shifted id, parity, coefficient) per last leg, by grade
+        lasts = [(g2[t := k >> low & mask], t << row_shift, par[t], left[k])
+                 for k in keys]
         room = cap - sum([g2[i] for i in t_head])
         stop = bisect_right(rgrades, room - lasts[0][0])
         for grade, u_head, u_odd_heads, u_odd, members in rgroups[:stop]:
-            # (packed ids of the head legs, shifted for the last leg,
-            # coefficient with the head's Koszul sign)
-            parts = [(0, -1 if (t_after & u_odd_heads).bit_count() & 1 else 1)]
-            for ti, ui in zip(t_head, u_head):
-                nf = get(ti << bits | ui) or product(ti, ui)
-                parts = [((p | m) << bits, pc * a) for p, pc in parts for m, a in nf]
-            for t_grade, t_last, c1 in lasts:
-                if t_grade > room - grade:
+            odd = t_after & u_odd_heads
+            neg = odd and odd.bit_count() & 1
+            parts = one
+            for (ti, gap), ui in zip(t_walked, u_head):
+                nf = tget(ti << bits | ui) or tproduct(ti, ui)
+                parts = nf if parts is one else [
+                    (p << gap | m, pc * a) for p, pc in parts for m, a in nf
+                ]
+            limit = room - grade
+            for t_grade, row, t_odd, c1 in lasts:
+                if t_grade > limit:
                     break
-                if u_odd and par[t_last]:
+                if u_odd and t_odd:
                     c1 = -c1
-                if not t_last:
-                    for u_last, c2 in members:
+                if neg:
+                    c1 = -c1
+                if not row:
+                    for u_last, cb, c2 in members:
                         c = c1 * c2
                         for p, pc in parts:
-                            k = p | u_last
+                            k = p << sh | cb | u_last
                             v = aget(k, 0) + pc * c
                             if v:
                                 acc[k] = v
                             else:
                                 acc.pop(k, None)
                     continue
-                row = t_last << bits
-                for u_last, c2 in members:
-                    nf = get(row | u_last) or product(t_last, u_last)
+                for u_last, cb, c2 in members:
+                    nf = get(row | u_last) or product(row >> row_shift, u_last)
                     c = c1 * c2
                     for p, pc in parts:
+                        p = p << sh | cb
                         pc *= c
                         for m, a in nf:
                             k = p | m

@@ -188,11 +188,14 @@ def _binomial(alpha):
 
 class _Link:
     """The scalars of one jordanian link as functions of its raising
-    element x, in x's own ring; ``raising`` returns x."""
+    element x, in x's own ring; ``raising()`` returns x."""
 
-    def __init__(self, raising):
-        self.raising = raising
+    def __init__(self, x=None):
+        self._x = x
         self._made: dict = {}
+
+    def raising(self):
+        return self._x
 
     @_memoized
     def sigma(self):
@@ -231,15 +234,15 @@ class _Link:
 class _Ingredients(_Link):
     """Everything the factor recipe takes from one ring: the generators,
     the link of X+ (this object), the deformed generators and the link of
-    Y~ (``tilde``).  Subclasses supply the generators, ``gen``."""
+    Y~ (``tilde``).  Subclasses supply ``gen``; no attribute holds self."""
 
-    def __init__(self):
-        super().__init__(partial(self.gen, "X+"))
+    def raising(self):
+        return self.gen("X+")
 
     @_memoized
     def tilde(self) -> _Link:
         """The second link, built on Y~."""
-        return _Link(self.y_tilde)
+        return _Link(self.y_tilde())
 
     @_memoized
     def _conjugators(self):

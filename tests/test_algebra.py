@@ -367,6 +367,21 @@ def test_gram_matrix_symmetry_and_inverse():
             assert acc == (1 if i == j else 0)
 
 
+def test_gram_matrix_is_formed_once_and_shared_immutably():
+    """One Gram matrix per algebra, rows as tuples: the inverse and the
+    rank check read it, and nothing that reads it can change it."""
+    alg = OspAlgebra(2)
+    g = alg.gram()
+    assert alg.gram() is g
+    assert isinstance(g, tuple) and all(isinstance(row, tuple) for row in g)
+    with pytest.raises(TypeError):
+        g[0][0] = 1
+    mats = [b.matrix for b in alg.basis]
+    assert g == tuple(tuple((a @ c).supertrace() for c in mats) for a in mats)
+    alg.basis = None  # the inverse must not form the matrix again
+    assert alg.gram_inverse() == ALG.gram_inverse()
+
+
 def test_monomial_matrix_matches_products():
     i = ALG.generator_index("v+")
     j = ALG.generator_index("w+")

@@ -684,6 +684,55 @@ def test_product_kernel_negative_control():
     assert a * b == _expected((alg, legs, a, b))
 
 
+# -- carried legs: a left operand that is the unit on some legs ---------------
+
+
+@st.composite
+def embedded_products(draw):
+    """A 2-leg tensor embedded at legs (1,2), (2,3) or (1,3) of three, so
+    that the last, the first or the middle leg of the left operand is the
+    unit, times a general 3-leg operand; and a general 3-leg pair of the
+    same algebra.  Odd letters are drawn often, so carried legs are odd."""
+    alg = ALGEBRAS[draw(st.sampled_from((1, 2)))]
+    at = draw(st.sampled_from(((1, 2), (2, 3), (1, 3))))
+    terms, cap = draw(_operand(alg, 2))
+    x = UETensor(alg, terms, 2, cap).embed(at, 3)
+    y, z, w = (
+        UETensor(alg, t, 3, c) for t, c in (draw(_operand(alg, 3)) for _ in "yzw")
+    )
+    return alg, at, x, y, z, w
+
+
+@given(embedded_products())
+@settings(max_examples=150, deadline=None)
+def test_carried_legs_match_reference(case):
+    """The kernel carries the legs on which every left term is the unit:
+    the product is the reference loop's, alone and summed with a general
+    product in one accumulator."""
+    alg, _, x, y, z, w = case
+    want = _expected((alg, 3, x, y))
+    got = x * y
+    assert got == want and got.g2cap == want.g2cap
+    diff = pbw.product_difference(x, y, z, w)
+    assert diff == x * y - z * w and diff.g2cap == (x * y - z * w).g2cap
+
+
+def test_carried_legs_negative_control():
+    """A reference with the Koszul sign dropped disagrees with the kernel
+    on some product whose first or middle leg is carried, so the
+    comparison above can fail."""
+    alg, _, x, y, _, _ = find(
+        embedded_products(),
+        lambda case: case[1] != (1, 2)
+        and case[2] * case[3] != _expected((case[0], 3, case[2], case[3]), False),
+        settings=settings(
+            max_examples=2000, deadline=None, database=None,
+            phases=(Phase.generate,),
+        ),
+    )
+    assert x * y == _expected((alg, 3, x, y))
+
+
 # -- a difference of two products in one accumulator ---------------------------
 
 

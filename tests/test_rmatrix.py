@@ -708,9 +708,12 @@ def oracle_cobracket_kernel(alg, r):
     return basis
 
 
-NONINTEGRAL = st.builds(
-    Fraction, st.integers(-7, 7).filter(bool), st.sampled_from((2, 3, 4, 6))
-).filter(lambda f: f.denominator != 1)
+# drawn from a list, not filtered: a span takes one draw per entry, and a
+# filter rejecting a third of the draws failed hypothesis's filter_too_much
+# health check in some runs
+NONINTEGRAL = st.sampled_from(sorted(
+    {Fraction(n, d) for n in range(-7, 8) for d in (2, 3, 4, 6) if n % d}
+))
 A = Poly.var("a")
 
 

@@ -7,6 +7,7 @@ at most 2*d, so low-degree runs genuinely certify those components (the
 acceptance gate re-runs the heavy identities at the contract degree).
 """
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -361,6 +362,28 @@ def test_rep_cocycle_leaves_no_cache_on_the_algebra():
     before = state()
     assert rep_cocycle_residual(alg, FULL_CHAIN_KINDS).is_zero
     assert state() == before
+
+
+def test_rep_cocycle_is_freed_without_a_cyclic_collection():
+    """No assignment holds itself (through its raising function or its
+    second link), so what a matrix cocycle builds is freed as the call
+    returns: with the collector off around the call, a collection after
+    it finds no matrix, assignment or ingredient object."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert rep_cocycle_residual(ALG, FULL_CHAIN_KINDS).is_zero
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.enable()
+    found = [
+        type(o).__name__ for o in gc.garbage
+        if isinstance(o, (GradedMatrix, tws._Ingredients))
+    ]
+    gc.garbage.clear()
+    assert found == []
 
 
 def test_corrupted_ingredient_fails_at_both_levels(monkeypatch):
