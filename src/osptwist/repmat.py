@@ -33,9 +33,11 @@ braid and RTT residuals of :mod:`~osptwist.quantum` evaluate Poly entries
 this way; ``matmul`` itself multiplies the Poly scalars.
 
 Also here: the parity vector of a tensor power (the one every tensor
-image in the package is built on), embedding of an operator into chosen tensor legs (with the signs for sliding factors past
-untouched legs), and the exponential and logarithm of nilpotent/unipotent
-matrices.
+image in the package is built on), the graded swap of two legs, the
+embedding of an operator into chosen tensor legs (:func:`kron` with
+identities, then graded swaps that slide its factors apart, so the sign
+rule above is the only one), and the exponential and logarithm of
+nilpotent/unipotent matrices.
 
 These matrices are one of the two rings the twist chain's single recipe
 is evaluated over (:mod:`twist`; the other is the truncated enveloping
@@ -381,24 +383,27 @@ def tensor_pv(pv, k: int):
     return out
 
 
-def _decode(flat: int, d: int, k: int):
-    out = []
-    for _ in range(k):
-        out.append(flat % d)
-        flat //= d
-    out.reverse()
-    return tuple(out)
+def graded_swap(pv) -> GradedMatrix:
+    """The graded flip v (x) w -> (-1)**(p(v)p(w)) w (x) v on the square of
+    the space with parity vector ``pv``: an even involution, by which
+    conjugation turns a (x) b into (-1)**(p(a)p(b)) b (x) a."""
+    d = len(pv)
+    flip = {
+        (b * d + a, a * d + b): -1 if pv[a] and pv[b] else 1
+        for a in range(d) for b in range(d)
+    }
+    return GradedMatrix._wrap(tensor_pv(pv, 2), flip, 1)
 
 
 def embed_legs(m: GradedMatrix, pv, legs, total: int) -> GradedMatrix:
     """Embed an operator on len(legs) copies of the space with parity ``pv``
     into ``total`` tensor legs (1-based, strictly increasing), acting as the
-    identity elsewhere.
+    identity elsewhere: a (x) b at legs (1, 3) of three is a (x) 1 (x) b.
 
-    The sign slides each factor of the operator past the untouched legs to
-    its left: for every entry, factor t (sitting at leg ``legs[t]``) carries
-    the parity of its own matrix entry, and it picks up that parity times
-    the parity of each bypassed identity leg.
+    :func:`kron` with identities places the operator on the consecutive
+    legs from ``legs[0]``; then each of its factors, the last first, slides
+    to its own leg by conjugation with the :func:`graded_swap` of two
+    neighbouring legs, which carries the Koszul sign of passing them.
     """
     legs = tuple(legs)
     k = len(legs)
@@ -408,46 +413,18 @@ def embed_legs(m: GradedMatrix, pv, legs, total: int) -> GradedMatrix:
         raise LegMismatch(
             "legs %r out of range for %d tensor factors" % (legs, total)
         )
-    d = len(pv)
-    if m.dim != d**k:
-        raise LegMismatch(
-            "operator dim %d does not match %d legs of dim %d"
-            % (m.dim, k, d)
-        )
-    leg_set = set(l - 1 for l in legs)  # to 0-based positions
-    free = [p for p in range(total) if p not in leg_set]
-    out = {}
-    # enumerate diagonal assignments of the free positions
-    free_assignments = [[]]
-    for _ in free:
-        free_assignments = [fa + [x] for fa in free_assignments for x in range(d)]
-    for (flat_i, flat_j), c in m.data.items():
-        rows = _decode(flat_i, d, k)
-        cols = _decode(flat_j, d, k)
-        for fa in free_assignments:
-            full_row = [0] * total
-            full_col = [0] * total
-            for pos, x in zip(free, fa):
-                full_row[pos] = x
-                full_col[pos] = x
-            for t, leg in enumerate(legs):
-                full_row[leg - 1] = rows[t]
-                full_col[leg - 1] = cols[t]
-            sgn = 0
-            for t, leg in enumerate(legs):
-                p_factor = (pv[rows[t]] + pv[cols[t]]) % 2
-                if p_factor:
-                    sgn += sum(pv[full_col[pos]] for pos in free if pos < leg - 1)
-            fi = 0
-            for x in full_row:
-                fi = fi * d + x
-            fj = 0
-            for x in full_col:
-                fj = fj * d + x
-            val = -c if sgn % 2 else c
-            cur = out.get((fi, fj))
-            out[(fi, fj)] = val if cur is None else cur + val
-    return _summed(tensor_pv(pv, total), out, m.den)
+    if m.pv != tensor_pv(pv, k):
+        raise LegMismatch("operator is not on %d legs of %r" % (k, tuple(pv)))
+    eye = GradedMatrix.identity(pv)
+    first = legs[0] - 1
+    out = kron_all([eye] * first + [m] + [eye] * (total - first - k))
+    swap = graded_swap(pv)
+    for t in range(k - 1, 0, -1):
+        # factor t moves from leg first + t + 1 to legs[t], one leg a swap
+        for j in range(first + t, legs[t] - 1):
+            s = kron_all([eye] * j + [swap] + [eye] * (total - j - 2))
+            out = s @ out @ s
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -4,14 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
+from osptwist import repmat
 from osptwist.algebra import build_osp
-from osptwist.errors import DivisionByNonUnit, NotNilpotent
+from osptwist.errors import DivisionByNonUnit, LegMismatch, NotNilpotent
 from osptwist.pbw import UEElement, UETensor
 from osptwist.repmat import (
     GradedMatrix,
     embed_legs,
+    graded_swap,
     join_monomials,
     kron,
     kron_all,
@@ -195,15 +197,6 @@ def test_kron_all_matches_iterated_kron():
     assert kron_all([A, B, C]) == kron(kron(A, B), C)
 
 
-def graded_swap(pv):
-    """P with P(v (x) w) = (-1)**(p(v)p(w)) w (x) v on the square of a space."""
-    d = len(pv)
-    return GradedMatrix(tensor_pv(pv, 2), {
-        (j * d + i, i * d + j): Fraction(-1 if pv[i] and pv[j] else 1)
-        for i in range(d) for j in range(d)
-    })
-
-
 def test_graded_swap_involution_and_action():
     P = graded_swap(PV)
     I2 = GradedMatrix.identity(P.pv)
@@ -216,14 +209,113 @@ def test_graded_swap_involution_and_action():
     assert P @ kron(E, A) @ P == kron(A, E)
 
 
-def test_embed_legs_places_factors():
-    # leg numbering is 1-based
-    A = unit(PV, 0, 1)
-    B = unit(PV, 3, 4)
-    I = GradedMatrix.identity(PV)
-    assert embed_legs(A, PV, (1,), 2) == kron(A, I)
-    assert embed_legs(A, PV, (2,), 2) == kron(I, A)
-    assert embed_legs(kron(A, B), PV, (1, 3), 3) == kron_all([A, I, B])
+def leg_factors(pv):
+    """A matrix on one leg: even, odd or inhomogeneous, with int,
+    non-integral and Poly entries."""
+    d = len(pv)
+    cells = [
+        [(i, j) for i in range(d) for j in range(d) if (pv[i] + pv[j]) % 2 == p]
+        for p in (0, 1)
+    ]
+    scalar = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]),
+        polys(),
+    )
+    return st.sampled_from([cells[0], cells[1], cells[0] + cells[1]]).flatmap(
+        lambda keys: st.dictionaries(
+            st.sampled_from(keys), scalar, min_size=1, max_size=3
+        ).map(lambda es: GradedMatrix(pv, es))
+    )
+
+
+# (legs, total): mostly with a gap between legs, which only the swaps fill
+PLACEMENTS = [
+    ((1, 3), 3), ((1, 4), 4), ((2, 4), 4), ((1, 2, 4), 4), ((1, 3, 4), 4),
+    ((1, 3), 4), ((3,), 4), ((1, 2), 3), ((2, 3), 3), ((1, 2, 3), 3), ((1,), 1),
+]
+
+
+@st.composite
+def embeddings(draw):
+    """(pv, legs, total, terms): legs of up to four, gaps included, and
+    terms [(c, factors)] of an operator sum c * kron_all(factors) on
+    len(legs) legs, the first c being 1."""
+    pv = draw(st.sampled_from([PV, (1, 0, 1)]))
+    legs, total = draw(st.sampled_from(PLACEMENTS))
+    factors = st.lists(leg_factors(pv), min_size=len(legs), max_size=len(legs))
+    terms = [(1, draw(factors))]
+    if draw(st.booleans()):
+        c = draw(st.one_of(st.integers(min_value=-3, max_value=3), fractions, polys()))
+        terms.append((c, draw(factors)))
+    return pv, legs, total, terms
+
+
+def _embed_by_definition(pv, legs, total, terms):
+    """The embedding's definition: each term's kron_all with identities
+    inserted at the free legs."""
+    eye = GradedMatrix.identity(pv)
+    out = GradedMatrix.zero(tensor_pv(pv, total))
+    for c, factors in terms:
+        at = dict(zip(legs, factors))
+        out = out + kron_all([at.get(l, eye) for l in range(1, total + 1)]).scale(c)
+    return out
+
+
+def _embedded(pv, legs, total, terms):
+    m = GradedMatrix.zero(tensor_pv(pv, len(legs)))
+    for c, factors in terms:
+        m = m + kron_all(factors).scale(c)
+    return embed_legs(m, pv, legs, total)
+
+
+_A, _B, _I = unit(PV, 0, 1), unit(PV, 3, 4), GradedMatrix.identity(PV)
+
+
+@given(embeddings())
+@example((PV, (1,), 2, [(1, [_A])]))
+@example((PV, (2,), 2, [(1, [_A])]))
+@example((PV, (1, 3), 3, [(1, [_A, _B])]))
+@settings(max_examples=120, deadline=None)
+def test_embed_legs_is_kron_with_identities(case):
+    """Leg numbering is 1-based; the embedding of an operator sum is the
+    same sum of kron_all with identities at the free legs, stored alike."""
+    got, want = _embedded(*case), _embed_by_definition(*case)
+    assert got == want
+    assert (got.data, got.den) == (want.data, want.den)
+
+
+def test_embed_legs_negative_control(monkeypatch):
+    """With the swap's Koszul sign dropped, some drawn embedding with a gap
+    between its legs differs from the definition, so the test above can
+    fail."""
+    def unsigned_swap(pv):
+        d = len(pv)
+        flip = {(b * d + a, a * d + b): 1 for a in range(d) for b in range(d)}
+        return GradedMatrix(tensor_pv(pv, 2), flip)
+
+    monkeypatch.setattr(repmat, "graded_swap", unsigned_swap)
+    _, legs, _, _ = find(
+        embeddings(),
+        lambda case: _embedded(*case) != _embed_by_definition(*case),
+        settings=settings(
+            max_examples=500, deadline=None, database=None,
+            phases=(Phase.generate,),
+        ),
+    )
+    assert legs[-1] - legs[0] >= len(legs)
+
+
+def test_embed_legs_rejects_an_operator_on_another_space():
+    """An odd operator on a space of other parities is refused, not
+    re-read on the legs' parities (where it would be even); so is one of
+    the wrong dimension."""
+    odd = GradedMatrix((0, 0, 0, 0, 1), {(0, 4): 1})
+    with pytest.raises(LegMismatch):
+        embed_legs(odd, PV, (2,), 2)
+    with pytest.raises(LegMismatch):
+        embed_legs(_I, PV, (1, 2), 2)
+    assert embed_legs(_I, PV, (2,), 2) == GradedMatrix.identity(tensor_pv(PV, 2))
 
 
 def test_embed_legs_even_factors_commute_across_legs():
