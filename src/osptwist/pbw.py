@@ -54,13 +54,17 @@ Equality and hashing read the stored terms, not that view: ``den`` and
 ``data`` when both sides are rational, else the terms as scalars, which
 hash alike across the scalar tower.
 
-Products.  One kernel forms every product, and ``*`` and
-:func:`product_difference` reach it through one entry that adds signed
-products into one accumulator.  A residual x*y - z*w (the cocycle,
-intertwining and braid checks) thus never holds both products: each is
-cut at the smallest cap of the four operands and summed as it is formed,
-over one denominator for rational operands.  Legs on which the left
-operand is the unit (the third of F12 = F (x) 1) are carried, not walked.
+Products.  One kernel forms every product, and ``*``,
+:func:`product_difference` and the coproduct table reach it through one
+entry that sums signed products one slice at a time.  A slice is the set
+of keys with one grade per leg; normal ordering keeps grades, so each
+slice of a product is formed from its own pairs of left and right grade
+classes.  A residual x*y - z*w (the cocycle, intertwining and braid
+checks) is summed slice by slice over both products, cut at the smallest
+cap of the four operands and over one denominator for rational
+operands, so the terms that cancel between the products are held for one
+slice only.  Legs on which the left operand is the unit (the third of
+F12 = F (x) 1) are carried, not walked.
 
 One term algebra.  :class:`UEElement`, :class:`UETensor` and the classical
 :class:`~osptwist.rmatrix.LieTensor` share one storage, the packed keys
@@ -81,13 +85,13 @@ where the benchmark tracer patches it class by class.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import islice, repeat
 from math import lcm
-from operator import itemgetter, or_
+from operator import or_
+from weakref import ref
 
 from .errors import (
     ConstantTermPresent,
@@ -138,12 +142,14 @@ _ID_BITS = 20
 
 
 class _Ids(dict):
-    """monomial -> id; looking up a new monomial interns it."""
+    """monomial -> id; looking up a new monomial interns it.  The table
+    that owns the dict is named by a weak reference, so the two form no
+    reference cycle."""
 
     __slots__ = ("table",)
 
     def __missing__(self, mono):
-        return self.table._new_id(mono)
+        return self.table()._new_id(mono)
 
 
 class PBWTable:
@@ -173,20 +179,27 @@ class PBWTable:
     memos.
     """
 
-    __slots__ = ("algebra", "bits", "size", "odd", "monos", "ids", "g2",
+    __slots__ = ("_algebra", "bits", "size", "odd", "monos", "ids", "g2",
                  "par", "prefix", "units", "insertions",
-                 "products", "coproducts")
+                 "products", "coproducts", "__weakref__")
 
     def __init__(self, algebra):
-        self.algebra = algebra
+        self._algebra = ref(algebra)
         self.size = algebra.size
         self.odd = [algebra.parity(x) for x in range(algebra.size)]
         self.bits = _ID_BITS
         self.monos, self.ids, self.g2, self.par = [], _Ids(), [], []
         self.prefix, self.units = [], []
-        self.ids.table = self
+        self.ids.table = ref(self)
         self.ids[()]  # interned first: id 0
         self.clear()
+
+    @property
+    def algebra(self):
+        """The algebra of the table.  It owns the table, which refers to
+        it weakly: a dropped algebra is freed with its table without the
+        cyclic collector."""
+        return self._algebra()
 
     def clear(self):
         """Forget the insertion, product and coproduct memos; the next
@@ -204,7 +217,7 @@ class PBWTable:
 
     def _new_id(self, mono) -> int:
         # grade and parity first: a bad letter raises before any list grows
-        g2 = sum(self.algebra.g2(x) for x in mono)
+        g2 = sum(map(self.algebra.g2, mono))
         par = sum(self.odd[x] for x in mono) & 1
         prefix = self.ids[mono[:-1]] if mono else 0
         i = len(self.monos)
@@ -354,7 +367,7 @@ class PBWTable:
                 x = self.ids[mono[-1:]]
                 primitive = {x << self.bits * pos: 1 for pos in range(legs)}
                 head = dict(self.coproduct(self.prefix[mid], legs))
-                hit = tuple(_mul(self, head, primitive, legs, None).items())
+                hit = tuple(_mul(self, ((1, head, primitive),), legs, None).items())
             self.coproducts[key] = hit
         return hit
 
@@ -397,34 +410,52 @@ def format_monomial(alg, mono) -> str:
 # --------------------------------------------------------------------------
 
 
-def _mul(table, left, right, legs, cap, acc=None):
-    """The product of two combinations of ``legs``-leg keys packed in
-    ``table``, {key: coefficient} dicts, as a zero-free {key: coefficient}
-    dict without terms above ``cap``.  Coefficients are multiplied as
-    they are: int numerators, or Poly and LaurentSeries values.  Given a
-    zero-free dict ``acc``, the product is added into it, which stays
-    zero-free, and ``acc`` is returned.
+@cache
+def _grading(bits, legs):
+    """(the weight of each leg's shift, the shift of the total, half its
+    unit) of packed grade vectors of ``legs``-leg keys.  A key's vector is
+    sum g_l * weight[s_l] over its legs: one signed field per leg, and the
+    total above them, read back as (v + half) >> top.  A packed monomial
+    has fewer letters than 2**bits and a letter's doubled grade is at most
+    2 in size, so fields of bits + 3 bits hold the grades of a sum of two
+    keys.  The packing is linear: a product term's vector is the sum of
+    its factors' vectors."""
+    field = bits + 3
+    top = field * legs
+    weight = {
+        s: (1 << s // bits * field) + (1 << top) for s in range(0, bits * legs, bits)
+    }
+    return weight, top, 1 << top - 1
+
+
+def _walk(table, factor, left, right, legs):
+    """``factor`` * left * right prepared once for every slice of
+    ``_mul``: (left classes, right classes, the shift of a last-leg row,
+    the lookups of the last leg's products, the shift of the head parts).
+    Both kinds of class are keyed by packed grade vectors (``_grading``).
 
     A leg on which every left term is the unit (an OR of the left keys
     shows it) is carried: a right term's monomial there goes into the key
-    as it is.  The other legs are walked: the last of them is the last
-    leg, every leg before it a head leg.  Right terms are grouped by
-    walked head ids and head parities, split by grade and sorted by it; a
-    member keeps the table's id object of its last leg, and its carried
-    ids.  For each (left head, right group) pair within the cap, the
-    walked head products are formed once, without a coefficient, and the
-    head's last legs, sorted by grade, are walked up to the first one over
-    the cap, adding c1 * c2 times those products, with the carried ids, per
-    member (a unit last leg without a lookup).  The Koszul sign of t and u,
-    sum_i p(u_i) sum_{l>i} p(t_l), splits into a head part, the parity of
-    (bits of t's head legs followed by an odd number of odd head legs) &
-    (bits of u's odd head legs), and p(t_last) p(u's head); a carried leg
-    after the last one adds nothing.
+    as it is, and gives the output leg its grade.  The other legs are
+    walked: the last of them is the last leg, every leg before it a head
+    leg.  Right terms are grouped by walked head ids, head parities and
+    grade vector, which takes in the grades of the carried legs and of
+    the last leg.  A right class lists its groups as (first walked head
+    id, the other walked head ids, odd-head bits, parity of the odd
+    heads, members), the members flat as (last-leg id shifted into
+    place, carried ids, coefficient) triples whose ids are one shared int
+    object per value.  Left terms are grouped by head and by the grade
+    and parity of the last leg.  A left class lists, per group, (the
+    first walked head id shifted to key a table row and as it is, the
+    other walked head ids with the gaps that pack their products, the
+    head's Koszul bits, the last leg's parity, then either the
+    coefficient of the unit last leg and None, or None and the other last
+    legs as (shifted id, coefficient times ``factor``) pairs).
     """
-    g2, par, bits, units = table.g2, table.par, table.bits, table.units
+    g2, par, bits = table.g2, table.par, table.bits
     mask = (1 << bits) - 1
     shifts = range(bits * (legs - 1), -1, -bits)
-    cap = float("inf") if cap is None else cap
+    weight, _, _ = _grading(bits, legs)
     free = reduce(or_, left, 0)
     walked = [s for s in shifts if free >> s & mask] or [0]
     low, whead = walked[-1], walked[:-1]  # the last leg; walked head legs
@@ -432,142 +463,236 @@ def _mul(table, left, right, legs, cap, acc=None):
     lead, top = ~(mask << low), bits * legs
     carried = (1 << top) - 1 ^ sum([mask << s for s in walked])
 
-    span = top + legs  # a group key packs grade, head parities, walked head ids
-    rests: dict = {}
+    span = top + legs  # a group key packs grades, head parities, walked head ids
+    last, at_last = weight[low] << span, mask << low
+    rests: dict = {}  # a key but its last leg -> (group base, carried ids)
+    lasts: dict = {}  # last-leg part -> (one shared int object, its group offset)
+    carries: dict = {}  # one shared int object per carried part
     groups: dict = {}
     for key, c in right.items():
         rest = key & lead
-        base = rests.get(rest)
-        if base is None:
+        hit = rests.get(rest)
+        if hit is None:
             odd = sum([par[rest >> s & mask] << i for i, s in enumerate(heads)])
-            grade = sum([g2[rest >> s & mask] for s in shifts])
-            base = rests[rest] = grade << span | odd << top | rest & ~carried
-        m = units[key >> low & mask][0][0]
-        groups.setdefault(base + (g2[m] << span), []).append((m, key & carried, c))
-    rgroups = []
+            grades = sum([g2[rest >> s & mask] * weight[s] for s in shifts])
+            cb = rest & carried
+            hit = rests[rest] = (
+                grades << span | odd << top | rest & ~carried,
+                carries.setdefault(cb, cb),
+            )
+        base, cb = hit
+        u = key & at_last
+        hit = lasts.get(u)
+        if hit is None:
+            hit = lasts[u] = (u, g2[u >> low] * last)
+        u, offset = hit
+        members = groups.get(base + offset)
+        if members is None:
+            members = groups[base + offset] = []
+        members += (u, cb, c)
+    rclasses: dict = {}
     for group, members in groups.items():
-        if low:
-            members = [(m << low, cb, c) for m, cb, c in members]
-        ids = [group >> s & mask for s in whead]
-        odd_heads = group >> top & (1 << legs) - 1
-        rgroups.append((group >> span, ids, odd_heads, odd_heads.bit_count() & 1, members))
-    rgroups.sort(key=itemgetter(0))
-    rgrades = [q[0] for q in rgroups]
-
-    lefts: dict = {}
-    for key in sorted(left, key=lambda k: g2[k >> low & mask]):
-        lefts.setdefault(key & lead, []).append(key)
+        ids = [group >> s & mask for s in whead] or [0]
+        odd = group >> top & (1 << legs) - 1
+        rclasses.setdefault(group >> span, []).append(
+            (ids[0], tuple(ids[1:]), odd, odd.bit_count() & 1, members)
+        )
 
     row_shift = bits + low  # a last leg's id, shifted to key a row of products
-    tget, tproduct = table.products.get, table.product
+    lefts: dict = {}  # head + (grade, parity of the last leg) << top -> [unit c, rows]
+    rows_at: dict = {}  # one shared int object per shifted last-leg id
+    for key, c in left.items():
+        t = key >> low & mask
+        k = (key & lead) + ((g2[t] << 1 | par[t]) << top)
+        rows = lefts.get(k)
+        if rows is None:
+            rows = lefts[k] = [None]
+        if t:
+            row = rows_at.get(t)
+            if row is None:
+                row = rows_at[t] = t << row_shift
+            rows.append((row, c))
+        else:
+            rows[0] = c
+    # head parts pack the walked head legs down to the lowest one, at sh
+    sh = whead[-1] if whead else 0
+    gaps = [0] + [a - b for a, b in zip(whead, whead[1:])]
+    made: dict = {}
+    lclasses: dict = {}
+    for k, rows in lefts.items():
+        head = k & (1 << top) - 1
+        hit = made.get(head)
+        if hit is None:
+            t_head = [head >> s & mask for s in heads]
+            t_walked = [
+                ((head >> s & mask) << bits, head >> s & mask, gap)
+                for s, gap in zip(whead, gaps)
+            ] or [(0, 0, 0)]
+            t_after = odd = 0
+            for i in range(len(heads) - 1, -1, -1):
+                if odd:
+                    t_after |= 1 << i
+                odd ^= par[t_head[i]]
+            grades = sum([g2[i] * weight[s] for i, s in zip(t_head, heads)])
+            hit = made[head] = (*t_walked[0][:2], tuple(t_walked[1:]), t_after, grades)
+        t0b, t0, t_rest, t_after, grades = hit
+        entries = lclasses.setdefault(grades + (k >> top + 1) * weight[low], [])
+        unit = rows[0]
+        if unit is not None:
+            entries.append((t0b, t0, t_rest, t_after, 0, unit * factor, None))
+        if len(rows) > 1:
+            rows = rows[1:] if factor == 1 else [(r, c * factor) for r, c in rows[1:]]
+            entries.append((t0b, t0, t_rest, t_after, k >> top & 1, None, rows))
+
+    tproduct = table.product
     if low:
         # carried legs below the last: its products shifted into place, memoized
         shifted: dict = {}
-        get = shifted.get
 
         def product(t, u):
             nf = tuple([(m << low, a) for m, a in tproduct(t, u >> low)])
             shifted[t << row_shift | u] = nf
             return nf
-    else:
-        get, product = tget, tproduct
-    # head parts pack the walked head legs down to the lowest one, at sh
-    sh = whead[-1] if whead else 0
-    gaps = [0] + [a - b for a, b in zip(whead, whead[1:])]
-    one = ((0, 1),)
-    if acc is None:
-        acc = {}
-    aget = acc.get
-    for head, keys in lefts.items():
-        t_head = [head >> s & mask for s in heads]
-        t_walked = [(head >> s & mask, gap) for s, gap in zip(whead, gaps)]
-        t_after = odd = 0
-        for i in range(len(heads) - 1, -1, -1):
-            if odd:
-                t_after |= 1 << i
-            odd ^= par[t_head[i]]
-        # (grade, shifted id, parity, coefficient) per last leg, by grade
-        lasts = [(g2[t := k >> low & mask], t << row_shift, par[t], left[k])
-                 for k in keys]
-        room = cap - sum([g2[i] for i in t_head])
-        stop = bisect_right(rgrades, room - lasts[0][0])
-        for grade, u_head, u_odd_heads, u_odd, members in rgroups[:stop]:
-            odd = t_after & u_odd_heads
-            neg = odd and odd.bit_count() & 1
-            parts = one
-            for (ti, gap), ui in zip(t_walked, u_head):
-                nf = tget(ti << bits | ui) or tproduct(ti, ui)
-                parts = nf if parts is one else [
-                    (p << gap | m, pc * a) for p, pc in parts for m, a in nf
-                ]
-            limit = room - grade
-            for t_grade, row, t_odd, c1 in lasts:
-                if t_grade > limit:
+
+        return lclasses, rclasses, row_shift, shifted.get, product, sh
+    return lclasses, rclasses, row_shift, table.products.get, tproduct, sh
+
+
+def _mul(table, pairs, legs, cap):
+    """The sum of factor * left * right over ``pairs`` of (factor, left,
+    right), left and right being combinations of ``legs``-leg keys packed
+    in ``table`` ({key: coefficient} dicts), as a zero-free {key:
+    coefficient} dict without terms above ``cap``.  Coefficients are
+    multiplied as they are: int numerators, or Poly and LaurentSeries
+    values.
+
+    Slices.  Normal ordering keeps grades, so the grade of each leg of a
+    product term is the sum of its factors' grades there (the right
+    factor's alone on a carried leg).  The slices partition the output
+    keys by their per-leg grade vectors, and slice s is formed by the
+    pairs of a left class L and the right class s - L.  Each product is
+    prepared once (``_walk``); then, slice by slice up to the cap, every
+    product adds its part of the slice into one accumulator, whose
+    nonzero terms move to the result before the next slice starts.  Terms
+    that cancel between the products of a residual are thus held for one
+    slice only.
+
+    Within a slice, for each left group and right group the walked head
+    products are formed once, without a coefficient, and every member is
+    walked against the left group's last legs, adding c1 * c2 times those
+    products with the carried ids (a unit last leg without a lookup).
+    The Koszul sign of t and u, sum_i p(u_i) sum_{l>i} p(t_l), splits
+    into a head part, the parity of (bits of t's head legs followed by an
+    odd number of odd head legs) & (bits of u's odd head legs), and
+    p(t_last) p(u's head); both are fixed by the two groups, and a
+    carried leg after the last one adds nothing.
+    """
+    bits = table.bits
+    cap = float("inf") if cap is None else cap
+    _, top, half = _grading(bits, legs)
+    walks = [
+        _walk(table, factor, left, right, legs)
+        for factor, left, right in pairs if left and right
+    ]
+    slices = set()
+    for lclasses, rclasses, *_ in walks:
+        rtotals = sorted([((v + half) >> top, v) for v in rclasses])
+        for lv in lclasses:
+            room = cap - ((lv + half) >> top)
+            for total, rv in rtotals:
+                if total > room:
                     break
-                if u_odd and t_odd:
-                    c1 = -c1
-                if neg:
-                    c1 = -c1
-                if not row:
-                    for u_last, cb, c2 in members:
-                        c = c1 * c2
-                        for p, pc in parts:
-                            k = p << sh | cb | u_last
-                            v = aget(k, 0) + pc * c
-                            if v:
-                                acc[k] = v
-                            else:
-                                acc.pop(k, None)
+                slices.add(lv + rv)
+    tget, tproduct = table.products.get, table.product
+    out: dict = {}
+    for s in sorted(slices):
+        acc: dict = {}
+        aget = acc.get
+        for lclasses, rclasses, row_shift, get, product, sh in walks:
+            for lv, heads in lclasses.items():
+                groups = rclasses.get(s - lv)
+                if groups is None:
                     continue
-                for u_last, cb, c2 in members:
-                    nf = get(row | u_last) or product(row >> row_shift, u_last)
-                    c = c1 * c2
-                    for p, pc in parts:
-                        p = p << sh | cb
-                        pc *= c
-                        for m, a in nf:
-                            k = p | m
-                            v = aget(k, 0) + pc * a
-                            if v:
-                                acc[k] = v
-                            else:
-                                acc.pop(k, None)
-    return acc
+                for t0b, t0, t_rest, t_after, t_odd, unit, rows in heads:
+                    for u0, u_rest, u_odd_heads, u_odd, members in groups:
+                        flip = u_odd & t_odd
+                        odd = t_after & u_odd_heads
+                        if odd:
+                            flip ^= odd.bit_count() & 1
+                        parts = tget(t0b | u0) or tproduct(t0, u0)
+                        if t_rest:
+                            for (tb, ti, gap), ui in zip(t_rest, u_rest):
+                                nf = tget(tb | ui) or tproduct(ti, ui)
+                                parts = [
+                                    (p << gap | m, pc * a)
+                                    for p, pc in parts for m, a in nf
+                                ]
+                        if rows is None:
+                            # the unit last leg: u's last leg goes in as it is
+                            c1 = -unit if flip else unit
+                            it = iter(members)
+                            for u_last, cb, c2 in zip(it, it, it):
+                                c = c1 * c2
+                                for p, pc in parts:
+                                    k = p << sh | cb | u_last
+                                    v = aget(k, 0) + pc * c
+                                    if v:
+                                        acc[k] = v
+                                    else:
+                                        acc.pop(k, None)
+                            continue
+                        it = iter(members)
+                        for u_last, cb, c2 in zip(it, it, it):
+                            if flip:
+                                c2 = -c2
+                            for row, c1 in rows:
+                                nf = get(row | u_last) or product(
+                                    row >> row_shift, u_last
+                                )
+                                c = c1 * c2
+                                for p, pc in parts:
+                                    p = p << sh | cb
+                                    pc *= c
+                                    for m, a in nf:
+                                        k = p | m
+                                        v = aget(k, 0) + pc * a
+                                        if v:
+                                            acc[k] = v
+                                        else:
+                                            acc.pop(k, None)
+        out.update(acc)
+    return out
 
 
 def _products(pairs):
     """sum sign * x * y over (sign, x, y) triples of checked operands (one
     kind, one algebra, one number of legs), each product cut at the
-    smallest cap of all operands and added into one accumulator, so no
-    product is held apart from the sum.
+    smallest cap of all operands and summed slice by slice (``_mul``), so
+    the terms that cancel between products are never held together.
 
     Rational products are put over the lcm of the pairs' denominators by
-    scaling each left operand's numerators once, the sign folded in;
-    with any other scalars every operand goes through ``_scalars()``."""
+    a factor per product, the sign folded in, applied to each left
+    numerator as the walk reads it; with any other scalars every operand
+    goes through ``_scalars()``."""
     x = pairs[0][1]
     table, legs = pbw_table(x.algebra), x.legs or 1
     cap = None
     for _, a, b in pairs:
         cap = _omin(cap, _omin(a.g2cap, b.g2cap))
-    acc: dict = {}
     if all(a.den is not None and b.den is not None for _, a, b in pairs):
         den = lcm(*[a.den * b.den for _, a, b in pairs])
-        for sign, a, b in pairs:
-            m = sign * (den // (a.den * b.den))
-            left = a.data if m == 1 else {k: c * m for k, c in a.data.items()}
-            _mul(table, left, b.data, legs, cap, acc)
-        return x._like(*_canonical(acc, den), cap)
-    for sign, a, b in pairs:
-        left = a._scalars()
-        if sign != 1:
-            left = {k: -c for k, c in left.items()}
-        _mul(table, left, b._scalars(), legs, cap, acc)
-    return x._like(*_stored(acc), cap)
+        ops = [
+            (sign * (den // (a.den * b.den)), a.data, b.data) for sign, a, b in pairs
+        ]
+        return x._like(*_canonical(_mul(table, ops, legs, cap), den), cap)
+    ops = [(sign, a._scalars(), b._scalars()) for sign, a, b in pairs]
+    return x._like(*_stored(_mul(table, ops, legs, cap)), cap)
 
 
 def product_difference(x, y, z, w):
     """x * y - z * w for four elements, or four tensors, of one algebra,
-    summed into one accumulator: the two products are never held at once.
+    summed over both products one grade slice at a time: neither product
+    is held whole, and terms that cancel between them live for one slice.
     Equal, coefficient for coefficient and in its cap, to ``x*y - z*w``,
     and it raises as those operators do: ``HeterogeneousOperand`` for two
     kinds or leg counts, ``MixedAlgebra`` for two algebra instances, and

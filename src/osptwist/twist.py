@@ -351,7 +351,11 @@ class _Workshop(_Ingredients):
         self.algebra = algebra
         self.g2cap = g2cap
         super().__init__()
-        self.slots = (self, self)
+
+    @property
+    def slots(self):
+        # made on reading: a stored (self, self) would hold self
+        return (self, self)
 
     @_memoized
     def gen(self, name: str) -> UEElement:
@@ -425,8 +429,9 @@ def cocycle_residual(f: Twist) -> UETensor:
     """F12 * (cop (x) id)(F)  -  F23 * (id (x) cop)(F), a 3-leg tensor.
 
     Zero certifies the cocycle identity for the undeformed coproduct at
-    the working truncation.  Both products are summed into one
-    accumulator (:func:`~osptwist.pbw.product_difference`)."""
+    the working truncation.  Both products are summed together one grade
+    slice at a time (:func:`~osptwist.pbw.product_difference`), so a
+    passing residual never holds more than one slice."""
     el = f.element
     f12 = el.embed((1, 2), 3)
     f23 = el.embed((2, 3), 3)

@@ -8,6 +8,7 @@ acceptance gate re-runs the heavy identities at the contract degree).
 """
 
 import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,50 @@ def test_cocycle_residual_holds_one_product_at_a_time():
     left = traced_peak(lambda: el.embed((1, 2), 3) * el.coproduct_leg(1))
     both = traced_peak(lambda: cocycle_residual(f))
     assert both < 1.4 * left, both / left
+
+
+def test_cocycle_residual_holds_one_slice_at_a_time():
+    """Memory regression at degree 4, with the multiplication table warm:
+    the traced peak of the residual, which builds both coproducts of F,
+    stays below 1.12 times that of its left product F12 (cop (x) id)(F)
+    alone, which builds one.  Summed slice by slice, the residual reads
+    1.04 here; with the whole first product held in one accumulator until
+    the second cancels it, 1.18."""
+    import tracemalloc
+
+    f = full_chain(ALG, 4)
+    el = f.element
+    cocycle_residual(f)
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    left = traced_peak(lambda: el.embed((1, 2), 3) * el.coproduct_leg(1))
+    both = traced_peak(lambda: cocycle_residual(f))
+    assert both < 1.12 * left, both / left
+
+
+def test_workshop_is_freed_without_a_cyclic_collection():
+    """A workshop is both slots of its factor context without holding
+    itself, so one that is dropped, with the factors it built, is freed
+    by reference counting alone."""
+    alg = OspAlgebra(2)
+    gc.collect()
+    gc.disable()
+    try:
+        ws = tws._Workshop(alg, 4)
+        assert ws.slots == (ws, ws)
+        assert not ws.factor("super").is_zero
+        gone = weakref.ref(ws)
+        del ws
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_extension_factor_alone_is_not_a_cocycle():
