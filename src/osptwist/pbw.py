@@ -54,17 +54,21 @@ Equality and hashing read the stored terms, not that view: ``den`` and
 ``data`` when both sides are rational, else the terms as scalars, which
 hash alike across the scalar tower.
 
-Products.  One kernel forms every product, and ``*``,
-:func:`product_difference` and the coproduct table reach it through one
-entry that sums signed products one slice at a time.  A slice is the set
-of keys with one grade per leg; normal ordering keeps grades, so each
-slice of a product is formed from its own pairs of left and right grade
-classes.  A residual x*y - z*w (the cocycle, intertwining and braid
-checks) is summed slice by slice over both products, cut at the smallest
-cap of the four operands and over one denominator for rational
-operands, so the terms that cancel between the products are held for one
-slice only.  Legs on which the left operand is the unit (the third of
-F12 = F (x) 1) are carried, not walked.
+Products.  One kernel forms every product, and ``*`` and
+:func:`product_difference` reach it through one entry that sums signed
+products one slice at a time.  A slice is the set of keys with one grade
+per leg; normal ordering keeps grades, so each slice of a product is
+formed from its own pairs of left and right grade classes.  A residual
+x*y - z*w (the cocycle, intertwining and braid checks) is summed slice by
+slice over both products, cut at the smallest cap of the four operands
+and over one denominator for rational operands, so the terms that cancel
+between the products are held for one slice only.  Legs on which the
+left operand is the unit (the third of F12 = F (x) 1) are carried, not
+walked.  Each operand is grouped for the kernel once in each role, and
+the grouping is kept on the operand for its later products.  The
+coproduct of a monomial needs no product: its letters are dealt out to
+the legs, and every sub-word of a normal-ordered monomial is
+normal-ordered.
 
 One term algebra.  :class:`UEElement`, :class:`UETensor` and the classical
 :class:`~osptwist.rmatrix.LieTensor` share one storage, the packed keys
@@ -88,8 +92,8 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from functools import cache, partial, reduce
-from itertools import islice, repeat
-from math import lcm
+from itertools import groupby, islice, repeat
+from math import comb, lcm
 from operator import or_
 from weakref import ref
 
@@ -175,8 +179,8 @@ class PBWTable:
     times one letter; ``products`` maps the packed pair of two ids to the
     normal form of their product, read by the product kernel; and
     ``coproducts`` maps (id, legs) to the undeformed coproduct of a
-    monomial as (packed key, int) pairs.  ``clear()`` empties these three
-    memos.
+    monomial as (packed key, int) pairs, dealt out without the kernel.
+    ``clear()`` empties these three memos.
     """
 
     __slots__ = ("_algebra", "bits", "size", "odd", "monos", "ids", "g2",
@@ -355,21 +359,58 @@ class PBWTable:
 
     def coproduct(self, mid: int, legs: int) -> tuple:
         """The undeformed coproduct of monos[mid] on ``legs`` legs as
-        (packed key, int) pairs: that of its prefix times that of its last
-        letter x, which is x on one leg and 1 on the others."""
+        (packed key, int) pairs, its letters dealt out to the legs.  Every
+        generator is primitive, so each term gives each leg a sub-word of
+        the monomial, which is normal-ordered as it stands.  A run x^a of
+        an even letter splits as (a_1, ..., a_legs) with the multinomial
+        coefficient; an odd letter, which occurs once, placed on leg l
+        takes one sign per odd letter already on a later leg (the Koszul
+        sign of x sliding past them)."""
         key = (mid, legs)
         hit = self.coproducts.get(key)
         if hit is None:
-            mono = self.monos[mid]
-            if not mono:
-                hit = ((0, 1),)
-            else:
-                x = self.ids[mono[-1:]]
-                primitive = {x << self.bits * pos: 1 for pos in range(legs)}
-                head = dict(self.coproduct(self.prefix[mid], legs))
-                hit = tuple(_mul(self, ((1, head, primitive),), legs, None).items())
-            self.coproducts[key] = hit
+            odd, ids, bits = self.odd, self.ids, self.bits
+            deals = [(((),) * legs, 1)]  # (the leg words, coefficient)
+            for x, run in groupby(self.monos[mid]):
+                if odd[x]:
+                    deals = [
+                        (
+                            words[:l] + (words[l] + (x,),) + words[l + 1:],
+                            -c if sum([odd[y] for w in words[l + 1:] for y in w]) & 1
+                            else c,
+                        )
+                        for words, c in deals for l in range(legs)
+                    ]
+                else:
+                    splits = _splits(len(tuple(run)), legs)
+                    deals = [
+                        (tuple([w + (x,) * a for w, a in zip(words, split)]), c * m)
+                        for words, c in deals for split, m in splits
+                    ]
+            pairs = []
+            for words, c in deals:
+                packed = 0
+                for w in words:
+                    i = ids[w]
+                    if i >> bits:
+                        raise self._too_wide(i)
+                    packed = packed << bits | i
+                pairs.append((packed, c))
+            hit = self.coproducts[key] = tuple(pairs)
         return hit
+
+
+@cache
+def _splits(a, legs):
+    """Every split (a_1, ..., a_legs) of a run of ``a`` equal letters
+    among the legs, with its multinomial coefficient a! / (a_1! ...
+    a_legs!)."""
+    if legs == 1:
+        return (((a,), 1),)
+    return tuple(
+        ((k,) + rest, comb(a, k) * m)
+        for k in range(a + 1) for rest, m in _splits(a - k, legs - 1)
+    )
 
 
 def pbw_table(algebra) -> PBWTable:
@@ -428,75 +469,35 @@ def _grading(bits, legs):
     return weight, top, 1 << top - 1
 
 
-def _walk(table, factor, left, right, legs):
-    """``factor`` * left * right prepared once for every slice of
-    ``_mul``: (left classes, right classes, the shift of a last-leg row,
-    the lookups of the last leg's products, the shift of the head parts).
-    Both kinds of class are keyed by packed grade vectors (``_grading``).
+def _walk_left(table, left, legs):
+    """The left half of a product's preparation: (layout, left classes,
+    the shift of a last-leg row, the shift of the head parts), made from
+    the left operand alone.  Left classes are keyed by packed grade
+    vectors (``_grading``).
 
     A leg on which every left term is the unit (an OR of the left keys
     shows it) is carried: a right term's monomial there goes into the key
     as it is, and gives the output leg its grade.  The other legs are
     walked: the last of them is the last leg, every leg before it a head
-    leg.  Right terms are grouped by walked head ids, head parities and
-    grade vector, which takes in the grades of the carried legs and of
-    the last leg.  A right class lists its groups as (first walked head
-    id, the other walked head ids, odd-head bits, parity of the odd
-    heads, members), the members flat as (last-leg id shifted into
-    place, carried ids, coefficient) triples whose ids are one shared int
-    object per value.  Left terms are grouped by head and by the grade
-    and parity of the last leg.  A left class lists, per group, (the
-    first walked head id shifted to key a table row and as it is, the
-    other walked head ids with the gaps that pack their products, the
-    head's Koszul bits, the last leg's parity, then either the
-    coefficient of the unit last leg and None, or None and the other last
-    legs as (shifted id, coefficient times ``factor``) pairs).
+    leg.  The layout (the last leg's shift, the carried mask) fixes how
+    the right operand is grouped (``_walk_right``).  Left terms are
+    grouped by head and by the grade and parity of the last leg.  A left
+    class lists, per group, (the first walked head id shifted to key a
+    table row and as it is, the other walked head ids with the gaps that
+    pack their products, the head's Koszul bits, the last leg's parity,
+    then either the coefficient of the unit last leg and None, or None
+    and the other last legs as (shifted id, coefficient) pairs).
     """
     g2, par, bits = table.g2, table.par, table.bits
-    mask = (1 << bits) - 1
-    shifts = range(bits * (legs - 1), -1, -bits)
+    mask, top = (1 << bits) - 1, bits * legs
     weight, _, _ = _grading(bits, legs)
-    free = reduce(or_, left, 0)
-    walked = [s for s in shifts if free >> s & mask] or [0]
+    shifts = range(bits * (legs - 1), -1, -bits)
+    free = reduce(or_, left, 0) or 1  # a scalar left operand walks the last leg
+    walked = [s for s in shifts if free >> s & mask]
     low, whead = walked[-1], walked[:-1]  # the last leg; walked head legs
     heads = [s for s in shifts if s > low]
-    lead, top = ~(mask << low), bits * legs
+    lead = ~(mask << low)
     carried = (1 << top) - 1 ^ sum([mask << s for s in walked])
-
-    span = top + legs  # a group key packs grades, head parities, walked head ids
-    last, at_last = weight[low] << span, mask << low
-    rests: dict = {}  # a key but its last leg -> (group base, carried ids)
-    lasts: dict = {}  # last-leg part -> (one shared int object, its group offset)
-    carries: dict = {}  # one shared int object per carried part
-    groups: dict = {}
-    for key, c in right.items():
-        rest = key & lead
-        hit = rests.get(rest)
-        if hit is None:
-            odd = sum([par[rest >> s & mask] << i for i, s in enumerate(heads)])
-            grades = sum([g2[rest >> s & mask] * weight[s] for s in shifts])
-            cb = rest & carried
-            hit = rests[rest] = (
-                grades << span | odd << top | rest & ~carried,
-                carries.setdefault(cb, cb),
-            )
-        base, cb = hit
-        u = key & at_last
-        hit = lasts.get(u)
-        if hit is None:
-            hit = lasts[u] = (u, g2[u >> low] * last)
-        u, offset = hit
-        members = groups.get(base + offset)
-        if members is None:
-            members = groups[base + offset] = []
-        members += (u, cb, c)
-    rclasses: dict = {}
-    for group, members in groups.items():
-        ids = [group >> s & mask for s in whead] or [0]
-        odd = group >> top & (1 << legs) - 1
-        rclasses.setdefault(group >> span, []).append(
-            (ids[0], tuple(ids[1:]), odd, odd.bit_count() & 1, members)
-        )
 
     row_shift = bits + low  # a last leg's id, shifted to key a row of products
     lefts: dict = {}  # head + (grade, parity of the last leg) << top -> [unit c, rows]
@@ -539,43 +540,88 @@ def _walk(table, factor, left, right, legs):
         entries = lclasses.setdefault(grades + (k >> top + 1) * weight[low], [])
         unit = rows[0]
         if unit is not None:
-            entries.append((t0b, t0, t_rest, t_after, 0, unit * factor, None))
+            entries.append((t0b, t0, t_rest, t_after, 0, unit, None))
         if len(rows) > 1:
-            rows = rows[1:] if factor == 1 else [(r, c * factor) for r, c in rows[1:]]
-            entries.append((t0b, t0, t_rest, t_after, k >> top & 1, None, rows))
-
-    tproduct = table.product
-    if low:
-        # carried legs below the last: its products shifted into place, memoized
-        shifted: dict = {}
-
-        def product(t, u):
-            nf = tuple([(m << low, a) for m, a in tproduct(t, u >> low)])
-            shifted[t << row_shift | u] = nf
-            return nf
-
-        return lclasses, rclasses, row_shift, shifted.get, product, sh
-    return lclasses, rclasses, row_shift, table.products.get, tproduct, sh
+            entries.append((t0b, t0, t_rest, t_after, k >> top & 1, None, rows[1:]))
+    return (low, carried), lclasses, row_shift, sh
 
 
-def _mul(table, pairs, legs, cap):
-    """The sum of factor * left * right over ``pairs`` of (factor, left,
-    right), left and right being combinations of ``legs``-leg keys packed
-    in ``table`` ({key: coefficient} dicts), as a zero-free {key:
-    coefficient} dict without terms above ``cap``.  Coefficients are
-    multiplied as they are: int numerators, or Poly and LaurentSeries
-    values.
+def _walk_right(table, right, legs, layout):
+    """The right half of a product's preparation under a left operand's
+    ``layout`` (``_walk_left``): (right classes, their (total grade,
+    grade vector) keys in order of total grade).
+
+    Right terms are grouped by walked head ids, head parities and grade
+    vector, which takes in the grades of the carried legs and of the last
+    leg.  A right class lists its groups as (first walked head id, the
+    other walked head ids, odd-head bits, parity of the odd heads,
+    members), the members flat as (last-leg id shifted into place,
+    carried ids, coefficient) triples whose ids are one shared int object
+    per value.
+    """
+    low, carried = layout
+    g2, par, bits = table.g2, table.par, table.bits
+    mask, top = (1 << bits) - 1, bits * legs
+    weight, gtop, half = _grading(bits, legs)
+    shifts = range(bits * (legs - 1), -1, -bits)
+    whead = [s for s in shifts if not carried >> s & mask][:-1]
+    heads = [s for s in shifts if s > low]
+    lead = ~(mask << low)
+
+    span = top + legs  # a group key packs grades, head parities, walked head ids
+    last, at_last = weight[low] << span, mask << low
+    rests: dict = {}  # a key but its last leg -> (group base, carried ids)
+    lasts: dict = {}  # last-leg part -> (one shared int object, its group offset)
+    carries: dict = {}  # one shared int object per carried part
+    groups: dict = {}
+    for key, c in right.items():
+        rest = key & lead
+        hit = rests.get(rest)
+        if hit is None:
+            odd = sum([par[rest >> s & mask] << i for i, s in enumerate(heads)])
+            grades = sum([g2[rest >> s & mask] * weight[s] for s in shifts])
+            cb = rest & carried
+            hit = rests[rest] = (
+                grades << span | odd << top | rest & ~carried,
+                carries.setdefault(cb, cb),
+            )
+        base, cb = hit
+        u = key & at_last
+        hit = lasts.get(u)
+        if hit is None:
+            hit = lasts[u] = (u, g2[u >> low] * last)
+        u, offset = hit
+        members = groups.get(base + offset)
+        if members is None:
+            members = groups[base + offset] = []
+        members += (u, cb, c)
+    rclasses: dict = {}
+    for group, members in groups.items():
+        ids = [group >> s & mask for s in whead] or [0]
+        odd = group >> top & (1 << legs) - 1
+        rclasses.setdefault(group >> span, []).append(
+            (ids[0], tuple(ids[1:]), odd, odd.bit_count() & 1, members)
+        )
+    return rclasses, sorted([((v + half) >> gtop, v) for v in rclasses])
+
+
+def _mul(table, walks, legs, cap):
+    """The sum of factor * left * right over ``walks`` of (factor, left
+    half, right half), the halves prepared by ``_walk_left`` and
+    ``_walk_right`` from combinations of ``legs``-leg keys packed in
+    ``table``, as a zero-free {key: coefficient} dict without terms above
+    ``cap``.  Coefficients are multiplied as they are: int numerators, or
+    Poly and LaurentSeries values.
 
     Slices.  Normal ordering keeps grades, so the grade of each leg of a
     product term is the sum of its factors' grades there (the right
     factor's alone on a carried leg).  The slices partition the output
     keys by their per-leg grade vectors, and slice s is formed by the
-    pairs of a left class L and the right class s - L.  Each product is
-    prepared once (``_walk``); then, slice by slice up to the cap, every
-    product adds its part of the slice into one accumulator, whose
-    nonzero terms move to the result before the next slice starts.  Terms
-    that cancel between the products of a residual are thus held for one
-    slice only.
+    pairs of a left class L and the right class s - L.  Slice by slice up
+    to the cap, every product adds its part of the slice into one
+    accumulator, whose nonzero terms move to the result before the next
+    slice starts.  Terms that cancel between the products of a residual
+    are thus held for one slice only.
 
     Within a slice, for each left group and right group the walked head
     products are formed once, without a coefficient, and every member is
@@ -585,18 +631,14 @@ def _mul(table, pairs, legs, cap):
     into a head part, the parity of (bits of t's head legs followed by an
     odd number of odd head legs) & (bits of u's odd head legs), and
     p(t_last) p(u's head); both are fixed by the two groups, and a
-    carried leg after the last one adds nothing.
+    carried leg after the last one adds nothing.  The sign times the
+    product's factor scales the head products, once per pair of groups.
     """
     bits = table.bits
     cap = float("inf") if cap is None else cap
     _, top, half = _grading(bits, legs)
-    walks = [
-        _walk(table, factor, left, right, legs)
-        for factor, left, right in pairs if left and right
-    ]
     slices = set()
-    for lclasses, rclasses, *_ in walks:
-        rtotals = sorted([((v + half) >> top, v) for v in rclasses])
+    for _, (_, lclasses, _, _), (_, rtotals) in walks:
         for lv in lclasses:
             room = cap - ((lv + half) >> top)
             for total, rv in rtotals:
@@ -604,11 +646,27 @@ def _mul(table, pairs, legs, cap):
                     break
                 slices.add(lv + rv)
     tget, tproduct = table.products.get, table.product
+    prepared = []
+    for factor, ((low, _), lclasses, row_shift, sh), (rclasses, _) in walks:
+        if low:
+            # carried legs below the last: its products shifted into place,
+            # memoized for this call
+            shifted: dict = {}
+
+            def product(t, u, low=low, row_shift=row_shift, shifted=shifted):
+                nf = tuple([(m << low, a) for m, a in tproduct(t, u >> low)])
+                shifted[t << row_shift | u] = nf
+                return nf
+
+            get = shifted.get
+        else:
+            get, product = tget, tproduct
+        prepared.append((factor, lclasses, rclasses, row_shift, get, product, sh))
     out: dict = {}
     for s in sorted(slices):
         acc: dict = {}
         aget = acc.get
-        for lclasses, rclasses, row_shift, get, product, sh in walks:
+        for factor, lclasses, rclasses, row_shift, get, product, sh in prepared:
             for lv, heads in lclasses.items():
                 groups = rclasses.get(s - lv)
                 if groups is None:
@@ -627,12 +685,14 @@ def _mul(table, pairs, legs, cap):
                                     (p << gap | m, pc * a)
                                     for p, pc in parts for m, a in nf
                                 ]
+                        f = -factor if flip else factor
+                        if f != 1:
+                            parts = [(p, pc * f) for p, pc in parts]
                         if rows is None:
                             # the unit last leg: u's last leg goes in as it is
-                            c1 = -unit if flip else unit
                             it = iter(members)
                             for u_last, cb, c2 in zip(it, it, it):
-                                c = c1 * c2
+                                c = unit * c2
                                 for p, pc in parts:
                                     k = p << sh | cb | u_last
                                     v = aget(k, 0) + pc * c
@@ -643,8 +703,6 @@ def _mul(table, pairs, legs, cap):
                             continue
                         it = iter(members)
                         for u_last, cb, c2 in zip(it, it, it):
-                            if flip:
-                                c2 = -c2
                             for row, c1 in rows:
                                 nf = get(row | u_last) or product(
                                     row >> row_shift, u_last
@@ -664,6 +722,24 @@ def _mul(table, pairs, legs, cap):
     return out
 
 
+def _walked(x, rational, layout, walk):
+    """``walk`` of the terms of operand x that a product reads: its int
+    numerators in a rational product, else its scalars.  When those are
+    x's own ``data``, the result is kept on x under ``layout`` (None for
+    the left half) and every later product reuses it; x's data never
+    changes, so neither does the result."""
+    terms = x.data if rational else x._scalars()
+    if terms is not x.data:
+        return walk(terms)
+    memo = x._walks
+    if memo is None:
+        memo = x._walks = {}
+    hit = memo.get(layout)
+    if hit is None:
+        hit = memo[layout] = walk(terms)
+    return hit
+
+
 def _products(pairs):
     """sum sign * x * y over (sign, x, y) triples of checked operands (one
     kind, one algebra, one number of legs), each product cut at the
@@ -671,22 +747,32 @@ def _products(pairs):
     the terms that cancel between products are never held together.
 
     Rational products are put over the lcm of the pairs' denominators by
-    a factor per product, the sign folded in, applied to each left
-    numerator as the walk reads it; with any other scalars every operand
-    goes through ``_scalars()``."""
+    a factor per product, the sign folded in, applied as the kernel
+    multiplies; with any other scalars every operand goes through
+    ``_scalars()``.  Each operand is walked once per role and layout
+    (``_walked``)."""
     x = pairs[0][1]
     table, legs = pbw_table(x.algebra), x.legs or 1
     cap = None
     for _, a, b in pairs:
         cap = _omin(cap, _omin(a.g2cap, b.g2cap))
-    if all(a.den is not None and b.den is not None for _, a, b in pairs):
+    rational = all(a.den is not None and b.den is not None for _, a, b in pairs)
+    if rational:
         den = lcm(*[a.den * b.den for _, a, b in pairs])
-        ops = [
-            (sign * (den // (a.den * b.den)), a.data, b.data) for sign, a, b in pairs
-        ]
-        return x._like(*_canonical(_mul(table, ops, legs, cap), den), cap)
-    ops = [(sign, a._scalars(), b._scalars()) for sign, a, b in pairs]
-    return x._like(*_stored(_mul(table, ops, legs, cap)), cap)
+    walks = []
+    for sign, a, b in pairs:
+        if not a.data or not b.data:
+            continue
+        left = _walked(a, rational, None, lambda t: _walk_left(table, t, legs))
+        right = _walked(
+            b, rational, left[0], lambda t: _walk_right(table, t, legs, left[0])
+        )
+        factor = sign * (den // (a.den * b.den)) if rational else sign
+        walks.append((factor, left, right))
+    out = _mul(table, walks, legs, cap)
+    if rational:
+        return x._like(*_canonical(out, den), cap)
+    return x._like(*_stored(out), cap)
 
 
 def product_difference(x, y, z, w):
@@ -809,6 +895,9 @@ class _Terms(Ring):
     ``den`` its denominator: int numerators over a positive int ``den``,
     canonical, for rational coefficients, any other scalars with ``den``
     None (see the module docstring).  ``terms`` is the decoded view.
+    ``data`` is never changed once stored, so ``_walks`` keeps the
+    product kernel's groupings of it (``_walked``), None until the first
+    product.
 
     :class:`UEElement`, :class:`UETensor` and
     :class:`~osptwist.rmatrix.LieTensor` share this term algebra and its
@@ -826,11 +915,12 @@ class _Terms(Ring):
     by class.
     """
 
-    __slots__ = ("algebra", "data", "den", "legs", "g2cap")
+    __slots__ = ("algebra", "data", "den", "legs", "g2cap", "_walks")
 
     def _fill(self, algebra, terms, legs, g2cap):
         """The validated constructor: keys brought to shape, normal-ordered
         and stored, zeros and terms above the cap dropped."""
+        self._walks = None
         self.algebra = algebra
         self.legs = legs
         self.g2cap = g2cap
@@ -850,6 +940,7 @@ class _Terms(Ring):
         """An object of kind ``cls`` wrapping stored terms that are
         already clean: nonzero, canonical, none above the cap."""
         out = object.__new__(cls)
+        out._walks = None
         out.algebra = algebra
         out.data = data
         out.den = den

@@ -1287,3 +1287,145 @@ def test_one_like_is_the_unit_at_the_same_cap(cap):
         t = UETensor.of(*[el] * legs)
         assert t.one_like() == UETensor.one(ALG, legs, cap)
         assert t.one_like().g2cap == cap
+
+
+# -- coproducts dealt out, and operands grouped once ----------------------------
+
+
+@st.composite
+def dealt_monomials(draw):
+    """A normal-ordered monomial of n=1 or n=2, its letters drawn mostly
+    odd, each even letter in a run of 1-4, and a leg count of 2 or 3."""
+    alg = ALGEBRAS[draw(st.sampled_from((1, 2)))]
+    odd = [ix for ix in range(alg.size) if alg.parity(ix)]
+    letter = st.one_of(st.sampled_from(odd), st.integers(0, alg.size - 1))
+    letters = draw(st.lists(letter, min_size=1, max_size=4, unique=True))
+    mono = ()
+    for x in sorted(letters):
+        mono += (x,) * (1 if alg.parity(x) else draw(st.integers(1, 4)))
+    return alg, mono, draw(st.sampled_from((2, 3)))
+
+
+def _primitive_product(alg, mono, legs):
+    """The product, formed by ``*``, of each letter's primitive tensor
+    x (x) 1 (x) ... + ... + 1 (x) ... (x) x."""
+    one = UEElement.one(alg)
+    out = UETensor.one(alg, legs)
+    for x in mono:
+        g = UEElement.generator(alg, x)
+        out = out * sum(
+            (UETensor.of(*[g if i == l else one for i in range(legs)])
+             for l in range(1, legs)),
+            UETensor.of(*[g] + [one] * (legs - 1)),
+        )
+    return out
+
+
+def _dealt(alg, mono, legs, signed=True):
+    """The table's coproduct of one monomial as a tensor; ``signed=False``
+    drops every sign, which only odd letters give."""
+    table = pbw_table(alg)
+    pairs = table.coproduct(table.ids[mono], legs)
+    data = {k: c if signed else abs(c) for k, c in pairs}
+    return UETensor._wrap(alg, data, 1, legs, None)
+
+
+@given(dealt_monomials())
+@settings(max_examples=120, deadline=None)
+def test_dealt_coproduct_is_the_product_of_primitives(case):
+    alg, mono, legs = case
+    want = _primitive_product(alg, mono, legs)
+    assert _dealt(alg, mono, legs) == want
+    assert UEElement(alg, {mono: 3}).coproduct(legs) == want.scale(3)
+
+
+def test_dealt_coproduct_negative_control():
+    """With the odd letters' signs dropped, the deal of w+ v+ (the normal
+    order of v+ and w+) is not the product of their primitives."""
+    mono = (IDX["w+"], IDX["v+"])
+    for legs in (2, 3):
+        want = _primitive_product(ALG, mono, legs)
+        assert _dealt(ALG, mono, legs) == want
+        assert _dealt(ALG, mono, legs, signed=False) != want
+
+
+def test_cold_coproduct_fill_forms_no_product(monkeypatch):
+    """A fresh algebra fills its coproduct table without the product
+    kernel."""
+    def refuse(*args):
+        raise AssertionError("the coproduct fill called the product kernel")
+
+    alg = OspAlgebra(2)
+    h, v, w, x = (alg.generator_index(s) for s in ("H", "v+", "w+", "X+"))
+    mono = tuple(sorted((h, h, h, v, w, x, x)))
+    el = UEElement(alg, {mono: 1, (v,): 2})
+    monkeypatch.setattr(pbw, "_mul", refuse)
+    pieces = [el.coproduct(), el.coproduct(3), el.coproduct().coproduct_leg(2)]
+    # the last one deals out every monomial of the second leg
+    assert pbw_table(alg).sizes()["coproducts"] > 4
+    monkeypatch.undo()
+    assert pieces[1] == pieces[2] == 2 * _primitive_product(
+        alg, (v,), 3
+    ) + _primitive_product(alg, mono, 3)
+
+
+def _reference(a, b, legs):
+    return UETensor(a.algebra, reference_product(
+        a.algebra, a.terms, b.terms, legs, _cap(a, b)
+    ), legs, _cap(a, b))
+
+
+@pytest.mark.parametrize("left_first", [True, False])
+def test_operand_groupings_are_kept_per_role_and_layout(monkeypatch, left_first):
+    """One operand, used as the left and as the right factor, under the
+    2-leg layout and under both carried 3-leg layouts (F12 = t (x) 1 and
+    F23 = 1 (x) t), and through a truncated copy sharing its data: each
+    product is the reference loop's, whichever role comes first, and a
+    role and layout met before is not grouped again."""
+    walks = []
+    for name in ("_walk_left", "_walk_right"):
+        def counted(*args, _walk=getattr(pbw, name), _name=name):
+            walks.append(_name)
+            return _walk(*args)
+        monkeypatch.setattr(pbw, name, counted)
+
+    t = _odd_tensor(ALG)
+    u = t.flip() + UETensor.of(gen("w+"), gen("v+") + gen("H"), g2cap=CAP)
+    z = t.embed((1, 3), 3) * UETensor.of(gen("v+"), gen("J"), gen("w+"), g2cap=CAP) + (
+        UETensor.of(gen("H"), gen("w+"), gen("v-"), g2cap=CAP)
+    )
+    f12, f23 = t.embed((1, 2), 3), t.embed((2, 3), 3)
+    same = z.truncate(CAP)
+    assert same is not z and same.data is z.data
+    pairs = [(t, u), (u, t), (t, t), (z, f12), (f12, z), (f23, z), (z, z),
+             (f12, same), (same, f23), (z, f23)]
+    if not left_first:
+        pairs = [(b, a) for a, b in pairs]
+    for a, b in pairs:
+        assert a * b == _reference(a, b, a.legs)
+    # z was grouped once as the left factor and once under each layout
+    walks.clear()
+    for a, b in ((z, z), (f12, z), (f23, z), (t, u), (u, t)):
+        assert a * b == _reference(a, b, a.legs)
+    assert walks == []
+
+
+def test_walked_operand_is_freed_without_the_cyclic_collector():
+    """The groupings an operand keeps refer to nothing that refers back
+    to it: with the collector off, operands walked in both roles and
+    under a carried layout leave nothing for a collection once dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        t = _odd_tensor(ALG)
+        u = t.flip()
+        f12 = t.embed((1, 2), 3)
+        z = f12 * u.embed((2, 3), 3)
+        assert not (t * u).is_zero and not (u * t).is_zero
+        assert not (f12 * z).is_zero and not (z * f12).is_zero
+        assert t._walks and u._walks and z._walks and f12._walks
+        del t, u, f12, z
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0

@@ -107,10 +107,11 @@ def test_cocycle_full_chain():
 def test_cocycle_residual_holds_one_product_at_a_time():
     """Memory regression at degree 3, with the multiplication table warm:
     the traced peak of the residual stays below 1.4 times that of its left
-    product F12 (cop (x) id)(F) alone.  Holding the left product while the
-    right one is formed, then subtracting, peaks near 1.54 times here.
-    Degree 3 keeps tracemalloc's slowdown to about a second; the ratio
-    depends on the degree (at degree 4 the fused residual reads 1.42)."""
+    product F12 (cop (x) id)(F) alone.  The fused residual reads 0.95
+    here; holding the left product while the right one is formed, then
+    subtracting, peaks at 1.42 times.  Degree 3 keeps tracemalloc's
+    slowdown to about a second; the ratios depend on the degree (at
+    degree 4 they read 0.96 and 1.53)."""
     import tracemalloc
 
     f = full_chain(ALG, 3)
@@ -135,7 +136,7 @@ def test_cocycle_residual_holds_one_slice_at_a_time():
     the traced peak of the residual, which builds both coproducts of F,
     stays below 1.12 times that of its left product F12 (cop (x) id)(F)
     alone, which builds one.  Summed slice by slice, the residual reads
-    1.04 here; with the whole first product held in one accumulator until
+    0.96 here; with the whole first product held in one accumulator until
     the second cancels it, 1.18."""
     import tracemalloc
 
