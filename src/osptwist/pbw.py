@@ -62,8 +62,11 @@ formed from its own pairs of left and right grade classes.  A residual
 x*y - z*w (the cocycle, intertwining and braid checks) is summed slice by
 slice over both products, cut at the smallest cap of the four operands
 and over one denominator for rational operands, so the terms that cancel
-between the products are held for one slice only.  Legs on which the
-left operand is the unit (the third of F12 = F (x) 1) are carried, not
+between the products are held for one slice only.  Slices share no
+output key, so a call with many term pairs sums its slices in shares, one
+per CPU of the process's affinity mask, every share but one in a forked
+child; the result is the serial one, key order included.  Legs on which
+the left operand is the unit (the third of F12 = F (x) 1) are carried, not
 walked.  Each operand is grouped for the kernel once in each role, and
 the grouping is kept on the operand for its later products.  The
 coproduct of a monomial needs no product: its letters are dealt out to
@@ -89,6 +92,8 @@ where the benchmark tracer patches it class by class.
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from functools import cache, partial, reduce
@@ -471,9 +476,9 @@ def _grading(bits, legs):
 
 def _walk_left(table, left, legs):
     """The left half of a product's preparation: (layout, left classes,
-    the shift of a last-leg row, the shift of the head parts), made from
-    the left operand alone.  Left classes are keyed by packed grade
-    vectors (``_grading``).
+    the shift of a last-leg row, the shift of the head parts, the number
+    of terms in each class), made from the left operand alone.  Left
+    classes are keyed by packed grade vectors (``_grading``).
 
     A leg on which every left term is the unit (an OR of the left keys
     shows it) is carried: a right term's monomial there goes into the key
@@ -520,6 +525,7 @@ def _walk_left(table, left, legs):
     gaps = [0] + [a - b for a, b in zip(whead, whead[1:])]
     made: dict = {}
     lclasses: dict = {}
+    counts: dict = {}
     for k, rows in lefts.items():
         head = k & (1 << top) - 1
         hit = made.get(head)
@@ -537,19 +543,21 @@ def _walk_left(table, left, legs):
             grades = sum([g2[i] * weight[s] for i, s in zip(t_head, heads)])
             hit = made[head] = (*t_walked[0][:2], tuple(t_walked[1:]), t_after, grades)
         t0b, t0, t_rest, t_after, grades = hit
-        entries = lclasses.setdefault(grades + (k >> top + 1) * weight[low], [])
+        lv = grades + (k >> top + 1) * weight[low]
+        entries = lclasses.setdefault(lv, [])
         unit = rows[0]
+        counts[lv] = counts.get(lv, 0) + len(rows) - (unit is None)
         if unit is not None:
             entries.append((t0b, t0, t_rest, t_after, 0, unit, None))
         if len(rows) > 1:
             entries.append((t0b, t0, t_rest, t_after, k >> top & 1, None, rows[1:]))
-    return (low, carried), lclasses, row_shift, sh
+    return (low, carried), lclasses, row_shift, sh, counts
 
 
 def _walk_right(table, right, legs, layout):
     """The right half of a product's preparation under a left operand's
     ``layout`` (``_walk_left``): (right classes, their (total grade,
-    grade vector) keys in order of total grade).
+    grade vector, number of terms) in order of total grade).
 
     Right terms are grouped by walked head ids, head parities and grade
     vector, which takes in the grades of the carried legs and of the last
@@ -596,13 +604,16 @@ def _walk_right(table, right, legs, layout):
             members = groups[base + offset] = []
         members += (u, cb, c)
     rclasses: dict = {}
+    counts: dict = {}
     for group, members in groups.items():
         ids = [group >> s & mask for s in whead] or [0]
         odd = group >> top & (1 << legs) - 1
-        rclasses.setdefault(group >> span, []).append(
+        v = group >> span
+        rclasses.setdefault(v, []).append(
             (ids[0], tuple(ids[1:]), odd, odd.bit_count() & 1, members)
         )
-    return rclasses, sorted([((v + half) >> gtop, v) for v in rclasses])
+        counts[v] = counts.get(v, 0) + len(members) // 3
+    return rclasses, sorted([((v + half) >> gtop, v, n) for v, n in counts.items()])
 
 
 def _mul(table, walks, legs, cap):
@@ -617,37 +628,25 @@ def _mul(table, walks, legs, cap):
     product term is the sum of its factors' grades there (the right
     factor's alone on a carried leg).  The slices partition the output
     keys by their per-leg grade vectors, and slice s is formed by the
-    pairs of a left class L and the right class s - L.  Slice by slice up
-    to the cap, every product adds its part of the slice into one
-    accumulator, whose nonzero terms move to the result before the next
-    slice starts.  Terms that cancel between the products of a residual
-    are thus held for one slice only.
-
-    Within a slice, for each left group and right group the walked head
-    products are formed once, without a coefficient, and every member is
-    walked against the left group's last legs, adding c1 * c2 times those
-    products with the carried ids (a unit last leg without a lookup).
-    The Koszul sign of t and u, sum_i p(u_i) sum_{l>i} p(t_l), splits
-    into a head part, the parity of (bits of t's head legs followed by an
-    odd number of odd head legs) & (bits of u's odd head legs), and
-    p(t_last) p(u's head); both are fixed by the two groups, and a
-    carried leg after the last one adds nothing.  The sign times the
-    product's factor scales the head products, once per pair of groups.
+    pairs of a left class L and the right class s - L.  The slices are
+    summed one at a time (``_slice_sums``), in order, and a call whose
+    term pairs reach ``_FORK_PAIRS`` sums them in shares across the CPUs
+    (``_split_sums``); either way the result, key order included, is the
+    same.
     """
-    bits = table.bits
     cap = float("inf") if cap is None else cap
-    _, top, half = _grading(bits, legs)
-    slices = set()
-    for _, (_, lclasses, _, _), (_, rtotals) in walks:
-        for lv in lclasses:
+    _, top, half = _grading(table.bits, legs)
+    weights: dict = {}  # slice -> its term pairs
+    for _, (_, _, _, _, lcounts), (_, rtotals) in walks:
+        for lv, n in lcounts.items():
             room = cap - ((lv + half) >> top)
-            for total, rv in rtotals:
+            for total, rv, m in rtotals:
                 if total > room:
                     break
-                slices.add(lv + rv)
-    tget, tproduct = table.products.get, table.product
+                weights[lv + rv] = weights.get(lv + rv, 0) + n * m
+    tproduct = table.product
     prepared = []
-    for factor, ((low, _), lclasses, row_shift, sh), (rclasses, _) in walks:
+    for factor, ((low, _), lclasses, row_shift, sh, _), (rclasses, _) in walks:
         if low:
             # carried legs below the last: its products shifted into place,
             # memoized for this call
@@ -660,10 +659,42 @@ def _mul(table, walks, legs, cap):
 
             get = shifted.get
         else:
-            get, product = tget, tproduct
+            get, product = table.products.get, tproduct
         prepared.append((factor, lclasses, rclasses, row_shift, get, product, sh))
+    slices = sorted(weights)
+    shares = None
+    if sum(weights.values()) >= _FORK_PAIRS:
+        shares = _shares(weights)
     out: dict = {}
-    for s in sorted(slices):
+    if shares is None:
+        for acc in _slice_sums(table, prepared, slices):
+            out.update(acc)
+        return out
+    sums = _split_sums(table, prepared, legs, shares)
+    for s in slices:
+        out.update(sums.pop(s))
+    return out
+
+
+def _slice_sums(table, prepared, slices):
+    """Each slice of a ``_mul`` call in turn, as a zero-free {key:
+    coefficient} dict.  Every product adds its part of the slice into one
+    accumulator, which is yielded before the next slice starts: terms that
+    cancel between the products of a residual are held for one slice only.
+
+    Within a slice, for each left group and right group the walked head
+    products are formed once, without a coefficient, and every member is
+    walked against the left group's last legs, adding c1 * c2 times those
+    products with the carried ids (a unit last leg without a lookup).
+    The Koszul sign of t and u, sum_i p(u_i) sum_{l>i} p(t_l), splits
+    into a head part, the parity of (bits of t's head legs followed by an
+    odd number of odd head legs) & (bits of u's odd head legs), and
+    p(t_last) p(u's head); both are fixed by the two groups, and a
+    carried leg after the last one adds nothing.  The sign times the
+    product's factor scales the head products, once per pair of groups.
+    """
+    tget, tproduct = table.products.get, table.product
+    for s in slices:
         acc: dict = {}
         aget = acc.get
         for factor, lclasses, rclasses, row_shift, get, product, sh in prepared:
@@ -718,8 +749,150 @@ def _mul(table, walks, legs, cap):
                                             acc[k] = v
                                         else:
                                             acc.pop(k, None)
-        out.update(acc)
-    return out
+        yield acc
+
+
+# Term pairs of one ``_mul`` call (a left and a right term whose grades
+# fit the cap, summed over its slices) from which its slices are split
+# across the CPUs.  On a 2-core Xeon (CPython 3.11, 28 MiB resident), a
+# forked share costs 2.1-2.2 ms that a serial call does not pay (fork,
+# pipe, pickle and reap: an 8-pair product takes 0.02 ms serially and
+# 2.1 ms split), and the parent re-keys a child's sums at about 0.7 us a
+# term.  The kernel spends 0.9-1.7 us a pair, so 60,000 pairs split in
+# two save 27-50 ms, over ten times the fixed cost.
+_FORK_PAIRS = 60_000
+
+
+def _shares(weights):
+    """The slices of a call split into one share per CPU of the process's
+    affinity mask, each share in slice order, or None where the call is
+    summed here: one CPU, no ``os.fork``, or a second live thread (a
+    forked child would hold only the thread that forked it).  Slices go
+    heaviest first, each to the share with the fewest term pairs so far."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return None
+    cpus = min(len(os.sched_getaffinity(0)), len(weights))
+    if cpus < 2 or threading.active_count() > 1:
+        return None
+    loads, shares = [0] * cpus, [[] for _ in range(cpus)]
+    for s, w in sorted(weights.items(), key=lambda sw: -sw[1]):
+        i = loads.index(min(loads))
+        loads[i] += w
+        shares[i].append(s)
+    return [sorted(share) for share in shares]
+
+
+def _split_sums(table, prepared, legs, shares):
+    """{slice: its sum} over ``shares`` of a ``_mul`` call's slices: the
+    first share summed here, every other in a forked child that sends back
+    its sums and the monomials it interned (``_child_share``); a share
+    whose fork fails is summed here too.  A child's new ids collide with
+    those this process interns meanwhile, so its monomials are interned
+    here and its keys rewritten (``_adopt``).  An exception raised in a
+    child is raised here, and no child outlives the call."""
+    # imported here, as in _child_share: a run that splits no product
+    # pays neither module's import time nor its memory
+    import pickle
+    import signal
+
+    n0 = len(table.monos)
+    mine = list(shares[0])
+    children = []  # (pid, read end of its pipe, its share)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                mine += share
+                continue
+            if not pid:
+                _child_share(table, prepared, share, w)
+            os.close(w)
+            children.append((pid, r, share))
+        # each sum copied: an accumulator keeps the table of its largest size
+        sums = {
+            s: dict(acc) for s, acc in zip(mine, _slice_sums(table, prepared, mine))
+        }
+        while children:
+            pid, r, share = children[-1]
+            with open(r, "rb") as fh:
+                children[-1] = (pid, None, share)
+                payload = fh.read()
+            children.pop()
+            os.waitpid(pid, 0)
+            if not payload:
+                raise ChildProcessError(
+                    "the process summing %d product slices ended without "
+                    "a result" % len(share)
+                )
+            result = pickle.loads(payload)
+            if isinstance(result, BaseException):
+                raise result
+            accs, monos = result
+            _adopt(table, legs, n0, monos, accs)
+            sums.update(zip(share, accs))
+    finally:
+        for pid, r, _ in children:
+            if r is not None:
+                os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return sums
+
+
+def _child_share(table, prepared, share, fd):
+    """The body of a forked child: sum ``share`` and write (the sums, the
+    monomials interned since the fork), or the exception raised, pickled
+    to ``fd``; then end the process.  Whatever is raised goes to the
+    parent, which raises it: the child never returns into the caller."""
+    try:
+        import pickle
+
+        n0 = len(table.monos)
+        try:
+            # copied, as in _split_sums
+            sums = [dict(acc) for acc in _slice_sums(table, prepared, share)]
+            result = (sums, table.monos[n0:])
+        except BaseException as exc:
+            result = exc
+        with open(fd, "wb") as fh:
+            pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
+
+
+def _adopt(table, legs, n0, monos, accs):
+    """Rewrite a child's list of slice sums, in place, to this table's
+    ids: ``monos`` are the monomials the child interned as ids n0, n0 + 1,
+    ..., each interned here (its prefix before it, as in the child).
+    Packing an id that does not fit raises ``OverflowError``, as in the
+    kernel."""
+    ids, bits = table.ids, table.bits
+    moved = {}
+    for i, mono in enumerate(monos, n0):
+        j = ids[mono]
+        if j != i:
+            moved[i] = j
+    if not moved:
+        return
+    mask = (1 << bits) - 1
+    shifts = range(bits * (legs - 1), -1, -bits)
+
+    def rewrite(k):
+        key = 0
+        for s in shifts:
+            i = k >> s & mask
+            i = moved.get(i, i)
+            if i >> bits:
+                raise table._too_wide(i)
+            key = key << bits | i
+        return key
+
+    for i, acc in enumerate(accs):
+        accs[i] = {rewrite(k): c for k, c in acc.items()}
 
 
 def _walked(x, rational, layout, walk):

@@ -228,6 +228,10 @@ class Poly(Ring):
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # pickled through the trusted path: the guard refuses setattr
+        return type(self)._wrap, (self.vars, self.coeffs)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -495,6 +499,9 @@ class LaurentSeries(Ring):
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentSeries is immutable")
+
+    def __reduce__(self):
+        return type(self).from_poly, (self.poly, self.var, self.order)
 
     # -- constructors --------------------------------------------------------
 

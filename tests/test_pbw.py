@@ -1,8 +1,11 @@
 """Normal-ordered enveloping-algebra arithmetic and its truncation."""
 
+import contextlib
 import gc
 import hashlib
 import itertools
+import os
+import threading
 from fractions import Fraction
 
 import pytest
@@ -31,7 +34,7 @@ from osptwist.errors import (
     MixedAlgebra,
 )
 from osptwist.rmatrix import LieTensor
-from osptwist.scalars import Poly
+from osptwist.scalars import LaurentSeries, Poly
 
 
 ALG = build_osp(2)
@@ -1429,3 +1432,181 @@ def test_walked_operand_is_freed_without_the_cyclic_collector():
     finally:
         gc.enable()
     assert found == 0
+
+
+# -- products split across forked children --------------------------------------
+
+
+@contextlib.contextmanager
+def _split_everything():
+    """Every product split: the threshold at 0 and three CPUs in the
+    affinity mask, so two children sum shares and their new ids collide
+    with each other's and with this process's.  Yields a record of the
+    forks made here and of each child's monomials as it is adopted:
+    (the number the child interned, whether one of them collided)."""
+    record = {"forks": [], "adopted": []}
+    fork, adopt = os.fork, pbw._adopt
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            record["forks"].append(pid)
+        return pid
+
+    def spied_adopt(table, legs, n0, monos, accs):
+        clash = any(
+            i < len(table.monos) and table.monos[i] != m
+            for i, m in enumerate(monos, n0)
+        )
+        record["adopted"].append((len(monos), clash))
+        adopt(table, legs, n0, monos, accs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pbw, "_FORK_PAIRS", 0)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        mp.setattr(os, "fork", counted_fork)
+        mp.setattr(pbw, "_adopt", spied_adopt)
+        yield record
+
+
+def _no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _stored(t):
+    """What a product stores, in its order: denominator, cap, items."""
+    return t.den, t.g2cap, list(t.data.items())
+
+
+def _split_then_serial(products):
+    """Each thunk's result split, then serial on the now warm table."""
+    with _split_everything() as record:
+        split = [product() for product in products]
+    _no_child_left()
+    return split, [product() for product in products], record
+
+
+@given(sliced_products())
+@settings(max_examples=40, deadline=None)
+def test_split_products_store_what_the_serial_loop_stores(case):
+    """1-, 2- and 3-leg products and differences, with a leg carried or
+    not, and Fraction, int and Poly coefficients: split across children,
+    each stores the serial loop's data, denominator and key order, and
+    the reference loop's terms."""
+    alg, legs, a, b = case
+    split, serial, _ = _split_then_serial([
+        lambda: a * b, lambda: b * a, lambda: pbw.product_difference(a, b, b, a),
+    ])
+    assert list(map(_stored, split)) == list(map(_stored, serial))
+    assert split[0] == _expected(case)
+
+
+@given(embedded_products())
+@settings(max_examples=30, deadline=None)
+def test_split_products_with_carried_legs_store_what_the_serial_loop_stores(case):
+    alg, _, x, y, z, w = case
+    split, serial, _ = _split_then_serial([
+        lambda: x * y, lambda: pbw.product_difference(x, y, z, w),
+    ])
+    assert list(map(_stored, split)) == list(map(_stored, serial))
+    assert split[0] == _expected((alg, 3, x, y))
+
+
+def test_split_products_of_poly_and_series_coefficients():
+    """Poly and LaurentSeries coefficients cross the pipe as they are."""
+    eta = Poly.var("eta")
+    q = LaurentSeries("t", -1, [1, Fraction(1, 2)], order=3)
+    a = UETensor.of(gen("v+") + gen("X+"), gen("w+") + gen("H"), g2cap=CAP).scale(eta)
+    b = UETensor.of(gen("H"), gen("v+"), g2cap=CAP) + a.flip().scale(Fraction(1, 2))
+    s = a.scale(q)
+    pairs = [(a, b), (b, a), (s, b), (b, s), (s, s.flip())]
+    split, serial, record = _split_then_serial(
+        [lambda x=x, y=y: x * y for x, y in pairs]
+    )
+    assert record["forks"]
+    assert list(map(_stored, split)) == list(map(_stored, serial))
+    for (x, y), got in zip(pairs, split):
+        assert got.terms == reference_product(ALG, x.terms, y.terms, 2, CAP)
+    assert all(isinstance(c, LaurentSeries) for c in split[2].terms.values())
+
+
+def test_split_product_on_a_cold_table_reads_every_child_monomial():
+    """On a fresh algebra, the children intern monomials that collide
+    with the ids of this process and of each other; every one is interned
+    here once, and the products decode to the reference loop's terms."""
+    alg = OspAlgebra(2)
+    t = _odd_tensor(alg)
+    u = t.flip() + UETensor.of(
+        *[UEElement.generator(alg, n, CAP) for n in ("w+", "Y+")], g2cap=CAP
+    )
+    with _split_everything() as record:
+        products = [(x, y, x * y) for x, y in ((t, u), (u, t), (t, t))]
+        products.append((t * u, u, (t * u) * u))
+    _no_child_left()
+    assert record["forks"]
+    assert sum(n for n, _ in record["adopted"]) > 0
+    assert any(clash for _, clash in record["adopted"])
+    table = pbw_table(alg)
+    assert all(table.ids[m] == i for i, m in enumerate(table.monos))
+    assert len(table.g2) == len(table.par) == len(table.units) == len(table.monos)
+    for x, y, got in products:
+        assert got.terms == reference_product(alg, x.terms, y.terms, 2, CAP)
+
+
+@pytest.mark.parametrize("where", ["child", "both"])
+def test_overflow_in_a_share_is_raised_here_and_no_child_outlives_it(
+    monkeypatch, where
+):
+    """test_packing_width_overflow_raises with the product split: the
+    OverflowError of a child that sums every slice reaches this process
+    with its type, and when this process raises first, the child is
+    stopped.  Either way no child is left, and the table still answers."""
+    monkeypatch.setattr(pbw, "_ID_BITS", 3)
+    alg = OspAlgebra(2)
+    h = UEElement.generator(alg, "H")
+    x = sum((UEElement.generator(alg, i) for i in range(6)), h)
+    mine = {"child": lambda w: [], "both": sorted}[where]
+    with _split_everything() as record:
+        monkeypatch.setattr(pbw, "_shares", lambda w: [mine(w), sorted(w)])
+        with pytest.raises(OverflowError):
+            x * x
+    _no_child_left()
+    assert len(record["forks"]) == 1
+    assert h * h == UEElement(alg, {(IDX["H"], IDX["H"]): 1})
+
+
+@pytest.mark.parametrize("why", ["one CPU", "a second thread", "a failed fork"])
+def test_serial_loop_is_taken_without_a_fork(monkeypatch, why):
+    """One CPU in the affinity mask, or a second live thread (which a
+    forked child would not have), keeps every product in this process
+    without a fork; a fork that fails leaves its share here."""
+    forks = []
+
+    def refuse():
+        forks.append(why)
+        if why == "a failed fork":
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(pbw, "_FORK_PAIRS", 0)
+    monkeypatch.setattr(os, "fork", refuse)
+    cpus = {0} if why == "one CPU" else {0, 1}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if why == "a second thread":
+        thread.start()
+    try:
+        t = _odd_tensor(ALG)
+        u = t.flip() + t
+        assert t * u == _reference(t, u, 2)
+        assert pbw.product_difference(t, u, u, t) == t * u - u * t
+    finally:
+        stop.set()
+    if why == "a second thread":
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert bool(forks) == (why == "a failed fork")
+    _no_child_left()
