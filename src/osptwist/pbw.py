@@ -63,8 +63,8 @@ x*y - z*w (the cocycle, intertwining and braid checks) is summed slice by
 slice over both products, cut at the smallest cap of the four operands
 and over one denominator for rational operands, so the terms that cancel
 between the products are held for one slice only.  Slices share no
-output key, so a call with many term pairs sums its slices in shares, one
-per CPU of the process's affinity mask, every share but one in a forked
+output key, so a call with many term pairs, given two CPUs in the
+process's affinity mask, sums its slices in two shares, one in a forked
 child; the result is the serial one, key order included.  Legs on which
 the left operand is the unit (the third of F12 = F (x) 1) are carried, not
 walked.  Each operand is grouped for the kernel once in each role, and
@@ -630,7 +630,7 @@ def _mul(table, walks, legs, cap):
     keys by their per-leg grade vectors, and slice s is formed by the
     pairs of a left class L and the right class s - L.  The slices are
     summed one at a time (``_slice_sums``), in order, and a call whose
-    term pairs reach ``_FORK_PAIRS`` sums them in shares across the CPUs
+    term pairs reach ``_FORK_PAIRS`` sums them in two shares on two CPUs
     (``_split_sums``); either way the result, key order included, is the
     same.
     """
@@ -670,7 +670,7 @@ def _mul(table, walks, legs, cap):
         for acc in _slice_sums(table, prepared, slices):
             out.update(acc)
         return out
-    sums = _split_sums(table, prepared, legs, shares)
+    sums = _split_sums(table, prepared, legs, *shares)
     for s in slices:
         out.update(sums.pop(s))
     return out
@@ -753,101 +753,112 @@ def _slice_sums(table, prepared, slices):
 
 
 # Term pairs of one ``_mul`` call (a left and a right term whose grades
-# fit the cap, summed over its slices) from which its slices are split
-# across the CPUs.  On a 2-core Xeon (CPython 3.11, 28 MiB resident), a
-# forked share costs 2.1-2.2 ms that a serial call does not pay (fork,
-# pipe, pickle and reap: an 8-pair product takes 0.02 ms serially and
-# 2.1 ms split), and the parent re-keys a child's sums at about 0.7 us a
+# fit the cap, summed over its slices) from which its slices are split in
+# two.  On a 2-core Xeon (CPython 3.11, 28 MiB resident), the forked
+# share costs 2.1-2.2 ms that a serial call does not pay (fork, pipe,
+# pickle and reap: an 8-pair product takes 0.02 ms serially and 2.1 ms
+# split), and this process re-keys the child's sums at about 0.7 us a
 # term.  The kernel spends 0.9-1.7 us a pair, so 60,000 pairs split in
 # two save 27-50 ms, over ten times the fixed cost.
 _FORK_PAIRS = 60_000
 
 
 def _shares(weights):
-    """The slices of a call split into one share per CPU of the process's
-    affinity mask, each share in slice order, or None where the call is
-    summed here: one CPU, no ``os.fork``, or a second live thread (a
+    """The slices of a call split into two shares, each in slice order,
+    or None where the call is summed here: fewer than two CPUs in the
+    process's affinity mask, no ``os.fork``, or a second live thread (a
     forked child would hold only the thread that forked it).  Slices go
-    heaviest first, each to the share with the fewest term pairs so far."""
+    heaviest first, each to the share with fewer term pairs so far.
+
+    Two shares at most, whatever the CPU count: the threshold and the
+    gain were measured for a split in two, and a further share would add
+    a child's resident set and form most of the same product-table
+    entries again."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return None
-    cpus = min(len(os.sched_getaffinity(0)), len(weights))
-    if cpus < 2 or threading.active_count() > 1:
+    if (
+        len(weights) < 2
+        or len(os.sched_getaffinity(0)) < 2
+        or threading.active_count() > 1
+    ):
         return None
-    loads, shares = [0] * cpus, [[] for _ in range(cpus)]
+    loads, shares = [0, 0], ([], [])
     for s, w in sorted(weights.items(), key=lambda sw: -sw[1]):
-        i = loads.index(min(loads))
+        i = loads[1] < loads[0]
         loads[i] += w
         shares[i].append(s)
     return [sorted(share) for share in shares]
 
 
-def _split_sums(table, prepared, legs, shares):
-    """{slice: its sum} over ``shares`` of a ``_mul`` call's slices: the
-    first share summed here, every other in a forked child that sends back
-    its sums and the monomials it interned (``_child_share``); a share
-    whose fork fails is summed here too.  A child's new ids collide with
-    those this process interns meanwhile, so its monomials are interned
-    here and its keys rewritten (``_adopt``).  An exception raised in a
-    child is raised here, and no child outlives the call."""
+def _split_sums(table, prepared, legs, mine, theirs):
+    """{slice: its sum} over the slices of ``mine`` and ``theirs`` of a
+    ``_mul`` call: ``mine`` summed here, ``theirs`` in a forked child that
+    sends back its sums and the monomials it interned (``_child_share``),
+    or here too if the fork fails.  The child's new ids collide with those
+    this process interns meanwhile, so its monomials are interned here
+    and its keys rewritten (``_adopt``).  An exception raised in the child
+    is raised here; a child that ends without its result (killed, or its
+    sums could not be pickled) raises ``ChildProcessError``.  The child
+    does not outlive the call."""
     # imported here, as in _child_share: a run that splits no product
     # pays neither module's import time nor its memory
     import pickle
     import signal
 
-    n0 = len(table.monos)
-    mine = list(shares[0])
-    children = []  # (pid, read end of its pipe, its share)
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                mine += share
-                continue
-            if not pid:
-                _child_share(table, prepared, share, w)
-            os.close(w)
-            children.append((pid, r, share))
+    def summed(slices):
         # each sum copied: an accumulator keeps the table of its largest size
-        sums = {
-            s: dict(acc) for s, acc in zip(mine, _slice_sums(table, prepared, mine))
+        return {
+            s: dict(acc)
+            for s, acc in zip(slices, _slice_sums(table, prepared, slices))
         }
-        while children:
-            pid, r, share = children[-1]
-            with open(r, "rb") as fh:
-                children[-1] = (pid, None, share)
-                payload = fh.read()
-            children.pop()
-            os.waitpid(pid, 0)
-            if not payload:
-                raise ChildProcessError(
-                    "the process summing %d product slices ended without "
-                    "a result" % len(share)
-                )
-            result = pickle.loads(payload)
-            if isinstance(result, BaseException):
-                raise result
-            accs, monos = result
-            _adopt(table, legs, n0, monos, accs)
-            sums.update(zip(share, accs))
+
+    n0 = len(table.monos)
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return summed(mine + theirs)
+    if not pid:
+        _child_share(table, prepared, theirs, w)
+    os.close(w)
+    status = None
+    try:
+        with open(r, "rb") as fh:
+            sums = summed(mine)
+            payload = fh.read()
+        _, status = os.waitpid(pid, 0)
     finally:
-        for pid, r, _ in children:
-            if r is not None:
-                os.close(r)
+        if status is None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    if status:
+        try:
+            cause = pickle.loads(payload)
+        except Exception:
+            cause = None
+        raise ChildProcessError(
+            "the process summing %d product slices ended with status %d"
+            % (len(theirs), os.waitstatus_to_exitcode(status))
+        ) from (cause if isinstance(cause, BaseException) else None)
+    result = pickle.loads(payload)
+    if isinstance(result, BaseException):
+        raise result
+    accs, monos = result
+    _adopt(table, legs, n0, monos, accs)
+    sums.update(zip(theirs, accs))
     return sums
 
 
 def _child_share(table, prepared, share, fd):
     """The body of a forked child: sum ``share`` and write (the sums, the
     monomials interned since the fork), or the exception raised, pickled
-    to ``fd``; then end the process.  Whatever is raised goes to the
-    parent, which raises it: the child never returns into the caller."""
+    to ``fd``; then end the process, with status 0 once that is written.
+    If the result cannot be pickled, a RuntimeError naming why is written
+    instead and the status is 1.  The child never returns into the
+    caller."""
+    status = 1
     try:
         import pickle
 
@@ -858,10 +869,19 @@ def _child_share(table, prepared, share, fd):
             result = (sums, table.monos[n0:])
         except BaseException as exc:
             result = exc
+        # pickled whole before anything is written, so that a failure
+        # sends a message rather than a broken stream
+        try:
+            payload, done = pickle.dumps(result, pickle.HIGHEST_PROTOCOL), 0
+        except BaseException as exc:
+            payload, done = pickle.dumps(
+                RuntimeError("the slice sums could not be pickled: %r" % exc)
+            ), 1
         with open(fd, "wb") as fh:
-            pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+            fh.write(payload)
+        status = done
     finally:
-        os._exit(0)
+        os._exit(status)
 
 
 def _adopt(table, legs, n0, monos, accs):

@@ -1434,14 +1434,14 @@ def test_walked_operand_is_freed_without_the_cyclic_collector():
     assert found == 0
 
 
-# -- products split across forked children --------------------------------------
+# -- products split with a forked child -----------------------------------------
 
 
 @contextlib.contextmanager
 def _split_everything():
-    """Every product split: the threshold at 0 and three CPUs in the
-    affinity mask, so two children sum shares and their new ids collide
-    with each other's and with this process's.  Yields a record of the
+    """Every product split: the threshold at 0 and four CPUs in the
+    affinity mask, of which a call uses two, so one child sums a share
+    and its new ids collide with this process's.  Yields a record of the
     forks made here and of each child's monomials as it is adopted:
     (the number the child interned, whether one of them collided)."""
     record = {"forks": [], "adopted": []}
@@ -1463,7 +1463,7 @@ def _split_everything():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pbw, "_FORK_PAIRS", 0)
-        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         mp.setattr(os, "fork", counted_fork)
         mp.setattr(pbw, "_adopt", spied_adopt)
         yield record
@@ -1492,7 +1492,7 @@ def _split_then_serial(products):
 @settings(max_examples=40, deadline=None)
 def test_split_products_store_what_the_serial_loop_stores(case):
     """1-, 2- and 3-leg products and differences, with a leg carried or
-    not, and Fraction, int and Poly coefficients: split across children,
+    not, and Fraction, int and Poly coefficients: split with a child,
     each stores the serial loop's data, denominator and key order, and
     the reference loop's terms."""
     alg, legs, a, b = case
@@ -1533,8 +1533,8 @@ def test_split_products_of_poly_and_series_coefficients():
 
 
 def test_split_product_on_a_cold_table_reads_every_child_monomial():
-    """On a fresh algebra, the children intern monomials that collide
-    with the ids of this process and of each other; every one is interned
+    """On a fresh algebra, each child interns monomials that collide
+    with the ids this process interns meanwhile; every one is interned
     here once, and the products decode to the reference loop's terms."""
     alg = OspAlgebra(2)
     t = _odd_tensor(alg)
@@ -1575,6 +1575,66 @@ def test_overflow_in_a_share_is_raised_here_and_no_child_outlives_it(
     _no_child_left()
     assert len(record["forks"]) == 1
     assert h * h == UEElement(alg, {(IDX["H"], IDX["H"]): 1})
+
+
+def test_a_call_splits_in_two_whatever_the_cpu_count(monkeypatch):
+    """Eight CPUs in the mask still make two shares, balanced by pairs,
+    that partition the slices, each in slice order."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    weights = {s: w for s, w in enumerate([5, 1, 4, 1, 3, 2, 2, 6])}
+    shares = pbw._shares(weights)
+    assert len(shares) == 2
+    assert sorted(shares[0] + shares[1]) == sorted(weights)
+    assert all(share == sorted(share) for share in shares)
+    assert [sum(weights[s] for s in share) for share in shares] == [12, 12]
+
+
+@pytest.mark.parametrize("how", ["unpicklable sums", "killed"])
+def test_child_that_ends_without_its_result_raises_child_process_error(
+    monkeypatch, how
+):
+    """A child whose sums cannot be pickled sends the reason and exits 1;
+    one killed before it writes sends nothing.  Either way this process
+    checks the exit status before it unpickles, raises ChildProcessError
+    (with the child's reason as its cause), and no child is left."""
+    import pickle
+    import signal
+
+    parent = os.getpid()
+    if how == "killed":
+        slice_sums = pbw._slice_sums
+
+        def dying(table, prepared, slices):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return slice_sums(table, prepared, slices)
+
+        monkeypatch.setattr(pbw, "_slice_sums", dying)
+    else:
+        dumps = pickle.dumps
+
+        def refusing(obj, *args):
+            if isinstance(obj, tuple):
+                raise pickle.PicklingError("refused")
+            return dumps(obj, *args)
+
+        monkeypatch.setattr(pickle, "dumps", refusing)
+    t = _odd_tensor(ALG)
+    u = t.flip() + t
+    with _split_everything() as record:
+        with pytest.raises(ChildProcessError) as raised:
+            t * u
+    _no_child_left()
+    assert len(record["forks"]) == 1
+    cause = raised.value.__cause__
+    if how == "killed":
+        assert "status -%d" % signal.SIGKILL in str(raised.value)
+        assert cause is None
+    else:
+        assert "status 1" in str(raised.value)
+        assert isinstance(cause, RuntimeError) and "refused" in str(cause)
+    monkeypatch.undo()
+    assert t * u == _reference(t, u, 2)
 
 
 @pytest.mark.parametrize("why", ["one CPU", "a second thread", "a failed fork"])
