@@ -76,13 +76,15 @@ normal-ordered.
 One term algebra.  :class:`UEElement`, :class:`UETensor` and the classical
 :class:`~osptwist.rmatrix.LieTensor` share one storage, the packed keys
 above, and one implementation (``_Terms``) of construction (which
-normal-orders every key), ``+``, ``*``, the unit ``one_like``,
-``coefficient``, truncation, equality, the graded flip, printing, the rep
-image ``to_matrix`` and the series entries ``series(stream)`` and
-``exp()``; ``-``, powers and the super bracket are those of every
-:class:`~osptwist.scalars.Ring`.  A LieTensor's basis letters are stored
-as one-letter monomials.  Two kinds never mix:
-``HeterogeneousOperand``.  A term object belongs to one algebra instance,
+normal-orders every key), ``*``, the unit ``one_like``, ``coefficient``,
+truncation, the graded flip, printing, the rep image ``to_matrix`` and
+the series entries ``series(stream)`` and ``exp()``.  Their linear
+structure (sums, cut at the smaller cap, negation, scaling, equality,
+hashing and parity) is :class:`~osptwist.scalars.Stored`'s, written once
+with the matrices of :mod:`~osptwist.repmat`; powers and the super
+bracket are those of every :class:`~osptwist.scalars.Ring`.  A
+LieTensor's basis letters are stored as one-letter monomials.  Two kinds
+never mix: ``HeterogeneousOperand``.  A term object belongs to one algebra instance,
 whose table its keys index: operands of two instances, even of one rank,
 never combine (``MixedAlgebra``) and never compare equal.  Each class
 fixes only the public shape of its keys, how they print, and its
@@ -114,6 +116,7 @@ from .scalars import (
     LaurentSeries,
     Poly,
     Ring,
+    Stored,
     _canonical,
     _clean,
     _exact,
@@ -963,9 +966,8 @@ def _products(pairs):
         factor = sign * (den // (a.den * b.den)) if rational else sign
         walks.append((factor, left, right))
     out = _mul(table, walks, legs, cap)
-    if rational:
-        return x._like(*_canonical(out, den), cap)
-    return x._like(*_stored(out), cap)
+    data, den = _canonical(out, den) if rational else _stored(out)
+    return x._wrap(x.algebra, data, den, x.legs, cap)
 
 
 def product_difference(x, y, z, w):
@@ -1081,7 +1083,7 @@ class _TermsItems(ItemsView):
         return zip(self._mapping, self._mapping.values())
 
 
-class _Terms(Ring):
+class _Terms(Stored):
     """A finite combination of keys with coefficients in the exact scalar
     tower, modulo total grade > g2cap/2 (no truncation when g2cap is
     None).  ``data`` is a zero-free {stored key: coefficient} dict and
@@ -1100,12 +1102,11 @@ class _Terms(Ring):
     default to that tuple); how a key prints (``_body``, ``_sort_key``);
     and the arguments of its constructors.  ``legs`` is the number of
     tensor legs, None for an element of the enveloping algebra itself.
-    ``+``, ``*`` (as ``_times``), ``one_like``, ``coefficient``,
-    ``to_matrix`` and the series entries ``series(stream)`` and ``exp()``
-    are written here once, and ``-``, ``**`` and the super commutator
-    are those of :class:`~osptwist.scalars.Ring`; a subclass binds one
-    under its own name only where the benchmark tracer patches it class
-    by class.
+    The linear structure is :class:`~osptwist.scalars.Stored`'s on the
+    space (algebra, legs); a sum is cut at the smaller cap, and a scalar
+    summand is a multiple of the unit.  A subclass binds a shared
+    operation under its own name only where the benchmark tracer patches
+    it class by class.
     """
 
     __slots__ = ("algebra", "data", "den", "legs", "g2cap", "_walks")
@@ -1141,10 +1142,13 @@ class _Terms(Ring):
         out.g2cap = g2cap
         return out
 
-    def _like(self, data, den, g2cap):
-        """An object of self's kind (type, algebra, legs) wrapping clean
-        stored terms."""
-        return self._wrap(self.algebra, data, den, self.legs, g2cap)
+    def _like(self, data, den):
+        """An object of self's kind (type, algebra, legs) and cap wrapping
+        clean stored terms."""
+        return self._wrap(self.algebra, data, den, self.legs, self.g2cap)
+
+    def _space(self):
+        return self.algebra, self.legs
 
     def _check_legs(self, key):
         if len(key) != self.legs:
@@ -1153,12 +1157,10 @@ class _Terms(Ring):
             )
         return key
 
-    def zero_like(self):
-        return self._like({}, 1, self.g2cap)
-
     def one_like(self):
         # the key of the empty monomial on every leg is 0
-        return self._like({0: 1}, 1, None).truncate(self.g2cap)
+        unit = self._wrap(self.algebra, {0: 1}, 1, self.legs, None)
+        return unit.truncate(self.g2cap)
 
     def _same_kind(self, other):
         """True for an operand of self's kind, False for a scalar; another
@@ -1232,14 +1234,6 @@ class _Terms(Ring):
             packed = packed << table.bits | i
         return packed
 
-    def _scalars(self):
-        """The stored terms with their coefficients as scalars: Fractions
-        over ``den``, or ``data`` itself if den is None."""
-        data, den = self.data, self.den
-        if den is None:
-            return data
-        return dict(zip(data, map(Fraction, data.values(), repeat(den))))
-
     def _select(self, keep):
         """(data, den) of the terms whose doubled grade satisfies
         ``keep``."""
@@ -1249,25 +1243,15 @@ class _Terms(Ring):
 
     # -- inspection -------------------------------------------------------
 
-    @property
-    def is_zero(self):
-        return not self.data
-
     def is_grade_positive(self):
         """True when every term has total grade >= 1/2 (g2 >= 1)."""
         grade = self._grader()
         return all(grade(k) >= 1 for k in self.data)
 
-    def parity(self):
-        """The parity shared by every term (0 for zero), None if they mix."""
+    def _parities(self):
         table, mask, shifts = self._codec()
         par = table.par
-        seen = {sum([par[k >> s & mask] for s in shifts]) & 1 for k in self.data}
-        if not seen:
-            return 0
-        if len(seen) > 1:
-            return None
-        return seen.pop()
+        return lambda k: sum([par[k >> s & mask] for s in shifts]) & 1
 
     def is_even(self):
         return self.parity() == 0
@@ -1297,55 +1281,16 @@ class _Terms(Ring):
 
     def _combine(self, other, sign):
         """self + sign * other (sign +1 or -1) for ``other`` of self's
-        kind, both cut at the smaller cap: int numerators over the lcm of
-        the two denominators, or scalars when either side has none."""
+        kind, both cut at the smaller cap."""
         self._check(other)
         cap = _omin(self.g2cap, other.g2cap)
-        x, y = self.truncate(cap), other.truncate(cap)
-        left, right = x.data, y.data
-        if x.den is None or y.den is None:
-            den, mx, my = None, 1, sign
-            left, right = x._scalars(), y._scalars()
-        else:
-            den = lcm(x.den, y.den)
-            mx, my = den // x.den, sign * (den // y.den)
-        out = {k: c * mx for k, c in left.items()} if mx != 1 else dict(left)
-        get = out.get
-        for k, c in right.items():
-            v = get(k, 0) + c * my
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        return self._like(*_clean(out, den), cap)
+        x = self.truncate(cap)
+        return x._combination(((1, x), (sign, other.truncate(cap))))
 
     def __add__(self, other):
         if self._same_kind(other):
             return self._combine(other, 1)
         return self + self.one_like().scale(other)
-
-    def __neg__(self):
-        return self._like(
-            {k: -c for k, c in self.data.items()}, self.den, self.g2cap
-        )
-
-    def __sub__(self, other):
-        # a same-kind difference is one pass, with no negated copy
-        if isinstance(other, type(self)):
-            return self._combine(other, -1)
-        return Ring.__sub__(self, other)
-
-    def scale(self, c):
-        if not c:
-            return self.zero_like()
-        f = _fr(c)
-        if f is not None and self.den is not None:
-            p = f.numerator
-            data = {k: v * p for k, v in self.data.items()}
-            return self._like(
-                *_canonical(data, self.den * f.denominator), self.g2cap
-            )
-        return self.map_coefficients(lambda v: c * v)
 
     def _times(self, other):
         """``*``: the product of two operands of one kind, or scaling."""
@@ -1353,12 +1298,6 @@ class _Terms(Ring):
             return self.scale(other)
         self._check(other)
         return _products(((1, self, other),))
-
-    def __rmul__(self, c):
-        # reached for a scalar, or when c's kind has no product (LieTensor)
-        if self._same_kind(c):
-            return NotImplemented
-        return self.scale(c)
 
     def series(self, stream):
         """sum_k a_k * self**k (see :func:`ue_series`)."""
@@ -1370,28 +1309,9 @@ class _Terms(Ring):
     def truncate(self, g2cap):
         cap = _omin(self.g2cap, g2cap)
         if cap == self.g2cap:
-            return self._like(self.data, self.den, cap)
-        return self._like(*self._select(lambda g: g <= cap), cap)
-
-    def map_coefficients(self, fn):
-        return self._like(
-            *_stored({k: fn(c) for k, c in self._scalars().items()}),
-            self.g2cap,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        if other.algebra is not self.algebra or other.legs != self.legs:
-            return False
-        if self.den is not None and other.den is not None:
-            return self.den == other.den and self.data == other.data
-        return self._scalars() == other._scalars()
-
-    def __hash__(self):
-        # rational coefficients hash as Fractions, so a term whose
-        # coefficient is a constant Poly or exact series hashes the same
-        return hash((self.legs, frozenset(self._scalars().items())))
+            return self._like(self.data, self.den)
+        data, den = self._select(lambda g: g <= cap)
+        return self._wrap(self.algebra, data, den, self.legs, cap)
 
     def flip(self):
         """Graded swap of the two legs of a 2-leg tensor:
@@ -1404,7 +1324,7 @@ class _Terms(Ring):
         for k, c in self.data.items():
             a, b = k >> bits, k & mask
             out[b << bits | a] = -c if par[a] and par[b] else c
-        return self._like(out, self.den, self.g2cap)
+        return self._like(out, self.den)
 
     # -- display ----------------------------------------------------------
 
@@ -1499,9 +1419,9 @@ class UEElement(_Terms):
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self == UEElement(self.algebra, {(): other})
-        return _Terms.__eq__(self, other)
+        return Stored.__eq__(self, other)
 
-    __hash__ = _Terms.__hash__
+    __hash__ = Stored.__hash__
 
     # -- structure maps ---------------------------------------------------------
 
@@ -1561,8 +1481,8 @@ class UETensor(_Terms):
     def of(cls, *elements, g2cap=None):
         """Elementary tensor e1 (x) e2 (x) ...: bilinear pairing of terms
         (signs only ever come from multiplication, not formation)."""
-        if not elements:
-            raise HeterogeneousOperand("need at least one tensor factor")
+        if not elements or not all(isinstance(e, UEElement) for e in elements):
+            raise HeterogeneousOperand("tensor factors are one or more UEElements")
         alg = elements[0].algebra
         cap = g2cap
         for e in elements:
@@ -1685,7 +1605,7 @@ class UETensor(_Terms):
     # -- grading helpers -----------------------------------------------------------
 
     def grade_component(self, g2: int) -> "UETensor":
-        return self._like(*self._select(lambda g: g == g2), self.g2cap)
+        return self._like(*self._select(lambda g: g == g2))
 
     def scale_by_grade(self, factor) -> "UETensor":
         """Multiply each term by factor**(grade).  Requires every term to
@@ -1705,7 +1625,7 @@ class UETensor(_Terms):
                     )
                 weight = powers[g2] = factor ** (g2 // 2)
             out[k] = c * weight
-        return self._like(*_stored(out), self.g2cap)
+        return self._like(*_stored(out))
 
     def __repr__(self):
         return "UETensor(legs=%d, terms=%d)" % (self.legs, len(self.data))

@@ -27,6 +27,7 @@ from .repmat import (
     convolve,
     embed_legs,
     join_monomials,
+    kron,
     split_monomials,
     tensor_pv,
 )
@@ -271,18 +272,18 @@ class LOperator:
         return self.entries[0][0] * self.entries[d - 1][d - 1] == one
 
     def to_matrix(self) -> GradedMatrix:
-        """Evaluate the remaining universal leg in the defining rep too;
-        the result must coincide with the rep form of the source R."""
-        alg = self.algebra
-        d = alg.dim_rep
-        out = {}
-        for i in range(d):
-            for j in range(d):
-                block = self.entries[i][j].to_matrix()
-                for (k, l), c in block.entries.items():
-                    s = (alg.pv[k] + alg.pv[l]) * alg.pv[j]
-                    out[(i * d + k, j * d + l)] = -c if s % 2 else c
-        return GradedMatrix(tensor_pv(alg.pv, 2), out)
+        """Evaluate the remaining universal leg in the defining rep too:
+        the sum of kron(E_ij, rho(L[i][j])) over the nonzero entries, so
+        that :func:`~osptwist.repmat.kron` gives every Koszul sign.  The
+        result must coincide with the rep form of the source R."""
+        pv = self.algebra.pv
+        pairs = [
+            (1, kron(GradedMatrix(pv, {(i, j): 1}), entry.to_matrix()))
+            for i, row in enumerate(self.entries)
+            for j, entry in enumerate(row)
+            if not entry.is_zero
+        ]
+        return combination(tensor_pv(pv, 2), pairs)
 
     def frt_residual(self, i: int, j: int, margin: int = 2) -> UETensor:
         """Twisted coproduct of one entry minus the matrix product of the

@@ -11,7 +11,11 @@ products, sums, scalings, tensor products, leg embeddings, transposes and
 units build their results from the stored numerators on a trusted path,
 so rational arithmetic is int arithmetic.  Read through ``entries``,
 ``[]``, ``str`` or ``==``, a rational entry is an int when it is integral
-and a Fraction otherwise (:func:`~osptwist.scalars._exact`).
+and a Fraction otherwise (:func:`~osptwist.scalars._exact`).  The linear
+structure (the zero test, that decode, sums and :func:`combination`,
+negation, scaling, equality, hashing, parity) is
+:class:`~osptwist.scalars.Stored`'s, written once for the matrices and
+the term algebras; this module writes the products and the rest.
 
 Ordinary matrix multiplication carries no signs; all of
 the grading enters through :func:`kron`, whose entries pick up the Koszul
@@ -53,19 +57,15 @@ vanishing power.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
-from math import lcm
 from operator import add
 
 from .errors import LegMismatch, NotNilpotent
 from .scalars import (
     LaurentSeries,
     Poly,
-    Ring,
-    _canonical,
+    Stored,
     _clean,
-    _exact,
     _stored,
     nilpotent_series,
     taylor_exp,
@@ -73,18 +73,14 @@ from .scalars import (
 )
 
 
-def _ratio(num: int, den: int):
-    """num/den by the rule of the scalar tower: an int when integral."""
-    return _exact(Fraction(num, den))
-
-
-class GradedMatrix(Ring):
+class GradedMatrix(Stored):
     """Square sparse matrix with a parity vector ``pv`` (0/1 per index).
 
     ``data`` is the zero-free {(i, j): stored entry} dict over ``den``, by
     the shared storage rule: int numerators over a positive canonical
     ``den`` for a rational matrix, else the scalars with ``den`` None.
-    ``entries`` reads them back as scalars."""
+    ``entries`` reads them back as scalars.  The linear structure is
+    :class:`~osptwist.scalars.Stored`'s, on the space ``pv``."""
 
     __slots__ = ("pv", "data", "den")
 
@@ -101,6 +97,16 @@ class GradedMatrix(Ring):
         """The trusted path: a matrix on the parity tuple ``pv`` holding
         ``data`` over ``den`` that are already stored by the rule."""
         return _hold(object.__new__(cls), pv, data, den)
+
+    def _like(self, data, den) -> "GradedMatrix":
+        return self._wrap(self.pv, data, den)
+
+    def _space(self):
+        return self.pv
+
+    def _parities(self):
+        pv = self.pv
+        return lambda ij: (pv[ij[0]] + pv[ij[1]]) & 1
 
     def __setattr__(self, *a):
         raise AttributeError("GradedMatrix is immutable")
@@ -125,57 +131,10 @@ class GradedMatrix(Ring):
     @property
     def entries(self) -> dict:
         """{(i, j): scalar} of the nonzero entries."""
-        den = self.den
-        if den is None or den == 1:
-            return self.data
-        return {ij: _ratio(v, den) for ij, v in self.data.items()}
+        return self._scalars()
 
     def __getitem__(self, ij):
-        v = self.data.get(ij, 0)
-        den = self.den
-        return v if den is None or den == 1 else _ratio(v, den)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def _check_space(self, other: "GradedMatrix"):
-        if self.pv != other.pv:
-            raise ValueError("matrices act on different graded spaces")
-
-    def __add__(self, other):
-        if not isinstance(other, GradedMatrix):
-            return NotImplemented
-        self._check_space(other)
-        return combination(self.pv, ((1, self), (1, other)))
-
-    def __sub__(self, other):
-        # one pass, with no negated copy
-        if not isinstance(other, GradedMatrix):
-            return NotImplemented
-        self._check_space(other)
-        return combination(self.pv, ((1, self), (-1, other)))
-
-    def __neg__(self):
-        return self._wrap(
-            self.pv, {ij: -c for ij, c in self.data.items()}, self.den
-        )
-
-    def scale(self, c) -> "GradedMatrix":
-        if not c:
-            return GradedMatrix.zero(self.pv)
-        if self.den is not None and isinstance(c, (int, Fraction)):
-            p = c.numerator
-            data = {ij: v * p for ij, v in self.data.items()}
-            return self._wrap(
-                self.pv, *_canonical(data, self.den * c.denominator)
-            )
-        return self._wrap(
-            self.pv, *_stored({ij: c * v for ij, v in self.entries.items()})
-        )
-
-    # reached only for a scalar c: a matrix on the left multiplies itself
-    __rmul__ = scale
+        return self._scalar(self.data.get(ij, 0))
 
     def __mul__(self, other):
         if isinstance(other, GradedMatrix):
@@ -189,7 +148,7 @@ class GradedMatrix(Ring):
         """Plain matrix product (signs belong to kron, not to composition):
         int numerators over the product of the two denominators when both
         matrices are rational, else scalars."""
-        self._check_space(other)
+        self._check(other)
         left, right, den = _factors(self, other)
         by_row = {}
         for (k, j), c in right.items():
@@ -205,29 +164,7 @@ class GradedMatrix(Ring):
     def one_like(self) -> "GradedMatrix":
         return GradedMatrix.identity(self.pv)
 
-    def __eq__(self, other):
-        if not isinstance(other, GradedMatrix):
-            return NotImplemented
-        if self.pv != other.pv:
-            return False
-        if self.den is not None and other.den is not None:
-            return self.den == other.den and self.data == other.data
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.pv, frozenset(self.entries.items())))
-
     # -- graded structure ----------------------------------------------------
-
-    def parity(self):
-        """0 or 1 for a homogeneous matrix (zero counts as even), None if
-        the matrix mixes parities."""
-        seen = {(self.pv[i] + self.pv[j]) % 2 for (i, j) in self.data}
-        if not seen:
-            return 0
-        if len(seen) > 1:
-            return None
-        return seen.pop()
 
     def transpose(self) -> "GradedMatrix":
         return self._wrap(
@@ -239,8 +176,7 @@ class GradedMatrix(Ring):
         for (i, j), c in self.data.items():
             if i == j:
                 tot = tot + (-c if self.pv[i] else c)
-        den = self.den
-        return tot if den is None or den == 1 else _ratio(tot, den)
+        return self._scalar(tot)
 
     # -- nilpotent calculus ----------------------------------------------------
 
@@ -319,28 +255,9 @@ def _summed(pv, data, den) -> GradedMatrix:
 
 def combination(pv, pairs, den=1) -> GradedMatrix:
     """sum c * m / den over (c, m) pairs of matrices on the parity tuple
-    ``pv``, in one accumulator: int c over an int ``den``, or scalars c
-    with den None.  When the c and every m are rational, the numerators
-    are summed over the lcm of the matrices' denominators."""
-    acc: dict = {}
-    get = acc.get
-    if den is not None and all(m.den is not None for _, m in pairs):
-        lcd = lcm(*[m.den for _, m in pairs])
-        for c, m in pairs:
-            f = c * (lcd // m.den)
-            for ij, v in m.data.items():
-                acc[ij] = get(ij, 0) + f * v
-        return _summed(pv, acc, den * lcd)
-    for c, m in pairs:
-        if den is not None:
-            c = _ratio(c, den)
-        values = m.entries
-        if c != 1:
-            values = {ij: c * v for ij, v in values.items()}
-        for ij, v in values.items():
-            cur = get(ij)
-            acc[ij] = v if cur is None else cur + v
-    return _summed(pv, acc, None)
+    ``pv``: int c over an int ``den``, or scalars c with den None (see
+    :meth:`~osptwist.scalars.Stored._combination`)."""
+    return GradedMatrix.zero(pv)._combination(pairs, den)
 
 
 # --------------------------------------------------------------------------

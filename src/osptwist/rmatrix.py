@@ -27,7 +27,7 @@ from math import lcm
 from .errors import HeterogeneousOperand, NegativePowerSurvives
 from .pbw import _Terms, format_monomial, scalar_inverse
 from .repmat import GradedMatrix
-from .scalars import LaurentSeries, Poly, _clean, rref
+from .scalars import LaurentSeries, Poly, Stored, _clean, rref
 
 
 class LieTensor(_Terms):
@@ -66,11 +66,8 @@ class LieTensor(_Terms):
     def one_like(self):
         raise HeterogeneousOperand("a classical tensor has no unit")
 
-    def __add__(self, other):
-        # no unit to carry a scalar
-        if not isinstance(other, _Terms):
-            return NotImplemented
-        return _Terms.__add__(self, other)
+    # no unit to carry a scalar: only a LieTensor is added
+    __add__ = Stored.__add__
 
     # bound here: the benchmark tracer patches it
     to_matrix = _Terms.to_matrix

@@ -28,8 +28,12 @@ test: ``not c`` holds exactly when c is (provably) zero.
 
 One ring protocol: ``Poly``, ``LaurentSeries``, the matrices of
 :mod:`~osptwist.repmat` and the term algebras of :mod:`~osptwist.pbw`
-inherit :class:`Ring`, which writes ``-``, the reflected ``+`` and ``-``,
-``**`` and the graded commutator once.
+inherit :class:`Ring`, which writes ``-`` and its reflection, ``**`` and
+the graded commutator once.  The matrices and the term algebras store
+their scalars by one rule (below) and inherit :class:`Stored`, which
+writes their linear structure once: the zero test, the scalar decode,
+one n-ary combination behind every sum, negation, scaling by a scalar
+of the tower, coefficient maps, equality, hashing and parity.
 """
 
 from __future__ import annotations
@@ -120,12 +124,15 @@ def _clean(data, den):
 
 
 class Ring:
-    """The operations every ring of the package shares, written once.
+    """The operations every ring of the package shares, written once:
+    ``-`` and its reflection, powers and the graded commutator.
 
-    A subclass supplies ``__add__``, ``__neg__``, ``__mul__`` and
-    ``one_like()`` (its unit), and binds ``inverse`` to a method when its
-    elements may be inverted; the graded commutator also needs
-    ``parity()`` (0 or 1, None when the element mixes parities)."""
+    A subclass supplies ``__add__`` and its reflection, ``__neg__``,
+    ``__mul__`` and ``one_like()`` (its unit), and binds ``inverse`` to a
+    method when its elements may be inverted; the graded commutator also
+    needs ``parity()`` (0 or 1, None when the element mixes parities).
+    The matrices and term algebras get their linear structure from
+    :class:`Stored`."""
 
     __slots__ = ()
 
@@ -136,9 +143,6 @@ class Ring:
 
     def __rsub__(self, other):
         return -self + other
-
-    def __radd__(self, other):
-        return self + other
 
     def __pow__(self, k):
         """self**k by square-and-multiply from ``one_like()``; for k < 0 the
@@ -165,6 +169,160 @@ class Ring:
             raise NotHomogeneous("super commutator needs homogeneous operands")
         ab, ba = self * other, other * self
         return ab + ba if (pa and pb) else ab - ba
+
+
+class Stored(Ring):
+    """The linear structure of an object holding ``data`` over ``den`` by
+    the one storage rule, written once for the matrices and the term
+    algebras.  A subclass supplies ``_like(data, den)`` (an object of its
+    kind and space holding terms stored by the rule), ``_space()`` (what
+    two operands must share to combine or compare equal) and
+    ``_parities()`` (a function from a stored key to its parity).  Only
+    operands of one kind combine (``_same_kind``, ``_check``); a scalar of
+    the tower (int, Fraction, Poly, LaurentSeries) scales from either
+    side, and any other operand is a TypeError."""
+
+    __slots__ = ()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.data
+
+    def _scalar(self, v):
+        """The scalar that the stored value ``v`` stands for: a rational
+        by :func:`_exact`, any other scalar as it is."""
+        den = self.den
+        return v if den is None or den == 1 else _exact(Fraction(v, den))
+
+    def _scalars(self) -> dict:
+        """{key: scalar} of the terms, each as :meth:`_scalar` reads it;
+        ``data`` itself when it holds them."""
+        den = self.den
+        if den is None or den == 1:
+            return self.data
+        return {k: _exact(Fraction(v, den)) for k, v in self.data.items()}
+
+    def _same_kind(self, other) -> bool:
+        """True for an operand that combines with self, False for any
+        other (a scalar, or an object of another kind)."""
+        return isinstance(other, type(self))
+
+    def _check(self, other):
+        if self._space() != other._space():
+            raise ValueError("operands act on different spaces")
+
+    def _combination(self, pairs, den=1):
+        """sum c * x / den over (c, x) pairs of objects of self's kind and
+        space, as an object like self (which is not itself summed): int c
+        over an int ``den``, or scalars c with den None.  When den and
+        every x are rational, the numerators are summed over the lcm of
+        the x's denominators; otherwise every x is read as scalars."""
+        rational = den is not None and all(x.den is not None for _, x in pairs)
+        if rational:
+            lcd = math.lcm(*[x.den for _, x in pairs])
+            terms = [(c * (lcd // x.den), x.data) for c, x in pairs if c]
+        else:
+            terms = [
+                (c if den is None else _exact(Fraction(c, den)), x._scalars())
+                for c, x in pairs if c
+            ]
+        acc: dict = {}
+        for f, values in terms:
+            if not acc and f == 1:
+                acc = dict(values)
+                continue
+            get = acc.get
+            for k, v in values.items():
+                if f != 1:
+                    v = f * v
+                cur = get(k)
+                if cur is not None:
+                    v = cur + v
+                    if not v:
+                        del acc[k]
+                        continue
+                acc[k] = v
+        if rational:
+            return self._like(*_canonical(acc, den * lcd))
+        return self._like(*_stored(acc))
+
+    def _combine(self, other, sign):
+        """self + sign * other (sign +1 or -1) for an operand of self's
+        kind."""
+        self._check(other)
+        return self._combination(((1, self), (sign, other)))
+
+    def __add__(self, other):
+        if self._same_kind(other):
+            return self._combine(other, 1)
+        return NotImplemented
+
+    def __radd__(self, other):
+        # an object of another kind whose own + declined does not combine
+        # with self either
+        if isinstance(other, Stored):
+            return NotImplemented
+        return self + other
+
+    def __sub__(self, other):
+        # a same-kind difference is one pass, with no negated copy
+        if self._same_kind(other):
+            return self._combine(other, -1)
+        return self + -other
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.data.items()}, self.den)
+
+    def scale(self, c):
+        """c * self for a scalar c of the tower; a rational c multiplies
+        the numerators of a rational object."""
+        if not isinstance(c, (int, Fraction, Poly, LaurentSeries)):
+            raise TypeError(
+                "a %s is not a scalar of a %s"
+                % (type(c).__name__, type(self).__name__)
+            )
+        if not c:
+            return self._like({}, 1)
+        if self.den is not None and isinstance(c, (int, Fraction)):
+            p = c.numerator
+            data = {k: v * p for k, v in self.data.items()}
+            return self._like(*_canonical(data, self.den * c.denominator))
+        return self.map_coefficients(lambda v: c * v)
+
+    def __mul__(self, c):
+        # a kind with a product binds its own
+        if self._same_kind(c):
+            return NotImplemented
+        return self.scale(c)
+
+    __rmul__ = __mul__
+
+    def map_coefficients(self, fn):
+        """The object with each scalar c (as ``_scalars`` reads it)
+        replaced by fn(c)."""
+        return self._like(
+            *_stored({k: fn(c) for k, c in self._scalars().items()})
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self._space() != other._space():
+            return False
+        if self.den is not None and other.den is not None:
+            return self.den == other.den and self.data == other.data
+        return self._scalars() == other._scalars()
+
+    def __hash__(self):
+        # a rational scalar hashes like the constant Poly or exact series
+        # it equals
+        return hash(frozenset(self._scalars().items()))
+
+    def parity(self):
+        """0 or 1 when every term has that parity (zero counts as even),
+        None if the terms mix parities."""
+        seen = set(map(self._parities(), self.data)) or {0}
+        return seen.pop() if len(seen) == 1 else None
 
 
 def fraction_sqrt(c: Fraction):

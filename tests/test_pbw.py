@@ -26,6 +26,7 @@ from osptwist.pbw import (
     ue_sqrt,
     ad_exp,
 )
+from osptwist.repmat import GradedMatrix
 from osptwist.errors import (
     ConstantTermPresent,
     DivisionByNonUnit,
@@ -660,16 +661,26 @@ def test_product_kernel_with_shared_heads_matches_reference(case):
 @given(products())
 @settings(max_examples=60, deadline=None)
 def test_sum_and_difference_match_public_constructor(case):
-    """+ and - skip the re-cleaning; they must still drop zeros and the
-    terms above the smaller cap."""
+    """+, -, negation and scaling skip the re-cleaning; they must still
+    drop zeros and the terms above the smaller cap, and store, compare and
+    hash as the public constructor's object does."""
     alg, legs, a, b = case
+
+    def check(got, terms, cap):
+        want = UETensor(alg, terms, legs, cap)
+        assert got == want and got.g2cap == want.g2cap
+        assert (got.den, got.data) == (want.den, want.data)
+        assert hash(got) == hash(want)
+
     for x, y in ((a, b), (b, a)):
         for sign, got in ((1, x + y), (-1, x - y)):
             merged = dict(x.terms)
             for k, c in y.terms.items():
                 merged[k] = merged.get(k, 0) + sign * c
-            want = UETensor(alg, merged, legs, _cap(x, y))
-            assert got == want and got.g2cap == want.g2cap
+            check(got, merged, _cap(x, y))
+    for c in (-1, 3, Fraction(2, 3), Poly.var("a")):
+        got = -a if c == -1 else a.scale(c)
+        check(got, {k: c * v for k, v in a.terms.items()}, a.g2cap)
     assert (a - a).is_zero
 
 
@@ -1269,6 +1280,56 @@ def test_scalar_plus_element_or_tensor_is_a_multiple_of_one():
         lie.one_like()
     with pytest.raises(TypeError):
         lie + 1
+
+
+def _rep_unit():
+    return GradedMatrix(ALG.pv, {(0, 1): 1})
+
+
+CROSS_KIND = {
+    "matrix + lie": lambda m, x, lie: m + lie,
+    "lie + matrix": lambda m, x, lie: lie + m,
+    "matrix - lie": lambda m, x, lie: m - lie,
+    "lie - matrix": lambda m, x, lie: lie - m,
+    "element * matrix": lambda m, x, lie: x * m,
+    "matrix * element": lambda m, x, lie: m * x,
+    "element.scale(matrix)": lambda m, x, lie: x.scale(m),
+    "matrix.scale(element)": lambda m, x, lie: m.scale(x),
+    "lie * matrix": lambda m, x, lie: lie * m,
+    "matrix * lie": lambda m, x, lie: m * lie,
+    "element + matrix": lambda m, x, lie: x + m,
+    "matrix + element": lambda m, x, lie: m + x,
+}
+
+
+@pytest.mark.parametrize("op", CROSS_KIND.values(), ids=list(CROSS_KIND))
+def test_a_matrix_and_a_term_algebra_never_combine(op):
+    """A matrix and an element or classical tensor neither add nor
+    multiply, in either order: TypeError, never a stored coefficient or
+    an endless recursion of reflected operators."""
+    x, _, lie = term_kinds()
+    with pytest.raises(TypeError):
+        op(_rep_unit(), x, lie)
+
+
+@pytest.mark.parametrize(
+    "c", [2, Fraction(-3, 2), Poly.var("a")], ids=["int", "Fraction", "Poly"]
+)
+def test_a_scalar_scales_every_kind_from_both_sides(c):
+    for x in term_kinds() + (_rep_unit(),):
+        assert c * x == x * c == x.scale(c)
+
+
+def test_tensor_of_takes_elements_only():
+    """A factor that is a tensor or a classical tensor is refused instead
+    of having its packed key overlapped with the others'."""
+    x, h = gen("X+"), gen("H")
+    lie = LieTensor(ALG, 1, {(IDX["X+"],): 1})
+    for factors in (
+        (UETensor.of(x, h), x), (x, UETensor.of(x, h)), (lie, x), (x, lie)
+    ):
+        with pytest.raises(HeterogeneousOperand):
+            UETensor.of(*factors)
 
 
 def test_coefficient_accepts_list_keys():
