@@ -1,11 +1,23 @@
 """Command-line front end: run named verification suites and report every
 certified identity with a CI-friendly exit code.
 
-Each check re-runs a library-level certificate (a residual that must be
-zero, a structural predicate, or an exact rep-matrix identity) and gets a
-stable dotted anchor so reports can be diffed across runs.  Checks whose
+Every check is one record of the table ``_ANCHORS``, in report order:
+(anchor, title, certified, build, certify).  The anchor is a stable dotted
+name ("suite.check"), so reports can be diffed across runs; a suite is the
+records whose anchor starts with its name.  ``build`` returns the object
+the check certifies (an r-matrix, a twist F, an R, an L-operator, the
+cobracket kernel, the contraction limit, or a tuple of these), and
+``certify`` re-runs a library-level certificate on it (a residual that
+must be zero, a structural predicate, or an exact rep-matrix identity).
+A library error in either phase makes the check fail.  Checks whose
 objects live at a grade truncation report the degree they are certified
 to; exact matrix-level checks report "exact".
+
+One run_suite call builds each object its checks share once, inside the
+first check that reads it: the algebra, its Casimir tensor, the cobracket
+kernel of the extended block, the contraction limit, the chain workshop,
+and the full-chain F, its R and R's L-operator at each degree.  So the
+twist suite's full-chain cocycle and the quantum suite's R read one F.
 """
 
 from __future__ import annotations
@@ -15,7 +27,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from functools import cache
 
 from . import quantum as qt
 from . import rmatrix as rm
@@ -81,458 +92,271 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _run_checks(suite, n, degree, rows) -> SuiteReport:
-    records = []
-    for anchor, name, certified, thunk in rows:
+class _Run:
+    """The objects that the anchors of one run_suite call share.  Each is
+    built inside the first anchor that reads it and kept for the rest of
+    the run; a build that raises is not kept, so the next anchor that
+    reads the object tries again."""
+
+    def __init__(self, n, degree):
+        self.n = n
+        self.degree = degree
+        self._made = {}
+
+    @tws._memoized
+    def alg(self):
+        return build_osp(self.n)
+
+    @tws._memoized
+    def casimir(self):
+        return rm.casimir_tensor(self.alg())
+
+    @tws._memoized
+    def kernel(self):
+        """The cobracket kernel of the extended block."""
+        return rm.cobracket_kernel(
+            self.alg(), rm.r_extended_super_jordanian(self.alg())
+        )
+
+    @tws._memoized
+    def limit(self):
+        return rm.contraction_limit(self.alg())
+
+    @tws._memoized
+    def workshop(self):
+        return tws.workshop(self.alg(), self.degree)
+
+    @tws._memoized
+    def F(self, degree):
+        return tws.full_chain(self.alg(), degree)
+
+    @tws._memoized
+    def R(self, degree):
+        return qt.universal_R(self.F(degree))
+
+    @tws._memoized
+    def L(self, degree):
+        return qt.l_operator(self.R(degree))
+
+    def rep(self):
+        """The degree of the exact rep checks' R and L: no lower than the
+        one at which R's image in the defining rep is exact."""
+        return max(self.degree, qt.rep_exact_degree(self.alg()))
+
+
+def _degree(degree):
+    """The ``certified`` of an anchor certified to the run's degree."""
+    return degree
+
+
+def _solves_cybe(r) -> bool:
+    return rm.cybe_residual(r).is_zero
+
+
+def _solves_spectral(c) -> bool:
+    return rm.spectral_residual_rational(c).is_zero
+
+
+def _is_cocycle(f) -> bool:
+    return tws.cocycle_residual(f).is_zero
+
+
+def _braids_in_rep(r) -> bool:
+    return qt.qybe_residual_rep(r).is_zero
+
+
+def _all_equal(pairs) -> bool:
+    return all(a == b for a, b in pairs)
+
+
+def _kernel_contains(alg_kernel) -> bool:
+    alg, kernel = alg_kernel
+    names = ("h2", "+2e1", "+2e2", "+e2") if alg.n >= 2 else ("+2e1",)
+
+    def unit(name):
+        vec = [Fraction(0)] * alg.size
+        vec[alg.generator_index(name)] = Fraction(1)
+        return vec
+
+    return all(rm.span_contains(kernel, unit(name)) for name in names)
+
+
+def _primitive_pairs(run):
+    # the tilded generators are primitive for the three-factor coproduct;
+    # that is what lets the last link ride on them
+    esj = tws.extended_super_jordanian(run.alg(), run.degree)
+    ws = run.workshop()
+    return [
+        (esj, x) for x in (ws.sigma(), ws.gen("J"), ws.y_tilde(), ws.w_tilde())
+    ]
+
+
+def _tilde_forms(run):
+    ws = run.workshop()
+    return [(ws.y_tilde(), ws.y_tilde_closed()), (ws.w_tilde(), ws.w_tilde_closed())]
+
+
+# Every check, in report order: (anchor, title, certified, build, certify).
+# ``build(run)`` returns the object the anchor certifies, never the run;
+# ``certify`` maps that object to a bool.  ``certified`` is "exact", a
+# degree, or a function of the run's degree.
+_ANCHORS = (
+    ("algebra.dimension", "basis size equals 2n^2+3n", "exact",
+     _Run.alg, lambda alg: alg.size == 2 * alg.n * alg.n + 3 * alg.n),
+    ("algebra.form-invariance",
+     "every basis matrix preserves the graded bilinear form", "exact",
+     _Run.alg, lambda alg: all(alg.preserves_form(b.matrix) for b in alg.basis)),
+    ("algebra.parity", "parity matches root type (odd iff short root)", "exact",
+     _Run.alg,
+     lambda alg: all(b.parity == int(b.kind == "odd") for b in alg.basis)),
+    ("algebra.jacobi", "graded Jacobi identity over all basis triples", "exact",
+     _Run.alg, lambda alg: not check_jacobi(alg)),
+    # full rank: one pivot per basis element
+    ("algebra.supertrace-form", "supertrace form is nondegenerate", "exact",
+     _Run.alg, lambda alg: len(rref(alg.gram())[1]) == alg.size),
+    ("cybe.jordanian", "rank-one jordanian block solves the classical YBE",
+     "exact", lambda run: rm.r_jordanian(run.alg()), _solves_cybe),
+    ("cybe.super-jordanian",
+     "odd-extended jordanian block solves the classical YBE", "exact",
+     lambda run: rm.r_super_jordanian(run.alg()), _solves_cybe),
+    ("cybe.extended-super-jordanian",
+     "fully extended first block solves the classical YBE", "exact",
+     lambda run: rm.r_extended_super_jordanian(run.alg()), _solves_cybe),
+    ("cybe.extended-plus-long-wedge",
+     "first block plus commuting long-root wedge still solves", "exact",
+     lambda run: rm.r_extended_super_jordanian(run.alg())
+     + rm.r_long_root_wedge(run.alg(), 1, 2), _solves_cybe),
+    ("cybe.cascade-symbolic", "weighted cascade solves for symbolic weights",
+     "exact", lambda run: rm.r_cascade(run.alg()), _solves_cybe),
+    ("cybe.full-borel", "unit-weight cascade solves the classical YBE", "exact",
+     lambda run: rm.r_full_borel(run.alg()), _solves_cybe),
+    ("cybe.casimir-invariance",
+     "invariant two-tensor is killed by every adjoint action", "exact",
+     _Run.casimir, lambda cas: all(
+         rm.adjoint_action(i, cas).is_zero for i in range(cas.algebra.size))),
+    ("cybe.spectral-certificate",
+     "invariant tensor passes the cleared-denominator residual", "exact",
+     _Run.casimir, _solves_spectral),
+    ("cybe.cobracket-kernel-closed",
+     "cobracket kernel of the extended block is a subalgebra", "exact",
+     lambda run: (run.alg(), run.kernel()),
+     lambda ak: rm.kernel_closed_under_bracket(*ak)),
+    ("cybe.cobracket-kernel-contains",
+     "kernel contains the four expected undeformed generators", "exact",
+     lambda run: (run.alg(), run.kernel()), _kernel_contains),
+    ("contraction.pole-cancellation", "scaling limit leaves no negative powers",
+     4, _Run.limit,
+     lambda lim: all(c.min_deg >= 0 for c in lim.series.terms.values())),
+    ("contraction.constant-split",
+     "constant term is invariant-over-s plus the paired-root t-part", 4,
+     lambda run: (run.limit(), rm.contraction_expected_t_part(run.alg())),
+     lambda le: le[0].constant == le[0].spectral_part + le[1]),
+    ("contraction.spectral-part",
+     "invariant summand solves the parameter-dependent YBE", "exact",
+     _Run.casimir, _solves_spectral),
+    ("contraction.t-part", "paired-root summand solves the constant YBE",
+     "exact", lambda run: run.limit().t_part, _solves_cybe),
+    ("twist.counit", "all five factors satisfy both counit conditions", _degree,
+     lambda run: [
+         tws.build_factor(run.alg(), k, run.degree) for k in tws.FACTOR_KINDS
+     ],
+     lambda factors: all(f.counit_ok() for f in factors)),
+    ("twist.factor-commutation", "odd factor and extension factor commute",
+     _degree,
+     lambda run: (run.workshop().factor("extension"),
+                  run.workshop().factor("super")),
+     lambda es: es[0] * es[1] == es[1] * es[0]),
+    ("twist.cocycle.jordanian", "jordanian factor cocycle residual vanishes",
+     _degree, lambda run: tws.build_factor(run.alg(), "jordanian", run.degree),
+     _is_cocycle),
+    ("twist.cocycle.extended-super-jordanian",
+     "three-factor chain cocycle residual vanishes", _degree,
+     lambda run: tws.extended_super_jordanian(run.alg(), run.degree),
+     _is_cocycle),
+    ("twist.cocycle.full-chain", "complete chain cocycle residual vanishes",
+     _degree, lambda run: run.F(run.degree), _is_cocycle),
+    ("twist.cocycle.rep", "complete chain cocycle holds exactly in the cubed rep",
+     "exact", _Run.alg,
+     lambda alg: tws.rep_cocycle_residual(alg, tws.FULL_CHAIN_KINDS).is_zero),
+    ("twist.primitives", "generators primitive for the three-factor coproduct",
+     _degree, _primitive_pairs,
+     lambda pairs: _all_equal(
+         (tws.twisted_coproduct(f, x), tws.primitive_part(x)) for f, x in pairs)),
+    ("twist.tilde-closed-forms",
+     "conjugation-defined tilded generators match closed forms", _degree,
+     _tilde_forms, _all_equal),
+    ("quantum.augmentation", "both counits of the full-chain R give 1", _degree,
+     lambda run: run.R(run.degree), lambda r: r.augmentation_ok()),
+    ("quantum.qybe.jordanian", "jordanian R satisfies the universal braid relation",
+     _degree,
+     lambda run: qt.universal_R(
+         tws.build_factor(run.alg(), "jordanian", run.degree)),
+     lambda r: qt.qybe_residual(r).is_zero),
+    ("quantum.triangularity", "flipped R times R is the identity", _degree,
+     lambda run: run.R(run.degree),
+     lambda r: qt.triangularity_residual(r).is_zero),
+    ("quantum.qybe.rep",
+     "full-chain R satisfies the braid relation exactly in the cubed rep",
+     "exact", lambda run: run.R(run.rep()), _braids_in_rep),
+    ("quantum.intertwining",
+     "R intertwines twisted and flipped coproducts (sampled)", _degree,
+     lambda run: (run.R(run.degree),
+                  [run.workshop().gen(nm) for nm in ("H", "v+", "X+")]),
+     lambda rx: all(qt.intertwining_residual(rx[0], x).is_zero for x in rx[1])),
+    # -2 times the grade-2 part of R: the eta^1 coefficient of its grading
+    # family
+    ("quantum.classical-limit",
+     "first order of the grading family is the classical cascade", _degree,
+     lambda run: (run.R(run.degree), rm.r_full_borel(run.alg())),
+     lambda rc: qt.classical_limit(rc[0]) == rc[1]),
+    ("quantum.exp-r.qybe",
+     "quadratic exponential of rep r solves the braid relation in a formal "
+     "parameter", "exact",
+     lambda run: qt.exp_r_matrix(run.alg()), _braids_in_rep),
+    ("quantum.l.shape",
+     "L-operator is upper triangular with unit center and inverse corners",
+     _degree, lambda run: run.L(run.degree),
+     lambda l: l.shape_ok() and l.diagonal_unit_ok()),
+    ("quantum.l.rep-consistency",
+     "L-operator evaluated rep-side reproduces the rep R", "exact",
+     lambda run: (run.L(run.rep()), run.R(run.rep())),
+     lambda lr: lr[0].to_matrix() == lr[1].rep_matrix),
+    ("quantum.rtt", "graded RTT relation holds exactly in the cubed rep", "exact",
+     lambda run: (run.R(run.rep()), run.L(run.rep())),
+     lambda rl: qt.rtt_residual(rl[0], l=rl[1]).is_zero),
+    ("quantum.l.frt", "entry coproducts follow the matrix-product law (sampled)",
+     lambda degree: max(degree - 1, 0), lambda run: run.L(run.degree),
+     lambda l: all(l.frt_residual(i, j).is_zero for i, j in ((0, 0), (0, 2)))),
+)
+
+
+def _run_checks(suite, run, records) -> SuiteReport:
+    checks = []
+    for anchor, title, certified, build, certify in records:
         t0 = time.perf_counter()
         try:
-            ok = bool(thunk())
+            ok = bool(certify(build(run)))
         except OspTwistError:
             ok = False
         ms = int((time.perf_counter() - t0) * 1000)
-        records.append(
+        if callable(certified):
+            certified = certified(run.degree)
+        checks.append(
             {
-                "name": name,
+                "name": title,
                 "anchor": anchor,
                 "status": "pass" if ok else "fail",
                 "certified": certified,
                 "ms": ms,
             }
         )
-    return SuiteReport(suite, n, degree, records)
-
-
-# --------------------------------------------------------------------------
-# Suite definitions
-# --------------------------------------------------------------------------
-
-
-def _algebra_checks(n, degree):
-    alg = build_osp(n)
-
-    def form_invariant():
-        return all(alg.preserves_form(b.matrix) for b in alg.basis)
-
-    def parity_pattern():
-        return all(
-            b.parity == (1 if b.kind == "odd" else 0) for b in alg.basis
-        )
-
-    def gram_invertible():
-        # full rank: one pivot per basis element
-        return len(rref(alg.gram())[1]) == alg.size
-
-    return [
-        (
-            "algebra.dimension",
-            "basis size equals 2n^2+3n",
-            "exact",
-            lambda: alg.size == 2 * n * n + 3 * n,
-        ),
-        (
-            "algebra.form-invariance",
-            "every basis matrix preserves the graded bilinear form",
-            "exact",
-            form_invariant,
-        ),
-        (
-            "algebra.parity",
-            "parity matches root type (odd iff short root)",
-            "exact",
-            parity_pattern,
-        ),
-        (
-            "algebra.jacobi",
-            "graded Jacobi identity over all basis triples",
-            "exact",
-            lambda: not check_jacobi(alg),
-        ),
-        (
-            "algebra.supertrace-form",
-            "supertrace form is nondegenerate",
-            "exact",
-            gram_invertible,
-        ),
-    ]
-
-
-def _cybe_checks(n, degree):
-    alg = build_osp(n)
-    cas = rm.casimir_tensor(alg)
-
-    def casimir_invariant():
-        return all(
-            rm.adjoint_action(i, cas).is_zero for i in range(alg.size)
-        )
-
-    # the cobracket kernel of the extended block is computed once per suite
-    # run, by the first check that needs it
-    @cache
-    def kernel():
-        return rm.cobracket_kernel(alg, rm.r_extended_super_jordanian(alg))
-
-    def kernel_closed():
-        return rm.kernel_closed_under_bracket(alg, kernel())
-
-    def kernel_contains():
-        ker = kernel()
-        expected = ("h2", "+2e1", "+2e2", "+e2") if n >= 2 else ("+2e1",)
-        for name in expected:
-            vec = [Fraction(0)] * alg.size
-            vec[alg.generator_index(name)] = Fraction(1)
-            if not rm.span_contains(ker, vec):
-                return False
-        return True
-
-    rows = [
-        (
-            "cybe.jordanian",
-            "rank-one jordanian block solves the classical YBE",
-            "exact",
-            lambda: rm.cybe_residual(rm.r_jordanian(alg)).is_zero,
-        ),
-        (
-            "cybe.super-jordanian",
-            "odd-extended jordanian block solves the classical YBE",
-            "exact",
-            lambda: rm.cybe_residual(rm.r_super_jordanian(alg)).is_zero,
-        ),
-        (
-            "cybe.extended-super-jordanian",
-            "fully extended first block solves the classical YBE",
-            "exact",
-            lambda: rm.cybe_residual(
-                rm.r_extended_super_jordanian(alg)
-            ).is_zero,
-        ),
-    ]
-    if n >= 2:
-        rows.append(
-            (
-                "cybe.extended-plus-long-wedge",
-                "first block plus commuting long-root wedge still solves",
-                "exact",
-                lambda: rm.cybe_residual(
-                    rm.r_extended_super_jordanian(alg)
-                    + rm.r_long_root_wedge(alg, 1, 2)
-                ).is_zero,
-            )
-        )
-    rows.extend(
-        [
-            (
-                "cybe.cascade-symbolic",
-                "weighted cascade solves for symbolic weights",
-                "exact",
-                lambda: rm.cybe_residual(rm.r_cascade(alg)).is_zero,
-            ),
-            (
-                "cybe.full-borel",
-                "unit-weight cascade solves the classical YBE",
-                "exact",
-                lambda: rm.cybe_residual(rm.r_full_borel(alg)).is_zero,
-            ),
-            (
-                "cybe.casimir-invariance",
-                "invariant two-tensor is killed by every adjoint action",
-                "exact",
-                casimir_invariant,
-            ),
-            (
-                "cybe.spectral-certificate",
-                "invariant tensor passes the cleared-denominator residual",
-                "exact",
-                lambda: rm.spectral_residual_rational(cas).is_zero,
-            ),
-            (
-                "cybe.cobracket-kernel-closed",
-                "cobracket kernel of the extended block is a subalgebra",
-                "exact",
-                kernel_closed,
-            ),
-            (
-                "cybe.cobracket-kernel-contains",
-                "kernel contains the four expected undeformed generators",
-                "exact",
-                kernel_contains,
-            ),
-        ]
-    )
-    return rows
-
-
-def _contraction_checks(n, degree):
-    alg = build_osp(n)
-
-    # the limit is computed once per suite run; a failed attempt is not
-    # remembered, so each check that needs it tries again
-    @cache
-    def limit():
-        return rm.contraction_limit(alg)
-
-    def run_limit():
-        limit()
-        return True
-
-    def constant_split():
-        res = limit()
-        expected = rm.contraction_expected_t_part(alg)
-        return res.constant == res.spectral_part + expected
-
-    def t_part_solves():
-        return rm.cybe_residual(limit().t_part).is_zero
-
-    return [
-        (
-            "contraction.pole-cancellation",
-            "scaling limit leaves no negative powers",
-            4,
-            run_limit,
-        ),
-        (
-            "contraction.constant-split",
-            "constant term is invariant-over-s plus the paired-root t-part",
-            4,
-            constant_split,
-        ),
-        (
-            "contraction.spectral-part",
-            "invariant summand solves the parameter-dependent YBE",
-            "exact",
-            lambda: rm.spectral_residual_rational(
-                rm.casimir_tensor(alg)
-            ).is_zero,
-        ),
-        (
-            "contraction.t-part",
-            "paired-root summand solves the constant YBE",
-            "exact",
-            t_part_solves,
-        ),
-    ]
-
-
-def _twist_checks(n, degree):
-    alg = build_osp(n)
-    ws = tws.workshop(alg, degree)
-
-    def counits():
-        return all(
-            tws.build_factor(alg, k, degree).counit_ok()
-            for k in tws.FACTOR_KINDS
-        )
-
-    def factor_commutation():
-        fe = ws.factor("extension")
-        fs = ws.factor("super")
-        return fe * fs == fs * fe
-
-    def primitives():
-        # the tilded generators are primitive for the three-factor
-        # coproduct; that is what lets the last link ride on them
-        esj = tws.extended_super_jordanian(alg, degree)
-        pairs = [
-            (esj, ws.sigma()),
-            (esj, ws.gen("J")),
-            (esj, ws.y_tilde()),
-            (esj, ws.w_tilde()),
-        ]
-        return all(
-            tws.twisted_coproduct(f, x) == tws.primitive_part(x)
-            for f, x in pairs
-        )
-
-    def tilde_closed_forms():
-        return (
-            ws.y_tilde() == ws.y_tilde_closed()
-            and ws.w_tilde() == ws.w_tilde_closed()
-        )
-
-    return [
-        (
-            "twist.counit",
-            "all five factors satisfy both counit conditions",
-            degree,
-            counits,
-        ),
-        (
-            "twist.factor-commutation",
-            "odd factor and extension factor commute",
-            degree,
-            factor_commutation,
-        ),
-        (
-            "twist.cocycle.jordanian",
-            "jordanian factor cocycle residual vanishes",
-            degree,
-            lambda: tws.cocycle_residual(
-                tws.build_factor(alg, "jordanian", degree)
-            ).is_zero,
-        ),
-        (
-            "twist.cocycle.extended-super-jordanian",
-            "three-factor chain cocycle residual vanishes",
-            degree,
-            lambda: tws.cocycle_residual(
-                tws.extended_super_jordanian(alg, degree)
-            ).is_zero,
-        ),
-        (
-            "twist.cocycle.full-chain",
-            "complete chain cocycle residual vanishes",
-            degree,
-            lambda: tws.cocycle_residual(tws.full_chain(alg, degree)).is_zero,
-        ),
-        (
-            "twist.cocycle.rep",
-            "complete chain cocycle holds exactly in the cubed rep",
-            "exact",
-            lambda: tws.rep_cocycle_residual(
-                alg, tws.FULL_CHAIN_KINDS
-            ).is_zero,
-        ),
-        (
-            "twist.primitives",
-            "generators primitive for the three-factor coproduct",
-            degree,
-            primitives,
-        ),
-        (
-            "twist.tilde-closed-forms",
-            "conjugation-defined tilded generators match closed forms",
-            degree,
-            tilde_closed_forms,
-        ),
-    ]
-
-
-def _quantum_checks(n, degree):
-    alg = build_osp(n)
-    # the full chain's R and its L-operator are built once per suite run
-    # and degree, by the first check that needs them
-    @cache
-    def r_at(d):
-        return qt.universal_R(tws.full_chain(alg, d))
-
-    @cache
-    def l_at(d):
-        return qt.l_operator(r_at(d))
-
-    # the exact rep checks read R and L truncated no lower than the degree
-    # at which R's image in the defining rep is exact
-    rep = max(degree, qt.rep_exact_degree(alg))
-
-    def r_jord():
-        return qt.universal_R(tws.build_factor(alg, "jordanian", degree))
-
-    def intertwining():
-        r = r_at(degree)
-        return all(
-            qt.intertwining_residual(
-                r, tws.workshop(alg, degree).gen(nm)
-            ).is_zero
-            for nm in ("H", "v+", "X+")
-        )
-
-    def classical_limit():
-        # -2 times the grade-2 part of R: the eta^1 coefficient of its
-        # grading family
-        return qt.classical_limit(r_at(degree)) == rm.r_full_borel(alg)
-
-    def l_shape():
-        l = l_at(degree)
-        return l.shape_ok() and l.diagonal_unit_ok()
-
-    def l_rep_consistency():
-        return l_at(rep).to_matrix() == r_at(rep).rep_matrix
-
-    def frt_sampled():
-        l = l_at(degree)
-        return all(l.frt_residual(i, j).is_zero for (i, j) in ((0, 0), (0, 2)))
-
-    return [
-        (
-            "quantum.augmentation",
-            "both counits of the full-chain R give 1",
-            degree,
-            lambda: r_at(degree).augmentation_ok(),
-        ),
-        (
-            "quantum.qybe.jordanian",
-            "jordanian R satisfies the universal braid relation",
-            degree,
-            lambda: qt.qybe_residual(r_jord()).is_zero,
-        ),
-        (
-            "quantum.triangularity",
-            "flipped R times R is the identity",
-            degree,
-            lambda: qt.triangularity_residual(r_at(degree)).is_zero,
-        ),
-        (
-            "quantum.qybe.rep",
-            "full-chain R satisfies the braid relation exactly in the cubed rep",
-            "exact",
-            lambda: qt.qybe_residual_rep(r_at(rep)).is_zero,
-        ),
-        (
-            "quantum.intertwining",
-            "R intertwines twisted and flipped coproducts (sampled)",
-            degree,
-            intertwining,
-        ),
-        (
-            "quantum.classical-limit",
-            "first order of the grading family is the classical cascade",
-            degree,
-            classical_limit,
-        ),
-        (
-            "quantum.exp-r.qybe",
-            "quadratic exponential of rep r solves the braid relation in a formal parameter",
-            "exact",
-            lambda: qt.qybe_residual_rep(qt.exp_r_matrix(alg)).is_zero,
-        ),
-        (
-            "quantum.l.shape",
-            "L-operator is upper triangular with unit center and inverse corners",
-            degree,
-            l_shape,
-        ),
-        (
-            "quantum.l.rep-consistency",
-            "L-operator evaluated rep-side reproduces the rep R",
-            "exact",
-            l_rep_consistency,
-        ),
-        (
-            "quantum.rtt",
-            "graded RTT relation holds exactly in the cubed rep",
-            "exact",
-            lambda: qt.rtt_residual(r_at(rep), l=l_at(rep)).is_zero,
-        ),
-        (
-            "quantum.l.frt",
-            "entry coproducts follow the matrix-product law (sampled)",
-            max(degree - 1, 0),
-            frt_sampled,
-        ),
-    ]
-
-
-_SUITE_BUILDERS = {
-    "algebra": _algebra_checks,
-    "cybe": _cybe_checks,
-    "contraction": _contraction_checks,
-    "twist": _twist_checks,
-    "quantum": _quantum_checks,
-}
+    return SuiteReport(suite, run.n, run.degree, checks)
 
 
 def _require_positive(option: str, value) -> None:
     """The one check of the numeric options: InvalidOption unless
-    ``value`` is a positive integer."""
-    if not isinstance(value, int) or value < 1:
+    ``value`` is a positive integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise InvalidOption(
             "%s must be a positive integer, got %r" % (option, value)
         )
@@ -547,18 +371,19 @@ def run_suite(name: str, n: int = 2, degree: int = 6) -> SuiteReport:
     """
     _require_positive("--n", n)
     _require_positive("--degree", degree)
-    if name == "all":
-        checks = []
-        for suite in SUITE_NAMES:
-            checks.extend(_SUITE_BUILDERS[suite](n, degree))
-        return _run_checks("all", n, degree, checks)
-    builder = _SUITE_BUILDERS.get(name)
-    if builder is None:
+    if name != "all" and name not in SUITE_NAMES:
         raise UnknownSuite(
             "unknown suite %r; choose from %s or 'all'"
             % (name, ", ".join(SUITE_NAMES))
         )
-    return _run_checks(name, n, degree, builder(n, degree))
+    records = [
+        rec
+        for rec in _ANCHORS
+        if name in ("all", rec[0].split(".")[0])
+        # the long-root wedge needs a second long root
+        and (n >= 2 or rec[0] != "cybe.extended-plus-long-wedge")
+    ]
+    return _run_checks(name, _Run(n, degree), records)
 
 
 # --------------------------------------------------------------------------

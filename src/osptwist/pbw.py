@@ -1421,7 +1421,12 @@ class UEElement(_Terms):
             return self == UEElement(self.algebra, {(): other})
         return Stored.__eq__(self, other)
 
-    __hash__ = Stored.__hash__
+    def __hash__(self):
+        # a constant (only the unit monomial, id 0) hashes like the scalar
+        # it equals
+        if self.data.keys() <= {0}:
+            return hash(self._scalar(self.data.get(0, 0)))
+        return Stored.__hash__(self)
 
     # -- structure maps ---------------------------------------------------------
 

@@ -16,7 +16,9 @@ from osptwist.cli import (
 )
 from osptwist.errors import InvalidOption, NotHomogeneous, UnknownSuite
 from osptwist.pbw import UETensor
+from osptwist.quantum import RMatrix
 from osptwist.repmat import GradedMatrix
+from osptwist.rmatrix import LieTensor
 from osptwist.twist import Twist, TwistFactor
 
 
@@ -81,6 +83,11 @@ def test_run_suite_rejects_bad_options():
         run_suite("algebra", n=0)
     with pytest.raises(InvalidOption):
         run_suite("algebra", degree=-1)
+    # a bool is an int, and True == 1 would select the rank-1 algebra
+    with pytest.raises(InvalidOption):
+        run_suite("algebra", n=True)
+    with pytest.raises(InvalidOption):
+        run_suite("algebra", degree=False)
 
 
 def test_quantum_suite_passes_at_degree_one(monkeypatch):
@@ -199,10 +206,11 @@ def test_main_reports_failure_with_exit_one(monkeypatch, capsys):
     """A failing check must flip the exit code to 1 (not an exception)."""
     import osptwist.cli as cli
 
-    def sabotaged(n, degree):
-        return [("demo.always-false", "deliberate failure", "exact", lambda: False)]
-
-    monkeypatch.setitem(cli._SUITE_BUILDERS, "algebra", sabotaged)
+    sabotaged = (
+        "algebra.always-false", "deliberate failure", "exact",
+        lambda run: None, lambda obj: False,
+    )
+    monkeypatch.setattr(cli, "_ANCHORS", (sabotaged,))
     code = main(["algebra"])
     out = capsys.readouterr().out
     assert code == 1
@@ -214,13 +222,11 @@ def test_check_error_is_reported_not_raised(monkeypatch, capsys):
     import osptwist.cli as cli
     from osptwist.errors import OspTwistError
 
-    def exploding(n, degree):
-        def boom():
-            raise OspTwistError("verifier internal mismatch")
+    def boom(run):
+        raise OspTwistError("verifier internal mismatch")
 
-        return [("demo.boom", "raises inside", "exact", boom)]
-
-    monkeypatch.setitem(cli._SUITE_BUILDERS, "cybe", exploding)
+    exploding = ("cybe.boom", "raises inside", "exact", boom, bool)
+    monkeypatch.setattr(cli, "_ANCHORS", (exploding,))
     rep = run_suite("cybe")
     assert not rep.overall
     assert rep.to_dict()["checks"][0]["status"] == "fail"
@@ -434,6 +440,50 @@ def test_corrupted_R_coefficient_fails_intertwining(monkeypatch):
         for c in run_suite("quantum", n=2, degree=3).to_dict()["checks"]
     }
     assert status["quantum.intertwining"] == "fail"
+
+
+def doubled_largest_term(r):
+    """The classical tensor ``r`` with the coefficient of its largest key
+    doubled."""
+    key = max(r.terms)
+    return r + LieTensor(r.algebra, 2, {key: r.terms[key]})
+
+
+def doubled_h_x_plus(r):
+    """The R-matrix ``r`` with its H (x) X+ coefficient doubled."""
+    el = r.element
+    alg = el.algebra
+    key = ((alg.generator_index("H"),), (alg.generator_index("X+"),))
+    bump = UETensor(alg, {key: el.coefficient(key)}, 2, el.g2cap)
+    return RMatrix(el + bump, source=r.source)
+
+
+@pytest.mark.parametrize(
+    "anchor, corrupt",
+    [
+        ("cybe.full-borel", doubled_largest_term),
+        ("twist.cocycle.full-chain", corrupted_chain),
+        ("quantum.intertwining", lambda rx: (doubled_h_x_plus(rx[0]), rx[1])),
+    ],
+)
+def test_a_corrupted_build_fails_only_its_anchor(monkeypatch, anchor, corrupt):
+    """Negative control through the table: one anchor certifies a
+    corrupted copy of the object its build returns, and no library
+    function is patched.  That anchor fails; every other anchor of its
+    suite, reading the same shared objects, still passes."""
+    import osptwist.cli as cli
+
+    def corrupted(record):
+        name, title, certified, build, certify = record
+        if name == anchor:
+            return name, title, certified, lambda run: corrupt(build(run)), certify
+        return record
+
+    monkeypatch.setattr(cli, "_ANCHORS", tuple(map(corrupted, cli._ANCHORS)))
+    suite = anchor.split(".")[0]
+    checks = run_suite(suite, n=2, degree=3).checks
+    assert len(checks) > 1
+    assert [c["anchor"] for c in checks if c["status"] != "pass"] == [anchor]
 
 
 # sha256 of the printed output.  A change that alters the output on purpose

@@ -1096,6 +1096,20 @@ def test_denominator_is_canonical():
     assert third.truncate(0).den == 9 and third.truncate(-1).den == 1
 
 
+def test_a_constant_element_hashes_like_the_scalar_it_equals():
+    """An element that compares equal to a scalar hashes like it, so a set
+    or dict holds the two as one."""
+    one = UEElement.one(ALG)
+    for element, scalar in (
+        (one, 1),
+        (UEElement.zero(ALG), 0),
+        (one.scale(Fraction(1, 2)), Fraction(1, 2)),
+    ):
+        assert element == scalar
+        assert hash(element) == hash(scalar)
+        assert len({element, scalar}) == 1
+
+
 def test_equal_tensors_from_different_routes_compare_and_hash_equal():
     v, w, h = gen("v+"), gen("w+"), gen("H")
     direct = UETensor.of(v + h.scale(Fraction(1, 3)), w, g2cap=CAP)
