@@ -34,13 +34,16 @@ exceeds its degree, capping at grade D certifies in particular every
 coefficient of degree <= D.
 
 An element with ``g2cap=None`` is untruncated; caps combine by taking the
-minimum.  All series operations require a finite cap (they do not
-terminate otherwise) and a grade-positive argument.
+minimum.  The one series entry, ``series(stream)``, requires a finite
+cap (it does not terminate otherwise) and a grade-positive argument,
+and bounds a Taylor stream by the cap; exp and log are the ones every
+:class:`~osptwist.scalars.Ring` writes on it.
 
 Coefficients.  An element or tensor stores one dict from packed keys to
 coefficients: a key packs the table ids of its leg monomials into one int
 (``_ID_BITS`` bits per leg, the first leg highest), and an element is the
-one-leg case.  The coefficients are stored by the rule that the matrices
+one-leg case.  The width is checked once, where a monomial is interned:
+an id that would not fit raises ``OverflowError``.  The coefficients are stored by the rule that the matrices
 of :mod:`~osptwist.repmat` share (:func:`~osptwist.scalars._stored`):
 rational ones as int numerators over one positive int denominator
 ``den``, kept canonical (den and the numerators have no common factor),
@@ -78,11 +81,12 @@ One term algebra.  :class:`UEElement`, :class:`UETensor` and the classical
 above, and one implementation (``_Terms``) of construction (which
 normal-orders every key), ``*``, the unit ``one_like``, ``coefficient``,
 truncation, the graded flip, printing, the rep image ``to_matrix`` and
-the series entries ``series(stream)`` and ``exp()``.  Their linear
+the series entry ``series(stream)``.  Their linear
 structure (sums, cut at the smaller cap, negation, scaling, equality,
 hashing and parity) is :class:`~osptwist.scalars.Stored`'s, written once
 with the matrices of :mod:`~osptwist.repmat`; powers and the super
-bracket are those of every :class:`~osptwist.scalars.Ring`.  A
+bracket, exp and log are those of every
+:class:`~osptwist.scalars.Ring`.  A
 LieTensor's basis letters are stored as one-letter monomials.  Two kinds
 never mix: ``HeterogeneousOperand``.  A term object belongs to one algebra instance,
 whose table its keys index: operands of two instances, even of one rank,
@@ -126,9 +130,7 @@ from .scalars import (
     fraction_sqrt,
     nilpotent_series,
     taylor_binomial,
-    taylor_exp,
     taylor_geometric,
-    taylor_log1p,
 )
 
 
@@ -148,7 +150,7 @@ def scalar_inverse(c):
 # --------------------------------------------------------------------------
 
 # Bits of one monomial id in a packed key.  A k-leg key packs k ids into
-# one int, and a pair of ids keys the product table; packing an id that
+# one int, and a pair of ids keys the product table; interning an id that
 # does not fit raises, so two keys never alias.
 _ID_BITS = 20
 
@@ -176,10 +178,10 @@ class PBWTable:
     normal form.  Interning is append-only, since elements and tensors
     keep ids in their keys.  A key of k legs packs its ids into one int of
     k * ``bits`` bits (``_ID_BITS`` when the table is made), the first leg
-    highest; packing an id that does not fit
-    raises ``OverflowError``, while interning and normal ordering, which
-    pack nothing, have no limit.  ``units[i]`` is the normal form
-    ((i, 1),), shared by every memo entry that is monomial i alone.
+    highest.  Interning an id that would not fit raises ``OverflowError``
+    and leaves the table as it was, so no packed id needs a check.
+    ``units[i]`` is the normal form ((i, 1),), shared by every memo
+    entry that is monomial i alone.
 
     A normal form is a tuple of (id, coefficient) pairs, with int
     coefficients where they are integral.  ``insertions`` maps
@@ -233,6 +235,10 @@ class PBWTable:
         par = sum(self.odd[x] for x in mono) & 1
         prefix = self.ids[mono[:-1]] if mono else 0
         i = len(self.monos)
+        if i >> self.bits:
+            raise OverflowError(
+                "monomial id %d does not fit %d bits" % (i, self.bits)
+            )
         self.g2.append(g2)
         self.par.append(par)
         self.prefix.append(prefix)
@@ -240,14 +246,6 @@ class PBWTable:
         self.monos.append(mono)
         self.ids[mono] = i
         return i
-
-    def _too_wide(self, top):
-        """The error for packing id ``top``, which needs more than
-        ``bits`` bits."""
-        return OverflowError(
-            "monomial id %d does not fit the %d-bit packed keys"
-            % (top, self.bits)
-        )
 
     def _insert(self, mid, x):
         """Normal form of monos[mid] * x for a normal-ordered monomial and
@@ -327,13 +325,8 @@ class PBWTable:
         in-order concatenation (the last letter of a before the first of
         b, or the two equal and even) is interned as it is; otherwise,
         writing b = b' x, the letter x is inserted into the memoized
-        product a * b'.  Every id of an
-        entry fits ``bits`` bits, so the kernel packs the ids it reads here
-        without checking them."""
-        bits = self.bits
-        if (a | b) >> bits:
-            raise self._too_wide(max(a, b))
-        key = a << bits | b
+        product a * b'."""
+        key = a << self.bits | b
         hit = self.products.get(key)
         if hit is None:
             ma, mb = self.monos[a], self.monos[b]
@@ -356,12 +349,6 @@ class PBWTable:
                         for mm, v in memo.get(m * size + x) or self._insert(m, x):
                             acc[mm] = acc.get(mm, 0) + c * v
                     hit = tuple((mm, _exact(v)) for mm, v in acc.items() if v)
-            # every id is below len(monos), so only a table that has
-            # outgrown the width can hold an entry too wide to pack
-            if len(self.monos) >> bits:
-                top = max((m for m, _ in hit), default=0)
-                if top >> bits:
-                    raise self._too_wide(top)
             self.products[key] = hit
         return hit
 
@@ -399,10 +386,7 @@ class PBWTable:
             for words, c in deals:
                 packed = 0
                 for w in words:
-                    i = ids[w]
-                    if i >> bits:
-                        raise self._too_wide(i)
-                    packed = packed << bits | i
+                    packed = packed << bits | ids[w]
                 pairs.append((packed, c))
             hit = self.coproducts[key] = tuple(pairs)
         return hit
@@ -891,8 +875,7 @@ def _adopt(table, legs, n0, monos, accs):
     """Rewrite a child's list of slice sums, in place, to this table's
     ids: ``monos`` are the monomials the child interned as ids n0, n0 + 1,
     ..., each interned here (its prefix before it, as in the child).
-    Packing an id that does not fit raises ``OverflowError``, as in the
-    kernel."""
+    Interning an id that does not fit raises ``OverflowError``."""
     ids, bits = table.ids, table.bits
     moved = {}
     for i, mono in enumerate(monos, n0):
@@ -908,10 +891,7 @@ def _adopt(table, legs, n0, monos, accs):
         key = 0
         for s in shifts:
             i = k >> s & mask
-            i = moved.get(i, i)
-            if i >> bits:
-                raise table._too_wide(i)
-            key = key << bits | i
+            key = key << bits | moved.get(i, i)
         return key
 
     for i, acc in enumerate(accs):
@@ -1211,9 +1191,6 @@ class _Terms(Stored):
             for mono in self._key(key):
                 i = ids.get(mono)
                 nf = units[i] if i is not None else fold(mono)
-                top = max([m for m, _ in nf], default=0)
-                if top >> bits:
-                    raise table._too_wide(top)
                 parts = [(p << bits | m, f * a) for p, f in parts for m, a in nf]
             return parts
 
@@ -1229,7 +1206,7 @@ class _Terms(Stored):
         packed = 0
         for mono in monos:
             i = table.ids.get(mono)
-            if i is None or i >> table.bits:
+            if i is None:
                 return None
             packed = packed << table.bits | i
         return packed
@@ -1300,11 +1277,28 @@ class _Terms(Stored):
         return _products(((1, self, other),))
 
     def series(self, stream):
-        """sum_k a_k * self**k (see :func:`ue_series`)."""
-        return ue_series(stream, self)
-
-    def exp(self):
-        return ue_exp(self)
+        """sum_k a_k * self**k for ``stream()`` iterating over a_0, a_1, ...
+        and a truncated, grade-positive self (no constant term).  self**k
+        has doubled grade >= k, so self**(g2cap + 1) vanishes: the first
+        g2cap + 2 coefficients always reach a vanishing power."""
+        if self.g2cap is None:
+            raise ValueError(
+                "series operations need a truncated operand; call truncate()"
+            )
+        if self.constant_coefficient():
+            raise ConstantTermPresent(
+                "series argument must have zero constant term; fold the "
+                "constant into the coefficients instead"
+            )
+        if not self.is_grade_positive():
+            raise ConstantTermPresent(
+                "series evaluation requires all non-constant terms to have "
+                "strictly positive grade (grade-0 letters such as Cartan or "
+                "grade-0 root vectors would make the series non-terminating)"
+            )
+        return nilpotent_series(
+            islice(stream(), self.g2cap + 2), self, self.one_like()
+        )
 
     def truncate(self, g2cap):
         cap = _omin(self.g2cap, g2cap)
@@ -1640,11 +1634,11 @@ class UETensor(_Terms):
 # Terminating series calculus (shared by elements and tensors)
 # --------------------------------------------------------------------------
 #
-# ue_series is the one entry that checks a series argument and sums a
-# Taylor stream with scalars.nilpotent_series.  A grade-positive y has
-# doubled grade >= k in y**k, so y**(g2cap + 1) vanishes: g2cap + 2
-# coefficients always reach a vanishing power.  The other entries check
-# only the constant term c0 and pass the rest, scaled, to ue_series.
+# ``_Terms.series`` is the one entry that checks a series argument and
+# sums a Taylor stream; exp and log are :class:`~osptwist.scalars.Ring`'s.
+# The functions below are their module-level names, and the inverse and
+# square root, which check only the constant term c0 and pass the rest,
+# scaled, to the series.
 
 
 def _split_constant(x):
@@ -1659,36 +1653,13 @@ def _split_constant(x):
 
 
 def ue_series(stream, x):
-    """sum_k a_k * x**k for a grade-positive truncated x with zero constant
-    term, where ``stream()`` iterates over the Taylor coefficients a_0,
-    a_1, ... (``scalars.taylor_exp`` and its siblings).  The cap of x
-    fixes the count: powers beyond it vanish."""
-    c0, rest = _split_constant(x)
-    if c0:
-        raise ConstantTermPresent(
-            "series argument must have zero constant term; fold the "
-            "constant into the coefficients instead"
-        )
-    if not rest.is_grade_positive():
-        raise ConstantTermPresent(
-            "series evaluation requires all non-constant terms to have "
-            "strictly positive grade (grade-0 letters such as Cartan or "
-            "grade-0 root vectors would make the series non-terminating)"
-        )
-    return nilpotent_series(islice(stream(), x.g2cap + 2), rest, x.one_like())
+    """sum_k a_k * x**k (see :meth:`_Terms.series`)."""
+    return x.series(stream)
 
 
-def ue_exp(x):
-    """exp of a grade-positive truncated element/tensor."""
-    return ue_series(taylor_exp, x)
-
-
-def ue_log(x):
-    """log of 1 + (grade-positive part)."""
-    c0, rest = _split_constant(x)
-    if c0 != 1:
-        raise ConstantTermPresent("log needs constant term exactly 1")
-    return ue_series(taylor_log1p, rest)
+# exp of a grade-positive truncated element or tensor, and log of 1 + one
+ue_exp = Ring.exp
+ue_log = Ring.log
 
 
 def ue_invert(x):

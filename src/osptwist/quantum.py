@@ -32,7 +32,7 @@ from .repmat import (
     tensor_pv,
 )
 from .rmatrix import LieTensor, r_full_borel
-from .scalars import Poly, nilpotent_series, taylor_exp
+from .scalars import Poly
 from .twist import Twist, twisted_coproduct
 
 
@@ -225,8 +225,7 @@ def exp_r_matrix(algebra: OspAlgebra, r: LieTensor | None = None) -> RMatrix:
         raise CubeNotZero(
             "r in the defining representation does not cube to zero"
         )
-    eye = GradedMatrix.identity(r_rho.pv)
-    mat = nilpotent_series(taylor_exp(3), r_rho.scale(Poly.var("eta")), eye)
+    mat = r_rho.scale(Poly.var("eta")).exp()
     return RMatrix(None, parameter="eta", rep_matrix=mat, algebra=algebra)
 
 

@@ -40,19 +40,18 @@ Also here: the parity vector of a tensor power (the one every tensor
 image in the package is built on), the graded swap of two legs, the
 embedding of an operator into chosen tensor legs (:func:`kron` with
 identities, then graded swaps that slide its factors apart, so the sign
-rule above is the only one), and the exponential and logarithm of
-nilpotent/unipotent matrices.
+rule above is the only one), and the power series of nilpotent matrices.
 
 These matrices are one of the two rings the twist chain's single recipe
 is evaluated over (:mod:`twist`; the other is the truncated enveloping
 algebra of :mod:`pbw`).  A :class:`GradedMatrix` is a
-:class:`~osptwist.scalars.Ring`: ``**`` and the super commutator
-are the shared ones, with the identity as its unit (``one_like``) and no
-inverse.  Every power series on these matrices -- ``exp``, log, and
-``series(stream)``, which serves the inverses and square roots of the
-chain's ingredients -- is a sum of the one loop
-:func:`~osptwist.scalars.nilpotent_series`, which stops at the first
-vanishing power.
+:class:`~osptwist.scalars.Ring`: ``**``, the super commutator, ``exp``
+and ``log`` are the shared ones, with the identity as its unit
+(``one_like``) and no inverse.  The nilpotent calculus is one method,
+``series(stream)``, behind exp, log and the chain's inverses and square
+roots: the one loop :func:`~osptwist.scalars.nilpotent_series`, which
+stops at the first vanishing power, and ``NotNilpotent`` for a matrix
+whose power A**(dim+1) does not vanish.
 """
 
 from __future__ import annotations
@@ -64,12 +63,11 @@ from .errors import LegMismatch, NotNilpotent
 from .scalars import (
     LaurentSeries,
     Poly,
+    Ring,
     Stored,
     _clean,
     _stored,
     nilpotent_series,
-    taylor_exp,
-    taylor_log1p,
 )
 
 
@@ -180,37 +178,15 @@ class GradedMatrix(Stored):
 
     # -- nilpotent calculus ----------------------------------------------------
 
-    def is_nilpotent(self) -> bool:
-        """A**dim == 0, tested by repeated squaring."""
-        power, k = self, 1
-        while not power.is_zero:
-            if k >= self.dim:
-                return False
-            power, k = power @ power, 2 * k
-        return True
-
-    def exp_nilpotent(self) -> "GradedMatrix":
-        """exp(A) for nilpotent A (raises NotNilpotent otherwise)."""
-        if not self.is_nilpotent():
-            raise NotNilpotent("matrix power A^%d is still nonzero" % self.dim)
-        return self.series(taylor_exp)
-
-    exp = exp_nilpotent
-
-    def log_unipotent(self) -> "GradedMatrix":
-        """log(A) for A = 1 + N with N nilpotent."""
-        n = self - self.one_like()
-        if not n.is_nilpotent():
-            raise NotNilpotent(
-                "matrix is not unipotent: (A-1)^%d != 0" % self.dim
-            )
-        return n.series(taylor_log1p)
-
     def series(self, stream) -> "GradedMatrix":
-        """sum_k a_k A**k for ``stream()`` iterating over a_0, a_1, ...;
-        for a nilpotent A, A**dim vanishes, so the first dim coefficients
-        reach a vanishing power, and only those up to it are formed."""
-        return nilpotent_series(islice(stream(), self.dim), self, self.one_like())
+        """sum_k a_k A**k for ``stream()`` iterating over a_0, a_1, ...,
+        for a nilpotent A (NotNilpotent otherwise)."""
+        return nilpotent_series(
+            _nilpotent_terms(stream(), self.dim), self, self.one_like()
+        )
+
+    exp_nilpotent = exp = Ring.exp
+    log_unipotent = Ring.log
 
     # -- display -----------------------------------------------------------------
 
@@ -226,6 +202,17 @@ class GradedMatrix(Stored):
     def __repr__(self):
         nz = len(self.data)
         return "GradedMatrix(dim=%d, nonzero=%d)" % (self.dim, nz)
+
+
+def _nilpotent_terms(coeffs, dim):
+    """The coefficients a_0, a_1, ... of a series in a matrix A on a space
+    of dimension ``dim``.  The series reads a_k just before it forms A**k
+    and stops at the first power that vanishes, so a read of a_(dim+2)
+    means A**(dim+1) != 0: A is not nilpotent, and NotNilpotent."""
+    coeffs = iter(coeffs)
+    yield from islice(coeffs, dim + 2)
+    if next(coeffs, None) is not None:
+        raise NotNilpotent("matrix power A^%d is still nonzero" % (dim + 1))
 
 
 def _hold(m, pv, data, den):

@@ -78,11 +78,8 @@ class LieTensor(_Terms):
 
 def _letter_ids(table, size):
     """The stored id of each basis letter's one-letter monomial (the ids
-    a LieTensor key packs), interned and checked to fit a leg."""
-    ids = [table.ids[(x,)] for x in range(size)]
-    if max(ids) >> table.bits:
-        raise table._too_wide(max(ids))
-    return ids
+    a LieTensor key packs), interned."""
+    return [table.ids[(x,)] for x in range(size)]
 
 
 def _tensor(algebra, legs, sums, den) -> LieTensor:

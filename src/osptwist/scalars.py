@@ -28,12 +28,15 @@ test: ``not c`` holds exactly when c is (provably) zero.
 
 One ring protocol: ``Poly``, ``LaurentSeries``, the matrices of
 :mod:`~osptwist.repmat` and the term algebras of :mod:`~osptwist.pbw`
-inherit :class:`Ring`, which writes ``-`` and its reflection, ``**`` and
-the graded commutator once.  The matrices and the term algebras store
-their scalars by one rule (below) and inherit :class:`Stored`, which
-writes their linear structure once: the zero test, the scalar decode,
-one n-ary combination behind every sum, negation, scaling by a scalar
-of the tower, coefficient maps, equality, hashing and parity.
+inherit :class:`Ring`, which writes ``-`` and its reflection, ``**``,
+the graded commutator, ``exp`` and ``log`` once; each ring's own
+``series(stream)`` bounds a Taylor sum and refuses an argument it cannot
+sum.  The matrices and the term algebras store their scalars by one rule
+(below), which refuses a value outside the tower, and inherit
+:class:`Stored`, which writes their linear structure once: the zero
+test, the scalar decode, one n-ary combination behind every sum,
+negation, scaling by a scalar of the tower, coefficient maps, equality,
+hashing and parity.
 """
 
 from __future__ import annotations
@@ -60,6 +63,12 @@ def _fr(x):
     if isinstance(x, Fraction):
         return x
     return None
+
+
+def _check_scalar(c, kinds):
+    """TypeError unless c is one of ``kinds``: nothing inexact is stored."""
+    if not isinstance(c, kinds):
+        raise TypeError("a %s is not an exact scalar" % type(c).__name__)
 
 
 def _exact(c):
@@ -100,8 +109,11 @@ def _stored(data):
     one denominator to its full power, and that numerator is prime to
     it).  Otherwise the nonzero scalars, and den None.  Which case holds
     is decided on the nonzero scalars, so a dict whose Poly entries all
-    cancelled to zero is stored as the rational dict that is left."""
+    cancelled to zero is stored as the rational dict that is left.  Any
+    value outside the tower is a TypeError."""
     if not all(isinstance(v, (int, Fraction)) for v in data.values()):
+        for v in data.values():
+            _check_scalar(v, _SCALARS)
         data = {k: v for k, v in data.items() if v}
         if not all(isinstance(v, (int, Fraction)) for v in data.values()):
             return {
@@ -125,12 +137,13 @@ def _clean(data, den):
 
 class Ring:
     """The operations every ring of the package shares, written once:
-    ``-`` and its reflection, powers and the graded commutator.
+    ``-`` and its reflection, powers, the graded commutator, exp and log.
 
     A subclass supplies ``__add__`` and its reflection, ``__neg__``,
     ``__mul__`` and ``one_like()`` (its unit), and binds ``inverse`` to a
     method when its elements may be inverted; the graded commutator also
-    needs ``parity()`` (0 or 1, None when the element mixes parities).
+    needs ``parity()`` (0 or 1, None when the element mixes parities), and
+    exp and log need ``series(stream)``, which sums a Taylor stream in self.
     The matrices and term algebras get their linear structure from
     :class:`Stored`."""
 
@@ -169,6 +182,14 @@ class Ring:
             raise NotHomogeneous("super commutator needs homogeneous operands")
         ab, ba = self * other, other * self
         return ab + ba if (pa and pb) else ab - ba
+
+    def exp(self):
+        """exp(self), by the ring's own ``series``."""
+        return self.series(taylor_exp)
+
+    def log(self):
+        """log(1 + y) for y = self - 1, by the ring's own ``series``."""
+        return (self - self.one_like()).series(taylor_log1p)
 
 
 class Stored(Ring):
@@ -276,11 +297,7 @@ class Stored(Ring):
     def scale(self, c):
         """c * self for a scalar c of the tower; a rational c multiplies
         the numerators of a rational object."""
-        if not isinstance(c, (int, Fraction, Poly, LaurentSeries)):
-            raise TypeError(
-                "a %s is not a scalar of a %s"
-                % (type(c).__name__, type(self).__name__)
-            )
+        _check_scalar(c, _SCALARS)
         if not c:
             return self._like({}, 1)
         if self.den is not None and isinstance(c, (int, Fraction)):
@@ -360,6 +377,7 @@ class Poly(Ring):
         cleaned = {}
         for expts, c in coeffs.items():
             if type(c) is not int:
+                _check_scalar(c, (int, Fraction))
                 c = _exact(c)
             if c:
                 cleaned[tuple(expts)] = c
@@ -792,63 +810,38 @@ class LaurentSeries(Ring):
                 "series; truncate() it first"
             )
         # write self = lead * var^m * (1 + y),  val(y) >= 1; the result is
-        # known below order - 2m, so 1/(1 + y) is needed below order - m,
-        # and y**k has valuation >= k
-        known = self.order - m
+        # known below order - 2m, so 1/(1 + y) is needed below order - m
         y = LaurentSeries.from_poly(
             (self.poly * Poly.var(self.var, -m) - lead) * lead_inv,
             self.var,
-            known,
+            self.order - m,
         )
-        acc = nilpotent_series(
-            taylor_geometric(max(known, 0) + 1),
-            y,
-            LaurentSeries.const(self.var, 1, known),
-        )
+        acc = y.series(taylor_geometric)
         return acc.shift(-m) * LaurentSeries.const(self.var, lead_inv, None)
 
     inverse = invert
 
-    def exp(self) -> "LaurentSeries":
-        """exp of a series with strictly positive valuation (finite order
-        required unless the series is zero)."""
-        if self.is_zero:
-            return LaurentSeries.const(self.var, 1, self.order)
-        if self.min_deg < 1:
+    def series(self, stream) -> "LaurentSeries":
+        """sum_k a_k * self**k for ``stream()`` iterating over a_0, a_1, ...,
+        for a series of provable valuation >= 1 (a zero series counts its
+        order as its valuation) with a finite order, unless it is an exact
+        zero.  self**k has valuation >= k, so the terms from k = order on
+        are unknown: only a_0 ... a_(order-1) are read, and the sum is
+        known below the order."""
+        v = self.valuation if self.poly else self.order
+        if v is not None and v < 1:
             raise ConstantTermPresent(
-                "exp needs valuation >= 1, got valuation %d" % self.min_deg
+                "series needs valuation >= 1, got valuation %d" % v
             )
-        if self.order is None:
-            raise ValueError("exp of an exact series is infinite; truncate()")
-        # self**k has valuation >= k, so terms from k = order on are unknown
-        return nilpotent_series(
-            taylor_exp(self.order),
-            self,
-            LaurentSeries.const(self.var, 1, self.order),
-        )
+        if self.poly and self.order is None:
+            raise ValueError("series of an exact series is infinite; truncate()")
+        count = self.order if self.poly else 1  # a zero series sums to a_0
+        one = LaurentSeries.const(self.var, 1, self.order)
+        acc = nilpotent_series(islice(stream(), count), self, one)
+        return acc.truncate(self.order)
 
-    def log(self) -> "LaurentSeries":
-        """log of 1 + (positive-valuation part); the constant term must be 1."""
-        if self.min_deg < 0:
-            raise ConstantTermPresent(
-                "log needs the form 1 + O(%s); negative powers present"
-                % self.var
-            )
-        c0 = self.coefficient(0) if (self.order is None or self.order > 0) else None
-        if c0 is None or c0 != 1:
-            raise ConstantTermPresent(
-                "log needs constant term exactly 1, got %s" % (c0,)
-            )
-        y = self - 1
-        if y.is_zero:
-            return LaurentSeries.zero(self.var, self.order)
-        if self.order is None:
-            raise ValueError("log of an exact series is infinite; truncate()")
-        return nilpotent_series(
-            taylor_log1p(self.order),
-            y,
-            LaurentSeries.const(self.var, 1, self.order),
-        )
+    exp = Ring.exp
+    log = Ring.log
 
     # -- comparison / display ---------------------------------------------------
 
@@ -897,6 +890,11 @@ class LaurentSeries(Ring):
         return "LaurentSeries(%s)" % self
 
 
+# The scalars of the exact tower: what the term algebras and the matrices
+# store and scale by.
+_SCALARS = (int, Fraction, Poly, LaurentSeries)
+
+
 def _hold(series, var, poly, order):
     """Fill the slots of a new series: ``poly`` cut below ``order``."""
     object.__setattr__(series, "var", var)
@@ -910,40 +908,31 @@ def _hold(series, var, poly, order):
 # --------------------------------------------------------------------------
 
 
-def _take(coeffs, num_terms):
-    """A stream's first ``num_terms`` coefficients as a list, or with no
-    count the endless iterator, so a series draws only what it uses."""
-    return coeffs if num_terms is None else list(islice(coeffs, num_terms))
+def taylor_exp():
+    """1, 1, 1/2, 1/6, ...: coefficients of exp(x)."""
+    return accumulate(count(1), lambda c, k: c / k, initial=Fraction(1))
 
 
-def taylor_exp(num_terms=None):
-    """[1, 1, 1/2, 1/6, ...]: coefficients of exp(x)."""
-    coeffs = accumulate(count(1), lambda c, k: c / k, initial=Fraction(1))
-    return _take(coeffs, num_terms)
+def taylor_log1p():
+    """0, 1, -1/2, 1/3, ...: coefficients of log(1 + x)."""
+    return (Fraction((-1) ** (k + 1), k) if k else Fraction(0) for k in count())
 
 
-def taylor_log1p(num_terms=None):
-    """[0, 1, -1/2, 1/3, ...]: coefficients of log(1 + x)."""
-    coeffs = (Fraction((-1) ** (k + 1), k) if k else Fraction(0) for k in count())
-    return _take(coeffs, num_terms)
+def taylor_geometric():
+    """1, -1, 1, ...: coefficients of 1/(1 + x)."""
+    return cycle((Fraction(1), Fraction(-1)))
 
 
-def taylor_geometric(num_terms=None):
-    """[1, -1, 1, ...]: coefficients of 1/(1 + x)."""
-    return _take(cycle((Fraction(1), Fraction(-1))), num_terms)
-
-
-def taylor_binomial(alpha, num_terms=None):
+def taylor_binomial(alpha):
     """Coefficients of (1 + x)**alpha for rational alpha."""
     a = _fr(alpha)
     if a is None:
         raise IrrationalExpansionPoint(
             "binomial exponent must be rational, got %r" % (alpha,)
         )
-    coeffs = accumulate(
+    return accumulate(
         count(), lambda c, k: c * (a - k) / (k + 1), initial=Fraction(1)
     )
-    return _take(coeffs, num_terms)
 
 
 # --------------------------------------------------------------------------
@@ -958,13 +947,16 @@ def nilpotent_series(coeffs, y, one):
     from the left.  The exp, log, inverse and square root of truncated
     enveloping-algebra elements, of nilpotent matrices and of Laurent
     series, and the power series of the twist chain, are all this loop fed
-    by one of the Taylor streams above.  Powers of y are formed one at a
-    time and the sum stops at the first power that vanishes, or when
-    ``coeffs`` runs out, so the powers are running products, not calls
-    of ``**`` (:meth:`Ring.__pow__`), which serves a single ``y**k``.  The caller bounds
-    ``coeffs`` by enough of them: for a nilpotent y, its nilpotency bound;
-    for a truncated series, its order.  They are read one at a time, so a
-    lazy stream builds none past the vanishing power."""
+    by one of the Taylor streams above, through the ``series`` method of
+    y's ring.  Powers of y are formed one at a time and the sum stops at
+    the first power that vanishes, or when ``coeffs`` runs out, so the
+    powers are running products, not calls of ``**``
+    (:meth:`Ring.__pow__`), which serves a single ``y**k``.  Each
+    ``series`` bounds the endless streams: a truncated element by its
+    cap, a truncated series by its order, and a matrix by refusing to
+    read past the power that vanishes for every nilpotent matrix.  They
+    are read one at a time, so a lazy stream builds none past the
+    vanishing power."""
     coeffs = iter(coeffs)
     acc = next(coeffs, 0) * one
     y_k = one

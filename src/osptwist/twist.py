@@ -14,9 +14,11 @@ The chain is written once, as one recipe, and evaluated over two rings.
   exp of the inner element -(Z+ U+ / 2)(sigma/X+); their closed forms are
   kept as an independent route.  An ingredient source supplies only the
   generators, ``gen``; the recipe calls its ring elements directly, which
-  follow the :class:`~osptwist.scalars.Ring` protocol and supply
-  ``one_like()``, ``exp()`` and ``series(stream)`` (a Taylor stream summed
-  in a nilpotent element by :func:`~osptwist.scalars.nilpotent_series`).
+  follow the :class:`~osptwist.scalars.Ring` protocol: ``one_like()``,
+  ``exp()`` and ``series(stream)``, a Taylor stream summed in a nilpotent
+  element by the ring's one series entry, which bounds the sum and
+  refuses an element that is not nilpotent (a truncated element that is
+  not grade-positive, a matrix with A**(dim+1) != 0).
 * Factor recipe (:func:`_build`).  Every factor is written against a
   two-slot context: ``slots`` holds the ingredients of the first and of
   the second tensor slot, and the context supplies ``tensor``,

@@ -18,7 +18,7 @@ from osptwist.errors import InvalidOption, NotHomogeneous, UnknownSuite
 from osptwist.pbw import UETensor
 from osptwist.quantum import RMatrix
 from osptwist.repmat import GradedMatrix
-from osptwist.rmatrix import LieTensor
+from osptwist.rmatrix import ContractionResult, LieTensor
 from osptwist.twist import Twist, TwistFactor
 
 
@@ -458,12 +458,27 @@ def doubled_h_x_plus(r):
     return RMatrix(el + bump, source=r.source)
 
 
+def poles_restored(lim):
+    """The contraction limit with its series multiplied by eps**-1."""
+    series = lim.series.map_coefficients(lambda c: c.shift(-1))
+    return ContractionResult(
+        series, lim.constant, lim.spectral_part, lim.t_part, lim.order
+    )
+
+
 @pytest.mark.parametrize(
     "anchor, corrupt",
     [
         ("cybe.full-borel", doubled_largest_term),
         ("twist.cocycle.full-chain", corrupted_chain),
         ("quantum.intertwining", lambda rx: (doubled_h_x_plus(rx[0]), rx[1])),
+        ("contraction.pole-cancellation", poles_restored),
+        (
+            "contraction.constant-split",
+            lambda le: (le[0], doubled_largest_term(le[1])),
+        ),
+        ("contraction.t-part", doubled_largest_term),
+        ("contraction.spectral-part", doubled_largest_term),
     ],
 )
 def test_a_corrupted_build_fails_only_its_anchor(monkeypatch, anchor, corrupt):

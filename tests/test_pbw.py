@@ -335,7 +335,12 @@ def series_operand(legs, constant, letter="X+", cap=CAP):
 
 
 @pytest.mark.parametrize("legs", [None, 2])
-@pytest.mark.parametrize("fn, good, bad, refusal", SERIES_FRONT_ENDS)
+@pytest.mark.parametrize(
+    "fn, good, bad, refusal",
+    SERIES_FRONT_ENDS,
+    # ue_exp and ue_log are Ring.exp and Ring.log, named exp and log
+    ids=lambda v: {ue_exp: "ue_exp", ue_log: "ue_log"}.get(v),
+)
 def test_series_front_ends_refuse(fn, good, bad, refusal, legs):
     """An untruncated operand, a grade-0 letter (H) and a constant term
     outside the function's domain are each refused."""
@@ -979,14 +984,34 @@ def test_packing_width_overflow_raises(monkeypatch):
         x * x
 
 
-def test_packing_width_does_not_limit_normal_ordering(monkeypatch):
-    """Interning and normal ordering pack no keys: with 3-bit ids a word
-    whose ordering meets dozens of monomials is still normal-ordered."""
+def test_the_ninth_id_under_three_bits_raises_and_leaves_the_table_consistent(
+    monkeypatch,
+):
+    """The width is checked once, where a monomial is interned: with
+    3-bit ids the ninth monomial raises before any list of the table
+    grows, and raises again on the next try; the eight interned ones
+    still build elements."""
     monkeypatch.setattr(pbw, "_ID_BITS", 3)
     alg = OspAlgebra(2)
-    word = tuple(sorted(alg.positive_indices(), reverse=True))
-    assert normal_form(alg, word) == reference_rewrite(alg, word)
-    assert pbw_table(alg).sizes()["monomials"] > 8
+    table = pbw_table(alg)
+    for x in range(7):
+        table.ids[(x,)]
+    lists = ("monos", "g2", "par", "prefix", "units")
+
+    def state():
+        return {name: list(getattr(table, name)) for name in lists}, dict(table.ids)
+
+    before = state()
+    assert len(before[0]["monos"]) == 8
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            table.ids[(7,)]
+        assert state() == before
+    with pytest.raises(OverflowError):
+        normal_form(alg, (1, 0))
+    assert all(table.ids[m] == i for i, m in enumerate(table.monos))
+    for x in range(7):
+        assert UEElement(alg, {(x,): 2}).terms == {(x,): 2}
 
 
 def test_failed_interning_leaves_the_table_consistent():

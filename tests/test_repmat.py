@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, example, find, given, settings, strategies as st
 
+from osptwist import quantum as qt
 from osptwist import repmat
 from osptwist.algebra import build_osp
 from osptwist.errors import DivisionByNonUnit, LegMismatch, NotNilpotent
-from osptwist.pbw import UEElement, UETensor
+from osptwist.pbw import UEElement, UETensor, ue_exp, ue_log
 from osptwist.repmat import (
     GradedMatrix,
     embed_legs,
@@ -331,7 +332,7 @@ def test_nilpotent_exp_log_roundtrip():
     N = unit(PV, 0, 1) + unit(PV, 1, 3).scale(
         Fraction(1, 2)
     )
-    assert N.is_nilpotent()
+    assert (N ** 3).is_zero
     U = N.exp_nilpotent()
     assert U.log_unipotent() == N
     assert U @ (-N).exp_nilpotent() == GradedMatrix.identity(PV)
@@ -339,8 +340,8 @@ def test_nilpotent_exp_log_roundtrip():
 
 def test_series_draws_only_the_coefficients_it_uses():
     """On the 125-dim cube a nilpotent N with N**3 = 0 reads a_0 ... a_3
-    from a lazy stream, not dim coefficients; a non-nilpotent matrix
-    still stops after dim of them."""
+    from a lazy stream, not dim coefficients; a non-nilpotent matrix is
+    refused once A**(dim+1) has not vanished, after dim + 3 of them."""
     drawn = []
 
     def stream():
@@ -353,13 +354,48 @@ def test_series_draws_only_the_coefficients_it_uses():
     assert n.series(stream) == n.exp_nilpotent()
     assert len(drawn) == 4
     drawn.clear()
-    GradedMatrix.identity(PV).series(stream)
-    assert len(drawn) == len(PV)
+    with pytest.raises(NotNilpotent):
+        GradedMatrix.identity(PV).series(stream)
+    assert len(drawn) == len(PV) + 3
 
 
 def test_exp_rejects_non_nilpotent():
+    """exp, log and every other series of a matrix that is not nilpotent
+    raise rather than return a truncated sum."""
+    eye = GradedMatrix.identity(PV)
     with pytest.raises(NotNilpotent):
-        GradedMatrix.identity(PV).exp_nilpotent()
+        eye.exp_nilpotent()
+    with pytest.raises(NotNilpotent):
+        eye.scale(2).log()
+    with pytest.raises(NotNilpotent):
+        eye.series(taylor_exp)
+
+
+# -- the one series entry of each ring ---------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_two_engines_agree_on_exp_and_log_through_rho(n):
+    """exp and log summed in the truncated enveloping algebra and summed
+    on the matrices agree through the defining representation rho, for a
+    grade-positive x at a cap no lower than the spread of the defining
+    space's doubled grades (no term the cap drops has a nonzero image)."""
+    alg = build_osp(n)
+    cap = qt.rep_exact_degree(alg)
+    letters = [
+        UEElement.generator(alg, i, g2cap=cap)
+        for i in alg.positive_indices() if alg.g2(i) > 0
+    ]
+    x = sum(
+        (g.scale(Fraction(k + 1, 2)) for k, g in enumerate(letters)),
+        letters[0] * letters[-1],
+    )
+    assert x.is_grade_positive()
+    m = x.to_matrix()
+    assert not (m @ m).is_zero
+    one = UEElement.one(alg, g2cap=cap)
+    assert ue_exp(x).to_matrix() == m.exp()
+    assert ue_log(one + x).to_matrix() == (one + x).to_matrix().log()
 
 
 def _pow_cases():

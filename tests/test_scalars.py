@@ -200,12 +200,32 @@ def test_series_exp_log_roundtrip():
     ).truncate(8)
 
 
+def test_a_zero_series_sums_to_its_first_coefficient_at_its_order():
+    """exp(0) = 1 and log(1) = 0, known exactly as far as the argument
+    is; an argument known only below t**0 may have a constant term."""
+    for order in (None, 1, 3):
+        zero, one = LaurentSeries.zero("t", order), LaurentSeries.const("t", 1, order)
+        assert zero.exp() == one
+        assert one.log() == zero
+        assert one.log().order == order
+    for order in (-2, 0):
+        with pytest.raises(ConstantTermPresent):
+            LaurentSeries.zero("t", order).exp()
+        with pytest.raises(ConstantTermPresent):
+            LaurentSeries.const("t", 1, order).log()
+
+
 def test_series_exp_requires_no_constant_term():
     s = LaurentSeries.const("t", 1, order=8) + t_series()
     with pytest.raises(ConstantTermPresent):
         s.exp()
     with pytest.raises(ConstantTermPresent):
         t_series().log()  # log needs leading 1, not leading t
+    exact_t = LaurentSeries("t", 1, [1])
+    for infinite in (exact_t.exp, (exact_t + 1).log):
+        with pytest.raises(ValueError) as excinfo:
+            infinite()
+        assert excinfo.type is ValueError
 
 
 def test_series_from_poly_roundtrip():
@@ -320,7 +340,7 @@ def _ref_invert(x):
     known = order - m
     y = _dense(1, [lead_inv * c for c in cs[1:]], known)
     acc = y_k = _dense(0, [1], known)
-    for c in taylor_geometric(max(known, 0) + 1)[1:]:
+    for c in islice(taylor_geometric(), 1, max(known, 0) + 1):
         y_k = _ref_mul(y_k, y)
         if not y_k[1]:
             break
@@ -382,17 +402,21 @@ def test_fraction_sqrt():
     assert fraction_sqrt(Fraction(1, 3)) is None
 
 
+def first(stream, k):
+    return list(islice(stream, k))
+
+
 def test_taylor_tables():
-    assert taylor_exp(5) == [
+    assert first(taylor_exp(), 5) == [
         Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(1, 24)
     ]
     # log(1+x) = x - x^2/2 + x^3/3 - ...
-    assert taylor_log1p(4)[1:] == [Fraction(1), Fraction(-1, 2), Fraction(1, 3)]
-    assert taylor_geometric(4) == [Fraction(1)] * 4 or taylor_geometric(4) == [
+    assert first(taylor_log1p(), 4)[1:] == [Fraction(1), Fraction(-1, 2), Fraction(1, 3)]
+    assert first(taylor_geometric(), 4) == [
         Fraction(1), Fraction(-1), Fraction(1), Fraction(-1)
     ]
     # (1+x)^(1/2) = 1 + x/2 - x^2/8 + x^3/16 - ...
-    assert taylor_binomial(Fraction(1, 2), 4) == [
+    assert first(taylor_binomial(Fraction(1, 2)), 4) == [
         Fraction(1), Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)
     ]
 
@@ -404,10 +428,10 @@ def test_taylor_tables():
 def test_taylor_stream_without_a_count_is_the_lazy_list(stream):
     lazy = stream()
     assert not isinstance(lazy, list)
-    assert list(islice(lazy, 7)) == stream(7)
-    assert all(type(c) is Fraction for c in stream(7))
+    assert first(lazy, 7) == first(stream(), 7)
+    assert all(type(c) is Fraction for c in first(stream(), 7))
 
 
 def test_taylor_binomial_rejects_irrational_point():
     with pytest.raises(IrrationalExpansionPoint):
-        taylor_binomial("half", 4)
+        taylor_binomial("half")
