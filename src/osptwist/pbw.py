@@ -301,11 +301,11 @@ class PBWTable:
             stack.pop()
         return memo[mid * size + x]
 
-    def fold(self, word, start=((0, 1),)) -> tuple:
-        """Normal form of ``start`` (a normal form, by default the empty
-        monomial) times a word of letters, inserted one at a time."""
+    def fold(self, word) -> tuple:
+        """Normal form of a word of letters, inserted one at a time into
+        the empty monomial."""
         memo, size, insert = self.insertions, self.size, self._insert
-        acc = dict(start)
+        acc = {0: 1}
         for x in word:
             if not 0 <= x < size:
                 # a letter outside the basis would alias a memo key
@@ -1471,10 +1471,6 @@ class UETensor(_Terms):
     @classmethod
     def zero(cls, algebra, legs, g2cap=None):
         return cls(algebra, {}, legs, g2cap)
-
-    @classmethod
-    def one(cls, algebra, legs, g2cap=None):
-        return cls(algebra, {((),) * legs: Fraction(1)}, legs, g2cap)
 
     @classmethod
     def of(cls, *elements, g2cap=None):

@@ -152,7 +152,7 @@ def dual_of_opposite(algebra, pos_index: int):
 
 
 # --------------------------------------------------------------------------
-# Adjoint action, cobracket, kernel
+# Adjoint action and the cobracket kernel
 # --------------------------------------------------------------------------
 
 
@@ -181,19 +181,15 @@ def adjoint_action(x_index: int, t: LieTensor) -> LieTensor:
     return _tensor(alg, t.legs, out, t.den)
 
 
-def cobracket(x_index: int, r: LieTensor) -> LieTensor:
-    """delta(x) = [x (x) 1 + 1 (x) x, r]."""
-    return adjoint_action(x_index, r)
-
-
 def cobracket_kernel(algebra, r: LieTensor):
-    """Basis of {x in g : cobracket(x, r) = 0}, as a list of coefficient
-    vectors over the algebra basis, in reduced echelon form."""
+    """Basis of {x in g : delta(x) = 0}, as a list of coefficient vectors
+    over the algebra basis, in reduced echelon form.  The cobracket
+    delta(x) = [x (x) 1 + 1 (x) x, r] is the adjoint action of x on r."""
     m = algebra.size
     # the rows of the linear map x -> delta(x), one per key; kernel = null space
     rows: dict = {}
     for i in range(m):
-        img = cobracket(i, r)
+        img = adjoint_action(i, r)
         if img.den is None:
             raise TypeError("kernel computation needs rational tensors")
         for k, c in img.data.items():

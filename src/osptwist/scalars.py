@@ -143,9 +143,10 @@ class Ring:
     ``__mul__`` and ``one_like()`` (its unit), and binds ``inverse`` to a
     method when its elements may be inverted; the graded commutator also
     needs ``parity()`` (0 or 1, None when the element mixes parities), and
-    exp and log need ``series(stream)``, which sums a Taylor stream in self.
-    The matrices and term algebras get their linear structure from
-    :class:`Stored`."""
+    exp and log need ``series(stream)``, which sums a Taylor stream in self
+    (a ring that cannot sum one, such as :class:`Poly`, keeps the refusing
+    default).  The matrices and term algebras get their linear structure
+    from :class:`Stored`."""
 
     __slots__ = ()
 
@@ -182,6 +183,9 @@ class Ring:
             raise NotHomogeneous("super commutator needs homogeneous operands")
         ab, ba = self * other, other * self
         return ab + ba if (pa and pb) else ab - ba
+
+    def series(self, stream):
+        raise TypeError("%s cannot sum a power series" % type(self).__name__)
 
     def exp(self):
         """exp(self), by the ring's own ``series``."""
@@ -436,10 +440,6 @@ class Poly(Ring):
         return None
 
     # -- structure queries -------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @property
     def is_constant(self) -> bool:

@@ -21,17 +21,19 @@ The chain is written once, as one recipe, and evaluated over two rings.
   not grade-positive, a matrix with A**(dim+1) != 0).
 * Factor recipe (:func:`_build`).  Every factor is written against a
   two-slot context: ``slots`` holds the ingredients of the first and of
-  the second tensor slot, and the context supplies ``tensor``,
-  ``coproduct`` (of an ingredient), factor-by-factor ``conjugate`` and
-  the memoized ``factor``.
+  the second tensor slot, and each context supplies ``tensor``,
+  ``coproduct`` (of an ingredient) and ``inverse(kind)``.  The memoized
+  ``factor`` and the factor-by-factor ``conjugate`` are written once, for
+  both contexts (:class:`_Context`).
 
 The two rings:
 
 * The enveloping-algebra level (:class:`_Workshop`): elements of U(g)^(x)k
   truncated by the additive principal grade (:mod:`pbw`).  This certifies
   the identities "mod degree > D" for the chosen bound.  Both slots hold
-  the same ingredients, ``tensor`` is the elementary tensor and
-  ``coproduct`` the undeformed one.
+  the same ingredients, ``tensor`` is the elementary tensor,
+  ``coproduct`` the undeformed one, and ``inverse`` the factor's shared
+  lazy :attr:`TwistFactor.inverse`.
 * The representation level (:class:`RepAssignment`, :class:`_RepPair`):
   every generator is sent to an exact matrix in rho^(x)k, one assignment
   per slot.  Since the undeformed coproduct is an algebra map, the
@@ -41,8 +43,9 @@ The two rings:
   algebra at all.  The matrix cocycle residual assigns each leg set of
   rho^(x)3 once, so both coproduct sides share the sum over all three
   legs, and its F12 and F23 are the chain on rho^(x)2 embedded in two
-  legs.  All matrix series terminate (nilpotency), so those certificates
-  are exact.
+  legs.  A factor's inverse is the geometric series of the unipotent
+  factor.  All matrix series terminate (nilpotency), so those
+  certificates are exact.
 
 The two arithmetic engines stay separate, so each is the other's oracle.
 
@@ -108,14 +111,6 @@ def _product(elements):
     return acc
 
 
-def _conjugate(factors, t: UETensor) -> UETensor:
-    """F * t * F^(-1) for F the product of ``factors``, one factor at a
-    time, innermost (last) first."""
-    for f in reversed(factors):
-        t = f.element * t * f.inverse
-    return t
-
-
 class Twist:
     """A twist element of U(g) (x) U(g) with provenance.
 
@@ -138,14 +133,6 @@ class Twist:
         self.element = _product([f.element for f in factors])
         self.factorization = tuple(factorization)
         self._inverse = None
-
-    @property
-    def algebra(self):
-        return self.element.algebra
-
-    @property
-    def g2cap(self):
-        return self.element.g2cap
 
     @property
     def inverse(self) -> UETensor:
@@ -340,12 +327,30 @@ def _build(ctx, kind: str):
     )
 
 
+class _Context:
+    """A two-slot factor context over one ring.  A subclass supplies
+    ``slots``, ``tensor``, ``coproduct``, ``inverse(kind)`` and the
+    ``_made`` dict that keeps each factor, so a chain shares the factors
+    it repeats."""
+
+    @_memoized
+    def factor(self, kind: str):
+        return _build(self, kind)
+
+    def conjugate(self, kinds, t):
+        """F * t * F^(-1) for F the product of the factors ``kinds``, one
+        factor at a time, innermost (last) first."""
+        for kind in reversed(kinds):
+            t = self.factor(kind) * t * self.inverse(kind)
+        return t
+
+
 # --------------------------------------------------------------------------
 # Enveloping-algebra level (memoized per algebra and cap)
 # --------------------------------------------------------------------------
 
 
-class _Workshop(_Ingredients):
+class _Workshop(_Ingredients, _Context):
     """Lazily builds and caches the chain ingredients and factors at one
     truncation; both slots of its factor context are itself."""
 
@@ -369,18 +374,14 @@ class _Workshop(_Ingredients):
     def coproduct(self, ingredient) -> UETensor:
         return ingredient(self).coproduct()
 
-    def conjugate(self, kinds, t: UETensor) -> UETensor:
-        return _conjugate([self.twist_factor(k) for k in kinds], t)
-
-    @_memoized
-    def factor(self, kind: str) -> UETensor:
-        return _build(self, kind)
-
     @_memoized
     def twist_factor(self, kind: str) -> TwistFactor:
         """The named factor with its inverse, shared by every twist built
         at this truncation."""
         return TwistFactor(self.factor(kind))
+
+    def inverse(self, kind: str) -> UETensor:
+        return self.twist_factor(kind).inverse
 
 
 def workshop(algebra: OspAlgebra, degree: int = 6) -> _Workshop:
@@ -443,8 +444,12 @@ def cocycle_residual(f: Twist) -> UETensor:
 
 
 def twisted_coproduct(f: Twist, x: UEElement) -> UETensor:
-    """F * cop0(x) * F^(-1), conjugating by one factor of F at a time."""
-    return _conjugate(f.factors, x.coproduct())
+    """F * cop0(x) * F^(-1), conjugating by one factor of F at a time,
+    innermost (last) first."""
+    t = x.coproduct()
+    for factor in reversed(f.factors):
+        t = factor.element * t * factor.inverse
+    return t
 
 
 def primitive_part(x: UEElement) -> UETensor:
@@ -495,13 +500,12 @@ def rep_leg(algebra: OspAlgebra, leg: int, total: int) -> RepAssignment:
     return RepAssignment(algebra, images)
 
 
-class _RepPair:
+class _RepPair(_Context):
     """The factor context at the matrix level: the first tensor slot sent
     through assignment ``a``, the second through ``b``; coproducts are the
     ingredients of the summed assignment ``total``, which sends each
     generator to its undeformed-coproduct image (a+b unless the caller
-    shares one it holds).  Factors and their inverses are memoized, so a
-    chain shares the factors it repeats."""
+    shares one it holds).  Factors and their inverses are memoized."""
 
     def __init__(self, a: RepAssignment, b: RepAssignment, total=None):
         self.slots = (a, b)
@@ -513,15 +517,6 @@ class _RepPair:
 
     def coproduct(self, ingredient) -> GradedMatrix:
         return ingredient(self.total)
-
-    def conjugate(self, kinds, t: GradedMatrix) -> GradedMatrix:
-        for kind in reversed(kinds):
-            t = self.factor(kind) @ t @ self.inverse(kind)
-        return t
-
-    @_memoized
-    def factor(self, kind: str) -> GradedMatrix:
-        return _build(self, kind)
 
     @_memoized
     def inverse(self, kind: str) -> GradedMatrix:

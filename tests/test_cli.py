@@ -469,7 +469,14 @@ def poles_restored(lim):
 @pytest.mark.parametrize(
     "anchor, corrupt",
     [
+        ("cybe.jordanian", doubled_largest_term),
+        ("cybe.super-jordanian", doubled_largest_term),
+        ("cybe.extended-super-jordanian", doubled_largest_term),
+        ("cybe.extended-plus-long-wedge", doubled_largest_term),
+        ("cybe.cascade-symbolic", doubled_largest_term),
         ("cybe.full-borel", doubled_largest_term),
+        ("cybe.casimir-invariance", doubled_largest_term),
+        ("cybe.spectral-certificate", doubled_largest_term),
         ("twist.cocycle.full-chain", corrupted_chain),
         ("quantum.intertwining", lambda rx: (doubled_h_x_plus(rx[0]), rx[1])),
         ("contraction.pole-cancellation", poles_restored),

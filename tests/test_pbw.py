@@ -258,8 +258,8 @@ def test_term_algebra_keeps_kinds_and_leg_counts_apart():
     assert LieTensor.zero(ALG, 2) != LieTensor.zero(ALG, 3)
     assert UEElement.zero(ALG) != UETensor.zero(ALG, 1)
     assert UEElement.one(ALG) == 1 and UEElement.zero(ALG) == 0
-    assert UETensor.one(ALG, 2) != 1
-    for x in (gen("H"), UETensor.one(ALG, 3)):
+    assert UETensor.zero(ALG, 2).one_like() != 1
+    for x in (gen("H"), UETensor.zero(ALG, 3).one_like()):
         with pytest.raises(HeterogeneousOperand):
             x.flip()
 
@@ -329,9 +329,8 @@ def series_operand(legs, constant, letter="X+", cap=CAP):
     if legs is None:
         return UEElement.one(ALG, g2cap=cap).scale(constant) + gen(letter, cap)
     x = gen(letter, cap)
-    return UETensor.one(ALG, 2, g2cap=cap).scale(constant) + UETensor.of(
-        x, x, g2cap=cap
-    )
+    t = UETensor.of(x, x, g2cap=cap)
+    return t.one_like().scale(constant) + t
 
 
 @pytest.mark.parametrize("legs", [None, 2])
@@ -357,7 +356,7 @@ def test_invert_and_sqrt_of_a_tensor_around_a_non_unit_constant():
     t = UETensor.of(gen("X+"), gen("v+"), g2cap=CAP) + UETensor.of(
         gen("Z+"), gen("w+"), g2cap=CAP
     )
-    one = UETensor.one(ALG, 2, g2cap=CAP)
+    one = t.one_like()
     x = one.scale(3) + t
     assert ue_invert(x) * x == one
     y = one.scale(4) + t
@@ -1261,7 +1260,7 @@ def test_split_first_leg_sums_back():
     assert rest == UEElement(ALG, {(y_plus,) * 4: 3, (y_plus,) * 5: 1}, CAP)
     assert rest == 3 * gen("Y+") ** 4 and rest.terms == {(y_plus,) * 4: 3}
     with pytest.raises(HeterogeneousOperand):
-        UETensor.one(ALG, 1).split_first_leg()
+        UETensor.zero(ALG, 1).one_like().split_first_leg()
 
 
 def test_keys_out_of_normal_order_are_rewritten_by_constructors():
@@ -1282,7 +1281,7 @@ def test_keys_out_of_normal_order_are_rewritten_by_constructors():
         UEElement(ALG, normal_form(ALG, (v, v)), CAP),
         UEElement(ALG, normal_form(ALG, (w, x)), CAP),
     )
-    assert t == want and t == t * UETensor.one(ALG, 2, CAP)
+    assert t == want and t == t * t.one_like()
 
 
 # -- one term algebra: kinds, scalars, units -------------------------------------
@@ -1388,7 +1387,7 @@ def test_one_like_is_the_unit_at_the_same_cap(cap):
     assert el.one_like().g2cap == cap
     for legs in (1, 2, 3):
         t = UETensor.of(*[el] * legs)
-        assert t.one_like() == UETensor.one(ALG, legs, cap)
+        assert t.one_like() == UETensor(ALG, {((),) * legs: 1}, legs, cap)
         assert t.one_like().g2cap == cap
 
 
@@ -1413,7 +1412,7 @@ def _primitive_product(alg, mono, legs):
     """The product, formed by ``*``, of each letter's primitive tensor
     x (x) 1 (x) ... + ... + 1 (x) ... (x) x."""
     one = UEElement.one(alg)
-    out = UETensor.one(alg, legs)
+    out = UETensor.zero(alg, legs).one_like()
     for x in mono:
         g = UEElement.generator(alg, x)
         out = out * sum(

@@ -152,7 +152,7 @@ def test_classical_limit_rejects_composite_legs():
         2,
         g2cap=2 * DEG,
     )
-    fake = qt.RMatrix(UETensor.one(ALG, 2, 2 * DEG) + t, None)
+    fake = qt.RMatrix(t.one_like() + t, None)
     with pytest.raises(NotFirstOrderLie):
         qt.classical_limit(fake)
 

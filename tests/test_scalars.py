@@ -47,13 +47,22 @@ def small_polys(names=("a", "b")):
 
 
 def test_poly_constants_and_vars():
-    assert Poly.zero().is_zero
+    assert not Poly.zero()
     assert Poly.const(Fraction(3, 2)).as_fraction() == Fraction(3, 2)
     a = Poly.var("a")
     assert not a.is_constant
     assert str(a) == "a"
-    assert (a - a).is_zero
+    assert not (a - a)
     assert Poly.var("a", exponent=2, coefficient=3).coefficient("a", 2) == Poly.const(3)
+
+
+def test_a_ring_with_no_series_refuses_exp_and_log():
+    """Poly has no series entry of its own: exp, log and series refuse it
+    with a TypeError that names the type."""
+    x = Poly.var("x")
+    for call in (x.exp, x.log, partial(x.series, taylor_exp)):
+        with pytest.raises(TypeError, match="Poly"):
+            call()
 
 
 def test_poly_arithmetic_known_values():

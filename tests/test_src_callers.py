@@ -7,7 +7,10 @@ exceptions are the names the benchmark reaches from outside: the routines
 that ``perfbench/tracer.py`` wraps (its ``TARGETS``) and every name that
 ``perfbench/workloads.py`` reads.  Both files are only read.  The check
 matches names, not objects, so a method is kept alive by any use of its
-name in the package."""
+name in the package, even from a branch that no run takes.  The reach
+guard, ``test_src_reached.py``, closes that gap: it fails on any function
+that a fixed battery of runs never enters, and reads its benchmark
+exceptions through ``benchmark_names`` below."""
 
 import ast
 import io

@@ -201,9 +201,8 @@ def test_coboundary_must_use_the_twisted_coproduct():
         UETensor.of(w.u_elem(), w.u_elem(), g2cap=w.g2cap) * wrong_du
     )
     vf = w.gen("v+") * w.f1()
-    wrong_super = (
-        UETensor.one(ALG, 2, w.g2cap) - UETensor.of(vf, vf, g2cap=w.g2cap)
-    ) * wrong_c
+    vv = UETensor.of(vf, vf, g2cap=w.g2cap)
+    wrong_super = (vv.one_like() - vv) * wrong_c
     f_wrong = wrong_super * w.factor("extension") * w.factor("jordanian")
     res = cocycle_residual(Twist(f_wrong, ("wrong-coboundary",)))
     assert not res.is_zero
@@ -471,8 +470,8 @@ def test_workshop_belongs_to_one_algebra_instance():
     bad._bracket_cache[(i, j)] = wrong
     poisoned = full_chain(bad, 2)
     clean = full_chain(build_osp(2), 2)
-    assert poisoned.algebra is bad
-    assert clean.algebra is build_osp(2)
+    assert poisoned.element.algebra is bad
+    assert clean.element.algebra is build_osp(2)
     assert cocycle_residual(clean).is_zero
     with pytest.raises(MixedAlgebra):
         Twist(poisoned.factors + clean.factors, FULL_CHAIN_KINDS * 2)
