@@ -464,7 +464,9 @@ def test_ring_protocol(ring):
     assert x.one_like() == one
     assert x - y == x + (-y)
     assert y - x == -(x - y)
-    assert x + (x - x) == x
+    # x - x is the canonical zero: a Poly with no terms, a Stored ring's
+    # empty data, a LaurentSeries with no visible terms
+    assert not (x - x) if isinstance(x, Poly) else (x - x).is_zero
     if inverse is not None:
         assert x ** -1 == inverse
     else:

@@ -9,8 +9,8 @@ that ``perfbench/tracer.py`` wraps (its ``TARGETS``) and every name that
 matches names, not objects, so a method is kept alive by any use of its
 name in the package, even from a branch that no run takes.  The reach
 guard, ``test_src_reached.py``, closes that gap: it fails on any function
-that a fixed battery of runs never enters, and reads its benchmark
-exceptions through ``benchmark_names`` below."""
+that a fixed battery of runs never enters, and matches the tracer's
+targets by qualified name through ``benchmark_targets`` below."""
 
 import ast
 import io
@@ -32,35 +32,53 @@ def code_names(text):
     ]
 
 
-def definitions(text):
-    """(name, first line, last line) of every def and class, decorators
-    included, dunder methods left out."""
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name.startswith("__") and node.name.endswith("__"):
-                continue
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            yield node.name, first, node.end_lineno
+def definitions(text, module):
+    """("module.Qualified.name", first line, last line, is a class) of
+    every def and class in ``text``, decorators included, dunder methods
+    left out."""
+    stack = [(ast.parse(text), module)]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = "%s.%s" % (prefix, child.name)
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    yield name, first, child.end_lineno, isinstance(child, ast.ClassDef)
+            stack.append((child, name))
+
+
+def benchmark_targets():
+    """"module.Qualified.name" of each routine the tracer wraps."""
+    return {"%s.%s" % tuple(target[:2]) for target in load_tracer().TARGETS}
+
+
+def workload_names():
+    """Every name token of ``perfbench/workloads.py``."""
+    workloads = ROOT / "perfbench" / "workloads.py"
+    return {name for name, _ in code_names(workloads.read_text())}
 
 
 def benchmark_names():
-    wrapped = {target[1].split(".")[-1] for target in load_tracer().TARGETS}
-    workloads = ROOT / "perfbench" / "workloads.py"
-    return wrapped | {name for name, _ in code_names(workloads.read_text())}
+    """The bare names the benchmark reaches: the wrapped routines and
+    every name that the workloads read."""
+    return {name.split(".")[-1] for name in benchmark_targets()} | workload_names()
 
 
 def test_every_src_definition_has_a_src_caller():
-    texts = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    texts = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     uses = {}
-    for fname, text in texts.items():
+    for module, text in texts.items():
         for name, line in code_names(text):
-            uses.setdefault(name, []).append((fname, line))
+            uses.setdefault(name, []).append((module, line))
     exempt = benchmark_names()
-    uncalled = [
-        "%s:%d %s" % (fname, first, name)
-        for fname, text in texts.items()
-        for name, first, last in definitions(text)
-        if name not in exempt
-        and all(f == fname and first <= line <= last for f, line in uses[name])
-    ]
+    uncalled = []
+    for module, text in texts.items():
+        for qualified, first, last, _ in definitions(text, module):
+            name = qualified.split(".")[-1]
+            if name not in exempt and all(
+                m == module and first <= line <= last for m, line in uses[name]
+            ):
+                uncalled.append("%s:%d %s" % (module, first, qualified))
     assert not uncalled, "no caller in src/: " + ", ".join(uncalled)
